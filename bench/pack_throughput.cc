@@ -2,11 +2,20 @@
  * @file
  * Packer-throughput benchmark: reference SDA packer (vliw::packReference,
  * all-pairs IDG + full rescans) vs. the scalable engine (vliw::pack,
- * FastIdg chain construction + incremental critical path) on large
- * straightline blocks.
+ * FastIdg chain construction + incremental critical path).
  *
- * Every case is a single basic block of at least 512 instructions -- the
- * regime the fast data structures exist for (unrolled kernel bodies).
+ * Two groups of cases:
+ *
+ *  - large blocks: each case is a single basic block of at least 512
+ *    instructions, the regime FastIdg's chain construction and
+ *    incremental critical path exist for. CI gates their fast/reference
+ *    speedup;
+ *  - zoo blocks: the matmul tile kernels the tiered coster packs, at its
+ *    low anchor depth, for every scheme and every unroll candidate. These
+ *    are the programs a zoo compile packs: loop bodies of ~10-140
+ *    instructions, where the repair pass and the slot checks dominate.
+ *    Their absolute fast-packer packets/s is recorded, not gated.
+ *
  * Both packers run on every case and their outputs are bit-compared on
  * every repetition -- identical packets, identical label mapping -- so
  * the bench doubles as an end-to-end identity check at sizes the unit
@@ -14,9 +23,11 @@
  *
  * Output: a human-readable table on stdout and a machine-readable JSON
  * file (argv[1], default "BENCH_pack.json") consumed by CI, which
- * compares the fast/reference speedup against a checked-in baseline
- * (bench/pack_baseline.json).
+ * compares the large-block fast/reference speedup against a checked-in
+ * baseline (bench/pack_baseline.json).
  */
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -26,6 +37,10 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/timer.h"
+#include "kernels/matmul.h"
+#include "kernels/unroll.h"
+#include "tensor/layout.h"
+#include "vliw/cfg.h"
 #include "vliw/pack_cache.h"
 #include "vliw/packer.h"
 
@@ -91,11 +106,31 @@ straightlineBlock(Rng &rng, size_t instructions)
     return prog;
 }
 
+/** Programs packed back to back in every repetition. */
 struct BenchCase
 {
     std::string name;
-    dsp::Program prog;
+    std::vector<dsp::Program> progs;
     vliw::PackOptions opts;
+
+    size_t
+    instructions() const
+    {
+        size_t total = 0;
+        for (const dsp::Program &prog : progs)
+            total += prog.code.size();
+        return total;
+    }
+
+    size_t
+    largestBlock() const
+    {
+        size_t largest = 0;
+        for (const dsp::Program &prog : progs)
+            for (const vliw::BasicBlock &block : vliw::buildCfg(prog).blocks)
+                largest = std::max(largest, block.size());
+        return largest;
+    }
 };
 
 bool
@@ -119,10 +154,11 @@ struct EngineResult
 /**
  * Repeat packs until enough wall time accumulates; report scheduled
  * packets per wall-clock second. Every repetition's output is
- * bit-compared against @p expect (the reference packing).
+ * bit-compared against @p expect (the reference packings).
  */
 EngineResult
-measure(const BenchCase &c, bool fast, const dsp::PackedProgram &expect)
+measure(const BenchCase &c, bool fast,
+        const std::vector<dsp::PackedProgram> &expect)
 {
     constexpr double kMinSeconds = 0.2;
     constexpr int kMaxReps = 50;
@@ -132,18 +168,22 @@ measure(const BenchCase &c, bool fast, const dsp::PackedProgram &expect)
     int reps = 0;
     EngineResult r;
     while (seconds < kMinSeconds && reps < kMaxReps) {
-        const Timer timer;
-        const dsp::PackedProgram packed =
-            fast ? vliw::pack(c.prog, c.opts)
-                 : vliw::packReference(c.prog, c.opts);
-        seconds += timer.seconds();
-        packets += packed.packets.size();
-        ++reps;
-        r.staticPackets = packed.packets.size();
-        if (!samePacking(packed, expect)) {
-            std::cerr << "FATAL: packer divergence on " << c.name << "\n";
-            std::exit(1);
+        r.staticPackets = 0;
+        for (size_t i = 0; i < c.progs.size(); ++i) {
+            const Timer timer;
+            const dsp::PackedProgram packed =
+                fast ? vliw::pack(c.progs[i], c.opts)
+                     : vliw::packReference(c.progs[i], c.opts);
+            seconds += timer.seconds();
+            packets += packed.packets.size();
+            r.staticPackets += packed.packets.size();
+            if (!samePacking(packed, expect[i])) {
+                std::cerr << "FATAL: packer divergence on " << c.name
+                          << " program " << i << "\n";
+                std::exit(1);
+            }
         }
+        ++reps;
     }
     r.packetsPerSec = static_cast<double>(packets) / seconds;
     return r;
@@ -158,7 +198,7 @@ buildCases()
                          vliw::PackPolicy policy) {
         BenchCase c;
         c.name = name;
-        c.prog = straightlineBlock(rng, instructions);
+        c.progs.push_back(straightlineBlock(rng, instructions));
         c.opts.policy = policy;
         cases.push_back(std::move(c));
     };
@@ -169,6 +209,90 @@ buildCases()
     add("listsched_1024", 1024, vliw::PackPolicy::ListSched);
     add("inorder_1024", 1024, vliw::PackPolicy::InOrder);
     return cases;
+}
+
+/**
+ * One case per matmul scheme: its tile kernel at the tiered coster's low
+ * anchor (8 inner-loop iterations) for every unroll choice the default
+ * (adaptive) strategy makes on a grid of layer shapes, with the cost
+ * model's tile geometry (one layout panel of rows and one output unit of
+ * columns per unroll step).
+ */
+std::vector<BenchCase>
+buildZooCases()
+{
+    using kernels::MatMulScheme;
+    std::vector<BenchCase> cases;
+    for (const MatMulScheme scheme :
+         {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
+        const int64_t panelRows =
+            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
+        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
+                                    : scheme == MatMulScheme::Vmpa ? 2
+                                                                   : 4;
+        BenchCase c;
+        c.name = std::string("zoo_") + kernels::schemeName(scheme);
+        std::vector<std::array<int, 3>> seen;
+        for (const int64_t m : {4, 16, 64, 256, 1024}) {
+            for (const int64_t n : {4, 16, 64, 256, 1024}) {
+                const kernels::UnrollChoice choice =
+                    kernels::adaptiveUnroll({m, 1024, n}, scheme);
+                const std::array<int, 3> key{choice.outer, choice.cols,
+                                             choice.k};
+                if (std::find(seen.begin(), seen.end(), key) != seen.end())
+                    continue;
+                seen.push_back(key);
+                const kernels::MatMulShape tile{
+                    panelRows * choice.outer,
+                    kernels::kQuantum(scheme, choice.k) * 8,
+                    colsPerUnit * choice.cols};
+                c.progs.push_back(
+                    kernels::MatMulKernel(
+                        tile, kernels::withUnroll({.scheme = scheme}, choice))
+                        .program());
+            }
+        }
+        cases.push_back(std::move(c));
+    }
+    return cases;
+}
+
+struct CaseResult
+{
+    double fastPacketsPerSec = 0.0;
+    double speedup = 0.0; ///< fast over reference packets/s
+};
+
+/** Measure both packers on @p c and emit its table row and JSON object. */
+CaseResult
+runCase(const BenchCase &c, Table &table, std::ostream &json, bool last)
+{
+    // The reference packing is the expected output for both engines.
+    std::vector<dsp::PackedProgram> expect;
+    for (const dsp::Program &prog : c.progs)
+        expect.push_back(vliw::packReference(prog, c.opts));
+
+    const EngineResult ref = measure(c, false, expect);
+    const EngineResult fast = measure(c, true, expect);
+    const double speedup = fast.packetsPerSec / ref.packetsPerSec;
+
+    table.addRow({c.name, std::to_string(c.progs.size()),
+                  std::to_string(c.instructions()),
+                  std::to_string(c.largestBlock()),
+                  std::to_string(fast.staticPackets),
+                  fmtDouble(ref.packetsPerSec, 0),
+                  fmtDouble(fast.packetsPerSec, 0), fmtSpeedup(speedup)});
+
+    json << "    {\"name\": \"" << c.name << "\", "
+         << "\"programs\": " << c.progs.size() << ", "
+         << "\"instructions\": " << c.instructions() << ", "
+         << "\"largest_block\": " << c.largestBlock() << ", "
+         << "\"static_packets\": " << fast.staticPackets << ", "
+         << "\"reference_packets_per_sec\": " << ref.packetsPerSec << ", "
+         << "\"fast_packets_per_sec\": " << fast.packetsPerSec << ", "
+         << "\"speedup\": " << speedup << "}" << (last ? "" : ",")
+         << "\n";
+    return {fast.packetsPerSec, speedup};
 }
 
 } // namespace
@@ -182,52 +306,40 @@ main(int argc, char **argv)
                  "scalable engine (FastIdg)\n\n";
 
     const std::vector<BenchCase> cases = buildCases();
+    const std::vector<BenchCase> zooCases = buildZooCases();
 
-    Table table({"Case", "insts", "packets", "ref pkts/s", "fast pkts/s",
-                 "speedup"});
+    Table table({"Case", "progs", "insts", "max block", "packets",
+                 "ref pkts/s", "fast pkts/s", "speedup"});
     std::vector<double> speedups;
+    std::vector<double> zooFastRates;
     std::ostringstream json;
     json << "{\n  \"bench\": \"pack_throughput\",\n  \"kernels\": [\n";
-
-    for (size_t i = 0; i < cases.size(); ++i) {
-        const BenchCase &c = cases[i];
-        // The reference packing is the expected output for both engines.
-        const dsp::PackedProgram expect =
-            vliw::packReference(c.prog, c.opts);
-
-        const EngineResult ref = measure(c, false, expect);
-        const EngineResult fast = measure(c, true, expect);
-        const double speedup = fast.packetsPerSec / ref.packetsPerSec;
-        speedups.push_back(speedup);
-
-        table.addRow({c.name, std::to_string(c.prog.code.size()),
-                      std::to_string(fast.staticPackets),
-                      fmtDouble(ref.packetsPerSec, 0),
-                      fmtDouble(fast.packetsPerSec, 0),
-                      fmtSpeedup(speedup)});
-
-        json << "    {\"name\": \"" << c.name << "\", "
-             << "\"instructions\": " << c.prog.code.size() << ", "
-             << "\"static_packets\": " << fast.staticPackets << ", "
-             << "\"reference_packets_per_sec\": " << ref.packetsPerSec
-             << ", "
-             << "\"fast_packets_per_sec\": " << fast.packetsPerSec << ", "
-             << "\"speedup\": " << speedup << "}"
-             << (i + 1 < cases.size() ? "," : "") << "\n";
-    }
-
+    for (size_t i = 0; i < cases.size(); ++i)
+        speedups.push_back(
+            runCase(cases[i], table, json, i + 1 == cases.size()).speedup);
     const double geomean = geometricMean(speedups);
-    json << "  ],\n  \"geomean_speedup\": " << geomean << "\n}\n";
+    json << "  ],\n  \"geomean_speedup\": " << geomean << ",\n"
+         << "  \"zoo_blocks\": [\n";
+    for (size_t i = 0; i < zooCases.size(); ++i)
+        zooFastRates.push_back(runCase(zooCases[i], table, json,
+                                       i + 1 == zooCases.size())
+                                   .fastPacketsPerSec);
+    const double zooFast = geometricMean(zooFastRates);
+    json << "  ],\n  \"zoo_blocks_fast_packets_per_sec\": " << zooFast
+         << "\n}\n";
 
     table.print(std::cout);
-    std::cout << "\nGeomean speedup (fast over reference): "
-              << fmtSpeedup(geomean) << "\n";
+    std::cout << "\nGeomean speedup on large blocks (fast over reference): "
+              << fmtSpeedup(geomean) << "\n"
+              << "Zoo blocks, fast packer (geomean over schemes): "
+              << fmtDouble(zooFast, 0) << " packets/s\n";
 
     // Managed cache tier bound: route every bench program through the
     // process-wide PackCache and check the LRU capacity held.
     vliw::PackCache &packCache = vliw::PackCache::global();
     for (const BenchCase &c : cases)
-        (void)packCache.lookupOrPack(c.prog, c.opts);
+        for (const dsp::Program &prog : c.progs)
+            (void)packCache.lookupOrPack(prog, c.opts);
     if (packCache.size() > packCache.capacity()) {
         std::cerr << "FATAL: PackCache exceeded capacity ("
                   << packCache.size() << " > " << packCache.capacity()

@@ -1,7 +1,7 @@
 #include "dsp/packet.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <sstream>
 
 #include "common/logging.h"
@@ -11,18 +11,19 @@ namespace gcd2::dsp {
 
 namespace {
 
-/** Backtracking assignment of instructions to distinct allowed slots. */
+constexpr size_t kSlots = static_cast<size_t>(kPacketSlots);
+
+/** Backtracking assignment of masks[next..count) to distinct free slots. */
 bool
-assignSlots(const std::vector<uint8_t> &masks, size_t next, uint8_t used)
+assignSlots(const uint8_t *masks, size_t count, size_t next, uint8_t used)
 {
-    if (next == masks.size())
+    if (next == count)
         return true;
-    for (int s = 0; s < kPacketSlots; ++s) {
-        const uint8_t bit = static_cast<uint8_t>(1u << s);
-        if ((masks[next] & bit) && !(used & bit)) {
-            if (assignSlots(masks, next + 1, used | bit))
-                return true;
-        }
+    for (unsigned open = masks[next] & ~used & 0xffu; open != 0;
+         open &= open - 1) {
+        const auto bit = static_cast<uint8_t>(open & (0u - open));
+        if (assignSlots(masks, count, next + 1, used | bit))
+            return true;
     }
     return false;
 }
@@ -30,22 +31,23 @@ assignSlots(const std::vector<uint8_t> &masks, size_t next, uint8_t used)
 } // namespace
 
 bool
-slotsFeasible(const Program &prog, const std::vector<size_t> &insts)
+slotsFeasible(const Program &prog, std::span<const size_t> insts)
 {
-    if (insts.size() > static_cast<size_t>(kPacketSlots))
+    if (insts.size() > kSlots)
         return false;
 
-    std::vector<uint8_t> masks;
-    masks.reserve(insts.size());
+    std::array<uint8_t, kSlots> masks{};
     int branches = 0;
     int multUnits = 0;
-    for (size_t idx : insts) {
-        GCD2_ASSERT(idx < prog.code.size(), "instruction index out of range");
-        const Instruction &inst = prog.code[idx];
-        masks.push_back(inst.info().slotMask);
+    for (size_t k = 0; k < insts.size(); ++k) {
+        GCD2_ASSERT(insts[k] < prog.code.size(),
+                    "instruction index out of range");
+        const Instruction &inst = prog.code[insts[k]];
+        const OpcodeInfo &info = inst.info();
+        masks[k] = info.slotMask;
         if (inst.isBranch())
             ++branches;
-        multUnits += inst.info().multUnits;
+        multUnits += info.multUnits;
     }
     if (branches > 1)
         return false;
@@ -53,21 +55,20 @@ slotsFeasible(const Program &prog, const std::vector<size_t> &insts)
     // vtmpy) consume both.
     if (multUnits > 2)
         return false;
-
-    // Assign the most constrained instructions first so the backtracking
-    // search terminates quickly.
-    std::sort(masks.begin(), masks.end(), [](uint8_t a, uint8_t b) {
-        return std::popcount(a) < std::popcount(b);
-    });
-    return assignSlots(masks, 0, 0);
+    // At most four instructions, so the search visits at most 4! paths.
+    return assignSlots(masks.data(), insts.size(), 0, 0);
 }
 
 bool
-slotsFeasibleWith(const Program &prog, const Packet &packet, size_t candidate)
+slotsFeasibleWith(const Program &prog, std::span<const size_t> insts,
+                  size_t candidate)
 {
-    std::vector<size_t> insts = packet.insts;
-    insts.push_back(candidate);
-    return slotsFeasible(prog, insts);
+    if (insts.size() >= kSlots)
+        return false;
+    std::array<size_t, kSlots> with{};
+    std::copy(insts.begin(), insts.end(), with.begin());
+    with[insts.size()] = candidate;
+    return slotsFeasible(prog, {with.data(), insts.size() + 1});
 }
 
 std::string

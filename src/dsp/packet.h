@@ -12,6 +12,7 @@
 #ifndef GCD2_DSP_PACKET_H
 #define GCD2_DSP_PACKET_H
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,11 +29,13 @@ struct Packet
 /**
  * Can the given instructions legally share one packet, considering only
  * slot/resource constraints (dependence legality is the packer's job)?
+ * Order-insensitive and allocation-free: at most kPacketSlots slot masks
+ * live on the stack.
  */
-bool slotsFeasible(const Program &prog, const std::vector<size_t> &insts);
+bool slotsFeasible(const Program &prog, std::span<const size_t> insts);
 
-/** slotsFeasible() for an existing packet plus one candidate. */
-bool slotsFeasibleWith(const Program &prog, const Packet &packet,
+/** slotsFeasible() for @p insts plus one candidate, without copying. */
+bool slotsFeasibleWith(const Program &prog, std::span<const size_t> insts,
                        size_t candidate);
 
 /**

@@ -13,10 +13,21 @@
  *    classifyDependency calls (which allocate four uid vectors per pair);
  *  - packet construction uses the incremental free set and cached
  *    critical-path distances (no per-packet O(n^2) rescans);
- *  - cost evaluation (packetCost / pipelinedBlockCost mirrors) runs on
- *    fixed-size stack arrays, and the repair pass models the
- *    "erase-empty-packet" trial with a skip index instead of copying the
- *    whole schedule per candidate move.
+ *  - cost evaluation (packetCost / pipelinedBlockCost mirrors) and slot
+ *    checks run on fixed-size stack arrays, and the repair pass models
+ *    the "erase-empty-packet" trial with a skip index instead of copying
+ *    the whole schedule per candidate move;
+ *  - the repair pass visits only a node's legal target packets, an
+ *    interval computed once per visited node from its neighbors'
+ *    packets, instead of slot-checking and dependence-checking every
+ *    packet of the block.
+ *
+ * Complexity per block of n instructions: graph construction is
+ * near-linear (fast_idg.h); Algorithm 1 scores each free instruction per
+ * filled slot; the repair pass does up to six rounds of one O(L) scan
+ * per node (L = legal interval length) plus an O(n) block re-cost per
+ * legal, slot-feasible move. On the zoo's blocks the repair pass is still
+ * most of pack()'s time.
  *
  * Intra-packet stall charging deliberately does NOT consult the FastIdg
  * edge set: a transitively implied scalar-RAW pair (a writes r, b
@@ -82,6 +93,23 @@ packetCostNodes(const FastIdg &idg, const size_t *nodes, size_t count)
     return cost;
 }
 
+/**
+ * dsp::slotsFeasible on packet-local @p nodes plus @p extra, mapped to
+ * instruction indices on the stack (no Packet is built).
+ */
+bool
+slotsFeasibleNodes(const dsp::Program &prog, const FastIdg &idg,
+                   const size_t *nodes, size_t count, size_t extra)
+{
+    if (count >= kSlots)
+        return false;
+    std::array<size_t, kSlots> insts{};
+    for (size_t k = 0; k < count; ++k)
+        insts[k] = idg.instIndex(nodes[k]);
+    insts[count] = idg.instIndex(extra);
+    return dsp::slotsFeasible(prog, {insts.data(), count + 1});
+}
+
 /** selectInstruction mirror (Algorithm 1, select_instruction). */
 int
 selectInstructionFast(const dsp::Program &prog, const FastIdg &idg,
@@ -89,11 +117,6 @@ selectInstructionFast(const dsp::Program &prog, const FastIdg &idg,
                       const size_t *curSorted, size_t curCount,
                       const PackOptions &opts)
 {
-    Packet current;
-    current.insts.reserve(curCount);
-    for (size_t k = 0; k < curCount; ++k)
-        current.insts.push_back(idg.instIndex(curSorted[k]));
-
     int hiLat = 0;
     for (size_t k = 0; k < curCount; ++k)
         hiLat = std::max(hiLat, idg.latency(curSorted[k]));
@@ -106,7 +129,7 @@ selectInstructionFast(const dsp::Program &prog, const FastIdg &idg,
     int stallingCandidates = 0;
     std::array<size_t, kSlots> with{};
     for (size_t i : freeInsts) {
-        if (!dsp::slotsFeasibleWith(prog, current, idg.instIndex(i)))
+        if (!slotsFeasibleNodes(prog, idg, curSorted, curCount, i))
             continue;
 
         // Eq. 4, in the reference's exact floating-point order.
@@ -258,7 +281,17 @@ blockCostFast(const FastIdg &idg,
     return completion;
 }
 
-/** improveBlockSchedule mirror (same move order, same accept rule). */
+/**
+ * improveBlockSchedule mirror (same move order, same accept rule).
+ *
+ * The reference tries every other packet q in ascending order and skips
+ * a target that is full, slot-infeasible, or dependence-illegal. All
+ * three tests are pure while the schedule is unchanged, so only the
+ * legal targets need visiting. Those form an interval: producers must
+ * sit in an earlier packet (or in q, through a soft edge) and consumers
+ * in a later one (or in q, through a soft edge). Scanning [lo, hi] in
+ * ascending order meets the same first accepted move.
+ */
 void
 improveFast(const dsp::Program &prog, const FastIdg &idg,
             std::vector<std::vector<size_t>> &packets, SoftDepPolicy belief)
@@ -273,23 +306,6 @@ improveFast(const dsp::Program &prog, const FastIdg &idg,
     };
     rebuildIndex();
 
-    auto legalIn = [&](size_t node, size_t target) {
-        const FastIdg::EdgeList preds = idg.predList(node);
-        for (size_t e = 0; e < preds.count; ++e) {
-            const size_t p = packetOf[static_cast<size_t>(preds.dst[e])];
-            if (p > target || (p == target && preds.hard[e]))
-                return false;
-        }
-        const FastIdg::EdgeList succs = idg.succList(node);
-        for (size_t e = 0; e < succs.count; ++e) {
-            const size_t p = packetOf[static_cast<size_t>(succs.dst[e])];
-            if (p < target || (p == target && succs.hard[e]))
-                return false;
-        }
-        return true;
-    };
-
-    std::vector<size_t> withInsts;
     uint64_t bestCost = blockCostFast(idg, packets, belief, kNoSkip);
     bool changed = true;
     for (int round = 0; round < 6 && changed; ++round) {
@@ -301,26 +317,27 @@ improveFast(const dsp::Program &prog, const FastIdg &idg,
                 const size_t node =
                     packets[p][static_cast<size_t>(slot)];
 
-                for (size_t q = 0; q < packets.size(); ++q) {
-                    if (q == p)
+                ptrdiff_t lo = 0;
+                ptrdiff_t hi = static_cast<ptrdiff_t>(packets.size()) - 1;
+                const FastIdg::EdgeList preds = idg.predList(node);
+                for (size_t e = 0; e < preds.count; ++e) {
+                    const auto at = static_cast<ptrdiff_t>(
+                        packetOf[static_cast<size_t>(preds.dst[e])]);
+                    lo = std::max(lo, at + (preds.hard[e] ? 1 : 0));
+                }
+                const FastIdg::EdgeList succs = idg.succList(node);
+                for (size_t e = 0; e < succs.count; ++e) {
+                    const auto at = static_cast<ptrdiff_t>(
+                        packetOf[static_cast<size_t>(succs.dst[e])]);
+                    hi = std::min(hi, at - (succs.hard[e] ? 1 : 0));
+                }
+
+                for (ptrdiff_t t = lo; t <= hi; ++t) {
+                    const auto q = static_cast<size_t>(t);
+                    if (q == p ||
+                        !slotsFeasibleNodes(prog, idg, packets[q].data(),
+                                            packets[q].size(), node))
                         continue;
-                    // slotsFeasible rejects >4 instructions outright;
-                    // skip building the list for full packets.
-                    if (packets[q].size() >= kSlots)
-                        continue;
-                    withInsts.clear();
-                    for (size_t member : packets[q])
-                        withInsts.push_back(idg.instIndex(member));
-                    withInsts.push_back(idg.instIndex(node));
-                    std::sort(withInsts.begin(), withInsts.end());
-                    if (!dsp::slotsFeasible(prog, withInsts))
-                        continue;
-                    packetOf[node] = q;
-                    const bool legal = legalIn(node, q);
-                    if (!legal) {
-                        packetOf[node] = p;
-                        continue;
-                    }
                     packets[q].push_back(node);
                     packets[p].erase(packets[p].begin() + slot);
                     const bool erased = packets[p].empty();
@@ -329,6 +346,7 @@ improveFast(const dsp::Program &prog, const FastIdg &idg,
                     if (cost < bestCost ||
                         (erased && cost <= bestCost)) {
                         bestCost = cost;
+                        packetOf[node] = q;
                         if (erased) {
                             packets.erase(packets.begin() +
                                           static_cast<long>(p));
@@ -340,7 +358,6 @@ improveFast(const dsp::Program &prog, const FastIdg &idg,
                     }
                     packets[q].pop_back();
                     packets[p].insert(packets[p].begin() + slot, node);
-                    packetOf[node] = p;
                 }
                 if (packets.size() <= p ||
                     static_cast<ptrdiff_t>(packets[p].size()) <= slot)
@@ -390,8 +407,7 @@ listScheduleFast(const dsp::Program &prog, const FastIdg &idg)
         for (size_t i : ready) {
             if (cur.size() == kSlots)
                 break;
-            const Packet current{toInstIndices(idg, cur)};
-            if (dsp::slotsFeasibleWith(prog, current, idg.instIndex(i)))
+            if (slotsFeasibleNodes(prog, idg, cur.data(), cur.size(), i))
                 cur.push_back(i);
         }
         for (size_t i : cur) {
@@ -507,10 +523,8 @@ packBlockInOrderFast(const dsp::Program &prog, const BasicBlock &block,
         bool fits = cur.size() < kSlots;
         for (size_t m : cur)
             fits = fits && coPackLegalFast(idg, m, i);
-        if (fits) {
-            const Packet current{toInstIndices(idg, cur)};
-            fits = dsp::slotsFeasibleWith(prog, current, idg.instIndex(i));
-        }
+        fits = fits &&
+               slotsFeasibleNodes(prog, idg, cur.data(), cur.size(), i);
         if (!fits)
             flush();
         cur.push_back(i);

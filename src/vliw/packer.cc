@@ -48,7 +48,7 @@ selectInstruction(const dsp::Program &prog, const dsp::AliasAnalysis &alias,
 {
     // resource_constraint(free_insts, packet): candidates that satisfy the
     // slot constraints together with the packet members.
-    const Packet current{toInstIndices(idg, curPacket)};
+    const std::vector<size_t> current = toInstIndices(idg, curPacket);
 
     int hiLat = 0;
     for (size_t n : curPacket)
@@ -441,8 +441,8 @@ packBlockInOrder(const dsp::Program &prog, const BasicBlock &block,
         for (size_t m : cur)
             fits = fits && baselineCoPackLegal(idg, m, i);
         if (fits) {
-            const Packet current{toInstIndices(idg, cur)};
-            fits = dsp::slotsFeasibleWith(prog, current, idg.instIndex(i));
+            fits = dsp::slotsFeasibleWith(prog, toInstIndices(idg, cur),
+                                          idg.instIndex(i));
         }
         if (!fits)
             flush();
@@ -496,8 +496,8 @@ listScheduleNodes(const dsp::Program &prog, const Idg &idg)
         for (size_t i : ready) {
             if (cur.size() == static_cast<size_t>(dsp::kPacketSlots))
                 break;
-            const Packet current{toInstIndices(idg, cur)};
-            if (dsp::slotsFeasibleWith(prog, current, idg.instIndex(i)))
+            if (dsp::slotsFeasibleWith(prog, toInstIndices(idg, cur),
+                                       idg.instIndex(i)))
                 cur.push_back(i);
         }
         for (size_t i : cur)

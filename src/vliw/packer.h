@@ -13,14 +13,20 @@
  * Two implementations share that entry point's semantics. pack() (defined
  * in pack_fast.cc) runs on FastIdg -- chain-built CSR dependency graph,
  * incremental free set and critical-path cache, allocation-free pair
- * classification -- and is the production path. packReference() is the
- * original direct transcription kept as the bit-identity oracle: per
- * block it pays O(n^2) classifyDependency calls to build the Idg, a full
- * O(n + e) reverse sweep per packet for criticalPath(), and O(n * |packet|)
- * free-set rescans, so it is cubic-ish in block size while pack() is
- * near-linear outside the repair pass. Differential fuzz
- * (tests/vliw/pack_differential_test.cc) pins pack() == packReference()
- * across all five policies.
+ * classification and slot checks -- and is the production path.
+ * packReference() is the original direct transcription kept as the
+ * bit-identity oracle: per block it pays O(n^2) classifyDependency calls
+ * to build the Idg, a full O(n + e) reverse sweep per packet for
+ * criticalPath(), and O(n * |packet|) free-set rescans, so it is
+ * cubic-ish in block size. pack() builds its graph in near-linear time,
+ * but neither engine is near-linear overall: Algorithm 1 scores every
+ * free instruction for every slot it fills (O(n * free)), and the repair
+ * pass re-costs the whole block, O(n), for each legal, slot-feasible move
+ * it tries -- up to six rounds of O(n * L) moves, where L is the length
+ * of a node's legal packet interval. On the zoo's kernel blocks (10-140
+ * instructions) the repair pass is most of pack()'s time. Differential
+ * tests (tests/vliw/pack_differential_test.cc) pin pack() ==
+ * packReference() across all five policies.
  */
 #ifndef GCD2_VLIW_PACKER_H
 #define GCD2_VLIW_PACKER_H

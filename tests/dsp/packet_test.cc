@@ -4,6 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <span>
+#include <tuple>
+
 #include "dsp/packet.h"
 
 namespace gcd2::dsp {
@@ -112,6 +117,109 @@ TEST_F(PacketTest, TwoBranchesForbidden)
     const auto j1 = add(makeJump(0));
     const auto j2 = add(makeJumpNz(sreg(1), 0));
     EXPECT_FALSE(feasible({j1, j2}));
+}
+
+/** Slot feasibility by trying every assignment of distinct slots. */
+bool
+bruteForceFeasible(const Program &prog, const std::vector<size_t> &insts)
+{
+    if (insts.size() > static_cast<size_t>(kPacketSlots))
+        return false;
+    int branches = 0;
+    int multUnits = 0;
+    for (size_t idx : insts) {
+        branches += prog.code[idx].isBranch() ? 1 : 0;
+        multUnits += prog.code[idx].info().multUnits;
+    }
+    if (branches > 1 || multUnits > 2)
+        return false;
+    std::array<int, kPacketSlots> slots{0, 1, 2, 3};
+    do {
+        bool fits = true;
+        for (size_t k = 0; k < insts.size(); ++k)
+            fits = fits && ((prog.code[insts[k]].info().slotMask >>
+                             slots[k]) & 1) != 0;
+        if (fits)
+            return true;
+    } while (std::next_permutation(slots.begin(), slots.end()));
+    return false;
+}
+
+TEST(SlotOracleTest, EveryClassMultisetMatchesBruteForce)
+{
+    // One representative opcode per (slotMask, multUnits, isBranch)
+    // class; slot feasibility reads nothing else of an instruction.
+    constexpr int kMaxInsts = 5;
+    Program prog;
+    std::vector<std::tuple<uint8_t, int, bool>> classes;
+    std::vector<size_t> firstCopy;
+    for (int op = 0; op < static_cast<int>(Opcode::kNumOpcodes); ++op) {
+        Instruction inst;
+        inst.op = static_cast<Opcode>(op);
+        const auto cls = std::make_tuple(inst.info().slotMask,
+                                         inst.info().multUnits,
+                                         inst.isBranch());
+        if (std::find(classes.begin(), classes.end(), cls) !=
+            classes.end())
+            continue;
+        classes.push_back(cls);
+        // Distinct copies, so a multiset never repeats an index.
+        firstCopy.push_back(prog.code.size());
+        for (int c = 0; c < kMaxInsts; ++c)
+            prog.push(inst);
+    }
+    ASSERT_GE(classes.size(), 4u);
+
+    size_t checked = 0;
+    size_t feasibleFull = 0;
+    bool sawTwoBranches = false;
+    bool sawWideMultiply = false;
+    // Multisets as non-decreasing class sequences.
+    std::vector<size_t> pick;
+    const auto visit = [&](const auto &self) -> void {
+        if (!pick.empty()) {
+            std::vector<size_t> insts;
+            int branches = 0;
+            int multUnits = 0;
+            for (size_t k = 0; k < pick.size(); ++k) {
+                const size_t copy = static_cast<size_t>(
+                    std::count(pick.begin(), pick.begin() + k, pick[k]));
+                insts.push_back(firstCopy[pick[k]] + copy);
+                branches += std::get<2>(classes[pick[k]]) ? 1 : 0;
+                multUnits += std::get<1>(classes[pick[k]]);
+            }
+            sawTwoBranches = sawTwoBranches || branches > 1;
+            sawWideMultiply = sawWideMultiply || multUnits > 2;
+
+            const bool expect = bruteForceFeasible(prog, insts);
+            EXPECT_EQ(slotsFeasible(prog, insts), expect);
+            std::vector<size_t> reversed(insts.rbegin(), insts.rend());
+            EXPECT_EQ(slotsFeasible(prog, reversed), expect);
+            const std::span<const size_t> members(insts.data(),
+                                                  insts.size() - 1);
+            EXPECT_EQ(slotsFeasibleWith(prog, members, insts.back()),
+                      expect);
+            feasibleFull +=
+                expect && insts.size() == static_cast<size_t>(kPacketSlots)
+                    ? 1
+                    : 0;
+            ++checked;
+        }
+        if (pick.size() == static_cast<size_t>(kMaxInsts))
+            return;
+        for (size_t c = pick.empty() ? 0 : pick.back();
+             c < classes.size(); ++c) {
+            pick.push_back(c);
+            self(self);
+            pick.pop_back();
+        }
+    };
+    visit(visit);
+
+    EXPECT_GT(checked, 1000u);
+    EXPECT_GT(feasibleFull, 0u);
+    EXPECT_TRUE(sawTwoBranches);
+    EXPECT_TRUE(sawWideMultiply);
 }
 
 } // namespace

@@ -9,11 +9,18 @@
  * same label mapping -- for every program and every packing policy. A
  * seeded random-program fuzzer (same generator family as
  * tests/dsp/decoded_engine_test.cc) pins that contract across all five
- * policies; directed cases pin the cache's identity/keying behavior.
+ * policies; the kernel programs real zoo compiles serve pin it at their
+ * block sizes (up to ~140 instructions) and on their multiply-unit and
+ * slot-mask mix; directed cases pin the cache's identity/keying behavior.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
+#include "models/zoo.h"
+#include "runtime/compiler.h"
+#include "vliw/cfg.h"
 #include "vliw/pack_cache.h"
 #include "vliw/packer.h"
 
@@ -100,14 +107,14 @@ randomProgram(Rng &rng)
     return prog;
 }
 
+const PackPolicy kPolicies[] = {
+    PackPolicy::Sda,       PackPolicy::SoftToHard,
+    PackPolicy::SoftToNone, PackPolicy::InOrder,
+    PackPolicy::ListSched,
+};
+
 TEST(PackDifferentialTest, FuzzBitIdenticalAcrossAllPolicies)
 {
-    static const PackPolicy kPolicies[] = {
-        PackPolicy::Sda,       PackPolicy::SoftToHard,
-        PackPolicy::SoftToNone, PackPolicy::InOrder,
-        PackPolicy::ListSched,
-    };
-
     Rng rng(0x9acfa57ULL);
     constexpr int kPrograms = 50;
     for (int n = 0; n < kPrograms; ++n) {
@@ -131,6 +138,47 @@ TEST(PackDifferentialTest, FuzzBitIdenticalAcrossAllPolicies)
             break;
         }
     }
+}
+
+TEST(PackDifferentialTest, ServedZooKernelsBitIdenticalAcrossAllPolicies)
+{
+    // The distinct kernel programs that compiles of a residual CNN, a
+    // depthwise/squeeze-excite CNN and a transformer actually serve.
+    std::vector<Program> programs;
+    std::vector<PackKey> seen;
+    for (const models::ModelId id :
+         {models::ModelId::ResNet50, models::ModelId::MobileNetV3,
+          models::ModelId::TinyBert}) {
+        const runtime::CompiledModel compiled =
+            runtime::compile(models::buildModel(id));
+        for (const auto &served : compiled.schedules) {
+            const Program &prog = served.program->program;
+            const PackKey key = fingerprintForPacking(prog, {});
+            if (std::find(seen.begin(), seen.end(), key) != seen.end())
+                continue;
+            seen.push_back(key);
+            programs.push_back(prog);
+        }
+    }
+    ASSERT_GE(programs.size(), 10u);
+
+    size_t largestBlock = 0;
+    for (size_t n = 0; n < programs.size(); ++n) {
+        const Program &prog = programs[n];
+        for (const BasicBlock &block : buildCfg(prog).blocks)
+            largestBlock = std::max(largestBlock, block.size());
+        for (const PackPolicy policy : kPolicies) {
+            PackOptions opts;
+            opts.policy = policy;
+            expectSamePacking(packReference(prog, opts), pack(prog, opts),
+                              "served kernel #" + std::to_string(n) +
+                                  " policy " + packPolicyName(policy));
+        }
+        if (HasFailure())
+            break;
+    }
+    // The zoo's blocks run well past the fuzzer's 36-instruction bodies.
+    EXPECT_GE(largestBlock, 100u);
 }
 
 // PackCache ------------------------------------------------------------
