@@ -4,22 +4,22 @@
  * quality and search time per solver).
  *
  * For every zoo model this bench runs the whole selector ladder --
- * local baseline, block-cut chain-DP, PBQP, and the paper's GCD2(13)
- * partitioned solver -- and records each rung's Agg_Cost plus the PBQP
- * reduction-rule telemetry. Search time is compared against the
- * exhaustive branch-and-bound: no zoo model is small enough to finish
- * an unbounded exhaustive solve, so the bench runs it under a fixed
- * evaluation budget and reports the truncated run's wall time, which is
- * a *lower bound* on the true exhaustive time (flagged in the JSON).
- * PBQP beating the lower bound therefore proves it beats the real
- * thing.
+ * local baseline, PBQP, and the paper's GCD2(13) partitioned solver --
+ * and records each rung's Agg_Cost plus the PBQP reduction-rule
+ * telemetry. Search time is compared against the exhaustive
+ * branch-and-bound: no zoo model is small enough to finish an unbounded
+ * exhaustive solve, so the bench runs it under a fixed evaluation budget
+ * and reports the truncated run's wall time, which is a *lower bound* on
+ * the true exhaustive time (flagged in the JSON). PBQP beating the lower
+ * bound therefore proves it beats the real thing.
  *
  * Output: human-readable table + machine-readable JSON (argv[1],
  * default "BENCH_selector.json") consumed by CI via
  * scripts/check_selector_bench.py against bench/selector_baseline.json.
- * The gates: PBQP cost <= chain-DP cost on every model, aggregate PBQP
- * search time < aggregate (budgeted) exhaustive time, and no per-model
- * PBQP cost regression against the checked-in baseline.
+ * The gates: PBQP proven optimal (rn == 0) and no worse than GCD2(13) or
+ * local on every model, aggregate PBQP search time < aggregate
+ * (budgeted) exhaustive time, and no per-model PBQP cost regression
+ * against the checked-in baseline.
  */
 #include <fstream>
 #include <iostream>
@@ -54,7 +54,6 @@ struct ModelResult
     std::string name;
     size_t freeOps = 0;
     uint64_t localCost = 0;
-    uint64_t chainDpCost = 0;
     uint64_t pbqpCost = 0;
     uint64_t gcd2Cost = 0;
     select::PbqpStats pbqpStats;
@@ -77,7 +76,6 @@ runModel(const models::ModelInfo &info)
     r.freeOps = table.freeNodes().size();
 
     r.localCost = select::selectLocal(table).selection.totalCost;
-    r.chainDpCost = select::selectChainDp(table).selection.totalCost;
     r.gcd2Cost =
         select::selectGcd2Partitioned(table, 13).selection.totalCost;
 
@@ -111,8 +109,8 @@ main(int argc, char **argv)
     const std::string outPath =
         argc > 1 ? argv[1] : "BENCH_selector.json";
 
-    std::cout << "Selector ladder comparison: local / chain-dp / pbqp "
-                 "/ gcd2(13) vs budgeted exhaustive\n\n";
+    std::cout << "Selector ladder comparison: local / pbqp / gcd2(13) vs "
+                 "budgeted exhaustive\n\n";
 
     std::vector<ModelResult> results;
     results.reserve(models::allModels().size());
@@ -121,12 +119,11 @@ main(int argc, char **argv)
         results.push_back(runModel(info));
     }
 
-    Table table({"Model", "Free ops", "Local", "ChainDP", "PBQP",
+    Table table({"Model", "Free ops", "Local", "PBQP",
                  "GCD2(13)", "PBQP rn", "PBQP ms", "Exhaustive ms"});
     for (const ModelResult &r : results)
         table.addRow({r.name, std::to_string(r.freeOps),
                       std::to_string(r.localCost),
-                      std::to_string(r.chainDpCost),
                       std::to_string(r.pbqpCost),
                       std::to_string(r.gcd2Cost),
                       std::to_string(r.pbqpStats.rn),
@@ -146,7 +143,6 @@ main(int argc, char **argv)
              << "      \"name\": \"" << r.name << "\",\n"
              << "      \"free_ops\": " << r.freeOps << ",\n"
              << "      \"local_cost\": " << r.localCost << ",\n"
-             << "      \"chain_dp_cost\": " << r.chainDpCost << ",\n"
              << "      \"pbqp_cost\": " << r.pbqpCost << ",\n"
              << "      \"gcd2_cost\": " << r.gcd2Cost << ",\n"
              << "      \"pbqp_r0\": " << r.pbqpStats.r0 << ",\n"

@@ -7,9 +7,12 @@ Reads the measured JSON written by bench/selector_comparison and the
 checked-in baseline, prints a per-model summary, and fails (exit 1) if
 any of the following hold:
 
-  - quality (per model, measured run): pbqp_cost > chain_dp_cost. The
-    PBQP rung sits above chain-DP in the fallback ladder, so it must
-    never serve a worse selection than the rung it shadows.
+  - optimality (per model, measured run): pbqp_rn != 0. With only the
+    exact reductions R0/R1/R2 applied, the PBQP assignment is a proven
+    Agg_Cost optimum; any heuristic RN step voids that proof.
+  - quality (per model, measured run): pbqp_cost > min(gcd2_cost,
+    local_cost). A cross-check of the optimum against the independent
+    solvers that remain on the ladder (gcd2 above it, local below).
   - search time (aggregate): sum of pbqp_seconds >= sum of
     exhaustive_seconds. The exhaustive runs are evaluation-budgeted
     lower bounds on true exhaustive time wherever they truncate
@@ -64,16 +67,22 @@ def main() -> int:
         bound = ">=" if m["exhaustive_lower_bound"] else "=="
         print(
             f"{name}: free_ops={m['free_ops']}"
-            f" pbqp={m['pbqp_cost']} chain_dp={m['chain_dp_cost']}"
+            f" pbqp={m['pbqp_cost']}"
             f" gcd2={m['gcd2_cost']} local={m['local_cost']}"
             f" rn={m['pbqp_rn']}"
             f" pbqp_ms={m['pbqp_seconds'] * 1e3:.3f}"
             f" exhaustive_ms{bound}{m['exhaustive_seconds'] * 1e3:.3f}"
         )
-        if m["pbqp_cost"] > m["chain_dp_cost"]:
+        if m["pbqp_rn"] != 0:
             fail(
-                f"{name}: pbqp cost {m['pbqp_cost']} exceeds chain-dp "
-                f"cost {m['chain_dp_cost']}"
+                f"{name}: pbqp applied {m['pbqp_rn']} heuristic RN "
+                f"reduction(s); optimality is not proven"
+            )
+        reference = min(m["gcd2_cost"], m["local_cost"])
+        if m["pbqp_cost"] > reference:
+            fail(
+                f"{name}: pbqp cost {m['pbqp_cost']} exceeds "
+                f"min(gcd2, local) cost {reference}"
             )
         base = baseline_models.get(name)
         if base and m["pbqp_cost"] > base["pbqp_cost"]:

@@ -400,7 +400,9 @@ int32_t
 execVaddw(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
-    int32_t a[kVectorWords], b[kVectorWords], o[kVectorWords];
+    // uint32_t lanes: HVX word arithmetic wraps modulo 2^32, which is
+    // defined for unsigned and undefined for int32_t.
+    uint32_t a[kVectorWords], b[kVectorWords], o[kVectorWords];
     std::memcpy(a, vr[di.s0].data(), kVectorBytes);
     std::memcpy(b, vr[di.s1].data(), kVectorBytes);
     for (int i = 0; i < kVectorWords; ++i)
@@ -426,7 +428,7 @@ int32_t
 execVsubw(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
-    int32_t a[kVectorWords], b[kVectorWords], o[kVectorWords];
+    uint32_t a[kVectorWords], b[kVectorWords], o[kVectorWords];
     std::memcpy(a, vr[di.s0].data(), kVectorBytes);
     std::memcpy(b, vr[di.s1].data(), kVectorBytes);
     for (int i = 0; i < kVectorWords; ++i)
@@ -623,8 +625,8 @@ int32_t
 execVmpyiw(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
-    const auto mult = static_cast<int32_t>(st.regs.scalar[di.s1]);
-    int32_t a[kVectorWords];
+    const uint32_t mult = st.regs.scalar[di.s1];
+    uint32_t a[kVectorWords];
     std::memcpy(a, vr[di.s0].data(), kVectorBytes);
     for (int i = 0; i < kVectorWords; ++i)
         a[i] *= mult;

@@ -131,9 +131,12 @@ executeInstruction(const Instruction &inst, RegisterFile &regs_,
                 regs_.vecHalf(s0, i) + regs_.vecHalf(s1, i)));
         break;
       case Opcode::VADDW:
+        // 32-bit lanes wrap modulo 2^32 (HVX semantics): compute in
+        // uint32_t, where overflow is defined, and cast back.
         for (int i = 0; i < kVectorWords; ++i)
-            regs_.setVecWord(d, i, regs_.vecWord(s0, i) +
-                                       regs_.vecWord(s1, i));
+            regs_.setVecWord(d, i, static_cast<int32_t>(
+                static_cast<uint32_t>(regs_.vecWord(s0, i)) +
+                static_cast<uint32_t>(regs_.vecWord(s1, i))));
         break;
       case Opcode::VSUBH:
         for (int i = 0; i < kVectorHalves; ++i)
@@ -142,8 +145,9 @@ executeInstruction(const Instruction &inst, RegisterFile &regs_,
         break;
       case Opcode::VSUBW:
         for (int i = 0; i < kVectorWords; ++i)
-            regs_.setVecWord(d, i, regs_.vecWord(s0, i) -
-                                       regs_.vecWord(s1, i));
+            regs_.setVecWord(d, i, static_cast<int32_t>(
+                static_cast<uint32_t>(regs_.vecWord(s0, i)) -
+                static_cast<uint32_t>(regs_.vecWord(s1, i))));
         break;
       case Opcode::VMAXB:
         for (int i = 0; i < kVectorBytes; ++i)
@@ -238,9 +242,10 @@ executeInstruction(const Instruction &inst, RegisterFile &regs_,
         break;
       }
       case Opcode::VMPYIW: {
-        const auto mult = static_cast<int32_t>(sr[s1]);
+        const uint32_t mult = sr[s1];
         for (int i = 0; i < kVectorWords; ++i)
-            regs_.setVecWord(d, i, regs_.vecWord(s0, i) * mult);
+            regs_.setVecWord(d, i, static_cast<int32_t>(
+                static_cast<uint32_t>(regs_.vecWord(s0, i)) * mult));
         break;
       }
 

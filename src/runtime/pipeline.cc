@@ -358,12 +358,11 @@ CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
         return select::selectGcd2Partitioned(
             *table_, options_.maxPartition, &pool_, budget);
     });
-    // PBQP sits between the budgeted partitioned solver and the tree
-    // DP: polynomial like chain-dp, but with the full pairwise cost
-    // structure (R0/R1/R2 exact, RN heuristic on dense remainders).
+    // PBQP sits between the budgeted partitioned solver and the local
+    // floor: polynomial, with the full pairwise cost structure (R0/R1/R2
+    // exact, RN heuristic on dense remainders).
     addFallback("pbqp",
                 [&] { return select::selectPbqp(*table_, &pbqpStats_); });
-    addFallback("chain-dp", [&] { return select::selectChainDp(*table_); });
     addFallback("local", [&] { return select::selectLocal(*table_); });
 
     for (size_t i = 0; i < ladder.size(); ++i) {

@@ -9,10 +9,9 @@
  *                     the canonical kernels happen here, memoized)
  *   selection         global layout/instruction selection (IV-A/B),
  *                     served through a fallback ladder (requested
- *                     strategy -> gcd2 -> pbqp -> chain-dp -> local): a
- *                     rung that throws FatalError is recorded as a
- *                     Warning diagnostic and the next rung serves
- *                     instead
+ *                     strategy -> gcd2 -> pbqp -> local): a rung that
+ *                     throws FatalError is recorded as a Warning
+ *                     diagnostic and the next rung serves instead
  *   kernel-generation per-node statistics of the *chosen* kernels
  *   cycle-accounting  totals, layout-transformation edges, overheads
  *   audit             selection + schedule invariant checks (AuditMode)

@@ -13,9 +13,9 @@ FreeGraph::build(const PlanTable &table)
     FreeGraph fg;
     fg.nodes = table.freeNodes();
     const size_t n = fg.nodes.size();
-    fg.posOf.assign(table.graph().size(), -1);
+    std::vector<int> posOf(table.graph().size(), -1); // -1 = not free
     for (size_t i = 0; i < n; ++i)
-        fg.posOf[static_cast<size_t>(fg.nodes[i])] = static_cast<int>(i);
+        posOf[static_cast<size_t>(fg.nodes[i])] = static_cast<int>(i);
 
     fg.vectors.resize(n);
     for (size_t i = 0; i < n; ++i) {
@@ -31,8 +31,8 @@ FreeGraph::build(const PlanTable &table)
     // plan 0 -- into the free endpoint's vector.
     std::map<std::pair<int, int>, size_t> edgeIndex;
     for (const auto &[src, dst] : table.edges()) {
-        const int a = fg.posOf[static_cast<size_t>(src)];
-        const int b = fg.posOf[static_cast<size_t>(dst)];
+        const int a = posOf[static_cast<size_t>(src)];
+        const int b = posOf[static_cast<size_t>(dst)];
         if (a >= 0 && b >= 0) {
             if (a == b) {
                 // Self loop (an operator consuming its own output twice
@@ -75,14 +75,6 @@ FreeGraph::build(const PlanTable &table)
                 vec[p] += table.tc(src, dst, srcPlan, dstPlan);
             }
         }
-    }
-
-    fg.adj.resize(n);
-    for (size_t e = 0; e < fg.edges.size(); ++e) {
-        fg.adj[static_cast<size_t>(fg.edges[e].a)].push_back(
-            static_cast<int>(e));
-        fg.adj[static_cast<size_t>(fg.edges[e].b)].push_back(
-            static_cast<int>(e));
     }
     return fg;
 }

@@ -6,7 +6,7 @@
  * vectors, and all parallel tensor edges between two free operators
  * merge into one undirected cost matrix. The result is exactly the
  * Partitioned Boolean Quadratic Problem instance (Anderson & Gregg) that
- * both the PBQP rung and the block-cut tree-DP middle rung solve:
+ * the PBQP rung solves:
  *
  *   min over assignments x of
  *     sum_i vectors[i][x_i] + sum_{(a,b)} edge.cost[x_a][x_b]
@@ -36,13 +36,10 @@ struct FreeGraph
     };
 
     std::vector<graph::NodeId> nodes; ///< free nodes, PlanTable order
-    std::vector<int> posOf;           ///< graph-sized map, -1 = not free
     /** vectors[i][p]: plan cycles plus TC on edges to pinned neighbors
      *  (and any self-loop diagonal). */
     std::vector<std::vector<uint64_t>> vectors;
     std::vector<Edge> edges;
-    /** Incident edge indices per node; one entry per distinct neighbor. */
-    std::vector<std::vector<int>> adj;
 
     static FreeGraph build(const PlanTable &table);
 
@@ -51,24 +48,6 @@ struct FreeGraph
     size_t planCount(int i) const
     {
         return vectors[static_cast<size_t>(i)].size();
-    }
-
-    int otherEnd(int e, int i) const
-    {
-        const Edge &edge = edges[static_cast<size_t>(e)];
-        return edge.a == i ? edge.b : edge.a;
-    }
-
-    /** Edge cost oriented from node i's plan p to the other end's q. */
-    uint64_t
-    edgeCost(int e, int i, int p, int q) const
-    {
-        const Edge &edge = edges[static_cast<size_t>(e)];
-        return edge.a == i
-                   ? edge.cost[static_cast<size_t>(p)]
-                              [static_cast<size_t>(q)]
-                   : edge.cost[static_cast<size_t>(q)]
-                              [static_cast<size_t>(p)];
     }
 };
 

@@ -26,7 +26,7 @@
  *
  * Complexity is polynomial (no branch-and-bound, no evaluation budget),
  * which is what qualifies PBQP as the ladder rung between the budgeted
- * partitioned solver and the chain DP.
+ * partitioned solver and the local floor.
  */
 #ifndef GCD2_SELECT_PBQP_H
 #define GCD2_SELECT_PBQP_H

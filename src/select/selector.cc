@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "select/free_graph.h"
 
 namespace gcd2::select {
 
@@ -489,422 +488,6 @@ freeComponents(const PlanTable &table)
     return components;
 }
 
-/**
- * Eq. 2 chain/in-tree DP with first-visitor reconstruction and
- * coordinate-descent conflict repair -- the historical middle rung,
- * kept as the fallback for components whose biconnected blocks are too
- * large to enumerate exactly. Expects @p result pre-initialized with a
- * complete selection (every live node assigned); overwrites it.
- */
-void
-chainDpClassic(const PlanTable &table, SelectorResult &result)
-{
-    const graph::Graph &graph = table.graph();
-
-    // Eq. 2, generalized from chains to in-trees: process in topological
-    // order; dp[v][p] = Cost(ep_p(v)) + sum over inputs of
-    // min_q (dp[in][q] + TC(ep_q(in), ep_p(v))).
-    std::vector<std::vector<uint64_t>> dp(graph.size());
-    std::vector<std::vector<std::vector<int>>> choice(graph.size());
-
-    for (const graph::Node &node : graph.nodes()) {
-        if (node.dead)
-            continue;
-        const auto &plans = table.plans(node.id);
-        dp[static_cast<size_t>(node.id)].resize(plans.size());
-        choice[static_cast<size_t>(node.id)].resize(plans.size());
-        for (size_t p = 0; p < plans.size(); ++p) {
-            uint64_t cost = plans[p].cycles;
-            auto &picks = choice[static_cast<size_t>(node.id)][p];
-            for (NodeId in : node.inputs) {
-                if (graph.node(in).dead)
-                    continue;
-                const auto &inDp = dp[static_cast<size_t>(in)];
-                uint64_t bestIn = UINT64_MAX;
-                int bestQ = 0;
-                for (size_t q = 0; q < inDp.size(); ++q) {
-                    const uint64_t c =
-                        inDp[q] + table.tc(in, node.id,
-                                           static_cast<int>(q),
-                                           static_cast<int>(p));
-                    ++result.evaluations;
-                    if (c < bestIn) {
-                        bestIn = c;
-                        bestQ = static_cast<int>(q);
-                    }
-                }
-                cost += bestIn;
-                picks.push_back(bestQ);
-            }
-            dp[static_cast<size_t>(node.id)][p] = cost;
-        }
-    }
-
-    // Reconstruct from the outputs downward. On in-trees every producer
-    // is visited once and the reconstruction is exact. With fan-out a
-    // producer may be claimed by several consumers that each want a
-    // different plan; the first visitor wins provisionally and the node
-    // is marked conflicted for repair below.
-    std::vector<bool> assigned(graph.size(), false);
-    std::vector<bool> conflicted(graph.size(), false);
-    bool anyConflict = false;
-    std::vector<std::pair<NodeId, int>> work;
-    for (const graph::Node &node : graph.nodes())
-        if (!node.dead && node.op == OpType::Output)
-            work.emplace_back(node.id, 0);
-    while (!work.empty()) {
-        const auto [id, plan] = work.back();
-        work.pop_back();
-        if (assigned[static_cast<size_t>(id)]) {
-            if (result.selection.planIndex[static_cast<size_t>(id)] !=
-                plan) {
-                conflicted[static_cast<size_t>(id)] = true;
-                anyConflict = true;
-            }
-            continue;
-        }
-        assigned[static_cast<size_t>(id)] = true;
-        result.selection.planIndex[static_cast<size_t>(id)] = plan;
-        const graph::Node &node = graph.node(id);
-        size_t liveInput = 0;
-        for (NodeId in : node.inputs) {
-            if (graph.node(in).dead)
-                continue;
-            work.emplace_back(
-                in, choice[static_cast<size_t>(id)]
-                          [static_cast<size_t>(plan)][liveInput]);
-            ++liveInput;
-        }
-    }
-
-    // Conflict repair: the first-visitor choice can be strictly worse
-    // than even selectLocal's on fan-out DAGs. Re-resolve each
-    // conflicted producer by picking the plan minimizing its share of
-    // the re-evaluated Agg_Cost with every other choice held fixed --
-    // plain coordinate descent, monotone in Agg_Cost, with a strict-<
-    // acceptance so it terminates and is deterministic.
-    if (anyConflict) {
-        const auto &edges = table.edges();
-        std::vector<std::vector<size_t>> edgesAt(graph.size());
-        for (size_t e = 0; e < edges.size(); ++e) {
-            edgesAt[static_cast<size_t>(edges[e].first)].push_back(e);
-            edgesAt[static_cast<size_t>(edges[e].second)].push_back(e);
-        }
-        auto &sel = result.selection.planIndex;
-        const auto localShare = [&](NodeId id, int p) {
-            uint64_t c =
-                table.plans(id)[static_cast<size_t>(p)].cycles;
-            for (size_t e : edgesAt[static_cast<size_t>(id)]) {
-                const auto &[src, dst] = edges[e];
-                if (src == id)
-                    c += table.tc(src, dst, p,
-                                  sel[static_cast<size_t>(dst)]);
-                else
-                    c += table.tc(src, dst,
-                                  sel[static_cast<size_t>(src)], p);
-            }
-            return c;
-        };
-        bool changed = true;
-        for (int round = 0; round < 8 && changed; ++round) {
-            changed = false;
-            for (const graph::Node &node : graph.nodes()) {
-                if (node.dead || !conflicted[static_cast<size_t>(
-                                     node.id)])
-                    continue;
-                const auto &plans = table.plans(node.id);
-                const int cur = sel[static_cast<size_t>(node.id)];
-                int bestPlan = cur;
-                uint64_t bestShare = localShare(node.id, cur);
-                for (size_t p = 0; p < plans.size(); ++p) {
-                    if (static_cast<int>(p) == cur)
-                        continue;
-                    ++result.evaluations;
-                    const uint64_t share =
-                        localShare(node.id, static_cast<int>(p));
-                    if (share < bestShare) {
-                        bestShare = share;
-                        bestPlan = static_cast<int>(p);
-                    }
-                }
-                if (bestPlan != cur) {
-                    sel[static_cast<size_t>(node.id)] = bestPlan;
-                    changed = true;
-                }
-            }
-        }
-    }
-}
-
-/** Enumeration guard for one biconnected block: past this many plan
- *  combinations the block is not exhaustively solvable and the
- *  component falls back to chainDpClassic. */
-constexpr uint64_t kMaxBlockCombos = 200000;
-
-/** One biconnected block of the free graph: node positions plus the fg
- *  edge indices inside it. Cut vertices appear in several blocks. */
-struct BcBlock
-{
-    std::vector<int> nodes;
-    std::vector<int> edges;
-};
-
-/** Biconnected components of @p fg restricted to @p component
- *  (iterative Tarjan over the merged free-free edges; fg has no
- *  parallel edges or self loops, so the parent edge is unique). */
-std::vector<BcBlock>
-biconnectedBlocks(const FreeGraph &fg, const std::vector<int> &component)
-{
-    std::vector<BcBlock> blocks;
-    std::vector<int> disc(fg.size(), -1);
-    std::vector<int> low(fg.size(), 0);
-    std::vector<int> stamp(fg.size(), -1);
-    std::vector<int> edgeStack;
-    int clock = 0;
-
-    const auto popBlock = [&](int untilEdge) {
-        BcBlock block;
-        while (true) {
-            const int e = edgeStack.back();
-            edgeStack.pop_back();
-            block.edges.push_back(e);
-            const FreeGraph::Edge &edge =
-                fg.edges[static_cast<size_t>(e)];
-            for (const int endpoint : {edge.a, edge.b}) {
-                if (stamp[static_cast<size_t>(endpoint)] !=
-                    static_cast<int>(blocks.size())) {
-                    stamp[static_cast<size_t>(endpoint)] =
-                        static_cast<int>(blocks.size());
-                    block.nodes.push_back(endpoint);
-                }
-            }
-            if (e == untilEdge)
-                break;
-        }
-        blocks.push_back(std::move(block));
-    };
-
-    struct Frame
-    {
-        int node;
-        int parentEdge;
-        size_t next;
-    };
-    std::vector<Frame> frames;
-    for (const int start : component) {
-        if (disc[static_cast<size_t>(start)] >= 0)
-            continue;
-        disc[static_cast<size_t>(start)] =
-            low[static_cast<size_t>(start)] = clock++;
-        frames.push_back({start, -1, 0});
-        while (!frames.empty()) {
-            Frame &f = frames.back();
-            const int u = f.node;
-            if (f.next < fg.adj[static_cast<size_t>(u)].size()) {
-                const int e =
-                    fg.adj[static_cast<size_t>(u)][f.next++];
-                if (e == f.parentEdge)
-                    continue;
-                const int w = fg.otherEnd(e, u);
-                if (disc[static_cast<size_t>(w)] < 0) {
-                    edgeStack.push_back(e);
-                    disc[static_cast<size_t>(w)] =
-                        low[static_cast<size_t>(w)] = clock++;
-                    // Invalidates f: fall to the loop top immediately.
-                    frames.push_back({w, e, 0});
-                } else if (disc[static_cast<size_t>(w)] <
-                           disc[static_cast<size_t>(u)]) {
-                    // Back edge to an ancestor (forward-seen edges were
-                    // already stacked from the other side).
-                    edgeStack.push_back(e);
-                    low[static_cast<size_t>(u)] =
-                        std::min(low[static_cast<size_t>(u)],
-                                 disc[static_cast<size_t>(w)]);
-                }
-                continue;
-            }
-            const int pe = f.parentEdge;
-            frames.pop_back();
-            if (frames.empty())
-                continue;
-            Frame &pf = frames.back();
-            low[static_cast<size_t>(pf.node)] =
-                std::min(low[static_cast<size_t>(pf.node)],
-                         low[static_cast<size_t>(u)]);
-            if (low[static_cast<size_t>(u)] >=
-                disc[static_cast<size_t>(pf.node)])
-                popBlock(pe); // pf.node is a cut vertex (or the root)
-        }
-    }
-    return blocks;
-}
-
-/**
- * Exact solve of one free-graph component via its block-cut tree: each
- * biconnected block is enumerated exhaustively, and blocks compose
- * through their cut vertices with per-plan messages -- chain DP across
- * the tree, so the result is an Agg_Cost optimum of the component.
- * Returns false, leaving @p assign untouched, when any block's
- * combination count exceeds kMaxBlockCombos.
- */
-bool
-treeDpComponent(const FreeGraph &fg, const std::vector<int> &component,
-                std::vector<int> &assign, uint64_t &evaluations)
-{
-    if (component.size() == 1) {
-        const int i = component[0];
-        const auto &vec = fg.vectors[static_cast<size_t>(i)];
-        assign[static_cast<size_t>(i)] = static_cast<int>(
-            std::min_element(vec.begin(), vec.end()) - vec.begin());
-        evaluations += vec.size();
-        return true;
-    }
-
-    const std::vector<BcBlock> blocks =
-        biconnectedBlocks(fg, component);
-    GCD2_ASSERT(!blocks.empty(), "connected component without blocks");
-    for (const BcBlock &block : blocks) {
-        uint64_t combos = 1;
-        for (const int i : block.nodes) {
-            combos *= fg.planCount(i);
-            if (combos > kMaxBlockCombos)
-                return false; // oversized block: nothing mutated yet
-        }
-    }
-
-    // Root the block-cut tree at block 0: BFS order plus, per block,
-    // the cut vertex shared with its parent (-1 at the root).
-    std::map<int, std::vector<int>> blocksOfCut;
-    {
-        std::map<int, int> blockCount;
-        for (const BcBlock &block : blocks)
-            for (const int i : block.nodes)
-                ++blockCount[i];
-        for (size_t b = 0; b < blocks.size(); ++b)
-            for (const int i : blocks[b].nodes)
-                if (blockCount[i] > 1)
-                    blocksOfCut[i].push_back(static_cast<int>(b));
-    }
-    std::vector<int> order{0};
-    std::vector<int> parentCut(blocks.size(), -1);
-    std::vector<uint8_t> visited(blocks.size(), 0);
-    visited[0] = 1;
-    for (size_t head = 0; head < order.size(); ++head) {
-        const int b = order[head];
-        for (const int cut : blocks[static_cast<size_t>(b)].nodes) {
-            if (cut == parentCut[static_cast<size_t>(b)])
-                continue;
-            const auto it = blocksOfCut.find(cut);
-            if (it == blocksOfCut.end())
-                continue;
-            for (const int nb : it->second) {
-                if (visited[static_cast<size_t>(nb)])
-                    continue;
-                visited[static_cast<size_t>(nb)] = 1;
-                parentCut[static_cast<size_t>(nb)] = cut;
-                order.push_back(nb);
-            }
-        }
-    }
-    GCD2_ASSERT(order.size() == blocks.size(),
-                "block-cut tree of a connected component is connected");
-
-    // Upward pass (reverse BFS): solve each block for every plan q of
-    // its parent cut vertex, excluding the cut's own vector cost, and
-    // fold the resulting message into the cut's working vector. The
-    // root block is solved once outright; its cost then covers the
-    // whole component.
-    std::vector<std::vector<uint64_t>> workVec(fg.size());
-    for (const int i : component)
-        workVec[static_cast<size_t>(i)] =
-            fg.vectors[static_cast<size_t>(i)];
-    // blockChoice[b][q]: argmin plans of the block's non-cut nodes
-    // (block node order, cut skipped) given the parent cut at plan q.
-    std::vector<std::vector<std::vector<int>>> blockChoice(
-        blocks.size());
-    std::vector<int> planAt(fg.size(), 0);
-
-    for (size_t bi = order.size(); bi-- > 0;) {
-        const int b = order[bi];
-        const BcBlock &block = blocks[static_cast<size_t>(b)];
-        const int c = parentCut[static_cast<size_t>(b)];
-        std::vector<int> others;
-        for (const int i : block.nodes)
-            if (i != c)
-                others.push_back(i);
-        const size_t qn = c >= 0 ? fg.planCount(c) : 1;
-        blockChoice[static_cast<size_t>(b)].assign(qn, {});
-        for (size_t q = 0; q < qn; ++q) {
-            if (c >= 0)
-                planAt[static_cast<size_t>(c)] = static_cast<int>(q);
-            std::vector<int> cur(others.size(), 0);
-            for (const int i : others)
-                planAt[static_cast<size_t>(i)] = 0;
-            uint64_t bestCost = UINT64_MAX;
-            std::vector<int> bestAssign;
-            while (true) {
-                ++evaluations;
-                uint64_t cost = 0;
-                for (size_t t = 0; t < others.size(); ++t)
-                    cost += workVec[static_cast<size_t>(others[t])]
-                                   [static_cast<size_t>(cur[t])];
-                for (const int e : block.edges) {
-                    const FreeGraph::Edge &edge =
-                        fg.edges[static_cast<size_t>(e)];
-                    cost += edge.cost[static_cast<size_t>(
-                        planAt[static_cast<size_t>(edge.a)])]
-                                     [static_cast<size_t>(
-                                         planAt[static_cast<size_t>(
-                                             edge.b)])];
-                }
-                if (cost < bestCost) {
-                    bestCost = cost;
-                    bestAssign = cur;
-                }
-                size_t t = 0;
-                while (t < others.size()) {
-                    ++cur[t];
-                    if (cur[t] < static_cast<int>(
-                                     fg.planCount(others[t]))) {
-                        planAt[static_cast<size_t>(others[t])] =
-                            cur[t];
-                        break;
-                    }
-                    cur[t] = 0;
-                    planAt[static_cast<size_t>(others[t])] = 0;
-                    ++t;
-                }
-                if (t == others.size())
-                    break;
-            }
-            blockChoice[static_cast<size_t>(b)][q] =
-                std::move(bestAssign);
-            if (c >= 0)
-                workVec[static_cast<size_t>(c)][q] += bestCost;
-        }
-        if (c < 0)
-            for (size_t t = 0; t < others.size(); ++t)
-                assign[static_cast<size_t>(others[t])] =
-                    blockChoice[static_cast<size_t>(b)][0][t];
-    }
-
-    // Downward pass (BFS order): every non-root block's parent cut is
-    // assigned by an earlier block; apply its stored argmin.
-    for (size_t bi = 1; bi < order.size(); ++bi) {
-        const int b = order[bi];
-        const int c = parentCut[static_cast<size_t>(b)];
-        const int q = assign[static_cast<size_t>(c)];
-        GCD2_ASSERT(q >= 0, "cut vertex unassigned before child block");
-        const std::vector<int> &pick =
-            blockChoice[static_cast<size_t>(b)][static_cast<size_t>(q)];
-        size_t t = 0;
-        for (const int i : blocks[static_cast<size_t>(b)].nodes)
-            if (i != c)
-                assign[static_cast<size_t>(i)] = pick[t++];
-    }
-    return true;
-}
-
 } // namespace
 
 SelectorResult
@@ -927,72 +510,6 @@ selectLocal(const PlanTable &table)
             bestPlan;
         result.evaluations += plans.size();
     }
-    result.selection.totalCost = aggCost(table, result.selection);
-    result.seconds = timer.seconds();
-    return result;
-}
-
-SelectorResult
-selectChainDp(const PlanTable &table)
-{
-    const Timer timer;
-    SelectorResult result;
-    result.selection = emptySelection(table);
-
-    // Decompose the free graph into connected components and each
-    // component into its block-cut tree. A component whose biconnected
-    // blocks are all enumerable is solved *exactly* -- tree DP across
-    // blocks, chain-DP composition at cut vertices -- retiring the
-    // first-visitor conflict repair there. Only components with an
-    // oversized block still use the classic Eq. 2 pass (run once over
-    // the whole graph, then overwritten per decomposable component;
-    // sound because free components are independent given the pinned
-    // operators, so a per-component optimum can only improve the sum).
-    const FreeGraph fg = FreeGraph::build(table);
-    std::vector<std::vector<int>> comps;
-    {
-        std::vector<uint8_t> seen(fg.size(), 0);
-        for (size_t i = 0; i < fg.size(); ++i) {
-            if (seen[i])
-                continue;
-            seen[i] = 1;
-            comps.push_back({static_cast<int>(i)});
-            std::vector<int> &comp = comps.back();
-            for (size_t head = 0; head < comp.size(); ++head) {
-                const int u = comp[head];
-                for (const int e : fg.adj[static_cast<size_t>(u)]) {
-                    const int w = fg.otherEnd(e, u);
-                    if (!seen[static_cast<size_t>(w)]) {
-                        seen[static_cast<size_t>(w)] = 1;
-                        comp.push_back(w);
-                    }
-                }
-            }
-        }
-    }
-
-    std::vector<int> assign(fg.size(), -1);
-    std::vector<uint8_t> exact(comps.size(), 0);
-    bool allExact = true;
-    for (size_t i = 0; i < comps.size(); ++i) {
-        exact[i] = treeDpComponent(fg, comps[i], assign,
-                                   result.evaluations)
-                       ? 1
-                       : 0;
-        allExact = allExact && exact[i] != 0;
-    }
-
-    if (!allExact)
-        chainDpClassic(table, result);
-    for (size_t i = 0; i < comps.size(); ++i) {
-        if (exact[i] == 0)
-            continue;
-        for (const int pos : comps[i])
-            result.selection.planIndex[static_cast<size_t>(
-                fg.nodes[static_cast<size_t>(pos)])] =
-                assign[static_cast<size_t>(pos)];
-    }
-
     result.selection.totalCost = aggCost(table, result.selection);
     result.seconds = timer.seconds();
     return result;

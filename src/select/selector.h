@@ -8,15 +8,6 @@
  *
  *  - Local: per-operator argmin, ignoring transformation costs (the
  *    "local optimal" baseline of Fig. 10).
- *  - ChainDp: block-cut tree DP over the free-operator graph. Each
- *    connected component is decomposed into its biconnected blocks;
- *    blocks are solved exhaustively and composed through cut vertices
- *    with per-plan messages, so the result is *exact* on every
- *    component whose blocks stay enumerable (chains, in-trees, and any
- *    DAG whose fan-out reconverges within a small block -- diamonds
- *    included). Components with an oversized block fall back to the
- *    historical Eq. 2 in-tree DP with monotone coordinate-descent
- *    conflict repair (heuristic there, and only there).
  *  - GlobalOptimal: branch-and-bound exhaustive search over all
  *    free-choice operators (exponential; the Fig. 10 "global optimal").
  *  - Gcd2Partitioned: the paper's solution -- split the graph at
@@ -25,6 +16,9 @@
  *    layouts), bound each partition by a maximum operator count (the
  *    "GCD2(13)" / "GCD2(17)" parameter), and solve partitions
  *    independently and optimally.
+ *
+ * The polynomial exact solver (PBQP, whose R1 fold is the Eq. 2 chain
+ * DP) lives in pbqp.h.
  */
 #ifndef GCD2_SELECT_SELECTOR_H
 #define GCD2_SELECT_SELECTOR_H
@@ -123,8 +117,6 @@ struct SelectorResult
 };
 
 SelectorResult selectLocal(const PlanTable &table);
-
-SelectorResult selectChainDp(const PlanTable &table);
 
 /**
  * Exhaustive global optimum via branch-and-bound.

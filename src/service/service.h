@@ -30,7 +30,7 @@
  * the non-selection pipeline overhead), so a slow machine or a pricey
  * model class automatically tightens the search instead of blowing the
  * latency target. A tightened search that truncates degrades along the
- * selector's existing gcd2 -> chain-dp -> local fallback ladder and is
+ * selector's existing gcd2 -> pbqp -> local fallback ladder and is
  * reported in the model's diagnostics, never refused.
  *
  * Every public method is thread-safe; submit() never blocks on compile

@@ -6,8 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "dsp/functional_sim.h"
+#include "dsp/timing_sim.h"
 
 namespace gcd2::dsp {
 namespace {
@@ -277,6 +280,57 @@ TEST_F(FunctionalSimTest, VectorAluLanes)
     sim.execute(makeVecBinary(Opcode::VADDW, vreg(10), vreg(8), vreg(9)));
     EXPECT_EQ(sim.regs().vecWord(10, 7),
               static_cast<int32_t>(0x80000000u)); // wraps
+
+    // Word lanes that overflow int32 wrap modulo 2^32 (HVX semantics) in
+    // both engines: the functional simulator and the pre-decoded engine
+    // behind TimingSimulator::run execute one program and must agree
+    // with each other and with the wrapped values in every lane.
+    Program prog;
+    prog.push(makeMovi(sreg(1), INT32_MIN));
+    prog.push(makeVsplatw(vreg(1), sreg(1)));
+    prog.push(makeMovi(sreg(2), 1));
+    prog.push(makeVsplatw(vreg(2), sreg(2)));
+    prog.push(makeVecBinary(Opcode::VSUBW, vreg(3), vreg(1), vreg(2)));
+    prog.push(makeMovi(sreg(3), -1));
+    prog.push(makeVmpyiw(vreg(4), vreg(1), sreg(3)));
+    prog.push(makeMovi(sreg(4), 0x40000000));
+    prog.push(makeVsplatw(vreg(5), sreg(4)));
+    prog.push(makeMovi(sreg(5), 4));
+    prog.push(makeVmpyiw(vreg(6), vreg(5), sreg(5)));
+    prog.push(makeVecBinary(Opcode::VADDW, vreg(7), vreg(5), vreg(5)));
+    const struct
+    {
+        int reg;
+        int32_t wrapped;
+    } lanes[] = {
+        {3, INT32_MAX}, // INT32_MIN - 1
+        {4, INT32_MIN}, // INT32_MIN * -1
+        {6, 0},         // 0x40000000 * 4
+        {7, INT32_MIN}, // 0x40000000 + 0x40000000
+    };
+
+    Memory funcMem(64);
+    FunctionalSimulator func(funcMem);
+    func.run(prog);
+
+    PackedProgram packed;
+    packed.program = prog;
+    for (size_t i = 0; i < prog.code.size(); ++i)
+        packed.packets.push_back(Packet{{i}});
+    Memory decMem(64);
+    TimingSimulator decoded(decMem);
+    decoded.run(packed, /*validate=*/true);
+
+    EXPECT_EQ(func.regs().scalar, decoded.regs().scalar);
+    EXPECT_EQ(func.regs().vector, decoded.regs().vector);
+    for (const auto &lane : lanes) {
+        for (int i = 0; i < kVectorWords; ++i) {
+            EXPECT_EQ(func.regs().vecWord(lane.reg, i), lane.wrapped)
+                << "functional v" << lane.reg << " lane " << i;
+            EXPECT_EQ(decoded.regs().vecWord(lane.reg, i), lane.wrapped)
+                << "decoded v" << lane.reg << " lane " << i;
+        }
+    }
 }
 
 TEST_F(FunctionalSimTest, VmpyiwScalesWordLanes)

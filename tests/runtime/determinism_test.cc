@@ -46,7 +46,7 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeCompilationResults)
 {
     // Branchy CNN, super-resolution (layout-diverse), and a transformer:
     // together they exercise every selector path (partitioned solve,
-    // chain DP windows, pinned boundaries) and every kernel family.
+    // chunked polish windows, pinned boundaries) and every kernel family.
     for (ModelId id : {ModelId::MobileNetV3, ModelId::WdsrB,
                        ModelId::TinyBert}) {
         const graph::Graph g = models::buildModel(id);

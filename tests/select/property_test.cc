@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "graph/passes.h"
 #include "models/builders.h"
+#include "select/pbqp.h"
 #include "select/selector.h"
 
 namespace gcd2::select {
@@ -112,7 +113,7 @@ TEST(SelectionProperties, PartitionedMatchesExhaustiveOnSmallRandomGraphs)
 {
     // The partitioned solver with a bound covering every component must
     // equal the exhaustive optimum -- including on graphs with fan-out
-    // (residual adds), where the old chain-DP reconstruction could
+    // (residual adds), where a per-consumer DP reconstruction could
     // double-resolve shared producers. ~50 graphs, all kept small enough
     // for the exhaustive reference.
     Rng rng(8080);
@@ -167,9 +168,9 @@ TEST(SelectionProperties, ChainDpIsOptimalOnRandomChains)
         graph::optimize(g);
 
         PlanTable table(g, model);
-        const SelectorResult dp = selectChainDp(table);
+        const SelectorResult pbqp = selectPbqp(table);
         const SelectorResult opt = selectGlobalOptimal(table);
-        EXPECT_EQ(dp.selection.totalCost, opt.selection.totalCost)
+        EXPECT_EQ(pbqp.selection.totalCost, opt.selection.totalCost)
             << "trial " << trial << " len " << len;
     }
 }

@@ -1,13 +1,15 @@
 /**
  * @file
- * Global selection tests: Eq. 1 accounting, the Eq. 2 chain DP matching
- * exhaustive search on chains, the partitioned GCD2 solver approaching
- * the global optimum, and the local baseline paying transformation costs.
+ * Global selection tests: Eq. 1 accounting, PBQP (whose R1 fold is the
+ * Eq. 2 chain DP) matching exhaustive search on chains and diamonds, the
+ * partitioned GCD2 solver approaching the global optimum, and the local
+ * baseline paying transformation costs.
  */
 #include <gtest/gtest.h>
 
 #include "graph/passes.h"
 #include "models/builders.h"
+#include "select/pbqp.h"
 #include "select/selector.h"
 
 namespace gcd2::select {
@@ -114,10 +116,12 @@ TEST_F(SelectorTest, ChainDpMatchesExhaustiveOnChains)
     for (int n : {1, 3, 6, 10}) {
         Graph g = convChain(n);
         PlanTable table(g, model);
-        const SelectorResult dp = selectChainDp(table);
+        PbqpStats stats;
+        const SelectorResult pbqp = selectPbqp(table, &stats);
         const SelectorResult opt = selectGlobalOptimal(table);
-        EXPECT_EQ(dp.selection.totalCost, opt.selection.totalCost)
+        EXPECT_EQ(pbqp.selection.totalCost, opt.selection.totalCost)
             << "chain length " << n;
+        EXPECT_EQ(stats.rn, 0u) << "chain length " << n;
     }
 }
 
@@ -207,13 +211,13 @@ TEST_F(SelectorTest, SearchTimeGrowsWithPartitionBound)
 
 TEST_F(SelectorTest, ChainDpExactOnDiamonds)
 {
-    // Fan-out exactness: the historical Eq. 2 DP visited a shared
-    // producer once per consumer, so diamonds could come out strictly
-    // worse than even the local baseline before conflict repair. The
-    // block-cut tree DP solves the reconvergent block exhaustively, so
-    // diamond fan-out must now match the global optimum exactly (not
-    // just beat local). Asymmetric branches make the two consumers
-    // prefer different producer layouts, which is what used to conflict.
+    // Fan-out exactness: an Eq. 2 DP that visits a shared producer once
+    // per consumer can come out strictly worse than even the local
+    // baseline on diamonds. PBQP folds the reconvergent cycle with the
+    // exact R2 rule, so diamond fan-out must match the global optimum
+    // with no heuristic RN step (not just beat local). Asymmetric
+    // branches make the two consumers prefer different producer
+    // layouts, which is what a per-consumer reconstruction conflicts on.
     const auto diamondVariant = [](int64_t branchC) {
         Graph g;
         NodeId x = input(g, {32, 16, 16});
@@ -230,19 +234,23 @@ TEST_F(SelectorTest, ChainDpExactOnDiamonds)
     for (int64_t branchC : {32, 48, 64, 96}) {
         Graph g = diamondVariant(branchC);
         PlanTable table(g, model);
-        const SelectorResult dp = selectChainDp(table);
+        PbqpStats stats;
+        const SelectorResult pbqp = selectPbqp(table, &stats);
         const SelectorResult local = selectLocal(table);
         const SelectorResult opt = selectGlobalOptimal(table);
-        EXPECT_LE(dp.selection.totalCost, local.selection.totalCost)
+        EXPECT_LE(pbqp.selection.totalCost, local.selection.totalCost)
             << "branch channels " << branchC;
-        EXPECT_EQ(dp.selection.totalCost, opt.selection.totalCost)
+        EXPECT_EQ(pbqp.selection.totalCost, opt.selection.totalCost)
             << "branch channels " << branchC;
+        EXPECT_EQ(stats.rn, 0u) << "branch channels " << branchC;
     }
     // And the plain diamond stays covered.
     Graph g = diamond();
     PlanTable table(g, model);
-    EXPECT_EQ(selectChainDp(table).selection.totalCost,
+    PbqpStats stats;
+    EXPECT_EQ(selectPbqp(table, &stats).selection.totalCost,
               selectGlobalOptimal(table).selection.totalCost);
+    EXPECT_EQ(stats.rn, 0u);
 }
 
 TEST_F(SelectorTest, BudgetedExhaustiveServesBestSoFarInsteadOfRefusing)
