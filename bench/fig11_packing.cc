@@ -24,7 +24,8 @@ double
 latencyWith(const graph::Graph &g, vliw::PackPolicy policy,
             kernels::UnrollStrategy unroll)
 {
-    runtime::CompileOptions options; // GCD2 defaults
+    runtime::CompileOptions options;
+    options.selection = runtime::SelectionMode::Gcd2; // the paper's GCD2
     options.cost.packOptions.policy = policy;
     options.cost.unroll = unroll;
     return runtime::compile(g, options).latencyMs();

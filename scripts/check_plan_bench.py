@@ -1,31 +1,37 @@
 #!/usr/bin/env python3
-"""Gate tiered plan-costing results against the checked-in baseline.
+"""Gate tiered plan-costing results against the committed snapshot.
 
 Usage: check_plan_bench.py BENCH_plan.json bench/plan_baseline.json
 
 Three properties are enforced:
 
- - Speedup floor: the geomean cold-compile speedup of tiered costing
-   over exhaustive candidate simulation must stay at or above 2x on the
-   default (adaptive-unroll) path -- the headline acceptance bar of the
-   tiered coster. Speedups are same-machine ratios, comparable across
-   CI runners in a way absolute milliseconds are not.
+ - Cold-compile bound: the geomean over the zoo of the default-path
+   (adaptive-unroll) tiered cold compile must take at most TOLERANCE
+   more than the snapshot's cold_ms_geomean.
 
- - Regression bound: neither the default-path nor the search-mode
-   geomean speedup may fall more than 20% below the baseline's measured
-   value.
+ - Coster bound: the same geomean of the plan-table pass alone, where
+   the tiered coster runs, must stay within TOLERANCE of the snapshot's
+   plan_table_ms_geomean. A coster slowdown is diluted in the whole
+   compile; this bound sees it undiluted.
 
  - Tier liveness: search mode (exhaustive unroll) must actually derive
    and prune plans zoo-wide -- a refactor that silently uncertifies
    every shape class would otherwise keep totals correct while quietly
-   reverting the compile-latency win (the bench binary itself FATALs on
-   any cycle-total mismatch, so correctness is already pinned).
+   reverting the compile-latency win.
+
+The bench reports the fastest of five tiered compiles per model, which
+filters out per-compile jitter; drift between runs (about +-10% on the
+4-vCPU snapshot host) remains. The bounds are absolute on
+purpose: a speedup ratio against exhaustive costing would fail whenever
+the exhaustive reference got faster. Tiered output identical to
+exhaustive costing is enforced by the bench binary itself, which exits
+non-zero on any cycle-total mismatch. The tiered/exhaustive speedups
+are printed for information only.
 """
 import json
 import sys
 
-ALLOWED_REGRESSION = 0.20
-HARD_FLOOR = 2.0
+TOLERANCE = 0.10
 
 
 def main() -> int:
@@ -38,17 +44,22 @@ def main() -> int:
         baseline = json.load(f)
 
     failed = False
+    runs = current.get("tiered_runs", 1)
+    for key, label in (("cold_ms_geomean", "default-path cold compile"),
+                       ("plan_table_ms_geomean", "default-path plan-table")):
+        measured = current[key]
+        threshold = baseline[key] * (1.0 + TOLERANCE)
+        print(f"{label}: measured {measured:.2f} ms geomean (fastest of "
+              f"{runs}), snapshot {baseline[key]:.2f} ms, threshold "
+              f"{threshold:.2f} ms")
+        if measured > threshold:
+            print(f"FAIL: {label} geomean {measured:.2f} ms above "
+                  f"{threshold:.2f} ms", file=sys.stderr)
+            failed = True
     for key, label in (("geomean_speedup", "default path"),
                        ("search_geomean_speedup", "search mode")):
-        measured = current[key]
-        expected = baseline[key]
-        threshold = max(expected * (1.0 - ALLOWED_REGRESSION), HARD_FLOOR)
-        print(f"{label}: measured {measured:.1f}x, baseline "
-              f"{expected:.1f}x, threshold {threshold:.1f}x")
-        if measured < threshold:
-            print(f"FAIL: {label} geomean speedup {measured:.1f}x below "
-                  f"{threshold:.1f}x", file=sys.stderr)
-            failed = True
+        print(f"{label} speedup over exhaustive costing: "
+              f"{current[key]:.1f}x (not gated)")
 
     derived = sum(m["search"]["plans_derived"] for m in current["models"])
     pruned = sum(m["search"]["plans_pruned"] for m in current["models"])
@@ -62,12 +73,6 @@ def main() -> int:
         print("FAIL: search mode pruned no plans (dominance filter "
               "dead)", file=sys.stderr)
         failed = True
-
-    slowest = max(current["models"],
-                  key=lambda m: m["exhaustive_ms"] / max(m["cold_ms"],
-                                                         1e-9))
-    ratio = slowest["exhaustive_ms"] / max(slowest["cold_ms"], 1e-9)
-    print(f"best default-path speedup: {slowest['name']} {ratio:.1f}x")
 
     if failed:
         return 1

@@ -6,9 +6,11 @@ Usage: check_serve_cli.py [path/to/gcd2_serve]
 Every case runs the binary with a malformed (or trivial) command line
 only -- no compile is triggered -- and checks the exit status plus the
 presence/absence of the usage text:
-  - a value-taking flag in final position (--dir, --workers, --repeat,
-    --target-ms) must print "needs a value" plus usage and exit 2, not
-    read past argv;
+  - a value-taking flag in final position (--dir, --workers, --repeat)
+    must print "needs a value" plus usage and exit 2, not read past argv;
+  - a malformed numeric value (non-numeric, negative, trailing garbage)
+    for --workers, --repeat or --max-artifact-bytes must print "invalid
+    value" plus usage and exit 2, not be silently misread;
   - an unknown flag must be rejected with usage and exit 2, not be
     swallowed as a model name;
   - --help / -h must print usage on stdout and exit 0;
@@ -47,7 +49,7 @@ def main() -> int:
         else:
             print(f"ok: {label}")
 
-    for flag in ["--dir", "--workers", "--repeat", "--target-ms"]:
+    for flag in ["--dir", "--workers", "--repeat"]:
         check(f"{flag} without value", [flag], 2,
               want_stderr="needs a value")
         # The usage text must accompany the error.
@@ -56,6 +58,11 @@ def main() -> int:
             print(f"FAIL: {flag} without value printed no usage",
                   file=sys.stderr)
             failures += 1
+    for flag, bad in [("--workers", "4x"), ("--repeat", "abc"),
+                      ("--max-artifact-bytes", "-1")]:
+        check(f"{flag} {bad}", [flag, bad], 2, want_stderr="invalid value")
+        check(f"{flag} {bad} with usage", [flag, bad], 2,
+              want_stderr="usage:")
     check("unknown flag", ["--bogus"], 2, want_stderr="unknown flag")
     check("unknown flag with usage", ["--bogus"], 2,
           want_stderr="usage:")

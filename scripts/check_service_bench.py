@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
-"""Gate compile-service results against the checked-in baseline.
+"""Gate compile-service results against the committed snapshot.
 
 Usage: check_service_bench.py BENCH_service.json bench/service_baseline.json
 
 Two properties are enforced:
 
- - Warm start: serving ResNet-50 from the on-disk artifact store (in a
-   fresh service, i.e. across a process restart) must be at least 50x
-   faster than the cold compile -- the hard floor from the service
-   design -- and must not regress more than 50% below the baseline's
-   measured speedup. The speedup is a same-machine ratio, comparable
-   across CI runners in a way absolute milliseconds are not.
+ - Warm start: serving ResNet-50 from the on-disk artifact store in a
+   fresh service (the process-restart equivalent) must take at most
+   TOLERANCE more than the snapshot's warm_start_ms. The bench reports
+   the fastest of 50 fresh-service warm starts, which filters out
+   per-start jitter; drift between runs (about +-10% on the 4-vCPU
+   snapshot host) remains. The bound is absolute on purpose: a ratio
+   against the cold compile would fail whenever cold compiles get
+   faster.
 
  - Coalescing: 16 concurrent identical submissions must be served by
    exactly one compile.
+
+Cold-compile time and the cold/warm ratio are printed for information
+only.
 """
 import json
 import sys
 
-ALLOWED_REGRESSION = 0.50
-HARD_FLOOR = 50.0
+TOLERANCE = 0.10
 
 
 def main() -> int:
@@ -31,23 +35,24 @@ def main() -> int:
     with open(sys.argv[2]) as f:
         baseline = json.load(f)
 
-    speedup = current["warm_speedup"]
-    expected = baseline["warm_speedup"]
-    threshold = max(expected * (1.0 - ALLOWED_REGRESSION), HARD_FLOOR)
+    warm = current["warm_start_ms"]
+    snapshot = baseline["warm_start_ms"]
+    threshold = snapshot * (1.0 + TOLERANCE)
 
     print(f"cold compile:   {current['cold_compile_ms']:.1f} ms")
-    print(f"warm start:     {current['warm_start_ms']:.1f} ms")
-    print(f"warm speedup:   measured {speedup:.1f}x, "
-          f"baseline {expected:.1f}x, threshold {threshold:.1f}x")
+    print(f"warm start:     measured {warm:.3f} ms (fastest of "
+          f"{current.get('warm_start_runs', 1)}), snapshot "
+          f"{snapshot:.3f} ms, threshold {threshold:.3f} ms")
+    print(f"warm speedup:   {current['warm_speedup']:.1f}x (not gated)")
     print(f"coalescing:     {current['coalesce_submits']} submits -> "
           f"{current['coalesce_compiles']} compile(s)")
     print(f"cached serving: {current['cached_requests_per_sec']:.0f} "
           f"requests/s")
 
     failed = False
-    if speedup < threshold:
-        print(f"FAIL: warm-start speedup {speedup:.1f}x below "
-              f"{threshold:.1f}x", file=sys.stderr)
+    if warm > threshold:
+        print(f"FAIL: warm start {warm:.3f} ms above {threshold:.3f} ms",
+              file=sys.stderr)
         failed = True
     if current["coalesce_compiles"] != 1:
         print(f"FAIL: {current['coalesce_submits']} identical concurrent "

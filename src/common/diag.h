@@ -4,16 +4,17 @@
  *
  * A Diag records one per-pass (and optionally per-node) event that the
  * pipeline chose to report instead of throwing: audit findings, fallback
- * decisions, truncated searches. Diagnostics flow through a thread-safe
+ * decisions, selector cross-checks. Diagnostics flow through a thread-safe
  * DiagLog owned by the CompilationSession and ship inside the
  * PipelineReport, so a served compile always tells the caller *how* it
  * was produced -- which degradation rung ran, which invariants were
  * checked, and what (if anything) looked wrong.
  *
  * Severity semantics:
- *  - Info: normal bookkeeping worth surfacing (audit passed, budget used).
+ *  - Info: normal bookkeeping worth surfacing (audit passed, solver
+ *    switched by a cross-check).
  *  - Warning: the compile succeeded but degraded (fallback rung served,
- *    branch-and-bound truncated to best-so-far).
+ *    a cross-check that could not run).
  *  - Error: an auditor found a violated invariant; the artifact may be
  *    wrong and callers should treat the compile as suspect.
  */

@@ -53,13 +53,14 @@ struct PipelineReport
     int threadsUsed = 1;
     /**
      * Everything the pipeline chose to report instead of throwing:
-     * fallback decisions, truncated searches, audit findings. A compile
+     * fallback decisions, selector cross-checks, audit findings. A compile
      * with Error-severity entries was served but is suspect.
      */
     std::vector<common::Diag> diagnostics;
-    /** Selection strategy that produced the served selection. */
+    /** Selection strategy that produced the served selection ("gcd2"
+     *  when it beat a heuristic pbqp solve in the cross-check). */
     std::string servedSelection;
-    /** Fallback-ladder rung of servedSelection (0 = requested). */
+    /** Fallback-ladder rung that served (0 = the requested rung). */
     int selectionRung = 0;
 
     /** Pass by name; nullptr when no such pass ran. */
@@ -89,13 +90,15 @@ inline constexpr double kEffectiveCyclesPerMs = 6.46e6;
 /** How the per-operator plans are chosen. */
 enum class SelectionMode : uint8_t
 {
-    Gcd2,          ///< partitioned global optimization (the paper)
+    Gcd2,          ///< partitioned branch-and-bound (the paper's GCD2(13))
     Local,         ///< per-operator local optimum (Fig. 10 baseline)
     GlobalOptimal, ///< exhaustive (small graphs only)
     Uniform,       ///< one fixed scheme everywhere (TFLite/SNPE-style)
     // Appended last so the values above (baked into service compile
     // fingerprints) stay stable.
-    Pbqp, ///< polynomial PBQP reduction (R0/R1/R2 + heuristic RN)
+    Pbqp, ///< polynomial PBQP reduction (R0/R1/R2 + heuristic RN); the
+          ///< default. A heuristic (RN) solve is cross-checked against
+          ///< gcd2 and the cheaper selection serves.
 };
 
 /** Ladder-rung name of a selection mode ("gcd2", "local", ...). */
@@ -116,7 +119,7 @@ enum class AuditMode : uint8_t
 struct CompileOptions
 {
     select::CostModelOptions cost{};
-    SelectionMode selection = SelectionMode::Gcd2;
+    SelectionMode selection = SelectionMode::Pbqp;
     int maxPartition = 13;
     /** Scheme used by SelectionMode::Uniform. */
     kernels::MatMulScheme uniformScheme = kernels::MatMulScheme::Vrmpy;
@@ -176,17 +179,6 @@ struct CompileOptions
      * identical canonical kernels. Null = private per-compile cache.
      */
     std::shared_ptr<select::CostCache> costCache;
-    /**
-     * Branch-and-bound evaluation budget per free-operator component (0
-     * = unlimited): all of a component's chunks and polish windows draw
-     * from one shared pool, so the per-component evaluation total never
-     * exceeds the budget. A budgeted search never refuses an oversized
-     * graph: it serves the best complete assignment found when the
-     * budget expires (never worse than the local baseline it is seeded
-     * with), records a Warning diagnostic, and marks the selector
-     * result truncated.
-     */
-    uint64_t maxSelectorEvaluations = 0;
     /**
      * Post-compile auditing level (see AuditMode). The default (Cheap)
      * escalates to Deep when the GCD2_DEEP_AUDIT environment variable

@@ -293,19 +293,23 @@ CompilationSession::passPlanTable(PassReport &pass)
 void
 CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
 {
-    const uint64_t budget = options_.maxSelectorEvaluations;
-
+    const auto solveGcd2 = [&] {
+        return select::selectGcd2Partitioned(*table_, options_.maxPartition,
+                                             &pool_);
+    };
+    const auto solvePbqp = [&] {
+        return select::selectPbqp(*table_, &pbqpStats_);
+    };
     const auto solveRequested = [&]() -> select::SelectorResult {
         switch (options_.selection) {
           case SelectionMode::Gcd2:
-            return select::selectGcd2Partitioned(
-                *table_, options_.maxPartition, &pool_, budget);
+            return solveGcd2();
           case SelectionMode::Local:
             return select::selectLocal(*table_);
           case SelectionMode::GlobalOptimal:
-            return select::selectGlobalOptimal(*table_, 22, budget);
+            return select::selectGlobalOptimal(*table_);
           case SelectionMode::Pbqp:
-            return select::selectPbqp(*table_, &pbqpStats_);
+            return solvePbqp();
           case SelectionMode::Uniform: {
             // One scheme for every matmul-family operator, row-major for
             // the rest: the uniform per-op-type implementations of
@@ -354,15 +358,11 @@ CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
                 return;
         ladder.push_back({name, std::move(solve)});
     };
-    addFallback("gcd2", [&] {
-        return select::selectGcd2Partitioned(
-            *table_, options_.maxPartition, &pool_, budget);
-    });
-    // PBQP sits between the budgeted partitioned solver and the local
+    addFallback("gcd2", solveGcd2);
+    // PBQP sits between the partitioned branch-and-bound and the local
     // floor: polynomial, with the full pairwise cost structure (R0/R1/R2
     // exact, RN heuristic on dense remainders).
-    addFallback("pbqp",
-                [&] { return select::selectPbqp(*table_, &pbqpStats_); });
+    addFallback("pbqp", solvePbqp);
     addFallback("local", [&] { return select::selectLocal(*table_); });
 
     for (size_t i = 0; i < ladder.size(); ++i) {
@@ -386,13 +386,39 @@ CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
         diag_.add(DiagSeverity::Info, "selection", -1,
                   "served by fallback rung '" + report_.servedSelection +
                       "'");
-    if (result.selector.truncated)
-        diag_.add(DiagSeverity::Warning, "selection", -1,
-                  "evaluation budget (" + std::to_string(budget) +
-                      " per subproblem) exhausted; serving best-so-far");
+
+    // A requested PBQP solve that needed the RN heuristic proves
+    // nothing, so gcd2 re-solves the same table and the cheaper
+    // selection serves (ties keep PBQP): the served cost never exceeds
+    // what gcd2 alone would have served. servedSelection names the
+    // solver actually served, which the deep audit keys on.
+    const bool pbqpServed = report_.servedSelection == "pbqp";
+    if (pbqpServed && report_.selectionRung == 0 &&
+        !pbqpStats_.provablyOptimal()) {
+        try {
+            select::SelectorResult gcd2 = solveGcd2();
+            const uint64_t pbqpCost = result.selector.selection.totalCost;
+            if (gcd2.selection.totalCost < pbqpCost) {
+                diag_.add(DiagSeverity::Info, "selection", -1,
+                          "heuristic pbqp (rn=" +
+                              std::to_string(pbqpStats_.rn) + ") cost " +
+                              std::to_string(pbqpCost) +
+                              " beaten by gcd2 cost " +
+                              std::to_string(gcd2.selection.totalCost) +
+                              "; serving gcd2");
+                result.selector = std::move(gcd2);
+                report_.servedSelection = "gcd2";
+            }
+        } catch (const FatalError &err) {
+            diag_.add(DiagSeverity::Warning, "selection", -1,
+                      std::string("gcd2 cross-check of heuristic pbqp "
+                                  "failed (") +
+                          err.what() + "); serving pbqp");
+        }
+    }
 
     result.selection = result.selector.selection;
-    if (report_.servedSelection == "pbqp") {
+    if (pbqpServed) { // including a solve gcd2 then beat
         pass.counters.emplace_back("pbqp-r0", pbqpStats_.r0);
         pass.counters.emplace_back("pbqp-r1", pbqpStats_.r1);
         pass.counters.emplace_back("pbqp-r2", pbqpStats_.r2);
@@ -404,8 +430,6 @@ CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
                                result.selection.totalCost);
     pass.counters.emplace_back(
         "fallback-rung", static_cast<uint64_t>(report_.selectionRung));
-    pass.counters.emplace_back("truncated",
-                               result.selector.truncated ? 1 : 0);
 }
 
 void
@@ -602,20 +626,19 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     // solvers that dominate selectLocal by construction; the deep exact
     // re-solve additionally requires the served rung to claim global
     // optimality on this graph (gcd2 is exact when no component was
-    // chunked, i.e. all free nodes fit one partition) and an
-    // un-truncated search.
+    // chunked, i.e. all free nodes fit one partition; pbqp when no RN
+    // heuristic fired).
     select::SelectionAuditOptions auditOpts;
     auditOpts.checkNotWorseThanLocal =
         served == "gcd2" || served == "global-optimal" ||
         served == "local" || served == "pbqp";
     auditOpts.deepMaxFreeNodes = 12;
     auditOpts.deep =
-        deep && !result.selector.truncated &&
-        (served == "global-optimal" ||
-         (served == "gcd2" &&
-          table_->freeNodes().size() <=
-              static_cast<size_t>(options_.maxPartition)) ||
-         (served == "pbqp" && pbqpStats_.provablyOptimal()));
+        deep && (served == "global-optimal" ||
+                 (served == "gcd2" &&
+                  table_->freeNodes().size() <=
+                      static_cast<size_t>(options_.maxPartition)) ||
+                 (served == "pbqp" && pbqpStats_.provablyOptimal()));
     std::vector<Diag> selectionFindings =
         select::auditSelection(*table_, result.selection, auditOpts);
     const size_t selectionFailures = selectionFindings.size();

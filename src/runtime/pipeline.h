@@ -11,7 +11,9 @@
  *                     served through a fallback ladder (requested
  *                     strategy -> gcd2 -> pbqp -> local): a rung that
  *                     throws FatalError is recorded as a Warning
- *                     diagnostic and the next rung serves instead
+ *                     diagnostic and the next rung serves instead; a
+ *                     heuristic (RN) pbqp solve is cross-checked
+ *                     against gcd2 and the cheaper selection serves
  *   kernel-generation per-node statistics of the *chosen* kernels
  *   cycle-accounting  totals, layout-transformation edges, overheads
  *   audit             selection + schedule invariant checks (AuditMode)
@@ -19,7 +21,7 @@
  * Each pass records wall-clock seconds and input/output counters into a
  * PipelineReport that ships inside the CompiledModel, so callers can see
  * where compile time went without re-instrumenting. Structured
- * diagnostics (fallbacks taken, budgets exhausted, audit findings) flow
+ * diagnostics (fallbacks taken, cross-check switches, audit findings) flow
  * through a thread-safe DiagLog into PipelineReport::diagnostics.
  *
  * The session owns a ThreadPool (CompileOptions::numThreads) used by the

@@ -24,9 +24,11 @@
  * Either way the served selection is floored at the local baseline, so
  * the rung always satisfies the audit's not-worse-than-local check.
  *
- * Complexity is polynomial (no branch-and-bound, no evaluation budget),
- * which is what qualifies PBQP as the ladder rung between the budgeted
- * partitioned solver and the local floor.
+ * Complexity is polynomial (no branch-and-bound), which is what makes
+ * PBQP the default selector (runtime::SelectionMode::Pbqp) and the
+ * ladder rung between the partitioned branch-and-bound and the local
+ * floor. The pipeline cross-checks a heuristic (RN) solve against gcd2
+ * and serves the cheaper selection.
  */
 #ifndef GCD2_SELECT_PBQP_H
 #define GCD2_SELECT_PBQP_H

@@ -228,37 +228,29 @@ seedCheapestPlans(const PlanTable &table, Selection &sel)
  * decided. Edges to undecided nodes outside the subset are ignored
  * (their chunks pay the cost when they are solved).
  *
- * @p evalLimit is an *absolute* cap on the shared @p evaluations
- * counter (0 = unlimited), so several calls drawing from one pool --
- * the chunks and polish windows of an oversized component -- cannot
- * each re-grant themselves a fresh budget. Once the counter reaches the
- * cap the search stops and serves the best complete assignment seen,
- * setting @p truncated; a call entered with the pool already exhausted
- * keeps the caller's standing assignment untouched. Budgeted searches
- * are seeded with complete incumbents (the caller's current assignment,
- * adopted without charge, plus the per-node-cheapest plans and the
- * greedy argmin of the folded base costs), so even a spent budget
- * yields an assignment no worse than any of those.
+ * @p evalLimit is an *absolute* cap on the @p evaluations counter (0 =
+ * unlimited). Once the counter reaches the cap the search stops, serves
+ * the best complete assignment seen, and returns true (truncated).
+ * Budgeted searches are seeded with complete incumbents (the caller's
+ * current assignment, adopted without charge, plus the per-node-
+ * cheapest plans and the greedy argmin of the folded base costs), so
+ * even a spent budget yields an assignment no worse than any of those.
  */
-void
+bool
 solveSubsetOptimal(const PlanTable &table, const std::vector<NodeId> &subset,
                    Selection &sel, uint64_t &evaluations,
-                   uint64_t evalLimit, bool &truncated)
+                   uint64_t evalLimit = 0)
 {
     const size_t n = subset.size();
     if (n == 0)
-        return;
-    if (evalLimit != 0 && evaluations >= evalLimit) {
-        truncated = true;
-        return; // pool exhausted by earlier subproblems: keep the prior
-    }
+        return false;
 
     std::vector<int> posOf(table.graph().size(), -1);
     for (size_t i = 0; i < n; ++i)
         posOf[static_cast<size_t>(subset[i])] = static_cast<int>(i);
 
     // Remember any pre-existing assignment: it becomes an incumbent so
-    // budget-truncated polish passes can only improve on it.
+    // a budget-truncated search can only improve on it.
     std::vector<int> prior(n, -1);
     bool priorComplete = true;
     for (size_t i = 0; i < n; ++i) {
@@ -363,7 +355,7 @@ solveSubsetOptimal(const PlanTable &table, const std::vector<NodeId> &subset,
                                    bool charged) {
         if (charged) {
             if (evaluations >= evalLimit)
-                return; // the pool is spent; prior was adopted free
+                return; // budget spent; prior was adopted free
             ++evaluations;
         }
         const uint64_t cost = assignmentCost(assign);
@@ -406,6 +398,7 @@ solveSubsetOptimal(const PlanTable &table, const std::vector<NodeId> &subset,
     std::vector<int> current(n, -1);
     std::vector<uint64_t> partial(n + 1, 0);
     size_t depth = 0;
+    bool truncated = false;
     while (true) {
         if (current[depth] + 1 >=
             static_cast<int>(base[depth].size())) {
@@ -445,6 +438,7 @@ solveSubsetOptimal(const PlanTable &table, const std::vector<NodeId> &subset,
     GCD2_ASSERT(bestCost != UINT64_MAX, "branch and bound found nothing");
     for (size_t i = 0; i < n; ++i)
         sel.planIndex[static_cast<size_t>(subset[i])] = best[i];
+    return truncated;
 }
 
 /** Connected components of the free nodes via free-free edges. */
@@ -537,9 +531,9 @@ selectGlobalOptimal(const PlanTable &table, size_t maxFreeNodes,
     // (none) so their evaluation telemetry is untouched.
     if (maxEvaluations != 0)
         seedCheapestPlans(table, result.selection);
-    solveSubsetOptimal(table, table.freeNodes(), result.selection,
-                       result.evaluations, maxEvaluations,
-                       result.truncated);
+    result.truncated =
+        solveSubsetOptimal(table, table.freeNodes(), result.selection,
+                           result.evaluations, maxEvaluations);
     result.selection.totalCost = aggCost(table, result.selection);
     result.seconds = timer.seconds();
     return result;
@@ -557,22 +551,10 @@ namespace {
  */
 void
 solveComponent(const PlanTable &table, const std::vector<NodeId> &component,
-               int maxPartition, Selection &sel, uint64_t &evaluations,
-               uint64_t maxEvaluations, bool &truncated)
+               int maxPartition, Selection &sel, uint64_t &evaluations)
 {
-    // One shared pool for the whole component: the topological chunks
-    // and the overlapping polish windows below all draw from a single
-    // absolute cap on the component's evaluation counter. (Granting
-    // each subproblem a fresh maxEvaluations -- the pre-fix behavior --
-    // overshot the budget by roughly 2 * n / maxPartition times, so the
-    // budget a service derives from its wall-clock target did not
-    // actually bound work.)
-    const uint64_t evalLimit =
-        maxEvaluations == 0 ? 0 : evaluations + maxEvaluations;
-
     if (static_cast<int>(component.size()) <= maxPartition) {
-        solveSubsetOptimal(table, component, sel, evaluations,
-                           evalLimit, truncated);
+        solveSubsetOptimal(table, component, sel, evaluations);
         return;
     }
     // Oversized component: cut into topological chunks and solve them
@@ -580,8 +562,7 @@ solveComponent(const PlanTable &table, const std::vector<NodeId> &component,
     std::vector<NodeId> chunk;
     auto flush = [&]() {
         if (!chunk.empty()) {
-            solveSubsetOptimal(table, chunk, sel, evaluations,
-                               evalLimit, truncated);
+            solveSubsetOptimal(table, chunk, sel, evaluations);
             chunk.clear();
         }
     };
@@ -592,8 +573,8 @@ solveComponent(const PlanTable &table, const std::vector<NodeId> &component,
     }
     flush();
 
-    // Polish windows re-solve with the current assignment as an
-    // incumbent, so even budget-truncated windows are monotone.
+    // Polish windows re-solve exactly with the rest fixed, so each one
+    // is monotone in Agg_Cost.
     const size_t window = static_cast<size_t>(maxPartition);
     const size_t stride = std::max<size_t>(1, window / 2);
     for (size_t start = stride; start < component.size();
@@ -602,8 +583,7 @@ solveComponent(const PlanTable &table, const std::vector<NodeId> &component,
         const std::vector<NodeId> slice(
             component.begin() + static_cast<long>(start),
             component.begin() + static_cast<long>(end));
-        solveSubsetOptimal(table, slice, sel, evaluations,
-                           evalLimit, truncated);
+        solveSubsetOptimal(table, slice, sel, evaluations);
     }
 }
 
@@ -611,9 +591,13 @@ solveComponent(const PlanTable &table, const std::vector<NodeId> &component,
 
 SelectorResult
 selectGcd2Partitioned(const PlanTable &table, int maxPartition,
-                      ThreadPool *pool, uint64_t maxEvaluations)
+                      ThreadPool *pool)
 {
     GCD2_REQUIRE(maxPartition >= 1, "partition bound must be positive");
+    // The search is unbudgeted and exponential in the partition size.
+    GCD2_REQUIRE(maxPartition <= kMaxExactNodes,
+                 "partition bound " << maxPartition << " exceeds the cap of "
+                                    << kMaxExactNodes);
     const Timer timer;
 
     SelectorResult result;
@@ -622,8 +606,7 @@ selectGcd2Partitioned(const PlanTable &table, int maxPartition,
     // condition on (and polish from) the local baseline, which makes
     // the audit's not-worse-than-local floor hold by construction --
     // chunks and polish windows are exact block-coordinate descents in
-    // Agg_Cost from that start, and budgeted solves adopt it as a free
-    // incumbent.
+    // Agg_Cost from that start.
     seedCheapestPlans(table, result.selection);
 
     // Layout-pinned operators are forced; components of free operators
@@ -631,38 +614,25 @@ selectGcd2Partitioned(const PlanTable &table, int maxPartition,
     // partitioning of Definition IV.1: pinned nodes fix the layout on
     // every crossing edge). Independence also means the components can
     // be solved concurrently: each one writes a disjoint slice of the
-    // selection, and per-component evaluation counts and truncation
-    // flags are reduced in component order so the telemetry is
-    // thread-count-invariant too.
+    // selection, and per-component evaluation counts are reduced in
+    // component order so the telemetry is thread-count-invariant too.
     const std::vector<std::vector<NodeId>> components =
         freeComponents(table);
     std::vector<uint64_t> evaluations(components.size(), 0);
-    // uint8_t, not vector<bool>: concurrent writes to distinct indices.
-    std::vector<uint8_t> truncatedFlags(components.size(), 0);
     if (pool != nullptr && pool->size() > 1) {
         pool->parallelFor(
             static_cast<int64_t>(components.size()), [&](int64_t i) {
-                bool componentTruncated = false;
                 solveComponent(table, components[static_cast<size_t>(i)],
                                maxPartition, result.selection,
-                               evaluations[static_cast<size_t>(i)],
-                               maxEvaluations, componentTruncated);
-                truncatedFlags[static_cast<size_t>(i)] =
-                    componentTruncated ? 1 : 0;
+                               evaluations[static_cast<size_t>(i)]);
             });
     } else {
-        for (size_t i = 0; i < components.size(); ++i) {
-            bool componentTruncated = false;
+        for (size_t i = 0; i < components.size(); ++i)
             solveComponent(table, components[i], maxPartition,
-                           result.selection, evaluations[i],
-                           maxEvaluations, componentTruncated);
-            truncatedFlags[i] = componentTruncated ? 1 : 0;
-        }
+                           result.selection, evaluations[i]);
     }
     for (uint64_t count : evaluations)
         result.evaluations += count;
-    for (uint8_t flag : truncatedFlags)
-        result.truncated = result.truncated || flag != 0;
 
     result.selection.totalCost = aggCost(table, result.selection);
     result.seconds = timer.seconds();

@@ -108,8 +108,8 @@ struct SelectorResult
     double seconds = 0.0;        ///< wall-clock search time
     uint64_t evaluations = 0;    ///< plan combinations examined
     /**
-     * An evaluation budget expired before the branch-and-bound search
-     * proved optimality; the selection is the best complete assignment
+     * selectGlobalOptimal's evaluation budget expired before the
+     * branch-and-bound search proved optimality; the selection is the best complete assignment
      * found so far (never worse than the per-node-cheapest incumbent
      * the search is seeded with, hence always valid and servable).
      */
@@ -117,6 +117,11 @@ struct SelectorResult
 };
 
 SelectorResult selectLocal(const PlanTable &table);
+
+/** Largest free-operator set the unbudgeted branch-and-bound solvers
+ *  accept: selectGlobalOptimal's default cap and selectGcd2Partitioned's
+ *  partition bound. */
+inline constexpr int kMaxExactNodes = 22;
 
 /**
  * Exhaustive global optimum via branch-and-bound.
@@ -128,7 +133,7 @@ SelectorResult selectLocal(const PlanTable &table);
  *        unlimited). When exhausted the result is marked truncated.
  */
 SelectorResult selectGlobalOptimal(const PlanTable &table,
-                                   size_t maxFreeNodes = 22,
+                                   size_t maxFreeNodes = kMaxExactNodes,
                                    uint64_t maxEvaluations = 0);
 
 /**
@@ -141,19 +146,13 @@ SelectorResult selectGlobalOptimal(const PlanTable &table,
  * components are solved concurrently; the resulting Selection, cost,
  * and evaluation count are bit-identical to the serial solve.
  *
- * @param maxEvaluations per-*component* branch-and-bound budget (0 =
- *        unlimited): an oversized component's chunks and polish windows
- *        all draw from one shared pool, so the component's total
- *        evaluation count never exceeds the budget. Deterministic at
- *        any thread count because every component carries its own pool;
- *        an exhausted pool marks the result truncated and serves the
- *        best assignment found, never worse than the local baseline the
- *        solve is seeded with.
+ * @param maxPartition largest subset solved exactly; must lie in
+ *        [1, kMaxExactNodes], since the search is unbudgeted and
+ *        exponential in it. Out of range is FatalError.
  */
 SelectorResult selectGcd2Partitioned(const PlanTable &table,
                                      int maxPartition = 13,
-                                     ThreadPool *pool = nullptr,
-                                     uint64_t maxEvaluations = 0);
+                                     ThreadPool *pool = nullptr);
 
 } // namespace gcd2::select
 

@@ -107,7 +107,6 @@ hashRequest(const graph::Graph &graph,
     fnv.value(options.eliminateLayoutTransforms);
     fnv.value(options.deadCodeElimination);
     fnv.value(options.enableExtendedFusion);
-    fnv.value(options.maxSelectorEvaluations);
 }
 
 } // namespace

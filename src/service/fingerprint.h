@@ -13,15 +13,12 @@
  *  - every semantic CompileOptions field: cost-model options (pack
  *    policy + exact tunable bit patterns, unroll strategy, LUT opt),
  *    selection mode/partition bound/uniform scheme, overhead and
- *    library-boundary modeling, the graph-pass toggles, and the
- *    *caller-requested* selector evaluation budget.
+ *    library-boundary modeling, and the graph-pass toggles.
  *
  * Deliberately excluded: numThreads (bit-identical at any count, by the
  * determinism suite), audit mode (changes diagnostics, never the
- * artifact), the costCache pointer (a memo of pure functions), the test
- * fault hooks (null in production), and any budget the service itself
- * derives under load -- a coalesced group compiles once, so its members
- * agree by construction, and an artifact hit skips selection entirely.
+ * artifact), the costCache pointer (a memo of pure functions), and the
+ * test fault hooks (null in production).
  *
  * Same two-lane FNV-1a construction as dsp::DecodeKey/vliw::PackKey:
  * 128 bits of independent hash plus the node count, making accidental

@@ -1,10 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
-
-#include "common/timer.h"
 
 namespace gcd2::service {
 
@@ -13,9 +10,6 @@ namespace {
 using common::Diag;
 using common::DiagSeverity;
 using runtime::CompiledModel;
-
-/** EWMA weight of the newest compile's timing sample. */
-constexpr double kTimingAlpha = 0.3;
 
 double
 percentile(std::vector<double> sorted, double p)
@@ -123,14 +117,15 @@ CompileService::submit(const graph::Graph &graph,
     // reference is dead the moment submit() returns.
     pool_.submit([this, key = ticket.key, graph, compileOptions,
                   tenant]() mutable {
-        serve(key, std::move(graph), std::move(compileOptions), tenant);
+        serve(key, std::move(graph), compileOptions, tenant);
     });
     return ticket;
 }
 
 void
 CompileService::serve(ModelKey key, graph::Graph graph,
-                      runtime::CompileOptions options, std::string tenant)
+                      const runtime::CompileOptions &options,
+                      std::string tenant)
 {
     std::shared_ptr<Inflight> job;
     {
@@ -153,15 +148,7 @@ CompileService::serve(ModelKey key, graph::Graph graph,
         }
 
         if (!artifactHit) {
-            // Adaptive budget: only when the service has a wall-clock
-            // target and the caller left the budget open.
-            if (options.maxSelectorEvaluations == 0)
-                options.maxSelectorEvaluations = derivedBudget();
-
-            const Timer timer;
             CompiledModel compiled = runtime::compile(graph, options);
-            const double wallSeconds = timer.seconds();
-            observeCompile(compiled, wallSeconds);
 
             // An artifact the integrity gate rejected is explained in
             // the fresh compile's diagnostics, then overwritten below.
@@ -204,48 +191,6 @@ CompileService::serve(ModelKey key, graph::Graph graph,
 }
 
 void
-CompileService::observeCompile(const CompiledModel &model,
-                               double wallSeconds)
-{
-    const double selectionSeconds =
-        std::max(model.selector.seconds, 1e-9);
-    const double overhead =
-        std::max(wallSeconds - selectionSeconds, 0.0);
-    const double rate =
-        static_cast<double>(model.selector.evaluations) /
-        selectionSeconds;
-    if (rate <= 0.0)
-        return;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!haveTimingSamples_) {
-        evalsPerSecond_ = rate;
-        overheadSeconds_ = overhead;
-        haveTimingSamples_ = true;
-        return;
-    }
-    evalsPerSecond_ += kTimingAlpha * (rate - evalsPerSecond_);
-    overheadSeconds_ += kTimingAlpha * (overhead - overheadSeconds_);
-}
-
-uint64_t
-CompileService::derivedBudget() const
-{
-    if (options_.targetCompileMs <= 0.0)
-        return 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!haveTimingSamples_)
-        return 0;
-    const double searchSeconds = std::max(
-        options_.targetCompileMs / 1e3 - overheadSeconds_, 0.0);
-    const double budget = evalsPerSecond_ * searchSeconds;
-    if (budget >= 1e18) // effectively unbounded; keep it finite
-        return uint64_t{1} << 60;
-    return std::max(options_.minSelectorEvaluations,
-                    static_cast<uint64_t>(budget));
-}
-
-void
 CompileService::drain()
 {
     pool_.wait();
@@ -261,7 +206,6 @@ CompileService::report() const
     report.costCache = costCache_->stats();
     if (artifacts_ != nullptr)
         report.artifacts = artifacts_->stats();
-    report.currentDerivedBudget = derivedBudget();
 
     std::lock_guard<std::mutex> lock(mutex_);
     report.totalSubmits = totalSubmits_;
@@ -306,9 +250,6 @@ ServiceReport::toString() const
     if (artifacts.evictedBytes > 0)
         out << " (" << artifacts.evictedBytes << " bytes)";
     out << "\n";
-    if (currentDerivedBudget > 0)
-        out << "  derived selector budget: " << currentDerivedBudget
-            << " evaluations\n";
     for (const TenantStats &t : tenants) {
         out << "  tenant '" << t.tenant << "': " << t.submits
             << " submits, " << t.compiles << " compiles, "

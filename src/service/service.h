@@ -19,19 +19,9 @@
  *  5. A pool worker serves the compile: artifact-store warm start when
  *     the on-disk store has a verified artifact for the key (gated by
  *     re-audit + re-lint, see service/artifact_store.h), clean compile
- *     otherwise -- with the selector budget derived adaptively from the
- *     service's wall-clock target -- then writes the artifact back and
- *     populates the model LRU.
- *
- * Adaptive budget: when ServiceOptions::targetCompileMs > 0 and the
- * caller did not pin a budget, the service derives
- * CompileOptions::maxSelectorEvaluations from instrumented pass timings
- * of previous compiles (an EWMA of selector evaluations/second and of
- * the non-selection pipeline overhead), so a slow machine or a pricey
- * model class automatically tightens the search instead of blowing the
- * latency target. A tightened search that truncates degrades along the
- * selector's existing gcd2 -> pbqp -> local fallback ladder and is
- * reported in the model's diagnostics, never refused.
+ *     otherwise -- then writes the artifact back and populates the
+ *     model LRU. The compile runs exactly the fingerprinted options, so
+ *     a cached or saved model is always the one its key names.
  *
  * Every public method is thread-safe; submit() never blocks on compile
  * work (only on the admission bookkeeping mutex).
@@ -59,8 +49,7 @@ namespace gcd2::service {
 struct ServiceOptions
 {
     /** Base compile options every request starts from. The service owns
-     *  costCache (a shared cross-compile cache is installed) and may
-     *  derive maxSelectorEvaluations when the caller left it 0. */
+     *  costCache (a shared cross-compile cache is installed). */
     runtime::CompileOptions compile{};
     /** Pool workers serving compiles; <= 0 picks hardware concurrency. */
     int numWorkers = 0;
@@ -77,12 +66,6 @@ struct ServiceOptions
      *  store garbage-collects after every save, evicting least-recently
      *  -used artifacts (see ArtifactStore::gc). */
     uint64_t artifactMaxBytes = 0;
-    /** Wall-clock compile target driving the adaptive selector budget;
-     *  0 disables derivation (unbudgeted unless the caller set one). */
-    double targetCompileMs = 0.0;
-    /** Floor under the derived budget: the search always gets at least
-     *  this many evaluations, however far behind target we run. */
-    uint64_t minSelectorEvaluations = 2000;
 };
 
 /** Outcome of one submit() call. */
@@ -135,9 +118,6 @@ struct ServiceReport
     size_t modelCacheCapacity = 0;
     ArtifactStore::Stats artifacts{}; ///< zero when the store is off
     common::CacheStats costCache; ///< service-shared kernel-cost cache
-    /** Selector budget the service would hand the next derivable
-     *  request (0 = no samples yet or derivation disabled). */
-    uint64_t currentDerivedBudget = 0;
 
     std::string toString() const;
 };
@@ -156,7 +136,7 @@ class CompileService
      * returned ticket's future resolves when a worker (or a cache) has
      * the model. @p overrides, when non-null, replaces the service's
      * base CompileOptions for this request (the service still installs
-     * its shared cost cache and derived budget on top).
+     * its shared cost cache and compile thread count on top).
      */
     Ticket submit(const graph::Graph &graph, const std::string &tenant,
                   const runtime::CompileOptions *overrides = nullptr);
@@ -166,10 +146,6 @@ class CompileService
 
     /** Point-in-time counters (callable while compiles run). */
     ServiceReport report() const;
-
-    /** Budget the adaptive policy would assign right now (test hook;
-     *  0 = disabled or no timing samples yet). */
-    uint64_t derivedBudget() const;
 
     const ServiceOptions &options() const { return options_; }
 
@@ -194,9 +170,7 @@ class CompileService
     };
 
     void serve(ModelKey key, graph::Graph graph,
-               runtime::CompileOptions options, std::string tenant);
-    void observeCompile(const runtime::CompiledModel &model,
-                        double wallSeconds);
+               const runtime::CompileOptions &options, std::string tenant);
 
     ServiceOptions options_;
     std::shared_ptr<select::CostCache> costCache_;
@@ -218,10 +192,6 @@ class CompileService
     std::map<std::string, TenantCounters> tenants_;
     uint64_t totalSubmits_ = 0;
     uint64_t totalCompiles_ = 0;
-    /** EWMA state behind the adaptive budget (guarded by mutex_). */
-    double evalsPerSecond_ = 0.0;  ///< selector evaluations / second
-    double overheadSeconds_ = 0.0; ///< non-selection pipeline seconds
-    bool haveTimingSamples_ = false;
 };
 
 } // namespace gcd2::service

@@ -182,6 +182,22 @@ TEST(CompilerTest, PbqpModeServesEndToEnd)
         EXPECT_EQ(pbqpCost, compile(g, gcd2).selection.totalCost);
 }
 
+TEST(CompilerTest, DefaultCompileServesProvenPbqp)
+{
+    for (const ModelId id : {ModelId::WdsrB, ModelId::MobileNetV3}) {
+        const CompiledModel compiled = compile(models::buildModel(id));
+        const PassReport *selection = compiled.report.pass("selection");
+        ASSERT_NE(selection, nullptr);
+        EXPECT_EQ(compiled.report.servedSelection, "pbqp");
+        EXPECT_EQ(compiled.report.selectionRung, 0);
+        EXPECT_EQ(selection->counter("pbqp-rn"), 0u);
+        EXPECT_GT(selection->counter("pbqp-r0") +
+                      selection->counter("pbqp-r1") +
+                      selection->counter("pbqp-r2"),
+                  0u);
+    }
+}
+
 TEST(CompilerTest, OptimizationTogglesReduceLatency)
 {
     // Fig. 9's incremental story, checked where each optimization has

@@ -1,17 +1,20 @@
 /**
  * @file
- * Graceful-degradation tests: a poisoned or over-budget compile must
- * still produce a served CompiledModel -- with the fallback rung, budget
- * truncation, and audit findings visible in PipelineReport::diagnostics
- * -- instead of aborting the process.
+ * Graceful-degradation tests: a poisoned or oversized compile must
+ * still produce a served CompiledModel -- with the fallback rung, the
+ * default selector's gcd2 cross-check, and audit findings visible in
+ * PipelineReport::diagnostics -- instead of aborting the process.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <set>
 
+#include "graph/passes.h"
+#include "models/builders.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
+#include "select/pbqp.h"
 
 namespace gcd2::runtime {
 namespace {
@@ -26,6 +29,28 @@ anyDiagContains(const PipelineReport &report, std::string_view needle)
         if (d.message.find(needle) != std::string::npos)
             return true;
     return false;
+}
+
+/** Octahedron-like DAG whose four middle Adds stay pairwise entangled
+ *  at degree >= 3 after the fringe reduces, forcing a PBQP RN step
+ *  (the graph of PbqpTest.HeuristicRnOnDenseReconvergence). */
+graph::Graph
+octahedron()
+{
+    using graph::NodeId;
+    using graph::OpType;
+    graph::Graph g;
+    const NodeId x = models::input(g, {32, 8, 8});
+    const NodeId a = models::conv(g, x, 32, 1, 1, 0, false);
+    const NodeId b = models::conv(g, x, 32, 1, 1, 0, false);
+    const NodeId c = g.add(OpType::Add, {a, b});
+    const NodeId d = g.add(OpType::Add, {a, b});
+    const NodeId e = g.add(OpType::Add, {c, d});
+    const NodeId f = g.add(OpType::Add, {c, d});
+    const NodeId h = g.add(OpType::Add, {e, f});
+    g.add(OpType::Output, {h});
+    graph::optimize(g);
+    return g;
 }
 
 TEST(FaultInjectionTest, InjectedSelectorFaultFallsDownTheLadder)
@@ -78,24 +103,59 @@ TEST(FaultInjectionTest, OversizedExhaustiveRequestDegradesToGcd2)
               compile(g, direct).selection.totalCost);
 }
 
-TEST(FaultInjectionTest, SelectorBudgetTruncationIsDiagnosed)
+TEST(FaultInjectionTest, DefaultCompileCrossChecksHeuristicPbqp)
 {
-    const graph::Graph g = models::buildModel(ModelId::WdsrB);
+    // RN fires on this graph, so the default compile also runs gcd2 and
+    // must serve the cheaper of the two selections on the same table.
+    const graph::Graph g = octahedron();
+    const select::CostModel model;
+    const select::PlanTable table(g, model);
+    select::PbqpStats stats;
+    const select::SelectorResult pbqp = select::selectPbqp(table, &stats);
+    ASSERT_GE(stats.rn, 1u);
+    const select::SelectorResult gcd2 =
+        select::selectGcd2Partitioned(table, 13);
+    const bool gcd2Wins =
+        gcd2.selection.totalCost < pbqp.selection.totalCost;
+    const select::Selection &cheaper =
+        gcd2Wins ? gcd2.selection : pbqp.selection;
+
     CompileOptions opts;
-    opts.maxSelectorEvaluations = 1; // expires immediately
-
+    opts.audit = AuditMode::Deep;
     const CompiledModel compiled = compile(g, opts);
-    EXPECT_TRUE(compiled.selector.truncated);
-    EXPECT_TRUE(anyDiagContains(compiled.report, "best-so-far"));
-    const PassReport *selection = compiled.report.pass("selection");
-    ASSERT_NE(selection, nullptr);
-    EXPECT_EQ(selection->counter("truncated"), 1u);
+    EXPECT_EQ(compiled.selection.totalCost, cheaper.totalCost);
+    EXPECT_EQ(compiled.selection.planIndex, cheaper.planIndex);
+    EXPECT_EQ(compiled.report.servedSelection, gcd2Wins ? "gcd2" : "pbqp");
+    EXPECT_EQ(compiled.report.selectionRung, 0);
+    EXPECT_EQ(anyDiagContains(compiled.report, "serving gcd2"), gcd2Wins);
+    EXPECT_EQ(compiled.report.diagnosticCount(common::DiagSeverity::Error),
+              0u);
+    EXPECT_GE(compiled.report.pass("selection")->counter("pbqp-rn"), 1u);
 
-    // Best-so-far never loses to the local baseline (incumbent-seeded).
-    CompileOptions local;
-    local.selection = SelectionMode::Local;
-    EXPECT_LE(compiled.selection.totalCost,
-              compile(g, local).selection.totalCost);
+    // A costlier heuristic answer switches the served solver to gcd2,
+    // which the deep audit then re-solves exactly (7 free nodes fit one
+    // partition). The fault hook inflates the PBQP ledger to force it.
+    CompileOptions worse = opts;
+    worse.testSelectionFault = [](select::SelectorResult &r) {
+        r.selection.totalCost += 1000;
+    };
+    const CompiledModel switched = compile(g, worse);
+    EXPECT_EQ(switched.report.servedSelection, "gcd2");
+    EXPECT_EQ(switched.selection.planIndex, gcd2.selection.planIndex);
+    EXPECT_TRUE(anyDiagContains(switched.report, "serving gcd2"));
+    EXPECT_TRUE(anyDiagContains(switched.report, "deep audit passed"));
+    EXPECT_EQ(switched.report.diagnosticCount(common::DiagSeverity::Error),
+              0u);
+
+    // A gcd2 cross-check that cannot run keeps PBQP, with a Warning.
+    opts.maxPartition = 1000;
+    const CompiledModel unchecked = compile(g, opts);
+    EXPECT_EQ(unchecked.report.servedSelection, "pbqp");
+    EXPECT_EQ(unchecked.selection.totalCost, pbqp.selection.totalCost);
+    EXPECT_TRUE(anyDiagContains(unchecked.report, "cross-check"));
+    EXPECT_GE(unchecked.report.diagnosticCount(
+                  common::DiagSeverity::Warning),
+              1u);
 }
 
 TEST(FaultInjectionTest, MutatedSelectionIsCaughtByCheapAudit)

@@ -199,6 +199,20 @@ TEST_F(SelectorTest, ExhaustiveSearchGuardsAgainstExplosion)
     EXPECT_THROW(selectGlobalOptimal(table, 10), FatalError);
 }
 
+TEST_F(SelectorTest, PartitionBoundIsCapped)
+{
+    // gcd2's branch-and-bound is unbudgeted and exponential in the
+    // partition size, so bounds outside [1, 22] are refused up front.
+    Graph g = convChain(4);
+    PlanTable table(g, model);
+    EXPECT_THROW(selectGcd2Partitioned(table, 0), FatalError);
+    EXPECT_THROW(selectGcd2Partitioned(table, kMaxExactNodes + 1),
+                 FatalError);
+    EXPECT_EQ(selectGcd2Partitioned(table, kMaxExactNodes)
+                  .selection.totalCost,
+              selectGlobalOptimal(table).selection.totalCost);
+}
+
 TEST_F(SelectorTest, SearchTimeGrowsWithPartitionBound)
 {
     Graph g = convChain(20, 32, 8);
@@ -286,83 +300,6 @@ TEST_F(SelectorTest, BudgetedExhaustiveServesBestSoFarInsteadOfRefusing)
     EXPECT_LE(truncated.selection.totalCost, local.selection.totalCost);
     EXPECT_EQ(truncated.selection.totalCost,
               aggCost(table, truncated.selection));
-}
-
-TEST_F(SelectorTest, BudgetedPartitionedMonotoneAtEveryBudget)
-{
-    Graph g = convChain(20, 32, 8);
-    PlanTable table(g, model);
-    const SelectorResult local = selectLocal(table);
-    const SelectorResult exact = selectGcd2Partitioned(table, 13);
-    EXPECT_FALSE(exact.truncated);
-    for (uint64_t budget : {1u, 10u, 100u, 100000u}) {
-        const SelectorResult r =
-            selectGcd2Partitioned(table, 13, nullptr, budget);
-        EXPECT_LE(r.selection.totalCost, local.selection.totalCost)
-            << "budget " << budget;
-        EXPECT_GE(r.selection.totalCost, exact.selection.totalCost)
-            << "budget " << budget;
-        EXPECT_EQ(r.selection.totalCost, aggCost(table, r.selection));
-    }
-    // A generous budget finds the exact optimum and reports untruncated.
-    const SelectorResult generous =
-        selectGcd2Partitioned(table, 13, nullptr, 100000000ull);
-    EXPECT_FALSE(generous.truncated);
-    EXPECT_EQ(generous.selection.totalCost, exact.selection.totalCost);
-}
-
-TEST_F(SelectorTest, BudgetIsSharedAcrossChunksOfOneComponent)
-{
-    // Budget-accounting regression: a component larger than
-    // maxPartition is solved as several topological chunks plus
-    // overlapping polish windows. Each of those calls used to re-grant
-    // itself a fresh maxEvaluations, so the component's total work
-    // overshot the configured budget by roughly 2 * n / maxPartition
-    // times. All subproblems must draw from ONE shared pool: the total
-    // evaluation count may never exceed the budget.
-    Graph g = convChain(20, 32, 8);
-    PlanTable table(g, model);
-    ASSERT_EQ(table.freeNodes().size(), 20u); // a single free component
-
-    // Even with perfect pruning each 4-node chunk costs ~12 search
-    // steps, so 5 chunks cannot finish inside 50 evaluations: both
-    // budgets are guaranteed to expire mid-component.
-    for (const uint64_t budget : {3ull, 50ull}) {
-        const SelectorResult r =
-            selectGcd2Partitioned(table, 4, nullptr, budget);
-        EXPECT_LE(r.evaluations, budget) << "budget " << budget;
-        EXPECT_TRUE(r.truncated) << "budget " << budget;
-        // Still complete, honest, and no worse than the local baseline
-        // the pool-exhausted chunks fall back to.
-        for (const auto &node : g.nodes())
-            if (!node.dead)
-                EXPECT_GE(r.selection
-                              .planIndex[static_cast<size_t>(node.id)],
-                          0);
-        EXPECT_EQ(r.selection.totalCost, aggCost(table, r.selection));
-        EXPECT_LE(r.selection.totalCost,
-                  selectLocal(table).selection.totalCost);
-    }
-
-    // Independent components each get their own pool: with two
-    // components the total may reach 2x the budget but no more.
-    Graph two;
-    NodeId x = input(two, {32, 8, 8});
-    x = conv(two, x, 32, 1, 1, 0, false);
-    for (int i = 0; i < 5; ++i)
-        x = conv(two, x, 32, 1, 1, 0, false);
-    graph::NodeAttrs pool;
-    pool.poolK = 2;
-    pool.poolStride = 2;
-    x = two.add(OpType::MaxPool, {x}, pool);
-    for (int i = 0; i < 6; ++i)
-        x = conv(two, x, 32, 1, 1, 0, false);
-    two.add(OpType::Output, {x});
-    graph::optimize(two);
-    PlanTable twoTable(two, model);
-    const SelectorResult split =
-        selectGcd2Partitioned(twoTable, 2, nullptr, 20);
-    EXPECT_LE(split.evaluations, 2u * 20u);
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * submissions cost exactly one compile and observe bit-identical
  * models), deterministic admission control, the in-memory model cache,
  * artifact warm starts across service restarts (with fallback to a
- * clean compile when the artifact is corrupt), and the adaptive
- * selector-budget policy.
+ * clean compile when the artifact is corrupt), and the selector
+ * fallback ladder under a service request.
  */
 #include <gtest/gtest.h>
 
@@ -268,58 +268,30 @@ TEST(ServiceTest, CorruptArtifactFallsBackToCleanCompileAndOverwrites)
               serializeModel(*model));
 }
 
-TEST(ServiceTest, AdaptiveBudgetDerivesFromObservedTimings)
+TEST(ServiceTest, OversizedGcd2PartitionFallsBackToPbqp)
 {
-    const graph::Graph g = models::buildModel(ModelId::WdsrB);
-
-    ServiceOptions options;
-    options.targetCompileMs = 10'000.0; // generous: budget large
-    CompileService service(options);
-
-    // No samples yet: derivation has nothing to extrapolate from.
-    EXPECT_EQ(service.derivedBudget(), 0u);
-
-    service.submit(g, "t");
+    // A request may pair gcd2 with any partition bound, but gcd2's
+    // search is unbudgeted: over Conformer's 386-node component it would
+    // not finish. The gcd2 rung refuses the bound and pbqp serves.
+    runtime::CompileOptions request;
+    request.selection = runtime::SelectionMode::Gcd2;
+    request.maxPartition = 1000;
+    CompileService service{ServiceOptions{}};
+    const Ticket ticket = service.submit(
+        models::buildModel(ModelId::Conformer), "t", &request);
     service.drain();
 
-    const uint64_t budget = service.derivedBudget();
-    EXPECT_GE(budget, options.minSelectorEvaluations);
-    EXPECT_EQ(service.report().currentDerivedBudget, budget);
-}
-
-TEST(ServiceTest, TightBudgetTruncatesButStillServes)
-{
-    ServiceOptions options;
-    options.targetCompileMs = 1e-6; // impossible target
-    options.minSelectorEvaluations = 1;
-    CompileService service(options);
-
-    // First compile seeds the timing EWMA at full budget.
-    service.submit(models::buildModel(ModelId::WdsrB), "t");
-    service.drain();
-    EXPECT_EQ(service.derivedBudget(), 1u);
-
-    // Second (different) request gets the floor budget of 1 evaluation:
-    // the search truncates to best-so-far and degrades gracefully --
-    // marked truncated, still a valid served model.
-    const Ticket ticket =
-        service.submit(models::buildModel(ModelId::MobileNetV3), "t");
-    service.drain();
     const auto model = ticket.result.get();
     ASSERT_NE(model, nullptr);
-    EXPECT_TRUE(model->selector.truncated);
+    EXPECT_EQ(model->report.servedSelection, "pbqp");
+    EXPECT_EQ(model->report.selectionRung, 1);
+    bool warned = false;
+    for (const common::Diag &diag : model->report.diagnostics)
+        warned |= diag.severity == DiagSeverity::Warning &&
+                  diag.message.find("rung 'gcd2' failed") !=
+                      std::string::npos;
+    EXPECT_TRUE(warned);
     EXPECT_GT(model->totals.cycles, 0u);
-}
-
-TEST(ServiceTest, DisabledTargetNeverDerivesABudget)
-{
-    const graph::Graph g = models::buildModel(ModelId::WdsrB);
-    CompileService service{ServiceOptions{}}; // targetCompileMs = 0
-    const Ticket ticket = service.submit(g, "t");
-    service.drain();
-    EXPECT_EQ(service.derivedBudget(), 0u);
-    // An unbudgeted compile never truncates.
-    EXPECT_FALSE(ticket.result.get()->selector.truncated);
 }
 
 } // namespace

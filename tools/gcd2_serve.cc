@@ -10,15 +10,16 @@
  * same `--dir` to see every compile turn into an artifact warm start.
  *
  * Usage:
- *   gcd2_serve [--dir DIR] [--workers N] [--repeat N] [--target-ms MS]
+ *   gcd2_serve [--dir DIR] [--workers N] [--repeat N]
  *              [--max-artifact-bytes N] [--verbose] [--gc]
  *              [model-name ...]          (default: the whole zoo)
  *
+ * Every N is a non-negative decimal integer; anything else (a sign,
+ * trailing characters, overflow) prints usage and exits 2.
+ *
  *   --dir DIR       artifact directory (enables the on-disk store)
- *   --workers N     service worker threads (default: hardware)
+ *   --workers N     service worker threads (default 0 = hardware)
  *   --repeat N      submissions per model (default 3)
- *   --target-ms MS  wall-clock target driving the adaptive selector
- *                   budget (default 0 = fixed budget)
  *   --max-artifact-bytes N
  *                   artifact-store size bound; LRU-evicts after saves
  *                   (default 0 = unbounded)
@@ -29,8 +30,12 @@
  *                   until under --max-artifact-bytes) and exit
  */
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,15 +52,14 @@ printUsage(std::FILE *out, const char *prog)
     std::fprintf(
         out,
         "usage: %s [--dir DIR] [--workers N] [--repeat N]\n"
-        "       %*s [--target-ms MS] [--max-artifact-bytes N]\n"
-        "       %*s [--verbose] [--gc] [model-name ...]\n"
+        "       %*s [--max-artifact-bytes N] [--verbose] [--gc]\n"
+        "       %*s [model-name ...]\n"
         "\n"
+        "  N is a non-negative decimal integer.\n"
         "  --dir DIR       artifact directory (enables the on-disk "
         "store)\n"
-        "  --workers N     service worker threads (default: hardware)\n"
+        "  --workers N     service worker threads (0 = hardware)\n"
         "  --repeat N      submissions per model (default 3)\n"
-        "  --target-ms MS  wall-clock target driving the adaptive "
-        "selector budget\n"
         "  --max-artifact-bytes N\n"
         "                  artifact-store size bound; least-recently-"
         "used\n"
@@ -69,6 +73,21 @@ printUsage(std::FILE *out, const char *prog)
         "zoo)\n",
         prog, static_cast<int>(std::string(prog).size()), "",
         static_cast<int>(std::string(prog).size()), "");
+}
+
+/** @p text as a decimal integer in [0, @p max]; nullopt for an empty,
+ *  signed, non-numeric, trailing-garbage, or out-of-range value. */
+std::optional<uint64_t>
+parseCount(const char *text, uint64_t max)
+{
+    if (text[0] < '0' || text[0] > '9')
+        return std::nullopt; // strtoull would skip spaces, accept signs
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long parsed = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || parsed > max)
+        return std::nullopt;
+    return parsed;
 }
 
 const char *
@@ -111,6 +130,21 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Same contract for a malformed numeric value.
+        auto count = [&](uint64_t max) -> uint64_t {
+            const char *text = value();
+            const std::optional<uint64_t> parsed = parseCount(text, max);
+            if (!parsed) {
+                std::fprintf(stderr,
+                             "%s: invalid value '%s' (want an integer "
+                             "in [0, %llu])\n\n",
+                             arg.c_str(), text,
+                             static_cast<unsigned long long>(max));
+                printUsage(stderr, argv[0]);
+                std::exit(2);
+            }
+            return *parsed;
+        };
         if (arg == "--help" || arg == "-h") {
             printUsage(stdout, argv[0]);
             return 0;
@@ -118,14 +152,11 @@ main(int argc, char **argv)
         if (arg == "--dir")
             options.artifactDir = value();
         else if (arg == "--workers")
-            options.numWorkers = std::atoi(value());
+            options.numWorkers = static_cast<int>(count(INT_MAX));
         else if (arg == "--repeat")
-            repeat = std::atoi(value());
-        else if (arg == "--target-ms")
-            options.targetCompileMs = std::atof(value());
+            repeat = static_cast<int>(count(INT_MAX));
         else if (arg == "--max-artifact-bytes")
-            options.artifactMaxBytes = static_cast<uint64_t>(
-                std::strtoull(value(), nullptr, 10));
+            options.artifactMaxBytes = count(UINT64_MAX);
         else if (arg == "--verbose")
             verbose = true;
         else if (arg == "--gc")
