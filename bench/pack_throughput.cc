@@ -11,23 +11,28 @@
  *    incremental critical path exist for. CI gates their fast/reference
  *    speedup;
  *  - zoo blocks: the matmul tile kernels the tiered coster packs, at its
- *    low anchor depth, for every scheme and every unroll candidate. These
- *    are the programs a zoo compile packs: loop bodies of ~10-140
- *    instructions, where the repair pass and the slot checks dominate.
- *    Their absolute fast-packer packets/s is recorded, not gated.
+ *    low anchor depth, for every unroll choice the adaptive strategy
+ *    makes on a grid of layer shapes. These are the programs a zoo
+ *    compile packs: loop bodies of ~10-140 instructions, where the repair
+ *    pass and the slot checks dominate. CI gates their fast/reference
+ *    speedup too.
  *
- * Both packers run on every case and their outputs are bit-compared on
- * every repetition -- identical packets, identical label mapping -- so
- * the bench doubles as an end-to-end identity check at sizes the unit
- * fuzzers do not reach.
+ * The two packers are interleaved within every repetition (one reference
+ * pack, then as many fast packs as take about as long), so a speedup is
+ * a ratio of rates measured over the same stretch of wall time and the
+ * host's speed drift cancels. The reference packer is the fixed yardstick
+ * of that ratio. Every output of every repetition is bit-compared --
+ * identical packets, identical label mapping -- so the bench doubles as
+ * an end-to-end identity check at sizes the unit fuzzers do not reach.
  *
  * Output: a human-readable table on stdout and a machine-readable JSON
  * file (argv[1], default "BENCH_pack.json") consumed by CI, which
- * compares the large-block fast/reference speedup against a checked-in
- * baseline (bench/pack_baseline.json).
+ * compares the large-block and zoo-block speedup geomeans against a
+ * checked-in baseline (bench/pack_baseline.json).
  */
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -145,48 +150,56 @@ samePacking(const dsp::PackedProgram &a, const dsp::PackedProgram &b)
     return true;
 }
 
-struct EngineResult
+struct PairResult
 {
-    double packetsPerSec = 0.0;
-    size_t staticPackets = 0;
+    double refPacketsPerSec = 0.0;
+    double fastPacketsPerSec = 0.0;
 };
 
 /**
- * Repeat packs until enough wall time accumulates; report scheduled
- * packets per wall-clock second. Every repetition's output is
+ * Measure both packers interleaved: every repetition packs each program
+ * once with the reference packer and @p fastPerRef times with the fast
+ * one, so both rates come from the same stretch of wall time and the
+ * host's speed drift cancels in their ratio. Repetitions continue until
+ * both engines have accumulated enough time. Every output is
  * bit-compared against @p expect (the reference packings).
  */
-EngineResult
-measure(const BenchCase &c, bool fast,
-        const std::vector<dsp::PackedProgram> &expect)
+PairResult
+measurePair(const BenchCase &c, const std::vector<dsp::PackedProgram> &expect,
+            int fastPerRef)
 {
     constexpr double kMinSeconds = 0.2;
     constexpr int kMaxReps = 50;
 
-    double seconds = 0.0;
-    uint64_t packets = 0;
-    int reps = 0;
-    EngineResult r;
-    while (seconds < kMinSeconds && reps < kMaxReps) {
-        r.staticPackets = 0;
-        for (size_t i = 0; i < c.progs.size(); ++i) {
-            const Timer timer;
-            const dsp::PackedProgram packed =
-                fast ? vliw::pack(c.progs[i], c.opts)
-                     : vliw::packReference(c.progs[i], c.opts);
-            seconds += timer.seconds();
-            packets += packed.packets.size();
-            r.staticPackets += packed.packets.size();
-            if (!samePacking(packed, expect[i])) {
-                std::cerr << "FATAL: packer divergence on " << c.name
-                          << " program " << i << "\n";
-                std::exit(1);
-            }
+    double refSeconds = 0.0;
+    double fastSeconds = 0.0;
+    uint64_t refPackets = 0;
+    uint64_t fastPackets = 0;
+    const auto run = [&](bool fast, size_t i, double &seconds,
+                         uint64_t &packets) {
+        const Timer timer;
+        const dsp::PackedProgram packed =
+            fast ? vliw::pack(c.progs[i], c.opts)
+                 : vliw::packReference(c.progs[i], c.opts);
+        seconds += timer.seconds();
+        packets += packed.packets.size();
+        if (!samePacking(packed, expect[i])) {
+            std::cerr << "FATAL: packer divergence on " << c.name
+                      << " program " << i << "\n";
+            std::exit(1);
         }
-        ++reps;
+    };
+    for (int reps = 0; (refSeconds < kMinSeconds || fastSeconds < kMinSeconds)
+                       && reps < kMaxReps;
+         ++reps) {
+        for (size_t i = 0; i < c.progs.size(); ++i) {
+            run(false, i, refSeconds, refPackets);
+            for (int k = 0; k < fastPerRef; ++k)
+                run(true, i, fastSeconds, fastPackets);
+        }
     }
-    r.packetsPerSec = static_cast<double>(packets) / seconds;
-    return r;
+    return {static_cast<double>(refPackets) / refSeconds,
+            static_cast<double>(fastPackets) / fastSeconds};
 }
 
 std::vector<BenchCase>
@@ -267,32 +280,47 @@ struct CaseResult
 CaseResult
 runCase(const BenchCase &c, Table &table, std::ostream &json, bool last)
 {
-    // The reference packing is the expected output for both engines.
+    // The reference packing is the expected output for both engines. One
+    // timed pass of each engine sets how many fast packs balance one
+    // reference pack in the interleaved repetitions.
     std::vector<dsp::PackedProgram> expect;
+    const Timer refTimer;
     for (const dsp::Program &prog : c.progs)
         expect.push_back(vliw::packReference(prog, c.opts));
+    const double refOnce = refTimer.seconds();
+    const Timer fastTimer;
+    for (const dsp::Program &prog : c.progs)
+        (void)vliw::pack(prog, c.opts);
+    const double fastOnce = fastTimer.seconds();
+    const int fastPerRef = static_cast<int>(
+        std::clamp(std::round(refOnce / fastOnce), 1.0, 64.0));
 
-    const EngineResult ref = measure(c, false, expect);
-    const EngineResult fast = measure(c, true, expect);
-    const double speedup = fast.packetsPerSec / ref.packetsPerSec;
+    size_t staticPackets = 0;
+    for (const dsp::PackedProgram &packed : expect)
+        staticPackets += packed.packets.size();
+
+    const PairResult rates = measurePair(c, expect, fastPerRef);
+    const double speedup = rates.fastPacketsPerSec / rates.refPacketsPerSec;
 
     table.addRow({c.name, std::to_string(c.progs.size()),
                   std::to_string(c.instructions()),
                   std::to_string(c.largestBlock()),
-                  std::to_string(fast.staticPackets),
-                  fmtDouble(ref.packetsPerSec, 0),
-                  fmtDouble(fast.packetsPerSec, 0), fmtSpeedup(speedup)});
+                  std::to_string(staticPackets),
+                  fmtDouble(rates.refPacketsPerSec, 0),
+                  fmtDouble(rates.fastPacketsPerSec, 0),
+                  fmtSpeedup(speedup)});
 
     json << "    {\"name\": \"" << c.name << "\", "
          << "\"programs\": " << c.progs.size() << ", "
          << "\"instructions\": " << c.instructions() << ", "
          << "\"largest_block\": " << c.largestBlock() << ", "
-         << "\"static_packets\": " << fast.staticPackets << ", "
-         << "\"reference_packets_per_sec\": " << ref.packetsPerSec << ", "
-         << "\"fast_packets_per_sec\": " << fast.packetsPerSec << ", "
+         << "\"static_packets\": " << staticPackets << ", "
+         << "\"reference_packets_per_sec\": " << rates.refPacketsPerSec
+         << ", "
+         << "\"fast_packets_per_sec\": " << rates.fastPacketsPerSec << ", "
          << "\"speedup\": " << speedup << "}" << (last ? "" : ",")
          << "\n";
-    return {fast.packetsPerSec, speedup};
+    return {rates.fastPacketsPerSec, speedup};
 }
 
 } // namespace
@@ -312,6 +340,7 @@ main(int argc, char **argv)
                  "ref pkts/s", "fast pkts/s", "speedup"});
     std::vector<double> speedups;
     std::vector<double> zooFastRates;
+    std::vector<double> zooSpeedups;
     std::ostringstream json;
     json << "{\n  \"bench\": \"pack_throughput\",\n  \"kernels\": [\n";
     for (size_t i = 0; i < cases.size(); ++i)
@@ -320,19 +349,23 @@ main(int argc, char **argv)
     const double geomean = geometricMean(speedups);
     json << "  ],\n  \"geomean_speedup\": " << geomean << ",\n"
          << "  \"zoo_blocks\": [\n";
-    for (size_t i = 0; i < zooCases.size(); ++i)
-        zooFastRates.push_back(runCase(zooCases[i], table, json,
-                                       i + 1 == zooCases.size())
-                                   .fastPacketsPerSec);
+    for (size_t i = 0; i < zooCases.size(); ++i) {
+        const CaseResult r =
+            runCase(zooCases[i], table, json, i + 1 == zooCases.size());
+        zooFastRates.push_back(r.fastPacketsPerSec);
+        zooSpeedups.push_back(r.speedup);
+    }
     const double zooFast = geometricMean(zooFastRates);
+    const double zooSpeedup = geometricMean(zooSpeedups);
     json << "  ],\n  \"zoo_blocks_fast_packets_per_sec\": " << zooFast
-         << "\n}\n";
+         << ",\n  \"zoo_geomean_speedup\": " << zooSpeedup << "\n}\n";
 
     table.print(std::cout);
     std::cout << "\nGeomean speedup on large blocks (fast over reference): "
               << fmtSpeedup(geomean) << "\n"
               << "Zoo blocks, fast packer (geomean over schemes): "
-              << fmtDouble(zooFast, 0) << " packets/s\n";
+              << fmtDouble(zooFast, 0) << " packets/s, "
+              << fmtSpeedup(zooSpeedup) << " the reference\n";
 
     // Managed cache tier bound: route every bench program through the
     // process-wide PackCache and check the LRU capacity held.

@@ -4,11 +4,16 @@
 Usage: check_pack_bench.py BENCH_pack.json bench/pack_baseline.json
 
 The benchmark reports the fast-packer / reference-packer speedup per
-block and as a geometric mean, on single blocks of >= 512 instructions.
-The speedup is a same-machine ratio, so it is comparable across CI
-runners in a way absolute packets/sec are not. This gate fails when the
-measured geomean speedup falls more than 20% below the baseline's, which
-also enforces the hard floor that the scalable packer is at least 5x the
+case and as two geometric means: on single blocks of >= 512
+instructions, and on the zoo's tile-kernel blocks (~10-140
+instructions, where the repair pass dominates). Each speedup is a
+same-machine ratio of the two packers measured interleaved in every
+repetition, so host speed drift cancels; the reference packer is the
+fixed yardstick. A ratio still depends on the CPU's caches and branch
+prediction, so the baselines are set below the values measured on the
+host they were taken on (see bench/pack_baseline.json). This gate fails
+when either measured geomean falls more than 20% below the baseline's,
+and enforces the hard floor that the scalable packer is at least 5x the
 reference on large blocks.
 """
 import json
@@ -27,20 +32,25 @@ def main() -> int:
     with open(sys.argv[2]) as f:
         baseline = json.load(f)
 
-    measured = current["geomean_speedup"]
-    expected = baseline["geomean_speedup"]
-    threshold = max(expected * (1.0 - ALLOWED_REGRESSION), HARD_FLOOR)
-
-    print(f"blocks:")
-    for k in current.get("kernels", []):
+    print("blocks:")
+    for k in current.get("kernels", []) + current.get("zoo_blocks", []):
         print(f"  {k['name']:32s} speedup {k['speedup']:.2f}x "
               f"({k['instructions']} insts, {k['static_packets']} packets)")
-    print(f"geomean speedup: measured {measured:.2f}x, "
-          f"baseline {expected:.2f}x, threshold {threshold:.2f}x")
 
-    if measured < threshold:
-        print(f"FAIL: fast-packer speedup {measured:.2f}x regressed "
-              f"below {threshold:.2f}x", file=sys.stderr)
+    failed = False
+    for key, label, floor in (
+            ("geomean_speedup", "large-block", HARD_FLOOR),
+            ("zoo_geomean_speedup", "zoo-block", 0.0)):
+        measured = current[key]
+        expected = baseline[key]
+        threshold = max(expected * (1.0 - ALLOWED_REGRESSION), floor)
+        print(f"{label} geomean speedup: measured {measured:.2f}x, "
+              f"baseline {expected:.2f}x, threshold {threshold:.2f}x")
+        if measured < threshold:
+            print(f"FAIL: {label} fast-packer speedup {measured:.2f}x "
+                  f"regressed below {threshold:.2f}x", file=sys.stderr)
+            failed = True
+    if failed:
         return 1
     print("OK")
     return 0

@@ -30,24 +30,27 @@ assignSlots(const uint8_t *masks, size_t count, size_t next, uint8_t used)
 
 } // namespace
 
-bool
-slotsFeasible(const Program &prog, std::span<const size_t> insts)
+SlotNeed
+slotNeed(const Instruction &inst)
 {
-    if (insts.size() > kSlots)
+    const OpcodeInfo &info = inst.info();
+    return {info.slotMask, static_cast<uint8_t>(info.multUnits),
+            inst.isBranch()};
+}
+
+bool
+slotsFeasible(std::span<const SlotNeed> needs)
+{
+    if (needs.size() > kSlots)
         return false;
 
     std::array<uint8_t, kSlots> masks{};
     int branches = 0;
     int multUnits = 0;
-    for (size_t k = 0; k < insts.size(); ++k) {
-        GCD2_ASSERT(insts[k] < prog.code.size(),
-                    "instruction index out of range");
-        const Instruction &inst = prog.code[insts[k]];
-        const OpcodeInfo &info = inst.info();
-        masks[k] = info.slotMask;
-        if (inst.isBranch())
-            ++branches;
-        multUnits += info.multUnits;
+    for (size_t k = 0; k < needs.size(); ++k) {
+        masks[k] = needs[k].slotMask;
+        branches += needs[k].branch ? 1 : 0;
+        multUnits += needs[k].multUnits;
     }
     if (branches > 1)
         return false;
@@ -56,7 +59,22 @@ slotsFeasible(const Program &prog, std::span<const size_t> insts)
     if (multUnits > 2)
         return false;
     // At most four instructions, so the search visits at most 4! paths.
-    return assignSlots(masks.data(), insts.size(), 0, 0);
+    return assignSlots(masks.data(), needs.size(), 0, 0);
+}
+
+bool
+slotsFeasible(const Program &prog, std::span<const size_t> insts)
+{
+    if (insts.size() > kSlots)
+        return false;
+
+    std::array<SlotNeed, kSlots> needs{};
+    for (size_t k = 0; k < insts.size(); ++k) {
+        GCD2_ASSERT(insts[k] < prog.code.size(),
+                    "instruction index out of range");
+        needs[k] = slotNeed(prog.code[insts[k]]);
+    }
+    return slotsFeasible({needs.data(), insts.size()});
 }
 
 bool

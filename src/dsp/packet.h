@@ -26,12 +26,28 @@ struct Packet
     std::vector<size_t> insts;
 };
 
+/** The packet resources one instruction occupies. */
+struct SlotNeed
+{
+    /** Bitmask of VLIW slots the instruction may issue in. */
+    uint8_t slotMask = 0;
+    /** Multiply pipelines consumed. */
+    uint8_t multUnits = 0;
+    bool branch = false;
+};
+
+/** The slot resources @p inst occupies. */
+SlotNeed slotNeed(const Instruction &inst);
+
 /**
- * Can the given instructions legally share one packet, considering only
- * slot/resource constraints (dependence legality is the packer's job)?
- * Order-insensitive and allocation-free: at most kPacketSlots slot masks
- * live on the stack.
+ * Can instructions with the given needs legally share one packet,
+ * considering only slot/resource constraints (dependence legality is the
+ * packer's job)? Order-insensitive and allocation-free; the packer calls
+ * this on per-node tables so its hot loops skip the opcode lookups.
  */
+bool slotsFeasible(std::span<const SlotNeed> needs);
+
+/** slotsFeasible() on instruction indices of @p prog. */
 bool slotsFeasible(const Program &prog, std::span<const size_t> insts);
 
 /** slotsFeasible() for @p insts plus one candidate, without copying. */

@@ -621,6 +621,8 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     }
     const bool deep = options_.audit == AuditMode::Deep;
     const std::string &served = report_.servedSelection;
+    // Counts every pack of the pass, the deep tiered re-cost's included.
+    const PackCacheDelta packDelta;
 
     // Selection audit. The local-baseline floor is only sound for
     // solvers that dominate selectLocal by construction; the deep exact
@@ -696,7 +698,9 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     analysis::LintCounts lint;
     size_t lintErrors = 0;
 
-    const PackCacheDelta packDelta;
+    // Packs inside the schedule audit, counted apart from the deep
+    // re-cost's: the audit reads the retained schedules, so this stays 0.
+    const uint64_t scheduleMisses0 = vliw::PackCache::global().stats().misses;
     uint64_t schedulesAudited = 0;
     size_t scheduleFailures = 0;
     std::set<const dsp::PackedProgram *> auditedPrograms;
@@ -721,6 +725,8 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
             diag_.add(diag);
         ++schedulesAudited;
     }
+    const uint64_t schedulePackMisses =
+        vliw::PackCache::global().stats().misses - scheduleMisses0;
 
     if (selectionFailures + scheduleFailures + lintErrors +
             tieredFailures ==
@@ -736,6 +742,7 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     pass.counters.emplace_back("tier-audit-classes", tieredClassesChecked);
     pass.counters.emplace_back("tier-deep-audited", tieredDeep ? 1 : 0);
     pass.counters.emplace_back("schedules-audited", schedulesAudited);
+    pass.counters.emplace_back("schedule-pack-misses", schedulePackMisses);
     pass.counters.emplace_back("lint-use-def-findings", lint.useBeforeDef);
     pass.counters.emplace_back("lint-dead-store-findings", lint.deadStore);
     pass.counters.emplace_back("lint-hazard-findings", lint.hazards);

@@ -1,6 +1,7 @@
 #include "select/cost_model.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "kernels/conv.h"
@@ -72,14 +73,28 @@ analyticCopy(int64_t vectors, uint64_t cyclesPerVector)
 
 } // namespace
 
+uint64_t
+scaleSaturating(uint64_t value, double factor)
+{
+    GCD2_REQUIRE(std::isfinite(factor) && factor >= 0.0,
+                 "cost scale factor " << factor
+                                      << " is not finite and non-negative");
+    // 2^64 is exact in double; any product at or above it would make the
+    // conversion undefined.
+    const double product = static_cast<double>(value) * factor;
+    if (product >= 18446744073709551616.0)
+        return UINT64_MAX;
+    return static_cast<uint64_t>(product);
+}
+
 NodeExecStats &
 NodeExecStats::operator+=(const NodeExecStats &other)
 {
-    cycles += other.cycles;
-    instructions += other.instructions;
-    packets += other.packets;
-    bytesLoaded += other.bytesLoaded;
-    bytesStored += other.bytesStored;
+    cycles = addSaturating(cycles, other.cycles);
+    instructions = addSaturating(instructions, other.instructions);
+    packets = addSaturating(packets, other.packets);
+    bytesLoaded = addSaturating(bytesLoaded, other.bytesLoaded);
+    bytesStored = addSaturating(bytesStored, other.bytesStored);
     return *this;
 }
 
@@ -87,15 +102,11 @@ NodeExecStats
 NodeExecStats::scaled(double factor) const
 {
     NodeExecStats out;
-    out.cycles = static_cast<uint64_t>(static_cast<double>(cycles) * factor);
-    out.instructions =
-        static_cast<uint64_t>(static_cast<double>(instructions) * factor);
-    out.packets =
-        static_cast<uint64_t>(static_cast<double>(packets) * factor);
-    out.bytesLoaded =
-        static_cast<uint64_t>(static_cast<double>(bytesLoaded) * factor);
-    out.bytesStored =
-        static_cast<uint64_t>(static_cast<double>(bytesStored) * factor);
+    out.cycles = scaleSaturating(cycles, factor);
+    out.instructions = scaleSaturating(instructions, factor);
+    out.packets = scaleSaturating(packets, factor);
+    out.bytesLoaded = scaleSaturating(bytesLoaded, factor);
+    out.bytesStored = scaleSaturating(bytesStored, factor);
     return out;
 }
 
@@ -258,11 +269,10 @@ CostModel::unrollFor(const MatMulShape &shape, MatMulScheme scheme) const
                     tileShapeOf(scheme, candidate, shape.k),
                     tileConfigOf(scheme, candidate));
                 if (rawLb > 0) {
-                    const uint64_t scaledLb = static_cast<uint64_t>(
-                        static_cast<double>(
-                            rawLb +
-                            drainCycles(scheme, candidate, shape.k)) *
-                        (panels * tiles));
+                    const uint64_t scaledLb = scaleSaturating(
+                        addSaturating(rawLb, drainCycles(scheme, candidate,
+                                                         shape.k)),
+                        panels * tiles);
                     if (scaledLb > best) {
                         tiered_->notePruned(1);
                         continue;
@@ -667,14 +677,11 @@ CostModel::planLowerBound(const graph::Graph &graph, NodeId id,
         static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
     const double tiles =
         static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
-    uint64_t bound = static_cast<uint64_t>(
-        static_cast<double>(rawLb +
-                            drainCycles(plan.scheme, choice, shape.k)) *
-        (panels * tiles));
-    if (batch != 1) {
-        bound = static_cast<uint64_t>(static_cast<double>(bound) *
-                                      static_cast<double>(batch));
-    }
+    uint64_t bound = scaleSaturating(
+        addSaturating(rawLb, drainCycles(plan.scheme, choice, shape.k)),
+        panels * tiles);
+    if (batch != 1)
+        bound = scaleSaturating(bound, static_cast<double>(batch));
     return bound;
 }
 

@@ -30,6 +30,10 @@ FastIdg::FastIdg(const dsp::Program &prog, const BasicBlock &block,
 {
     const size_t n = n_;
 
+    slotNeed_.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        slotNeed_.push_back(dsp::slotNeed(prog.code[blockBegin_ + i]));
+
     // Chain-based candidate generation: rather than classifying all
     // O(n^2) pairs, walk the block once keeping, per register uid, the
     // last writer and the readers since that write; only those pairs
@@ -256,6 +260,15 @@ FastIdg::hardened() const
         }
     }
     return out;
+}
+
+bool
+FastIdg::hasPenalizedSoftEdge() const
+{
+    for (size_t e = 0; e < succHard_.size(); ++e)
+        if (!succHard_[e] && succPen_[e] > 0)
+            return true;
+    return false;
 }
 
 void

@@ -46,6 +46,7 @@
 #include "dsp/copack.h"
 #include "dsp/decoded.h"
 #include "dsp/deps.h"
+#include "dsp/packet.h"
 #include "vliw/cfg.h"
 #include "vliw/idg.h"
 
@@ -70,11 +71,16 @@ class FastIdg
      */
     FastIdg hardened() const;
 
+    /** Would hardened() upgrade any edge? Without one it is an exact copy. */
+    bool hasPenalizedSoftEdge() const;
+
     size_t size() const { return n_; }
     size_t instIndex(size_t i) const { return blockBegin_ + i; }
     int order(size_t i) const { return order_[i]; }
     int predCount(size_t i) const { return predCount_[i]; }
     int latency(size_t i) const { return pair_.latency(i); }
+    /** Slot resources of node @p i, precomputed at construction. */
+    const dsp::SlotNeed &slotNeed(size_t i) const { return slotNeed_[i]; }
 
     bool removed(size_t i) const { return removed_[i] != 0; }
     size_t remainingCount() const { return remaining_; }
@@ -165,6 +171,7 @@ class FastIdg
     /** Pair-classification tables (masks, memory class, penalties,
      *  latencies), shared with every pair-only consumer. */
     dsp::CopackModel pair_;
+    std::vector<dsp::SlotNeed> slotNeed_;
 
     // Flat CSR adjacency (edges point forward in program order; succs of
     // each node ascend by target id, matching the reference edge order).

@@ -14,20 +14,31 @@
  *  - packet construction uses the incremental free set and cached
  *    critical-path distances (no per-packet O(n^2) rescans);
  *  - cost evaluation (packetCost / pipelinedBlockCost mirrors) and slot
- *    checks run on fixed-size stack arrays, and the repair pass models
- *    the "erase-empty-packet" trial with a skip index instead of copying
- *    the whole schedule per candidate move;
+ *    checks run on fixed-size stack arrays, the slot checks on slot
+ *    needs FastIdg precomputes per node (no opcode lookups);
  *  - the repair pass visits only a node's legal target packets, an
  *    interval computed once per visited node from its neighbors'
  *    packets, instead of slot-checking and dependence-checking every
- *    packet of the block.
+ *    packet of the block;
+ *  - the repair pass scores each trial move incrementally
+ *    (detail::RepairScorer, pack_fast.h): it resumes the block-cost scan
+ *    at the first changed packet from saved per-packet scan states, and
+ *    stops as soon as the verdict is certain, with every accept/reject
+ *    decision and every accepted cost equal to the full re-cost's;
+ *  - two repairs of the candidate ensemble that must return the same
+ *    schedule (equal start, same graph, same AsNone flag -- the only
+ *    thing the cost reads of a belief) run once.
  *
- * Complexity per block of n instructions: graph construction is
- * near-linear (fast_idg.h); Algorithm 1 scores each free instruction per
- * filled slot; the repair pass does up to six rounds of one O(L) scan
- * per node (L = legal interval length) plus an O(n) block re-cost per
- * legal, slot-feasible move. On the zoo's blocks the repair pass is still
- * most of pack()'s time.
+ * Complexity per block of n instructions in P packets: graph
+ * construction is near-linear (fast_idg.h); Algorithm 1 scores each free
+ * instruction per filled slot; the repair pass does up to six rounds of
+ * one O(L) scan per node (L = legal interval length), and each legal,
+ * slot-feasible move costs two packet summaries (O(1), at most four
+ * members) plus a scan over the packets from the first changed one until
+ * the verdict is certain -- usually a few packets, O(P) at worst, with
+ * register comparisons limited to the registers the block touches. An
+ * accepted move re-derives the saved states behind its first changed
+ * packet, O(P * registers).
  *
  * Intra-packet stall charging deliberately does NOT consult the FastIdg
  * edge set: a transitively implied scalar-RAW pair (a writes r, b
@@ -44,19 +55,18 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.h"
-#include "vliw/fast_idg.h"
-#include "vliw/packer.h"
+#include "vliw/pack_fast.h"
 
 namespace gcd2::vliw {
 
 namespace {
 
 using dsp::Packet;
-
-constexpr size_t kSlots = static_cast<size_t>(dsp::kPacketSlots);
-constexpr size_t kNoSkip = static_cast<size_t>(-1);
+using detail::kSlots;
+using detail::NodeSchedule;
 
 /** Map packet-local node ids to sorted program instruction indices. */
 std::vector<size_t>
@@ -94,25 +104,25 @@ packetCostNodes(const FastIdg &idg, const size_t *nodes, size_t count)
 }
 
 /**
- * dsp::slotsFeasible on packet-local @p nodes plus @p extra, mapped to
- * instruction indices on the stack (no Packet is built).
+ * dsp::slotsFeasible on packet-local @p nodes plus @p extra, from the
+ * graph's per-node slot needs (no Packet is built, no opcode lookup).
  */
 bool
-slotsFeasibleNodes(const dsp::Program &prog, const FastIdg &idg,
-                   const size_t *nodes, size_t count, size_t extra)
+slotsFeasibleNodes(const FastIdg &idg, const size_t *nodes, size_t count,
+                   size_t extra)
 {
     if (count >= kSlots)
         return false;
-    std::array<size_t, kSlots> insts{};
+    std::array<dsp::SlotNeed, kSlots> needs{};
     for (size_t k = 0; k < count; ++k)
-        insts[k] = idg.instIndex(nodes[k]);
-    insts[count] = idg.instIndex(extra);
-    return dsp::slotsFeasible(prog, {insts.data(), count + 1});
+        needs[k] = idg.slotNeed(nodes[k]);
+    needs[count] = idg.slotNeed(extra);
+    return dsp::slotsFeasible({needs.data(), count + 1});
 }
 
 /** selectInstruction mirror (Algorithm 1, select_instruction). */
 int
-selectInstructionFast(const dsp::Program &prog, const FastIdg &idg,
+selectInstructionFast(const FastIdg &idg,
                       const std::vector<size_t> &freeInsts,
                       const size_t *curSorted, size_t curCount,
                       const PackOptions &opts)
@@ -129,7 +139,7 @@ selectInstructionFast(const dsp::Program &prog, const FastIdg &idg,
     int stallingCandidates = 0;
     std::array<size_t, kSlots> with{};
     for (size_t i : freeInsts) {
-        if (!slotsFeasibleNodes(prog, idg, curSorted, curCount, i))
+        if (!slotsFeasibleNodes(idg, curSorted, curCount, i))
             continue;
 
         // Eq. 4, in the reference's exact floating-point order.
@@ -174,11 +184,14 @@ selectInstructionFast(const dsp::Program &prog, const FastIdg &idg,
     return best;
 }
 
-/** buildSdaSchedule mirror; consumes its (by-value) graph copy. */
-std::vector<std::vector<size_t>>
-buildSdaFast(const dsp::Program &prog, FastIdg idg, const PackOptions &opts)
+} // namespace
+
+namespace detail {
+
+NodeSchedule
+buildSdaFast(FastIdg idg, const PackOptions &opts)
 {
-    std::vector<std::vector<size_t>> stack;
+    NodeSchedule stack;
     std::vector<size_t> freeInsts;
     while (idg.remainingCount() > 0) {
         const size_t seed = idg.criticalSeed();
@@ -191,7 +204,7 @@ buildSdaFast(const dsp::Program &prog, FastIdg idg, const PackOptions &opts)
         while (cur.size() < kSlots) {
             idg.collectFree(freeInsts);
             const int inst = selectInstructionFast(
-                prog, idg, freeInsts, sorted.data(), cur.size(), opts);
+                idg, freeInsts, sorted.data(), cur.size(), opts);
             if (inst < 0)
                 break;
             const auto node = static_cast<size_t>(inst);
@@ -209,16 +222,9 @@ buildSdaFast(const dsp::Program &prog, FastIdg idg, const PackOptions &opts)
     return {stack.rbegin(), stack.rend()};
 }
 
-/**
- * pipelinedBlockCost mirror. @p skipPacket models the reference repair
- * pass's "erase the emptied packet" trial without copying the schedule
- * (an erased empty packet contributes nothing -- not even the issue-slot
- * advance a kept empty packet pays).
- */
 uint64_t
-blockCostFast(const FastIdg &idg,
-              const std::vector<std::vector<size_t>> &packets,
-              SoftDepPolicy belief, size_t skipPacket)
+blockCostFast(const FastIdg &idg, const NodeSchedule &packets,
+              SoftDepPolicy belief)
 {
     const bool ignoreSoft = belief == SoftDepPolicy::AsNone;
     std::array<uint64_t, dsp::kNumRegUids> ready{};
@@ -229,8 +235,6 @@ blockCostFast(const FastIdg &idg,
     std::array<size_t, kSlots> sorted{};
     std::array<int, kSlots> delay{};
     for (size_t p = 0; p < packets.size(); ++p) {
-        if (p == skipPacket)
-            continue;
         const auto &nodes = packets[p];
         const size_t count = nodes.size();
         GCD2_ASSERT(count <= kSlots, "oversized packet in block cost");
@@ -281,6 +285,291 @@ blockCostFast(const FastIdg &idg,
     return completion;
 }
 
+RepairScorer::RepairScorer(const FastIdg &idg, SoftDepPolicy belief)
+    : idg_(idg), ignoreSoft_(belief == SoftDepPolicy::AsNone)
+{
+    uint64_t touched = 0;
+    for (size_t i = 0; i < idg.size(); ++i)
+        touched |= idg.readMask(i) | idg.writeMask(i);
+    regs_ = static_cast<size_t>(std::popcount(touched));
+    // Renumber the touched uids densely, in uid order.
+    auto compact = [touched](uint64_t mask) {
+        uint64_t out = 0;
+        for (; mask != 0; mask &= mask - 1) {
+            const uint64_t below = (mask & (0 - mask)) - 1;
+            out |= uint64_t{1} << std::popcount(touched & below);
+        }
+        return out;
+    };
+    reads_.reserve(idg.size());
+    writes_.reserve(idg.size());
+    for (size_t i = 0; i < idg.size(); ++i) {
+        reads_.push_back(compact(idg.readMask(i)));
+        writes_.push_back(compact(idg.writeMask(i)));
+    }
+    if (ignoreSoft_)
+        forwarded_ = compact(touched & FastIdg::kScalarUidMask);
+}
+
+RepairScorer::Summary
+RepairScorer::summarize(const size_t *nodes, size_t count) const
+{
+    GCD2_ASSERT(count <= kSlots, "oversized packet in block cost");
+    std::array<size_t, kSlots> sorted{};
+    for (size_t k = 0; k < count; ++k) {
+        size_t w = k;
+        while (w > 0 && sorted[w - 1] > nodes[k]) {
+            sorted[w] = sorted[w - 1];
+            --w;
+        }
+        sorted[w] = nodes[k];
+    }
+
+    // The blockCostFast packet body, with the issue cycle factored out.
+    Summary s;
+    s.count = count;
+    std::array<int, kSlots> delay{};
+    for (size_t k = 0; k < count; ++k) {
+        if (!ignoreSoft_) {
+            for (size_t m = 0; m < k; ++m) {
+                const int pen = idg_.copackDelay(sorted[m], sorted[k]);
+                if (pen > 0)
+                    delay[k] = std::max(delay[k], delay[m] + pen);
+            }
+        }
+        s.reads |= reads_[sorted[k]];
+        s.writes[k] = writes_[sorted[k]];
+        s.writeAll |= s.writes[k];
+        s.done[k] = delay[k] + idg_.latency(sorted[k]);
+        s.maxDone = std::max(s.maxDone, s.done[k]);
+    }
+    return s;
+}
+
+void
+RepairScorer::step(const Summary &s, int64_t &issue, int64_t &completion,
+                   int64_t *ready) const
+{
+    // issue starts at -1, so the first packet issues at cycle 0.
+    int64_t at = issue + 1;
+    for (uint64_t bits = s.reads; bits != 0; bits &= bits - 1)
+        at = std::max(at, ready[std::countr_zero(bits)]);
+    issue = at;
+    if (s.count == 0)
+        return;
+    completion = std::max(completion, at + s.maxDone);
+    for (size_t k = 0; k < s.count; ++k) {
+        for (uint64_t bits = s.writes[k]; bits != 0; bits &= bits - 1) {
+            const int uid = std::countr_zero(bits);
+            ready[uid] = ((forwarded_ >> uid) & 1) != 0 ? at + 1
+                                                        : at + s.done[k];
+        }
+    }
+}
+
+void
+RepairScorer::reset(const NodeSchedule &packets)
+{
+    summaries_.clear();
+    for (const std::vector<size_t> &packet : packets)
+        summaries_.push_back(summarize(packet.data(), packet.size()));
+    rescan(0);
+}
+
+void
+RepairScorer::acceptLastMove()
+{
+    GCD2_ASSERT(trialP_ != kNone, "no trial move to accept");
+    const size_t p = trialP_;
+    size_t q = trialQ_;
+    if (trialErased_) {
+        summaries_.erase(summaries_.begin() + static_cast<long>(p));
+        q -= q > p ? 1 : 0;
+    } else {
+        summaries_[p] = outOfP_;
+    }
+    summaries_[q] = intoQ_;
+    rescan(std::min(p, q));
+}
+
+void
+RepairScorer::rescan(size_t from)
+{
+    const size_t count = summaries_.size();
+    issue_.resize(count + 1);
+    completion_.resize(count + 1);
+    ready_.resize((count + 1) * regs_);
+    if (from == 0) {
+        issue_[0] = -1;
+        completion_[0] = 0;
+        std::fill_n(ready_.begin(), regs_, 0);
+    }
+    for (size_t j = from; j < count; ++j) {
+        int64_t issue = issue_[j];
+        int64_t completion = completion_[j];
+        int64_t *row = ready_.data() + (j + 1) * regs_;
+        std::copy_n(row - regs_, regs_, row);
+        step(summaries_[j], issue, completion, row);
+        issue_[j + 1] = issue;
+        completion_[j + 1] = completion;
+    }
+
+    // Below any reachable completion, so "+ shift" past the end is inert.
+    sufDone_.assign(count + 1, INT64_MIN / 2);
+    for (size_t j = count; j-- > 0;) {
+        sufDone_[j] = sufDone_[j + 1];
+        if (summaries_[j].count != 0)
+            sufDone_[j] = std::max(sufDone_[j],
+                                   issue_[j + 1] + summaries_[j].maxDone);
+    }
+    cost_ = static_cast<uint64_t>(completion_[count]);
+    trialP_ = kNone;
+    cachedP_ = kNone;
+}
+
+std::optional<uint64_t>
+RepairScorer::tryMove(const NodeSchedule &packets, size_t p, size_t slot,
+                      size_t q)
+{
+    const size_t count = packets.size();
+    const std::vector<size_t> &from = packets[p];
+    const std::vector<size_t> &into = packets[q];
+    const bool erased = from.size() == 1;
+
+    // Packet p without the node is the same for every target q the
+    // repair pass tries for it.
+    std::array<size_t, kSlots> nodes{};
+    if (!erased && (cachedP_ != p || cachedSlot_ != slot)) {
+        size_t kept = 0;
+        for (size_t k = 0; k < from.size(); ++k)
+            if (k != slot)
+                nodes[kept++] = from[k];
+        outOfP_ = summarize(nodes.data(), kept);
+        cachedP_ = p;
+        cachedSlot_ = slot;
+    }
+    std::copy(into.begin(), into.end(), nodes.begin());
+    nodes[into.size()] = from[slot];
+    intoQ_ = summarize(nodes.data(), into.size() + 1);
+    trialP_ = p;
+    trialQ_ = q;
+    trialErased_ = erased;
+
+    // The repair rule accepts cost < cost_, or cost <= cost_ when the move
+    // erases a packet: every trial completion >= limit is a reject.
+    const int64_t limit = static_cast<int64_t>(cost_) + (erased ? 1 : 0);
+    auto verdict = [limit](int64_t cost) -> std::optional<uint64_t> {
+        if (cost < limit)
+            return static_cast<uint64_t>(cost);
+        return std::nullopt;
+    };
+
+    const size_t first = std::min(p, q);
+    const size_t last = std::max(p, q);
+    int64_t issue = issue_[first];
+    int64_t completion = completion_[first];
+    std::array<int64_t, dsp::kNumRegUids> ready{};
+    std::copy_n(ready_.begin() + static_cast<ptrdiff_t>(first * regs_),
+                regs_, ready.begin());
+    for (size_t j = first; j < count; ++j) {
+        const Summary &adopted = summaries_[j];
+        const Summary *trial = j == q   ? &intoQ_
+                               : j != p ? &adopted
+                               : erased ? nullptr
+                                        : &outOfP_;
+        if (trial != nullptr)
+            step(*trial, issue, completion, ready.data());
+        if (completion >= limit)
+            return std::nullopt;
+
+        if (j < last)
+            continue;
+
+        // Past the changed packets: equal relative states mean the rest
+        // of the scan is the adopted one shifted; a pointwise larger
+        // state (non-erasing trials) cannot end below the adopted cost.
+        // A ready time at or below issue + 1 no longer delays anything.
+        const int64_t baseIssue = issue_[j + 1];
+        const int64_t *base = ready_.data() + (j + 1) * regs_;
+        bool same = true;
+        bool dominates = !erased && issue >= baseIssue &&
+                         completion >= completion_[j + 1];
+        for (size_t u = 0; u < regs_ && (same || dominates); ++u) {
+            const int64_t mine = std::max(ready[u], issue + 1);
+            const int64_t theirs = std::max(base[u], baseIssue + 1);
+            same = same && mine - issue == theirs - baseIssue;
+            dominates = dominates && mine >= theirs;
+        }
+        if (dominates)
+            return std::nullopt;
+        if (same) {
+            return verdict(std::max(
+                completion, sufDone_[j + 1] + (issue - baseIssue)));
+        }
+    }
+    return verdict(completion);
+}
+
+NodeSchedule
+listScheduleFast(const FastIdg &idg)
+{
+    const size_t n = idg.size();
+
+    std::vector<int64_t> height(n, 0);
+    for (size_t ri = n; ri-- > 0;) {
+        height[ri] = idg.latency(ri);
+        const FastIdg::EdgeList succs = idg.succList(ri);
+        for (size_t e = 0; e < succs.count; ++e) {
+            height[ri] = std::max(
+                height[ri],
+                idg.latency(ri) +
+                    height[static_cast<size_t>(succs.dst[e])]);
+        }
+    }
+
+    std::vector<int32_t> predRemaining(n);
+    for (size_t i = 0; i < n; ++i)
+        predRemaining[i] = static_cast<int32_t>(idg.predList(i).count);
+
+    std::vector<bool> done(n, false);
+    NodeSchedule packets;
+    std::vector<size_t> ready;
+    size_t scheduled = 0;
+    while (scheduled < n) {
+        ready.clear();
+        for (size_t i = 0; i < n; ++i)
+            if (!done[i] && predRemaining[i] == 0)
+                ready.push_back(i);
+        GCD2_ASSERT(!ready.empty(), "list scheduler deadlock");
+        std::sort(ready.begin(), ready.end(), [&](size_t a, size_t b) {
+            return height[a] != height[b] ? height[a] > height[b] : a < b;
+        });
+
+        std::vector<size_t> cur;
+        for (size_t i : ready) {
+            if (cur.size() == kSlots)
+                break;
+            if (slotsFeasibleNodes(idg, cur.data(), cur.size(), i))
+                cur.push_back(i);
+        }
+        for (size_t i : cur) {
+            done[i] = true;
+            const FastIdg::EdgeList succs = idg.succList(i);
+            for (size_t e = 0; e < succs.count; ++e)
+                --predRemaining[static_cast<size_t>(succs.dst[e])];
+        }
+        scheduled += cur.size();
+        packets.push_back(std::move(cur));
+    }
+    return packets;
+}
+
+} // namespace detail
+
+namespace {
+
+using detail::RepairScorer;
+
 /**
  * improveBlockSchedule mirror (same move order, same accept rule).
  *
@@ -290,11 +579,12 @@ blockCostFast(const FastIdg &idg,
  * legal targets need visiting. Those form an interval: producers must
  * sit in an earlier packet (or in q, through a soft edge) and consumers
  * in a later one (or in q, through a soft edge). Scanning [lo, hi] in
- * ascending order meets the same first accepted move.
+ * ascending order meets the same first accepted move. Each move is
+ * scored by RepairScorer, whose verdict is the reference's accept rule
+ * on the full re-cost.
  */
-void
-improveFast(const dsp::Program &prog, const FastIdg &idg,
-            std::vector<std::vector<size_t>> &packets, SoftDepPolicy belief)
+uint64_t
+improveFast(const FastIdg &idg, NodeSchedule &packets, SoftDepPolicy belief)
 {
     const size_t n = idg.size();
 
@@ -306,7 +596,8 @@ improveFast(const dsp::Program &prog, const FastIdg &idg,
     };
     rebuildIndex();
 
-    uint64_t bestCost = blockCostFast(idg, packets, belief, kNoSkip);
+    RepairScorer scorer(idg, belief);
+    scorer.reset(packets);
     bool changed = true;
     for (int round = 0; round < 6 && changed; ++round) {
         changed = false;
@@ -335,29 +626,29 @@ improveFast(const dsp::Program &prog, const FastIdg &idg,
                 for (ptrdiff_t t = lo; t <= hi; ++t) {
                     const auto q = static_cast<size_t>(t);
                     if (q == p ||
-                        !slotsFeasibleNodes(prog, idg, packets[q].data(),
+                        !slotsFeasibleNodes(idg, packets[q].data(),
                                             packets[q].size(), node))
                         continue;
+                    const std::optional<uint64_t> cost = scorer.tryMove(
+                        packets, p, static_cast<size_t>(slot), q);
+                    if (!cost)
+                        continue;
+                    const bool erased = packets[p].size() == 1;
                     packets[q].push_back(node);
                     packets[p].erase(packets[p].begin() + slot);
-                    const bool erased = packets[p].empty();
-                    const uint64_t cost = blockCostFast(
-                        idg, packets, belief, erased ? p : kNoSkip);
-                    if (cost < bestCost ||
-                        (erased && cost <= bestCost)) {
-                        bestCost = cost;
-                        packetOf[node] = q;
-                        if (erased) {
-                            packets.erase(packets.begin() +
-                                          static_cast<long>(p));
-                            rebuildIndex();
-                        }
-                        changed = true;
-                        --slot;
-                        break;
+                    packetOf[node] = q;
+                    if (erased) {
+                        packets.erase(packets.begin() +
+                                      static_cast<long>(p));
+                        rebuildIndex();
                     }
-                    packets[q].pop_back();
-                    packets[p].insert(packets[p].begin() + slot, node);
+                    scorer.acceptLastMove();
+                    GCD2_ASSERT(scorer.cost() == *cost,
+                                "repair trial cost " << *cost
+                                    << " != re-scan " << scorer.cost());
+                    changed = true;
+                    --slot;
+                    break;
                 }
                 if (packets.size() <= p ||
                     static_cast<ptrdiff_t>(packets[p].size()) <= slot)
@@ -365,61 +656,7 @@ improveFast(const dsp::Program &prog, const FastIdg &idg,
             }
         }
     }
-}
-
-/** listScheduleNodes mirror with incremental remaining-pred counts. */
-std::vector<std::vector<size_t>>
-listScheduleFast(const dsp::Program &prog, const FastIdg &idg)
-{
-    const size_t n = idg.size();
-
-    std::vector<int64_t> height(n, 0);
-    for (size_t ri = n; ri-- > 0;) {
-        height[ri] = idg.latency(ri);
-        const FastIdg::EdgeList succs = idg.succList(ri);
-        for (size_t e = 0; e < succs.count; ++e) {
-            height[ri] = std::max(
-                height[ri],
-                idg.latency(ri) +
-                    height[static_cast<size_t>(succs.dst[e])]);
-        }
-    }
-
-    std::vector<int32_t> predRemaining(n);
-    for (size_t i = 0; i < n; ++i)
-        predRemaining[i] = static_cast<int32_t>(idg.predList(i).count);
-
-    std::vector<bool> done(n, false);
-    std::vector<std::vector<size_t>> packets;
-    std::vector<size_t> ready;
-    size_t scheduled = 0;
-    while (scheduled < n) {
-        ready.clear();
-        for (size_t i = 0; i < n; ++i)
-            if (!done[i] && predRemaining[i] == 0)
-                ready.push_back(i);
-        GCD2_ASSERT(!ready.empty(), "list scheduler deadlock");
-        std::sort(ready.begin(), ready.end(), [&](size_t a, size_t b) {
-            return height[a] != height[b] ? height[a] > height[b] : a < b;
-        });
-
-        std::vector<size_t> cur;
-        for (size_t i : ready) {
-            if (cur.size() == kSlots)
-                break;
-            if (slotsFeasibleNodes(prog, idg, cur.data(), cur.size(), i))
-                cur.push_back(i);
-        }
-        for (size_t i : cur) {
-            done[i] = true;
-            const FastIdg::EdgeList succs = idg.succList(i);
-            for (size_t e = 0; e < succs.count; ++e)
-                --predRemaining[static_cast<size_t>(succs.dst[e])];
-        }
-        scheduled += cur.size();
-        packets.push_back(std::move(cur));
-    }
-    return packets;
+    return scorer.cost();
 }
 
 /** packBlockSda mirror: Algorithm 1 + candidate ensemble + repair. */
@@ -441,39 +678,78 @@ packBlockSdaFast(const dsp::Program &prog, const BasicBlock &block,
                                            ? SoftDepPolicy::AsHard
                                            : SoftDepPolicy::Aware;
 
-    std::vector<std::vector<std::vector<size_t>>> candidates;
-    candidates.push_back(buildSdaFast(prog, idg, opts));
-    candidates.push_back(listScheduleFast(prog, idg));
-    const size_t believedCount = candidates.size();
+    // Start schedules, then the repairs of the ensemble as (start, graph,
+    // belief). A repair reads its belief only through "is it AsNone"
+    // (blockCostFast), so two repairs of equal start schedules on one
+    // graph with the same AsNone flag return the same schedule: the later
+    // one copies the earlier instead of running again.
+    struct Repair
+    {
+        size_t start;
+        const FastIdg *graph;
+        SoftDepPolicy belief;
+    };
+    std::vector<NodeSchedule> starts;
+    starts.push_back(detail::buildSdaFast(idg, opts));
+    starts.push_back(detail::listScheduleFast(idg));
+    std::vector<Repair> repairs{{0, &idg, belief}, {1, &idg, belief}};
+    std::optional<FastIdg> idgHard;
     if (opts.policy == PackPolicy::Sda) {
         PackOptions blind = opts;
         blind.policy = PackPolicy::SoftToNone;
         PackOptions conservative = opts;
         conservative.policy = PackPolicy::SoftToHard;
-        // The conservative construction runs on the AsHard graph, exactly
-        // like the reference's fresh Idg(..., AsHard).
-        const FastIdg idgHard = idg.hardened();
-        candidates.push_back(buildSdaFast(prog, idg, blind));
-        candidates.push_back(candidates[1]);
-        candidates.push_back(buildSdaFast(prog, idgHard, conservative));
-        candidates.push_back(candidates[4]); // hard construction, hard repair
-        candidates.push_back(candidates[1]); // list schedule, hard repair
-        improveFast(prog, idg, candidates[2], SoftDepPolicy::AsNone);
-        improveFast(prog, idg, candidates[3], SoftDepPolicy::AsNone);
-        improveFast(prog, idg, candidates[4], SoftDepPolicy::Aware);
-        improveFast(prog, idgHard, candidates[5], SoftDepPolicy::AsHard);
-        improveFast(prog, idgHard, candidates[6], SoftDepPolicy::AsHard);
+        // The conservative construction and the hard repairs run on the
+        // AsHard graph, exactly like the reference's fresh
+        // Idg(..., AsHard). When hardening upgrades no edge, that graph
+        // is idg itself.
+        if (idg.hasPenalizedSoftEdge())
+            idgHard.emplace(idg.hardened());
+        const FastIdg *hard = idgHard ? &*idgHard : &idg;
+        starts.push_back(detail::buildSdaFast(idg, blind));
+        starts.push_back(detail::buildSdaFast(*hard, conservative));
+        repairs.push_back({2, &idg, SoftDepPolicy::AsNone});
+        repairs.push_back({1, &idg, SoftDepPolicy::AsNone});
+        repairs.push_back({3, &idg, SoftDepPolicy::Aware});
+        repairs.push_back({3, hard, SoftDepPolicy::AsHard});
+        repairs.push_back({1, hard, SoftDepPolicy::AsHard});
     }
-    for (size_t c = 0; c < believedCount; ++c)
-        improveFast(prog, idg, candidates[c], belief);
+
+    // A repair's final cost is the selection's cost whenever its AsNone
+    // flag matches the belief (the cost reads no graph edges).
+    const bool believesNone = belief == SoftDepPolicy::AsNone;
+    std::vector<NodeSchedule> candidates(repairs.size());
+    std::vector<uint64_t> costs(repairs.size());
+    for (size_t c = 0; c < repairs.size(); ++c) {
+        const Repair &r = repairs[c];
+        const bool none = r.belief == SoftDepPolicy::AsNone;
+        const auto twin = std::find_if(
+            repairs.begin(), repairs.begin() + static_cast<long>(c),
+            [&](const Repair &o) {
+                return o.graph == r.graph &&
+                       (o.belief == SoftDepPolicy::AsNone) == none &&
+                       (o.start == r.start ||
+                        starts[o.start] == starts[r.start]);
+            });
+        if (twin != repairs.begin() + static_cast<long>(c)) {
+            const auto t = static_cast<size_t>(twin - repairs.begin());
+            candidates[c] = candidates[t];
+            costs[c] = costs[t];
+            continue;
+        }
+        candidates[c] = starts[r.start];
+        const uint64_t repaired =
+            improveFast(*r.graph, candidates[c], r.belief);
+        costs[c] = none == believesNone
+                       ? repaired
+                       : detail::blockCostFast(idg, candidates[c], belief);
+    }
 
     size_t bestIdx = 0;
     uint64_t bestCost = UINT64_MAX;
     for (size_t c = 0; c < candidates.size(); ++c) {
-        const uint64_t cost =
-            blockCostFast(idg, candidates[c], belief, kNoSkip);
-        if (cost < bestCost) {
-            bestCost = cost;
+        if (costs[c] < bestCost) {
+            bestCost = costs[c];
             bestIdx = c;
         }
     }
@@ -524,7 +800,7 @@ packBlockInOrderFast(const dsp::Program &prog, const BasicBlock &block,
         for (size_t m : cur)
             fits = fits && coPackLegalFast(idg, m, i);
         fits = fits &&
-               slotsFeasibleNodes(prog, idg, cur.data(), cur.size(), i);
+               slotsFeasibleNodes(idg, cur.data(), cur.size(), i);
         if (!fits)
             flush();
         cur.push_back(i);
@@ -540,7 +816,7 @@ packBlockListSchedFast(const dsp::Program &prog, const BasicBlock &block,
 {
     FastIdg idg(prog, block, alias, SoftDepPolicy::AsHard);
     std::vector<Packet> packets;
-    for (const auto &nodes : listScheduleFast(prog, idg))
+    for (const auto &nodes : detail::listScheduleFast(idg))
         packets.push_back(Packet{toInstIndices(idg, nodes)});
     return packets;
 }

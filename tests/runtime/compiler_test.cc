@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "baselines/frameworks.h"
+#include "dsp/decoded.h"
 #include "graph/passes.h"
 #include "runtime/power_model.h"
+#include "vliw/pack_cache.h"
 
 namespace gcd2::runtime {
 namespace {
@@ -180,6 +182,24 @@ TEST(CompilerTest, PbqpModeServesEndToEnd)
     EXPECT_LE(pbqpCost, compile(g, local).selection.totalCost);
     if (selection->counter("pbqp-rn") == 0)
         EXPECT_EQ(pbqpCost, compile(g, gcd2).selection.totalCost);
+}
+
+TEST(CompilerTest, DeepAuditReportsTheReCostsPacks)
+{
+    // The deep audit re-costs the plan table through an exhaustive model
+    // that packs every full-depth tile kernel. Those packs belong to the
+    // audit pass's pack counters.
+    vliw::PackCache::global().clear();
+    dsp::DecodeCache::global().clear();
+    CompileOptions opts;
+    opts.audit = AuditMode::Deep;
+    const CompiledModel compiled =
+        compile(models::buildModel(ModelId::WdsrB), opts);
+    const PassReport *audit = compiled.report.pass("audit");
+    ASSERT_NE(audit, nullptr);
+    EXPECT_EQ(audit->counter("tier-deep-audited"), 1u);
+    EXPECT_GT(audit->counter("pack-misses"), 0u);
+    EXPECT_GT(audit->counter("pack-us"), 0u);
 }
 
 TEST(CompilerTest, DefaultCompileServesProvenPbqp)

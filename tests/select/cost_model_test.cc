@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "graph/passes.h"
 #include "kernels/runner.h"
 #include "models/builders.h"
@@ -174,6 +176,52 @@ TEST(CostModelTest, BatchMatMulScalesLinearly)
     const uint64_t batched = model.planStats(g, y, plan).cycles;
     const uint64_t single = model.planStats(g1, y1, plan).cycles;
     EXPECT_EQ(batched, 4 * single);
+}
+
+TEST(CostModelTest, StatScalingSaturatesInsteadOfOverflowing)
+{
+    // A double product at or past 2^64 has no uint64_t value, and
+    // converting it is undefined behaviour, so scaling clamps at
+    // UINT64_MAX.
+    NodeExecStats stats;
+    stats.cycles = 1000;
+    stats.instructions = 1;
+    stats.packets = 0;
+    stats.bytesLoaded = UINT64_MAX;
+    stats.bytesStored = 7;
+    const NodeExecStats huge = stats.scaled(1e30);
+    EXPECT_EQ(huge.cycles, UINT64_MAX);
+    EXPECT_EQ(huge.instructions, UINT64_MAX);
+    EXPECT_EQ(huge.packets, 0u);
+    EXPECT_EQ(huge.bytesLoaded, UINT64_MAX);
+    EXPECT_EQ(huge.bytesStored, UINT64_MAX);
+    EXPECT_EQ(scaleSaturating(UINT64_MAX, 1.0), UINT64_MAX);
+    EXPECT_EQ(scaleSaturating(UINT64_MAX, 0.0), 0u);
+
+    // Below the limit nothing changes: truncation toward zero, as before.
+    EXPECT_EQ(stats.scaled(2.5).cycles, 2500u);
+    EXPECT_EQ(stats.scaled(0.5).bytesStored, 3u);
+    EXPECT_EQ(scaleSaturating(uint64_t{1} << 52, 3.0),
+              uint64_t{3} << 52);
+
+    // Only finite, non-negative factors are meaningful.
+    EXPECT_THROW(stats.scaled(-1.0), FatalError);
+    EXPECT_THROW(stats.scaled(std::nan("")), FatalError);
+    EXPECT_THROW(stats.scaled(HUGE_VAL), FatalError);
+
+    // Sums saturate at the limit instead of wrapping.
+    NodeExecStats sum;
+    sum.cycles = UINT64_MAX - 1;
+    sum.packets = 5;
+    NodeExecStats more;
+    more.cycles = 2;
+    more.packets = 6;
+    sum += more;
+    EXPECT_EQ(sum.cycles, UINT64_MAX);
+    EXPECT_EQ(sum.packets, 11u);
+    sum += more;
+    EXPECT_EQ(sum.cycles, UINT64_MAX);
+    EXPECT_EQ(addSaturating(UINT64_MAX, UINT64_MAX), UINT64_MAX);
 }
 
 } // namespace

@@ -24,80 +24,13 @@
 #include "common/rng.h"
 #include "vliw/fast_idg.h"
 #include "vliw/idg.h"
+#include "random_programs.h"
 
 namespace gcd2::vliw {
 namespace {
 
 using namespace gcd2::dsp;
-
-/**
- * A random single-block program: scalar ALU traffic over few registers
- * (forcing WAW/WAR/RAW chains), vector ops (hard RAW), and loads/stores
- * at random offsets off two base registers with random noalias
- * declarations (exercising the alias oracle both ways). Optionally ends
- * in a branch so the ordering-edge append path is covered.
- */
-Program
-randomBlock(Rng &rng, bool branchTerminated)
-{
-    Program prog;
-    const int label = prog.newLabel();
-    const int len = static_cast<int>(rng.uniformInt(8, 40));
-    auto s = [&rng] {
-        return sreg(static_cast<int>(rng.uniformInt(1, 5)));
-    };
-    auto v = [&rng] {
-        return vreg(static_cast<int>(rng.uniformInt(0, 3)));
-    };
-    for (int i = 0; i < len; ++i) {
-        switch (rng.uniformInt(0, 9)) {
-          case 0:
-            prog.push(makeBinary(Opcode::ADD, s(), s(), s()));
-            break;
-          case 1:
-            prog.push(makeBinary(Opcode::MUL, s(), s(), s()));
-            break;
-          case 2:
-            prog.push(makeMovi(s(), rng.uniformInt(-100, 100)));
-            break;
-          case 3:
-            prog.push(makeLoad(Opcode::LOADW, s(),
-                               sreg(rng.uniformInt(0, 1) ? 0 : 6),
-                               rng.uniformInt(0, 64) * 4));
-            break;
-          case 4:
-            prog.push(makeStore(Opcode::STOREW,
-                                sreg(rng.uniformInt(0, 1) ? 0 : 6), s(),
-                                rng.uniformInt(0, 64) * 4));
-            break;
-          case 5:
-            prog.push(makeVload(v(), sreg(0), rng.uniformInt(0, 7) * 128));
-            break;
-          case 6:
-            prog.push(makeVstore(sreg(0), v(), rng.uniformInt(0, 7) * 128));
-            break;
-          case 7:
-            prog.push(makeVecBinary(Opcode::VADDW, v(), v(), v()));
-            break;
-          case 8:
-            prog.push(makeShift(Opcode::SHL, s(), s(),
-                                rng.uniformInt(0, 7)));
-            break;
-          default:
-            prog.push(makeAddi(s(), s(), rng.uniformInt(-8, 8)));
-            break;
-        }
-    }
-    if (branchTerminated) {
-        prog.bindLabel(label);
-        prog.push(makeJumpNz(sreg(1), label));
-    }
-    // Half the programs declare the bases noalias (segmented memory),
-    // half leave everything may-alias.
-    if (rng.uniformInt(0, 1) != 0)
-        prog.noaliasRegs = {0, 6};
-    return prog;
-}
+using testing::randomBlock;
 
 /** Reachability closure (bitset per node) of an edge set given as
  *  successor lists. Mirrors the reference predCount computation. */

@@ -11,23 +11,30 @@
  * tests/dsp/decoded_engine_test.cc) pins that contract across all five
  * policies; the kernel programs real zoo compiles serve pin it at their
  * block sizes (up to ~140 instructions) and on their multiply-unit and
- * slot-mask mix; directed cases pin the cache's identity/keying behavior.
+ * slot-mask mix, and the tile kernels of the unroll grid pin it on the
+ * programs a deep audit re-packs; directed cases pin the cache's
+ * identity/keying behavior.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
+#include "kernels/matmul.h"
+#include "kernels/unroll.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
+#include "tensor/layout.h"
 #include "vliw/cfg.h"
 #include "vliw/pack_cache.h"
 #include "vliw/packer.h"
+#include "random_programs.h"
 
 namespace gcd2::vliw {
 namespace {
 
 using namespace gcd2::dsp;
+using testing::randomProgram;
 
 void
 expectSamePacking(const PackedProgram &ref, const PackedProgram &fast,
@@ -38,73 +45,6 @@ expectSamePacking(const PackedProgram &ref, const PackedProgram &fast,
         EXPECT_EQ(ref.packets[p].insts, fast.packets[p].insts)
             << what << " packet " << p;
     EXPECT_EQ(ref.labelPacket, fast.labelPacket) << what;
-}
-
-/** Random program: seeded registers, then a bounded countdown loop whose
- *  body mixes scalar ALU, multiplies (forwarding penalty 2), memory at
- *  random offsets, and vector ops -- the full classification surface the
- *  packer schedules around. */
-Program
-randomProgram(Rng &rng)
-{
-    Program prog;
-    prog.push(makeMovi(sreg(0), 512));
-    for (int r = 1; r <= 8; ++r)
-        prog.push(makeMovi(sreg(r), rng.uniformInt(-64, 64)));
-    const int counter = 10;
-    prog.push(makeMovi(sreg(counter), rng.uniformInt(2, 3)));
-    const int loop = prog.newLabel();
-    prog.bindLabel(loop);
-
-    auto s = [&rng] {
-        return sreg(static_cast<int>(rng.uniformInt(1, 8)));
-    };
-    auto v = [&rng] {
-        return vreg(static_cast<int>(rng.uniformInt(0, 7)));
-    };
-    const int bodyLen = static_cast<int>(rng.uniformInt(10, 36));
-    for (int i = 0; i < bodyLen; ++i) {
-        switch (rng.uniformInt(0, 9)) {
-          case 0:
-            prog.push(makeBinary(Opcode::ADD, s(), s(), s()));
-            break;
-          case 1:
-            prog.push(makeBinary(Opcode::MUL, s(), s(), s()));
-            break;
-          case 2:
-            prog.push(makeLoad(Opcode::LOADW, s(), sreg(0),
-                               rng.uniformInt(0, 255) * 4));
-            break;
-          case 3:
-            prog.push(makeStore(Opcode::STOREW, sreg(0), s(),
-                               rng.uniformInt(0, 255) * 4));
-            break;
-          case 4:
-            prog.push(makeVload(v(), sreg(0), rng.uniformInt(0, 7) * 128));
-            break;
-          case 5:
-            prog.push(makeVstore(sreg(0), v(), rng.uniformInt(0, 7) * 128));
-            break;
-          case 6:
-            prog.push(makeVecBinary(Opcode::VADDW, v(), v(), v()));
-            break;
-          case 7:
-            prog.push(makeShift(Opcode::SHL, s(), s(),
-                                rng.uniformInt(0, 7)));
-            break;
-          case 8:
-            prog.push(makeVsplatw(v(), s()));
-            break;
-          default:
-            prog.push(makeAddi(s(), s(), rng.uniformInt(-16, 16)));
-            break;
-        }
-    }
-    prog.push(makeAddi(sreg(counter), sreg(counter), -1));
-    prog.push(makeJumpNz(sreg(counter), loop));
-    if (rng.uniformInt(0, 1) != 0)
-        prog.noaliasRegs = {0};
-    return prog;
 }
 
 const PackPolicy kPolicies[] = {
@@ -135,6 +75,27 @@ TEST(PackDifferentialTest, FuzzBitIdenticalAcrossAllPolicies)
         if (HasFailure()) {
             ADD_FAILURE() << "first divergence at fuzz program " << n
                           << "; seed 0x9acfa57";
+            break;
+        }
+    }
+}
+
+TEST(PackDifferentialTest, SdaEnsembleFuzzBitIdentical)
+{
+    // The SDA ensemble runs seven repairs and skips those that must
+    // repeat an earlier one. A wrong skip only shows when the skipped
+    // candidate would have been the unique best, which takes one program
+    // in ~100 of this generator, so this sweep is wider than the
+    // all-policy fuzz above.
+    Rng rng(0x5da3e5ULL);
+    constexpr int kPrograms = 400;
+    for (int n = 0; n < kPrograms; ++n) {
+        const Program prog = randomProgram(rng);
+        expectSamePacking(packReference(prog, {}), pack(prog, {}),
+                          "sda fuzz #" + std::to_string(n));
+        if (HasFailure()) {
+            ADD_FAILURE() << "first divergence at program " << n
+                          << "; seed 0x5da3e5";
             break;
         }
     }
@@ -179,6 +140,93 @@ TEST(PackDifferentialTest, ServedZooKernelsBitIdenticalAcrossAllPolicies)
     }
     // The zoo's blocks run well past the fuzzer's 36-instruction bodies.
     EXPECT_GE(largestBlock, 100u);
+}
+
+TEST(PackDifferentialTest, DeepAuditTileKernelsBitIdentical)
+{
+    // The programs a deep audit's exhaustive re-cost packs: the matmul
+    // tile kernel of every scheme and every unroll candidate, with the
+    // cost model's tile geometry (one layout panel of rows and one output
+    // unit of columns per unroll step), at the tiered coster's low anchor
+    // depth (8 inner-loop iterations) and at one deep reduction. Column
+    // factors past the no-spill accumulator limit (vmpa/vrmpy cols 8,
+    // only reachable by exhaustive unroll search) have their own test
+    // below: their blocks of up to 780 instructions take the reference
+    // packer ~12 s per depth over the whole grid.
+    using kernels::MatMulScheme;
+    size_t programs = 0;
+    for (const MatMulScheme scheme :
+         {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
+        const int64_t panelRows =
+            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
+        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
+                                    : scheme == MatMulScheme::Vmpa ? 2
+                                                                   : 4;
+        const int noSpillCols = scheme == MatMulScheme::Vmpy ? 8 : 4;
+        for (const kernels::UnrollChoice &choice :
+             kernels::unrollCandidates()) {
+            if (choice.cols > noSpillCols)
+                continue;
+            for (const int64_t k :
+                 {kernels::kQuantum(scheme, choice.k) * 8, int64_t{1024}}) {
+                const kernels::MatMulShape tile{panelRows * choice.outer, k,
+                                                colsPerUnit * choice.cols};
+                const Program prog =
+                    kernels::MatMulKernel(
+                        tile,
+                        kernels::withUnroll({.scheme = scheme}, choice))
+                        .program();
+                expectSamePacking(
+                    packReference(prog, {}), pack(prog, {}),
+                    std::string(kernels::schemeName(scheme)) + " unroll " +
+                        std::to_string(choice.outer) + "/" +
+                        std::to_string(choice.cols) + "/" +
+                        std::to_string(choice.k) + " k " +
+                        std::to_string(k));
+                ++programs;
+            }
+            if (HasFailure())
+                return;
+        }
+    }
+    // 32 vmpy candidates + 24 each for vmpa and vrmpy, at two depths.
+    EXPECT_EQ(programs, (32u + 24u + 24u) * 2u);
+}
+
+TEST(PackDifferentialTest, DeepAuditSpillingTileKernelsBitIdentical)
+{
+    // The vmpa/vrmpy column factor 8 the test above leaves out, which the
+    // exhaustive unroll search still packs: one outer panel, every K
+    // factor, at the anchor depth. Their loop bodies run from 70 to 780
+    // instructions; the depth does not change a body, and a second outer
+    // panel repeats the same body sizes at twice the reference packer's
+    // cost.
+    using kernels::MatMulScheme;
+    size_t largestBlock = 0;
+    for (const MatMulScheme scheme :
+         {MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
+        const int64_t panelRows =
+            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
+        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpa ? 2 : 4;
+        for (const int k : {1, 2, 4, 8}) {
+            const kernels::UnrollChoice choice{.outer = 1, .cols = 8, .k = k};
+            const kernels::MatMulShape tile{
+                panelRows, kernels::kQuantum(scheme, k) * 8,
+                colsPerUnit * choice.cols};
+            const Program prog =
+                kernels::MatMulKernel(
+                    tile, kernels::withUnroll({.scheme = scheme}, choice))
+                    .program();
+            largestBlock =
+                std::max(largestBlock, buildCfg(prog).largestBlock().size());
+            expectSamePacking(packReference(prog, {}), pack(prog, {}),
+                              std::string(kernels::schemeName(scheme)) +
+                                  " unroll 1/8/" + std::to_string(k));
+            if (HasFailure())
+                return;
+        }
+    }
+    EXPECT_GE(largestBlock, 700u);
 }
 
 // PackCache ------------------------------------------------------------
