@@ -148,6 +148,16 @@ pooledDim(int64_t in, int64_t k, int64_t stride)
     return (in - k) / stride + 1;
 }
 
+std::vector<Shape>
+inputShapes(const Graph &graph, const Node &node)
+{
+    std::vector<Shape> inputs;
+    inputs.reserve(node.inputs.size());
+    for (NodeId in : node.inputs)
+        inputs.push_back(graph.node(in).shape);
+    return inputs;
+}
+
 } // namespace
 
 tensor::Shape
@@ -280,11 +290,7 @@ naturalNodeShape(const Node &node, const std::vector<Shape> &inputs)
 tensor::Shape
 naturalNodeShape(const Graph &graph, const Node &node)
 {
-    std::vector<Shape> inputs;
-    inputs.reserve(node.inputs.size());
-    for (NodeId in : node.inputs)
-        inputs.push_back(graph.node(in).shape);
-    return naturalNodeShape(node, inputs);
+    return naturalNodeShape(node, inputShapes(graph, node));
 }
 
 tensor::Shape
@@ -300,17 +306,19 @@ inferNodeShape(const Node &node, const std::vector<Shape> &inputs)
     return fused;
 }
 
-void
-inferShapes(Graph &graph)
+tensor::Shape
+inferNodeShape(const Graph &graph, const Node &node)
 {
-    for (Node &node : graph.nodes()) {
-        if (node.dead)
-            continue;
-        std::vector<Shape> inputs;
-        inputs.reserve(node.inputs.size());
-        for (NodeId in : node.inputs)
-            inputs.push_back(graph.node(in).shape);
-        node.shape = inferNodeShape(node, inputs);
+    return inferNodeShape(node, inputShapes(graph, node));
+}
+
+void
+inferShapes(Graph &graph, NodeId first)
+{
+    for (size_t i = static_cast<size_t>(first); i < graph.size(); ++i) {
+        Node &node = graph.nodes()[i];
+        if (!node.dead)
+            node.shape = inferNodeShape(graph, node);
     }
 }
 

@@ -72,13 +72,17 @@ class Graph
     std::vector<Node> nodes_;
 };
 
-/** Infer output shapes for every node (inputs must carry shapes). */
-void inferShapes(Graph &graph);
+/** Infer output shapes of the live nodes from @p first on (their
+ *  inputs must carry shapes: earlier nodes are taken as inferred). */
+void inferShapes(Graph &graph, NodeId first = 0);
 
 /** Per-op shape inference given resolved input shapes. Applies the
  *  fused epilogue transform (attrs.fusedTransform), if any. */
 tensor::Shape inferNodeShape(const Node &node,
                              const std::vector<tensor::Shape> &inputs);
+
+/** inferNodeShape with input shapes resolved from the graph. */
+tensor::Shape inferNodeShape(const Graph &graph, const Node &node);
 
 /** The shape the node's kernel computes before any fused epilogue
  *  transform is applied -- what the compute loops and the cost model's

@@ -119,6 +119,8 @@ struct NodeAttrs
     /** True iff a non-identity Transpose was folded in (the store pass
      *  permutes; a pure Reshape epilogue is free metadata). */
     bool fusedTransformPermutes = false;
+
+    bool operator==(const NodeAttrs &other) const = default;
 };
 
 } // namespace gcd2::graph

@@ -52,7 +52,8 @@ int64_t foldConstants(Graph &graph);
 /**
  * Fuse a Clamp whose producer is a Conv2D / DepthwiseConv2D / MatMul /
  * Add with a single consumer into that producer (free on the DSP: the
- * requantization epilogue applies the clamp bounds).
+ * requantization epilogue applies the clamp bounds). A producer that
+ * already carries a fused clamp keeps it; the later clamp stays a node.
  */
 int64_t fuseClampActivations(Graph &graph);
 
@@ -95,9 +96,13 @@ int64_t fuseResidualAdds(Graph &graph);
  *                  stores directly in the transformed view and the edge
  *                  transform cost disappears.
  *
- * Runs the rules to a fixpoint with shape re-inference between rounds;
- * updates stats.{cancelled,sunk,fused}Transforms and
- * stats.transformCyclesSaved. Returns the number of rewrites applied.
+ * Runs rounds of cancel, sink and fuse, each to its fixpoint, with
+ * dead-node elimination between rounds, until a round changes nothing.
+ * Within a rule the smallest-id match is rewritten first; a live
+ * successor index and a worklist keep each round linear in graph size
+ * (DESIGN.md section 13). Updates stats.{cancelled,sunk,fused}Transforms
+ * and stats.transformCyclesSaved. Returns the number of rewrites
+ * applied.
  */
 int64_t eliminateLayoutTransforms(Graph &graph, PassStats &stats);
 

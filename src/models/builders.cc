@@ -60,8 +60,13 @@ NodeId
 dense(Graph &g, NodeId x, int64_t outFeatures, bool relu)
 {
     // The weight constant's reduction dimension comes from the producer's
-    // output shape, so resolve shapes up to this point first.
-    graph::inferShapes(g);
+    // output shape, so resolve shapes up to this point first. Builders
+    // only append, so the nodes not yet inferred (rank 0) form a suffix:
+    // inferring just that suffix infers each node once per build.
+    NodeId first = static_cast<NodeId>(g.size());
+    while (first > 0 && g.node(first - 1).shape.rank() == 0)
+        --first;
+    graph::inferShapes(g, first);
     const tensor::Shape &shape = g.node(x).shape;
     const int64_t k = shape.dim(shape.rank() - 1);
     NodeId w = constant(g, {k, outFeatures});

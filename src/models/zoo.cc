@@ -290,9 +290,9 @@ buildEfficientDetD0()
         outputs.push_back(conv(g, box, 4 * 9, 1, 1, 0, false));
     }
     // Flatten every prediction map and concatenate.
+    graph::inferShapes(g);
     std::vector<NodeId> flat;
     for (NodeId out : outputs) {
-        graph::inferShapes(g);
         NodeAttrs reshape;
         reshape.targetShape = {g.node(out).shape.elements()};
         flat.push_back(g.add(OpType::Reshape, {out}, reshape));

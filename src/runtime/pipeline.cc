@@ -459,49 +459,67 @@ CompilationSession::passKernelGeneration(PassReport &pass,
 
     // Retain the schedule served for every live operator: the packed
     // program of the same canonical kernel planStats just simulated,
-    // answered by the PackCache (all hits at this point). Serial and in
-    // node order so the retained list is thread-count-invariant.
-    //
+    // answered by the PackCache (all hits at this point). One slot per
+    // node, so the pool splits the nodes.
+    std::vector<std::shared_ptr<const dsp::PackedProgram>> retained(
+        nodes.size());
+    pool_.parallelFor(
+        static_cast<int64_t>(nodes.size()), [&](int64_t i) {
+            const graph::Node &node = nodes[static_cast<size_t>(i)];
+            if (node.dead)
+                return;
+            const int planIdx =
+                result.selection.planIndex[static_cast<size_t>(node.id)];
+            const ExecutionPlan &plan =
+                table_->plans(node.id)[static_cast<size_t>(planIdx)];
+            retained[static_cast<size_t>(i)] =
+                model_->canonicalSchedule(graph_, node.id, plan);
+        });
+
     // Dead-code elimination rewrites each distinct source program once
-    // (memoized by identity -- nodes sharing a cached program share the
-    // rewrite) and must run *before* any fault injection: the injected
-    // corruption targets the served artifact and the auditors must
-    // still catch it, not have DCE repair or mask it.
-    std::map<const dsp::PackedProgram *,
-             std::shared_ptr<const dsp::PackedProgram>>
-        dceMemo;
+    // (nodes sharing a cached program share the rewrite), in parallel
+    // over the programs in first-occurrence node order; diagnostics and
+    // counters are then gathered in that order, so the report is
+    // thread-count-invariant.
     uint64_t dceRemovedInsts = 0;
     uint64_t dceRemovedPackets = 0;
     uint64_t dceRewritten = 0;
-    for (const graph::Node &node : nodes) {
-        if (node.dead)
-            continue;
-        const int planIdx =
-            result.selection.planIndex[static_cast<size_t>(node.id)];
-        const ExecutionPlan &plan =
-            table_->plans(node.id)[static_cast<size_t>(planIdx)];
-        std::shared_ptr<const dsp::PackedProgram> program =
-            model_->canonicalSchedule(graph_, node.id, plan);
-        if (program == nullptr)
-            continue; // analytic operator: no kernel program served
-        if (options_.deadCodeElimination) {
-            const auto memo = dceMemo.find(program.get());
-            if (memo != dceMemo.end()) {
-                program = memo->second;
-            } else {
-                analysis::DceResult dce = analysis::rewriteDeadCode(
-                    program, options_.cost.packOptions);
-                for (Diag &diag : dce.diags)
-                    diag_.add(std::move(diag));
-                if (dce.stats.rewritten) {
-                    dceRemovedInsts += dce.stats.removedInstructions;
-                    dceRemovedPackets += dce.stats.removedPackets;
-                    ++dceRewritten;
-                }
-                dceMemo.emplace(program.get(), dce.program);
-                program = std::move(dce.program);
+    if (options_.deadCodeElimination) {
+        std::map<const dsp::PackedProgram *, size_t> slotOf;
+        std::vector<std::shared_ptr<const dsp::PackedProgram>> sources;
+        for (const auto &program : retained)
+            if (program != nullptr &&
+                slotOf.emplace(program.get(), sources.size()).second)
+                sources.push_back(program);
+        std::vector<analysis::DceResult> rewrites(sources.size());
+        pool_.parallelFor(
+            static_cast<int64_t>(sources.size()), [&](int64_t k) {
+                rewrites[static_cast<size_t>(k)] = analysis::rewriteDeadCode(
+                    sources[static_cast<size_t>(k)],
+                    options_.cost.packOptions);
+            });
+        for (analysis::DceResult &dce : rewrites) {
+            for (Diag &diag : dce.diags)
+                diag_.add(std::move(diag));
+            if (dce.stats.rewritten) {
+                dceRemovedInsts += dce.stats.removedInstructions;
+                dceRemovedPackets += dce.stats.removedPackets;
+                ++dceRewritten;
             }
         }
+        for (auto &program : retained)
+            if (program != nullptr)
+                program = rewrites[slotOf.at(program.get())].program;
+    }
+
+    // Fault injection runs after DCE: the injected corruption targets
+    // the served artifact and the auditors must still catch it, not
+    // have DCE repair or mask it.
+    for (const graph::Node &node : nodes) {
+        std::shared_ptr<const dsp::PackedProgram> &program =
+            retained[static_cast<size_t>(node.id)];
+        if (program == nullptr)
+            continue; // dead, or analytic: no kernel program served
         if (options_.testScheduleFault && result.schedules.empty()) {
             // Corrupt a private copy, never the cached program.
             auto corrupt = std::make_shared<dsp::PackedProgram>(*program);

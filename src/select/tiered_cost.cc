@@ -305,18 +305,25 @@ TieredCoster::tileSchedule(const MatMulShape &tile,
     if (!cls.tried)
         certify(cls, tile, config);
 
+    // A certified class stores a depth's pack only once that depth's
+    // program passed the structural check below, and the program depends
+    // only on the class key and the padded depth iters * quantum: the
+    // stored pack is what the check and transplant would give again.
+    if (cls.certified) {
+        const auto stored = cls.packs.find(iters);
+        if (stored != cls.packs.end())
+            return stored->second;
+    }
+
     const kernels::MatMulKernel kernel(tile, config);
     if (cls.certified &&
         transplantCompatible(cls.canonical, kernel.program())) {
         std::shared_ptr<const dsp::PackedProgram> &packed =
             cls.packs[iters];
-        if (!packed) {
-            packed = std::make_shared<const dsp::PackedProgram>(
-                dsp::PackedProgram{kernel.program(),
-                                   cls.anchorPack->packets,
-                                   cls.anchorPack->labelPacket});
-            transplantedPacks_.fetch_add(1, std::memory_order_relaxed);
-        }
+        packed = std::make_shared<const dsp::PackedProgram>(
+            dsp::PackedProgram{kernel.program(), cls.anchorPack->packets,
+                               cls.anchorPack->labelPacket});
+        transplantedPacks_.fetch_add(1, std::memory_order_relaxed);
         return packed;
     }
     if (cls.certified)

@@ -4,6 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <utility>
+
 #include "graph/passes.h"
 #include "models/builders.h"
 
@@ -117,6 +121,80 @@ TEST(PassesTest, ClampFusionRequiresSingleConsumer)
     g2.add(OpType::Output, {sum});
     inferShapes(g2);
     EXPECT_EQ(fuseClampActivations(g2), 0);
+}
+
+/** Clamp range applied to the value @p id produces: a live Clamp
+ *  narrows its input's range, a fused producer applies its own. */
+std::pair<int, int>
+effectiveClamp(const Graph &g, NodeId id)
+{
+    const Node &node = g.node(id);
+    if (node.op == OpType::Clamp) {
+        const auto [lo, hi] = effectiveClamp(g, node.inputs[0]);
+        return {std::max(lo, node.attrs.clampLo),
+                std::min(hi, node.attrs.clampHi)};
+    }
+    if (node.attrs.fusedClamp)
+        return {node.attrs.fusedLo, node.attrs.fusedHi};
+    return {INT_MIN, INT_MAX};
+}
+
+/** MatMul -> Clamp[0,6] -> Clamp[3,100] -> Output, optionally with the
+ *  first clamp feeding a second Output. */
+struct ClampChain
+{
+    Graph g;
+    NodeId mm = kInvalidNode;
+    NodeId second = kInvalidNode;
+    NodeId out1 = kInvalidNode;
+    NodeId out2 = kInvalidNode;
+
+    explicit ClampChain(bool fanOut)
+    {
+        const NodeId x = input(g, {16, 32});
+        const NodeId w = constant(g, {32, 8});
+        mm = g.add(OpType::MatMul, {x, w});
+        NodeAttrs first;
+        first.clampLo = 0;
+        first.clampHi = 6;
+        const NodeId c1 = g.add(OpType::Clamp, {mm}, first);
+        NodeAttrs next;
+        next.clampLo = 3;
+        next.clampHi = 100;
+        second = g.add(OpType::Clamp, {c1}, next);
+        out1 = g.add(OpType::Output, {second});
+        if (fanOut)
+            out2 = g.add(OpType::Output, {c1});
+        optimize(g);
+    }
+};
+
+TEST(PassesTest, ClampFusionSeesFanOutCreatedByAnEarlierFusion)
+{
+    // Fusing the first clamp gives the matmul two consumers, so the
+    // second clamp must stay a node and each output keeps its range.
+    const ClampChain chain(/*fanOut=*/true);
+    const Graph &g = chain.g;
+    EXPECT_FALSE(g.node(chain.second).dead);
+    EXPECT_EQ(g.node(chain.out2).inputs[0], chain.mm);
+    EXPECT_EQ(effectiveClamp(g, g.node(chain.out1).inputs[0]),
+              std::make_pair(3, 6));
+    EXPECT_EQ(effectiveClamp(g, g.node(chain.out2).inputs[0]),
+              std::make_pair(0, 6));
+}
+
+TEST(PassesTest, ClampFusionNeverOverwritesAFusedClamp)
+{
+    // A single-consumer chain: the second clamp must not replace the
+    // first clamp's bounds in the matmul epilogue.
+    const ClampChain chain(/*fanOut=*/false);
+    const Graph &g = chain.g;
+    EXPECT_TRUE(g.node(chain.mm).attrs.fusedClamp);
+    EXPECT_EQ(g.node(chain.mm).attrs.fusedLo, 0);
+    EXPECT_EQ(g.node(chain.mm).attrs.fusedHi, 6);
+    EXPECT_FALSE(g.node(chain.second).dead);
+    EXPECT_EQ(effectiveClamp(g, g.node(chain.out1).inputs[0]),
+              std::make_pair(3, 6));
 }
 
 TEST(PassesTest, ConstantFoldingAndDce)

@@ -7,16 +7,21 @@
  * broadcast), and fuse-into-producer -- and a seeded fuzzer builds random
  * transform-heavy chains and checks that elimination preserves graph
  * semantics exactly, using a test-local reference evaluator (transforms,
- * elementwise, and activations over synthetic per-node data).
+ * elementwise, and activations over synthetic per-node data). A second
+ * fuzzer and the zoo graphs check the library's linear-time sweep
+ * against the original rescan-to-fixpoint implementation, kept here as
+ * the reference: same nodes, same counters.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
 #include "common/rng.h"
 #include "graph/passes.h"
 #include "models/builders.h"
+#include "models/zoo.h"
 
 namespace gcd2::graph {
 namespace {
@@ -182,6 +187,302 @@ liveTransformCount(const Graph &g)
         if (!node.dead && isLayoutTransformOp(node.op))
             ++n;
     return n;
+}
+
+// ---- reference: the rescan-to-fixpoint elimination -------------------
+//
+// The original implementation of eliminateLayoutTransforms, kept as a
+// test oracle: every rule rescans the graph from node 0 for its first
+// match, rewires by scanning every node, and re-infers every shape
+// after each rewrite. The library's sweep must reproduce its graphs and
+// counters exactly.
+
+namespace reference {
+
+void
+rewireConsumers(Graph &graph, NodeId from, NodeId to)
+{
+    for (Node &consumer : graph.nodes()) {
+        if (consumer.dead)
+            continue;
+        for (NodeId &in : consumer.inputs)
+            if (in == from)
+                in = to;
+    }
+}
+
+bool
+isIdentityPerm(const std::vector<int> &perm)
+{
+    for (size_t i = 0; i < perm.size(); ++i)
+        if (perm[i] != static_cast<int>(i))
+            return false;
+    return true;
+}
+
+bool
+isUnaryElementwise(OpType op)
+{
+    return op == OpType::Clamp || op == OpType::Sigmoid ||
+           op == OpType::Tanh || op == OpType::Gelu || op == OpType::Pow;
+}
+
+bool
+isBinaryElementwise(OpType op)
+{
+    return op == OpType::Add || op == OpType::Mul ||
+           op == OpType::Sub || op == OpType::Div;
+}
+
+bool
+sameTransformSpec(const Node &a, const Node &b)
+{
+    if (a.op != b.op)
+        return false;
+    if (a.op == OpType::Reshape)
+        return a.attrs.targetShape == b.attrs.targetShape;
+    return a.attrs.perm == b.attrs.perm;
+}
+
+int64_t
+standingTransformCycles(const Graph &graph)
+{
+    int64_t cycles = 0;
+    for (const Node &node : graph.nodes()) {
+        if (node.dead || node.op != OpType::Transpose)
+            continue;
+        const int64_t elements =
+            graph.node(node.inputs[0]).shape.elements();
+        cycles += 4 * ((elements + 127) / 128) + 8;
+    }
+    return cycles;
+}
+
+bool
+cancelOneTransform(Graph &graph, PassStats &stats)
+{
+    for (Node &node : graph.nodes()) {
+        if (node.dead || !isLayoutTransformOp(node.op))
+            continue;
+        const Node &producer = graph.node(node.inputs[0]);
+        const bool identity =
+            node.op == OpType::Reshape
+                ? node.attrs.targetShape == producer.shape.dims()
+                : isIdentityPerm(node.attrs.perm);
+        if (identity) {
+            rewireConsumers(graph, node.id, node.inputs[0]);
+            node.dead = true;
+            ++stats.cancelledTransforms;
+            return true;
+        }
+        if (node.op == OpType::Reshape &&
+            producer.op == OpType::Reshape) {
+            node.inputs[0] = producer.inputs[0];
+            ++stats.cancelledTransforms;
+            return true;
+        }
+        if (node.op == OpType::Transpose &&
+            producer.op == OpType::Transpose) {
+            const std::vector<int> &inner = producer.attrs.perm;
+            const std::vector<int> &outer = node.attrs.perm;
+            std::vector<int> composed(outer.size());
+            for (size_t i = 0; i < outer.size(); ++i)
+                composed[i] = inner[static_cast<size_t>(outer[i])];
+            node.attrs.perm = std::move(composed);
+            node.inputs[0] = producer.inputs[0];
+            ++stats.cancelledTransforms;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+sinkOneTransform(Graph &graph, PassStats &stats)
+{
+    const auto succ = graph.successors();
+    for (Node &node : graph.nodes()) {
+        if (node.dead || !isLayoutTransformOp(node.op))
+            continue;
+        if (succ[static_cast<size_t>(node.id)].size() != 1)
+            continue;
+        const NodeId consumerId = succ[static_cast<size_t>(node.id)][0];
+        Node &consumer = graph.node(consumerId);
+
+        if (isUnaryElementwise(consumer.op) &&
+            consumer.inputs.size() == 1) {
+            Node elem = consumer;
+            Node xform = node;
+            elem.id = node.id;
+            elem.inputs = {node.inputs[0]};
+            xform.id = consumerId;
+            xform.inputs = {node.id};
+            graph.nodes()[static_cast<size_t>(node.id)] = std::move(elem);
+            graph.nodes()[static_cast<size_t>(consumerId)] =
+                std::move(xform);
+            ++stats.sunkTransforms;
+            return true;
+        }
+
+        if (!isBinaryElementwise(consumer.op) ||
+            consumer.inputs.size() != 2)
+            continue;
+        const size_t which = consumer.inputs[0] == node.id ? 0 : 1;
+        const NodeId otherId = consumer.inputs[1 - which];
+        const Node &other = graph.node(otherId);
+
+        if (isLayoutTransformOp(other.op) && otherId != node.id &&
+            succ[static_cast<size_t>(otherId)].size() == 1 &&
+            sameTransformSpec(node, other) &&
+            graph.node(node.inputs[0]).shape.dims() ==
+                graph.node(other.inputs[0]).shape.dims()) {
+            const NodeId hi = std::max(node.id, otherId);
+            const NodeId lo = std::min(node.id, otherId);
+            Node elem = consumer;
+            elem.id = hi;
+            elem.inputs = {graph.node(consumer.inputs[0]).inputs[0],
+                           graph.node(consumer.inputs[1]).inputs[0]};
+            Node xform = node;
+            xform.id = consumerId;
+            xform.inputs = {hi};
+            graph.nodes()[static_cast<size_t>(hi)] = std::move(elem);
+            graph.nodes()[static_cast<size_t>(consumerId)] =
+                std::move(xform);
+            graph.node(lo).dead = true;
+            stats.sunkTransforms += 2;
+            ++stats.cancelledTransforms;
+            return true;
+        }
+
+        if (which == 0 && other.shape.elements() == 1 &&
+            otherId < node.id) {
+            Node elem = consumer;
+            elem.id = node.id;
+            elem.inputs = {node.inputs[0], otherId};
+            Node xform = node;
+            xform.id = consumerId;
+            xform.inputs = {node.id};
+            graph.nodes()[static_cast<size_t>(node.id)] = std::move(elem);
+            graph.nodes()[static_cast<size_t>(consumerId)] =
+                std::move(xform);
+            ++stats.sunkTransforms;
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
+fuseOneTransform(Graph &graph, PassStats &stats)
+{
+    const auto succ = graph.successors();
+    for (Node &node : graph.nodes()) {
+        if (node.dead || !isLayoutTransformOp(node.op))
+            continue;
+        const NodeId producerId = node.inputs[0];
+        Node &producer = graph.node(producerId);
+        if (!isMatMulFamily(producer.op) &&
+            producer.op != OpType::DepthwiseConv2D)
+            continue;
+        if (succ[static_cast<size_t>(producerId)].size() != 1)
+            continue;
+        producer.attrs.fusedTransform = true;
+        producer.attrs.fusedOutShape = node.shape.dims();
+        if (node.op == OpType::Transpose)
+            producer.attrs.fusedTransformPermutes = true;
+        rewireConsumers(graph, node.id, producerId);
+        node.dead = true;
+        ++stats.fusedTransforms;
+        return true;
+    }
+    return false;
+}
+
+int64_t
+eliminateLayoutTransforms(Graph &graph, PassStats &stats)
+{
+    inferShapes(graph);
+    const int64_t before = standingTransformCycles(graph);
+    int64_t total = 0;
+    for (bool changed = true; changed;) {
+        changed = false;
+        while (cancelOneTransform(graph, stats)) {
+            inferShapes(graph);
+            changed = true;
+            ++total;
+        }
+        while (sinkOneTransform(graph, stats)) {
+            inferShapes(graph);
+            changed = true;
+            ++total;
+        }
+        while (fuseOneTransform(graph, stats)) {
+            inferShapes(graph);
+            changed = true;
+            ++total;
+        }
+        if (changed) {
+            eliminateDeadNodes(graph);
+            inferShapes(graph);
+        }
+    }
+    stats.transformCyclesSaved += before - standingTransformCycles(graph);
+    return total;
+}
+
+/** graph::optimize with the reference elimination in its place. */
+PassStats
+optimize(Graph &graph, const OptimizeOptions &options)
+{
+    inferShapes(graph);
+    PassStats stats;
+    stats.foldedNodes = foldConstants(graph);
+    stats.fusedActivations = fuseClampActivations(graph);
+    if (options.eliminateLayoutTransforms) {
+        reference::eliminateLayoutTransforms(graph, stats);
+        stats.fusedActivations += fuseClampActivations(graph);
+    }
+    if (options.extendedFusion) {
+        stats.fusedLuts = fuseLutActivations(graph);
+        stats.fusedResiduals = fuseResidualAdds(graph);
+    }
+    stats.removedNodes = eliminateDeadNodes(graph);
+    inferShapes(graph);
+    return stats;
+}
+
+} // namespace reference
+
+/** Every node field the passes touch, dead nodes included. */
+void
+expectSameGraph(const Graph &got, const Graph &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        const Node &a = got.nodes()[i];
+        const Node &b = want.nodes()[i];
+        SCOPED_TRACE(testing::Message() << "node " << i);
+        EXPECT_EQ(a.op, b.op);
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.inputs, b.inputs);
+        EXPECT_TRUE(a.attrs == b.attrs);
+        EXPECT_EQ(a.shape, b.shape);
+        EXPECT_EQ(a.dead, b.dead);
+    }
+}
+
+void
+expectSameStats(const PassStats &got, const PassStats &want)
+{
+    EXPECT_EQ(got.foldedNodes, want.foldedNodes);
+    EXPECT_EQ(got.fusedActivations, want.fusedActivations);
+    EXPECT_EQ(got.removedNodes, want.removedNodes);
+    EXPECT_EQ(got.cancelledTransforms, want.cancelledTransforms);
+    EXPECT_EQ(got.sunkTransforms, want.sunkTransforms);
+    EXPECT_EQ(got.fusedTransforms, want.fusedTransforms);
+    EXPECT_EQ(got.transformCyclesSaved, want.transformCyclesSaved);
+    EXPECT_EQ(got.fusedLuts, want.fusedLuts);
+    EXPECT_EQ(got.fusedResiduals, want.fusedResiduals);
 }
 
 // ---- directed: cancel ------------------------------------------------
@@ -464,6 +765,241 @@ TEST(TransformElimFuzzTest, RandomTransformChainsPreserveSemantics)
             << "round " << round << ": elimination changed semantics";
         if (HasFailure())
             break;
+    }
+}
+
+// ---- seeded differential fuzz: random DAGs against the reference -----
+
+/**
+ * Random DAG mixing every pattern the rules match: fan-out, matmul and
+ * depthwise producers under transforms, binary ops over identically
+ * transformed operands, scalar broadcasts, and identity and composable
+ * transform chains.
+ */
+Graph
+randomTransformDag(Rng &rng)
+{
+    Graph g;
+    std::vector<NodeId> values; // every value-producing node so far
+    auto append = [&](OpType op, std::vector<NodeId> inputs,
+                      NodeAttrs attrs = {}) {
+        const NodeId id = g.add(op, std::move(inputs), std::move(attrs));
+        inferShapes(g, id);
+        values.push_back(id);
+        return id;
+    };
+    auto dimsOf = [&](NodeId id) { return g.node(id).shape.dims(); };
+    // Mostly one of the last few values (chains), sometimes any (fan-out).
+    auto pick = [&]() {
+        const auto n = static_cast<int64_t>(values.size());
+        const int64_t back = rng.uniformInt(0, 3) == 0
+                                 ? rng.uniformInt(0, n - 1)
+                                 : std::min<int64_t>(rng.uniformInt(0, 2),
+                                                     n - 1);
+        return values[static_cast<size_t>(n - 1 - back)];
+    };
+    auto randomPerm = [&](size_t rank) {
+        std::vector<int> perm(rank);
+        for (size_t i = 0; i < rank; ++i)
+            perm[i] = static_cast<int>(i);
+        for (size_t s = rank; s-- > 1;)
+            std::swap(perm[s], perm[static_cast<size_t>(rng.uniformInt(
+                                   0, static_cast<int64_t>(s)))]);
+        return perm;
+    };
+    auto transposeOf = [&](NodeId x, std::vector<int> perm) {
+        NodeAttrs attrs;
+        attrs.perm = std::move(perm);
+        return append(OpType::Transpose, {x}, attrs);
+    };
+    auto reshapeOf = [&](NodeId x, std::vector<int64_t> target) {
+        NodeAttrs attrs;
+        attrs.targetShape = std::move(target);
+        return append(OpType::Reshape, {x}, attrs);
+    };
+    // A random view of x's elements: identity, flat, split, or reversed.
+    auto randomTarget = [&](NodeId x) {
+        std::vector<int64_t> dims = dimsOf(x);
+        const int64_t elements = g.node(x).shape.elements();
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            return dims;
+          case 1:
+            return std::vector<int64_t>{elements};
+          case 2:
+            return std::vector<int64_t>{dims[0], elements / dims[0]};
+          default:
+            std::reverse(dims.begin(), dims.end());
+            return dims;
+        }
+    };
+    auto randomTransform = [&](NodeId x) {
+        return rng.uniformInt(0, 1) == 0
+                   ? transposeOf(x, randomPerm(dimsOf(x).size()))
+                   : reshapeOf(x, randomTarget(x));
+    };
+    const OpType unaryOps[] = {OpType::Clamp, OpType::Sigmoid,
+                               OpType::Tanh, OpType::Gelu, OpType::Pow};
+    const OpType binaryOps[] = {OpType::Add, OpType::Mul, OpType::Sub,
+                                OpType::Div};
+    auto unaryOf = [&](NodeId x) {
+        return append(unaryOps[rng.uniformInt(0, 4)], {x});
+    };
+
+    const NodeId scalar = append(OpType::Constant, {}, [] {
+        NodeAttrs attrs;
+        attrs.targetShape = {1};
+        return attrs;
+    }());
+    values.pop_back(); // only ever a broadcast operand
+    append(OpType::Input, {}, [&] {
+        NodeAttrs attrs;
+        attrs.targetShape = {rng.uniformInt(2, 4), rng.uniformInt(2, 4),
+                             rng.uniformInt(2, 4)};
+        return attrs;
+    }());
+
+    const int steps = static_cast<int>(rng.uniformInt(8, 40));
+    for (int step = 0; step < steps; ++step) {
+        const NodeId x = pick();
+        const size_t rank = dimsOf(x).size();
+        switch (rng.uniformInt(0, 9)) {
+          case 0:
+          case 1:
+            randomTransform(x);
+            break;
+          case 2: { // composable chain: T(T(x)) or R(R(x))
+            if (rng.uniformInt(0, 1) == 0) {
+                const std::vector<int> perm = randomPerm(rank);
+                std::vector<int> inverse(rank);
+                for (size_t i = 0; i < rank; ++i)
+                    inverse[static_cast<size_t>(perm[i])] =
+                        static_cast<int>(i);
+                transposeOf(transposeOf(x, perm),
+                            rng.uniformInt(0, 1) == 0 ? inverse
+                                                      : randomPerm(rank));
+            } else {
+                const NodeId r = reshapeOf(x, randomTarget(x));
+                reshapeOf(r, rng.uniformInt(0, 1) == 0 ? dimsOf(x)
+                                                       : randomTarget(r));
+            }
+            break;
+          }
+          case 3:
+            unaryOf(x);
+            break;
+          case 4: { // matched binary: E(T(x), T(y)) over equal shapes,
+                    // one side possibly under a unary op the sink clears
+            const NodeId y = rng.uniformInt(0, 1) == 0 ? unaryOf(x) : x;
+            const NodeId tx = randomTransform(x);
+            NodeId ty = g.add(g.node(tx).op, {y}, g.node(tx).attrs);
+            inferShapes(g, ty);
+            values.push_back(ty);
+            if (rng.uniformInt(0, 2) == 0)
+                ty = unaryOf(ty);
+            const OpType op = binaryOps[rng.uniformInt(0, 3)];
+            if (rng.uniformInt(0, 1) == 0)
+                append(op, {tx, ty});
+            else
+                append(op, {ty, tx});
+            break;
+          }
+          case 5: { // scalar broadcast, usually under a transform
+            const NodeId t =
+                rng.uniformInt(0, 2) == 0 ? x : randomTransform(x);
+            append(binaryOps[rng.uniformInt(0, 3)], {t, scalar});
+            break;
+          }
+          case 6: { // binary over two equal-shape values (fan-out)
+            NodeId y = pick();
+            if (dimsOf(y) != dimsOf(x))
+                y = x;
+            append(binaryOps[rng.uniformInt(0, 3)], {x, y});
+            break;
+          }
+          case 7:
+          case 8: { // matmul producer, usually under a transform chain
+            if (rank < 2)
+                break;
+            NodeAttrs w;
+            w.targetShape = {dimsOf(x).back(), rng.uniformInt(2, 4)};
+            const NodeId weights = g.add(OpType::Constant, {}, w);
+            inferShapes(g, weights);
+            NodeId y = append(OpType::MatMul, {x, weights});
+            for (int64_t t = rng.uniformInt(0, 2); t > 0; --t)
+                y = randomTransform(y);
+            break;
+          }
+          default: { // depthwise producer under a transform
+            if (rank != 3)
+                break;
+            randomTransform(append(OpType::DepthwiseConv2D, {x}));
+            break;
+          }
+        }
+    }
+    g.add(OpType::Output, {values.back()});
+    for (int64_t extra = rng.uniformInt(0, 2); extra > 0; --extra)
+        g.add(OpType::Output, {pick()});
+    inferShapes(g);
+    return g;
+}
+
+TEST(TransformElimFuzzTest, RandomDagsMatchReferenceFixpoint)
+{
+    Rng rng(0x5EED0DA6ULL);
+    PassStats seen;
+    for (int round = 0; round < 400; ++round) {
+        const Graph g = randomTransformDag(rng);
+        SCOPED_TRACE(testing::Message() << "round " << round << "\n"
+                                        << g.toString());
+        Graph got = g;
+        Graph want = g;
+        PassStats gotStats;
+        PassStats wantStats;
+        EXPECT_EQ(eliminateLayoutTransforms(got, gotStats),
+                  reference::eliminateLayoutTransforms(want, wantStats));
+        expectSameGraph(got, want);
+        expectSameStats(gotStats, wantStats);
+        seen.cancelledTransforms += gotStats.cancelledTransforms;
+        seen.sunkTransforms += gotStats.sunkTransforms;
+        seen.fusedTransforms += gotStats.fusedTransforms;
+
+        for (bool extended : {false, true}) {
+            OptimizeOptions options;
+            options.eliminateLayoutTransforms = true;
+            options.extendedFusion = extended;
+            Graph full = g;
+            Graph fullWant = g;
+            expectSameStats(optimize(full, options),
+                            reference::optimize(fullWant, options));
+            expectSameGraph(full, fullWant);
+        }
+        if (HasFailure())
+            break;
+    }
+    // The generator reaches every rule.
+    EXPECT_GT(seen.cancelledTransforms, 0);
+    EXPECT_GT(seen.sunkTransforms, 0);
+    EXPECT_GT(seen.fusedTransforms, 0);
+}
+
+TEST(TransformElimFuzzTest, ZooGraphsMatchReferenceFixpoint)
+{
+    for (const models::ModelInfo &info : models::allModels()) {
+        const Graph g = models::buildModel(info.id);
+        for (bool extended : {false, true}) {
+            SCOPED_TRACE(testing::Message() << info.name << " extended="
+                                            << extended);
+            OptimizeOptions options;
+            options.eliminateLayoutTransforms = true;
+            options.extendedFusion = extended;
+            Graph got = g;
+            Graph want = g;
+            expectSameStats(optimize(got, options),
+                            reference::optimize(want, options));
+            expectSameGraph(got, want);
+        }
     }
 }
 

@@ -2,15 +2,20 @@
  * @file
  * Compile-time concurrency must be invisible in the output: compiling a
  * model with one worker thread and with many must yield bit-identical
- * selections, costs, and cycle counts. This is the contract documented
- * on CompileOptions::numThreads -- partitions are independent
- * subproblems and kernel simulations are pure functions of their cache
- * keys, so thread count may only change wall-clock compile time.
+ * selections, costs, cycle counts, serialized artifacts, and
+ * diagnostics. This is the contract documented on
+ * CompileOptions::numThreads -- partitions are independent subproblems
+ * and kernel simulations are pure functions of their cache keys, so
+ * thread count may only change wall-clock compile time.
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "models/zoo.h"
 #include "runtime/compiler.h"
+#include "service/artifact_store.h"
 
 namespace gcd2::runtime {
 namespace {
@@ -42,21 +47,37 @@ expectIdentical(const CompiledModel &serial, const CompiledModel &threaded)
     EXPECT_EQ(serial.totalMacs, threaded.totalMacs);
 }
 
+std::vector<std::string>
+diagnosticLines(const CompiledModel &model)
+{
+    std::vector<std::string> lines;
+    for (const common::Diag &diag : model.report.diagnostics)
+        lines.push_back(diag.toString());
+    return lines;
+}
+
 TEST(DeterminismTest, ThreadCountDoesNotChangeCompilationResults)
 {
     // Branchy CNN, super-resolution (layout-diverse), and a transformer:
     // together they exercise every selector path (partitioned solve,
     // chunked polish windows, pinned boundaries) and every kernel family.
+    // Conformer and EfficientDet-d0 retain the most schedules and
+    // dead-code rewrites, which kernel generation spreads over the pool.
     for (ModelId id : {ModelId::MobileNetV3, ModelId::WdsrB,
-                       ModelId::TinyBert}) {
+                       ModelId::TinyBert, ModelId::Conformer,
+                       ModelId::EfficientDetD0}) {
         const graph::Graph g = models::buildModel(id);
         const CompiledModel serial = compile(g, withThreads(1));
+        const std::vector<uint8_t> serialBytes =
+            service::serializeModel(serial);
         for (int threads : {2, 4, 8}) {
             const CompiledModel threaded = compile(g, withThreads(threads));
             SCOPED_TRACE(testing::Message()
                          << models::modelInfo(id).name << " with "
                          << threads << " threads");
             expectIdentical(serial, threaded);
+            EXPECT_EQ(service::serializeModel(threaded), serialBytes);
+            EXPECT_EQ(diagnosticLines(threaded), diagnosticLines(serial));
         }
     }
 }
