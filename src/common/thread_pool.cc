@@ -123,19 +123,51 @@ ThreadPool::parallelFor(int64_t n, const std::function<void(int64_t)> &body)
         return;
     }
 
-    // One task per worker; iterations are claimed through a shared
-    // counter so load imbalance between iterations evens out.
-    auto next = std::make_shared<std::atomic<int64_t>>(0);
-    const int64_t tasks =
-        std::min<int64_t>(static_cast<int64_t>(size_), n);
-    for (int64_t t = 0; t < tasks; ++t) {
-        submit([next, n, &body] {
-            for (int64_t i = next->fetch_add(1); i < n;
-                 i = next->fetch_add(1))
+    // The caller drains iterations alongside up to size() - 1 helper
+    // tasks, all claiming them through one shared counter, and then
+    // waits for the claimed iterations only. A helper that starts after
+    // the work ran out finds the counter past n and returns without
+    // touching body, so the loop never waits for a thread the scheduler
+    // has not run yet: on a busy host it degrades to the caller running
+    // everything, not to the caller sleeping until a helper gets a slice.
+    struct Loop
+    {
+        std::atomic<int64_t> next{0};
+        std::mutex mutex;
+        std::condition_variable finished;
+        int64_t done = 0;         ///< guarded by mutex
+        std::exception_ptr error; ///< guarded by mutex
+    };
+    auto loop = std::make_shared<Loop>();
+    const auto drain = [loop, n, &body] {
+        for (int64_t i = loop->next.fetch_add(1); i < n;
+             i = loop->next.fetch_add(1)) {
+            std::exception_ptr error;
+            try {
                 body(i);
-        });
+            } catch (...) {
+                error = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(loop->mutex);
+            if (error && !loop->error)
+                loop->error = std::move(error);
+            if (++loop->done == n)
+                loop->finished.notify_all();
+        }
+    };
+    const int64_t helpers =
+        std::min<int64_t>(static_cast<int64_t>(size_), n) - 1;
+    for (int64_t t = 0; t < helpers; ++t)
+        submit(drain);
+    drain();
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(loop->mutex);
+        loop->finished.wait(lock, [&] { return loop->done == n; });
+        error = std::move(loop->error);
     }
-    wait();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace gcd2

@@ -52,9 +52,14 @@ class ThreadPool
     void wait();
 
     /**
-     * Run body(0..n-1) across the pool and wait. Iterations are handed
-     * out through an atomic counter, so any iteration may run on any
-     * thread -- bodies must only touch per-iteration state.
+     * Run body(0..n-1) across the pool and wait. The calling thread
+     * runs iterations itself, next to at most size() - 1 queued helper
+     * tasks; iterations are handed out through an atomic counter, so
+     * any iteration may run on any thread -- bodies must only touch
+     * per-iteration state. It waits for its own iterations only, never
+     * for a helper that found no work left or for other tasks on the
+     * pool, and rethrows the first exception one of its iterations
+     * threw.
      */
     void parallelFor(int64_t n, const std::function<void(int64_t)> &body);
 

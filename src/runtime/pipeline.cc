@@ -719,30 +719,46 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     // Packs inside the schedule audit, counted apart from the deep
     // re-cost's: the audit reads the retained schedules, so this stays 0.
     const uint64_t scheduleMisses0 = vliw::PackCache::global().stats().misses;
-    uint64_t schedulesAudited = 0;
+    // The distinct programs are audited in parallel, one result slot
+    // each; findings and counts are then merged in first-occurrence
+    // order, so the report is thread-count-invariant (as for DCE in
+    // kernel generation).
+    std::set<const dsp::PackedProgram *> seen;
+    std::vector<const dsp::PackedProgram *> programs;
+    for (const CompiledModel::ServedSchedule &sched : result.schedules)
+        if (seen.insert(sched.program.get()).second)
+            programs.push_back(sched.program.get());
+    struct ProgramAudit
+    {
+        std::vector<Diag> findings;
+        analysis::LintResult linted;
+    };
+    std::vector<ProgramAudit> audits(programs.size());
+    pool_.parallelFor(
+        static_cast<int64_t>(programs.size()), [&](int64_t i) {
+            const dsp::PackedProgram &program =
+                *programs[static_cast<size_t>(i)];
+            ProgramAudit &audit = audits[static_cast<size_t>(i)];
+            audit.findings = vliw::auditSchedule(program);
+            audit.linted = analysis::lintPackedProgram(program, lintOpts);
+        });
     size_t scheduleFailures = 0;
-    std::set<const dsp::PackedProgram *> auditedPrograms;
-    for (const CompiledModel::ServedSchedule &sched : result.schedules) {
-        if (!auditedPrograms.insert(sched.program.get()).second)
-            continue;
-        std::vector<Diag> findings = vliw::auditSchedule(*sched.program);
-        scheduleFailures += findings.size();
-        for (Diag &diag : findings)
+    for (ProgramAudit &audit : audits) {
+        scheduleFailures += audit.findings.size();
+        for (Diag &diag : audit.findings)
             diag_.add(std::move(diag));
-
-        const analysis::LintResult linted =
-            analysis::lintPackedProgram(*sched.program, lintOpts);
-        lint.useBeforeDef += linted.counts.useBeforeDef;
-        lint.deadStore += linted.counts.deadStore;
-        lint.hazards += linted.counts.hazards;
-        lint.noalias += linted.counts.noalias;
-        lint.redundantLoad += linted.counts.redundantLoad;
-        lint.bounds += linted.counts.bounds;
-        lintErrors += linted.counts.errors;
-        for (const Diag &diag : linted.diags)
-            diag_.add(diag);
-        ++schedulesAudited;
+        const analysis::LintCounts &counts = audit.linted.counts;
+        lint.useBeforeDef += counts.useBeforeDef;
+        lint.deadStore += counts.deadStore;
+        lint.hazards += counts.hazards;
+        lint.noalias += counts.noalias;
+        lint.redundantLoad += counts.redundantLoad;
+        lint.bounds += counts.bounds;
+        lintErrors += counts.errors;
+        for (Diag &diag : audit.linted.diags)
+            diag_.add(std::move(diag));
     }
+    const uint64_t schedulesAudited = programs.size();
     const uint64_t schedulePackMisses =
         vliw::PackCache::global().stats().misses - scheduleMisses0;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.h"
 #include "kernels/conv.h"
@@ -157,6 +158,67 @@ tileConfigOf(MatMulScheme scheme, const UnrollChoice &choice)
     return kernels::withUnroll(config, choice);
 }
 
+/** Row panels x column tiles of @p shape under (scheme, choice): the
+ *  factor that scales one canonical tile's stats to the whole kernel. */
+double
+tileTrips(const MatMulShape &shape, MatMulScheme scheme,
+          const UnrollChoice &choice)
+{
+    const int64_t panelSpan =
+        static_cast<int64_t>(panelRowsOf(scheme)) * choice.outer;
+    const int64_t tileSpan =
+        static_cast<int64_t>(colsPerUnitOf(scheme)) * choice.cols;
+    const double panels =
+        static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
+    const double tiles =
+        static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
+    return panels * tiles;
+}
+
+/** The matmul a matmul-family node runs, @c batch times over. */
+struct MatMulProblem
+{
+    MatMulShape shape;
+    int64_t batch = 1;
+    bool im2col = false; ///< non-pointwise Conv2D: patches gathered first
+};
+
+/**
+ * Conv2D runs its im2col product. MatMul takes its kernel's output
+ * columns from the natural shape (node.shape may carry a fused epilogue
+ * transform) and repeats over the leading batch dimensions. nullopt for
+ * every other op.
+ */
+std::optional<MatMulProblem>
+matmulProblemOf(const graph::Graph &graph, const graph::Node &node)
+{
+    if (!graph::isMatMulFamily(node.op))
+        return std::nullopt;
+    const tensor::Shape &in = graph.node(node.inputs[0]).shape;
+    if (node.op == OpType::Conv2D) {
+        kernels::ConvShape conv;
+        conv.inC = in.dim(0);
+        conv.inH = in.dim(1);
+        conv.inW = in.dim(2);
+        conv.outC = node.attrs.outC;
+        conv.kH = node.attrs.kH;
+        conv.kW = node.attrs.kW;
+        conv.strideH = node.attrs.strideH;
+        conv.strideW = node.attrs.strideW;
+        conv.padH = node.attrs.padH;
+        conv.padW = node.attrs.padW;
+        return MatMulProblem{conv.matmulShape(), 1, !conv.isPointwise()};
+    }
+    const tensor::Shape natural = graph::naturalNodeShape(graph, node);
+    MatMulProblem problem;
+    problem.shape.m = in.dim(in.rank() - 2);
+    problem.shape.k = in.dim(in.rank() - 1);
+    problem.shape.n = natural.dim(natural.rank() - 1);
+    problem.batch = std::max<int64_t>(
+        1, in.elements() / (problem.shape.m * problem.shape.k));
+    return problem;
+}
+
 } // namespace
 
 CostKey
@@ -247,18 +309,9 @@ CostModel::unrollFor(const MatMulShape &shape, MatMulScheme scheme) const
         choice = kernels::adaptiveUnroll(shape, scheme);
         break;
       case UnrollStrategy::Exhaustive: {
-        const int panel = panelRowsOf(scheme);
-        const int unit = colsPerUnitOf(scheme);
         uint64_t best = UINT64_MAX;
         for (const UnrollChoice &candidate : kernels::unrollCandidates()) {
-            const int64_t panelSpan =
-                static_cast<int64_t>(panel) * candidate.outer;
-            const int64_t tileSpan =
-                static_cast<int64_t>(unit) * candidate.cols;
-            const double panels = static_cast<double>(
-                roundUp(shape.m, panelSpan) / panelSpan);
-            const double tiles = static_cast<double>(
-                roundUp(shape.n, tileSpan) / tileSpan);
+            const double trips = tileTrips(shape, scheme, candidate);
             if (tiered_ && best != UINT64_MAX) {
                 // Tier-1 prefilter: a candidate whose certified analytic
                 // floor (raw bound + the same drain charge and trip-count
@@ -272,7 +325,7 @@ CostModel::unrollFor(const MatMulShape &shape, MatMulScheme scheme) const
                     const uint64_t scaledLb = scaleSaturating(
                         addSaturating(rawLb, drainCycles(scheme, candidate,
                                                          shape.k)),
-                        panels * tiles);
+                        trips);
                     if (scaledLb > best) {
                         tiered_->notePruned(1);
                         continue;
@@ -281,7 +334,7 @@ CostModel::unrollFor(const MatMulShape &shape, MatMulScheme scheme) const
             }
             const uint64_t cycles =
                 matmulTileStats(scheme, candidate, shape.k)
-                    .scaled(panels * tiles)
+                    .scaled(trips)
                     .cycles;
             if (cycles < best) {
                 best = cycles;
@@ -298,18 +351,9 @@ NodeExecStats
 CostModel::matmulStats(const MatMulShape &shape, MatMulScheme scheme,
                        uint64_t extraCycles) const
 {
-    const int panel = panelRowsOf(scheme);
-    const int unit = colsPerUnitOf(scheme);
     const UnrollChoice choice = unrollFor(shape, scheme);
-
-    const int64_t panelSpan = static_cast<int64_t>(panel) * choice.outer;
-    const int64_t tileSpan = static_cast<int64_t>(unit) * choice.cols;
-    const double panels =
-        static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
-    const double tiles =
-        static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
-    NodeExecStats stats =
-        matmulTileStats(scheme, choice, shape.k).scaled(panels * tiles);
+    NodeExecStats stats = matmulTileStats(scheme, choice, shape.k)
+                              .scaled(tileTrips(shape, scheme, choice));
     stats.cycles += extraCycles;
     return stats;
 }
@@ -404,25 +448,13 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
       case OpType::Reshape: // zero-copy view in row-major
         return {};
 
-      case OpType::Conv2D: {
-        const tensor::Shape &in = graph.node(node.inputs[0]).shape;
-        kernels::ConvShape conv;
-        conv.inC = in.dim(0);
-        conv.inH = in.dim(1);
-        conv.inW = in.dim(2);
-        conv.outC = node.attrs.outC;
-        conv.kH = node.attrs.kH;
-        conv.kW = node.attrs.kW;
-        conv.strideH = node.attrs.strideH;
-        conv.strideW = node.attrs.strideW;
-        conv.padH = node.attrs.padH;
-        conv.padW = node.attrs.padW;
-
+      case OpType::Conv2D:
+      case OpType::MatMul: {
+        const MatMulProblem problem = *matmulProblemOf(graph, node);
         uint64_t im2col = 0;
         NodeExecStats extraTraffic;
-        if (!conv.isPointwise()) {
-            const int64_t patchBytes = conv.matmulShape().m *
-                                       conv.matmulShape().k;
+        if (problem.im2col) {
+            const int64_t patchBytes = problem.shape.m * problem.shape.k;
             im2col = static_cast<uint64_t>(
                 4 * (patchBytes / dsp::kVectorBytes) + 16);
             extraTraffic.bytesLoaded =
@@ -433,8 +465,10 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
                 3 * (patchBytes / dsp::kVectorBytes));
         }
         NodeExecStats stats =
-            matmulStats(conv.matmulShape(), plan.scheme, im2col);
+            matmulStats(problem.shape, plan.scheme, im2col);
         stats += extraTraffic;
+        if (problem.batch != 1)
+            stats = stats.scaled(static_cast<double>(problem.batch));
         if (node.attrs.fusedLut) {
             // Fused nonlinearity: one extra VLUT per output vector in the
             // epilogue (permute-unit bound), vs. a whole separate pass.
@@ -444,35 +478,6 @@ CostModel::computeStats(const graph::Graph &graph, NodeId id,
         if (node.attrs.fusedAdd) {
             // Fused residual: stream the second operand through the
             // epilogue (one load + one byte-average per output vector).
-            const uint64_t vectors = static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-            stats.cycles += 2 * vectors;
-            stats.bytesLoaded += vectors * 128;
-            stats.instructions += 2 * vectors;
-        }
-        fusedTransformEpilogue(stats);
-        return stats;
-      }
-
-      case OpType::MatMul: {
-        const tensor::Shape &a = graph.node(node.inputs[0]).shape;
-        // node.shape may carry a fused epilogue transform; the kernel's
-        // own output columns come from the natural (pre-transform) shape.
-        const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-        MatMulShape shape;
-        shape.m = a.dim(a.rank() - 2);
-        shape.k = a.dim(a.rank() - 1);
-        shape.n = natural.dim(natural.rank() - 1);
-        const int64_t batch =
-            std::max<int64_t>(1, a.elements() / (shape.m * shape.k));
-        NodeExecStats stats = matmulStats(shape, plan.scheme, 0);
-        if (batch != 1)
-            stats = stats.scaled(static_cast<double>(batch));
-        if (node.attrs.fusedLut) {
-            stats.cycles += static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-        }
-        if (node.attrs.fusedAdd) {
             const uint64_t vectors = static_cast<uint64_t>(
                 (node.shape.elements() + 127) / 128);
             stats.cycles += 2 * vectors;
@@ -624,41 +629,13 @@ CostModel::planLowerBound(const graph::Graph &graph, NodeId id,
 {
     if (!tiered_)
         return 0;
-    const graph::Node &node = graph.node(id);
     // Only matmul-family plans have a certified analytic floor; every
     // other operator reports "no bound" (0), which never prunes.
-    MatMulShape shape;
-    int64_t batch = 1;
-    switch (node.op) {
-      case OpType::Conv2D: {
-        const tensor::Shape &in = graph.node(node.inputs[0]).shape;
-        kernels::ConvShape conv;
-        conv.inC = in.dim(0);
-        conv.inH = in.dim(1);
-        conv.inW = in.dim(2);
-        conv.outC = node.attrs.outC;
-        conv.kH = node.attrs.kH;
-        conv.kW = node.attrs.kW;
-        conv.strideH = node.attrs.strideH;
-        conv.strideW = node.attrs.strideW;
-        conv.padH = node.attrs.padH;
-        conv.padW = node.attrs.padW;
-        shape = conv.matmulShape();
-        break;
-      }
-      case OpType::MatMul: {
-        const tensor::Shape &a = graph.node(node.inputs[0]).shape;
-        const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-        shape.m = a.dim(a.rank() - 2);
-        shape.k = a.dim(a.rank() - 1);
-        shape.n = natural.dim(natural.rank() - 1);
-        batch = std::max<int64_t>(1, a.elements() / (shape.m * shape.k));
-        break;
-      }
-      default:
+    const std::optional<MatMulProblem> problem =
+        matmulProblemOf(graph, graph.node(id));
+    if (!problem)
         return 0;
-    }
-
+    const MatMulShape &shape = problem->shape;
     const UnrollChoice choice = unrollFor(shape, plan.scheme);
     const uint64_t rawLb = tiered_->tileLowerBound(
         tileShapeOf(plan.scheme, choice, shape.k),
@@ -669,20 +646,46 @@ CostModel::planLowerBound(const graph::Graph &graph, NodeId id,
     // Mirror computeStats' scaling exactly (same double multiplications
     // and truncations), dropping every non-negative extra term (im2col,
     // fused epilogues) so the result stays a true floor.
-    const int64_t panelSpan =
-        static_cast<int64_t>(panelRowsOf(plan.scheme)) * choice.outer;
-    const int64_t tileSpan =
-        static_cast<int64_t>(colsPerUnitOf(plan.scheme)) * choice.cols;
-    const double panels =
-        static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
-    const double tiles =
-        static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
     uint64_t bound = scaleSaturating(
         addSaturating(rawLb, drainCycles(plan.scheme, choice, shape.k)),
-        panels * tiles);
-    if (batch != 1)
-        bound = scaleSaturating(bound, static_cast<double>(batch));
+        tileTrips(shape, plan.scheme, choice));
+    if (problem->batch != 1)
+        bound = scaleSaturating(bound, static_cast<double>(problem->batch));
     return bound;
+}
+
+std::vector<TileRequest>
+CostModel::tileRequests(const graph::Graph &graph, NodeId id) const
+{
+    std::vector<TileRequest> requests;
+    if (!tiered_ || options_.unroll == UnrollStrategy::Exhaustive)
+        return requests;
+    const std::optional<MatMulProblem> problem =
+        matmulProblemOf(graph, graph.node(id));
+    if (!problem)
+        return requests;
+    // enumeratePlans gives matmul-family plans pairwise distinct
+    // layouts, so same-layout dominance never prunes one: costedPlans
+    // looks up the tile of every plan.
+    for (const ExecutionPlan &plan : enumeratePlans(graph, id)) {
+        const UnrollChoice choice = unrollFor(problem->shape, plan.scheme);
+        requests.push_back(
+            {tileShapeOf(plan.scheme, choice, problem->shape.k),
+             tileConfigOf(plan.scheme, choice)});
+    }
+    return requests;
+}
+
+void
+CostModel::fillTiles(const std::vector<TileRequest> &requests) const
+{
+    for (const TileRequest &request : requests) {
+        const kernels::MatMulConfig &config = request.config;
+        matmulTileStats(config.scheme,
+                        UnrollChoice{config.unrollOut, config.unrollCols,
+                                     config.unrollK},
+                        request.tile.k);
+    }
 }
 
 NodeExecStats
@@ -741,32 +744,10 @@ CostModel::canonicalSchedule(const graph::Graph &graph, NodeId id,
       case OpType::Transpose:
         return nullptr; // costed analytically; no kernel program served
 
-      case OpType::Conv2D: {
-        const tensor::Shape &in = graph.node(node.inputs[0]).shape;
-        kernels::ConvShape conv;
-        conv.inC = in.dim(0);
-        conv.inH = in.dim(1);
-        conv.inW = in.dim(2);
-        conv.outC = node.attrs.outC;
-        conv.kH = node.attrs.kH;
-        conv.kW = node.attrs.kW;
-        conv.strideH = node.attrs.strideH;
-        conv.strideW = node.attrs.strideW;
-        conv.padH = node.attrs.padH;
-        conv.padW = node.attrs.padW;
-        return matmulSchedule(conv.matmulShape(), plan.scheme);
-      }
-
-      case OpType::MatMul: {
-        const tensor::Shape &a = graph.node(node.inputs[0]).shape;
-        // Mirror computeStats: kernel columns from the natural shape.
-        const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-        MatMulShape shape;
-        shape.m = a.dim(a.rank() - 2);
-        shape.k = a.dim(a.rank() - 1);
-        shape.n = natural.dim(natural.rank() - 1);
-        return matmulSchedule(shape, plan.scheme);
-      }
+      case OpType::Conv2D:
+      case OpType::MatMul:
+        return matmulSchedule(matmulProblemOf(graph, node)->shape,
+                              plan.scheme);
 
       case OpType::DepthwiseConv2D: {
         const int stride = node.attrs.strideW == 1 ? 1 : 2;

@@ -63,6 +63,14 @@ struct CostModelOptions
     bool tieredCosting = true;
 };
 
+/** One matmul tile kernel a plan's costing looks up: the canonical tile
+ *  (tile.k is the reduction depth) and its generator configuration. */
+struct TileRequest
+{
+    kernels::MatMulShape tile;
+    kernels::MatMulConfig config;
+};
+
 /** Memoizing cost model. */
 class CostModel
 {
@@ -89,6 +97,21 @@ class CostModel
     /** Candidate plans of a node with cycles filled in. */
     std::vector<ExecutionPlan> costedPlans(const graph::Graph &graph,
                                            graph::NodeId id) const;
+
+    /**
+     * The tile kernels costedPlans(graph, id) looks up, in plan order:
+     * one per matmul-family plan. Empty without the tiered coster, and
+     * under UnrollStrategy::Exhaustive, whose lookups depend on costs.
+     */
+    std::vector<TileRequest> tileRequests(const graph::Graph &graph,
+                                          graph::NodeId id) const;
+
+    /**
+     * Cost every request of @p requests (members of one tile class) into
+     * the memo table. The first miss certifies the class; the remaining
+     * depths derive from its fit without waiting on another thread.
+     */
+    void fillTiles(const std::vector<TileRequest> &requests) const;
 
     /** Full event statistics of a node under a plan. */
     NodeExecStats planStats(const graph::Graph &graph, graph::NodeId id,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 
 #include "common/logging.h"
@@ -66,6 +67,19 @@ nodeSignature(const graph::Graph &graph, const graph::Node &node)
     return sig;
 }
 
+/** body(0..n-1) on @p pool, or inline in order without one. */
+void
+forEachIndex(ThreadPool *pool, size_t n,
+             const std::function<void(int64_t)> &body)
+{
+    if (pool != nullptr) {
+        pool->parallelFor(static_cast<int64_t>(n), body);
+        return;
+    }
+    for (size_t i = 0; i < n; ++i)
+        body(static_cast<int64_t>(i));
+}
+
 } // namespace
 
 PlanTable::PlanTable(const graph::Graph &graph, const CostModel &model,
@@ -83,11 +97,10 @@ PlanTable::PlanTable(const graph::Graph &graph, const CostModel &model,
                         << nodes[i].id << " at index " << i << ")");
     if (model.options().tieredCosting) {
         // Shape-class canonicalization: group live nodes by structural
-        // signature, cost one representative per class (batched through
-        // the pool -- classes, not nodes, are the unit of work), and
-        // copy its plan vector to every member. Identical signatures
-        // feed the cost model identical inputs, so the copies are what
-        // per-node costing would have produced bit for bit.
+        // signature, cost one representative per class, and copy its
+        // plan vector to every member. Identical signatures feed the
+        // cost model identical inputs, so the copies are what per-node
+        // costing would have produced bit for bit.
         std::map<std::vector<int64_t>, std::vector<NodeId>> classes;
         for (const graph::Node &node : nodes)
             if (!node.dead)
@@ -96,25 +109,63 @@ PlanTable::PlanTable(const graph::Graph &graph, const CostModel &model,
         groups.reserve(classes.size());
         for (const auto &entry : classes)
             groups.push_back(&entry.second);
-        auto costClass = [&](const std::vector<NodeId> &members) {
-            // Members are disjoint across groups, so parallel writes
-            // never touch the same plan slot.
+
+        // Phase 1: certify every tile class the representatives' plans
+        // look up, one pool task per class. Certification (one pack and
+        // three anchor simulations) is most of the table's cost and runs
+        // under the class lock, so costing nodes directly would park
+        // every other node of a class behind whichever thread got there
+        // first. As tasks, each class is certified once and its depths
+        // filled by the thread that certified it. Largest canonical
+        // program first, so the longest task never starts last.
+        struct TileClassTask
+        {
+            std::vector<TileRequest> requests; ///< distinct depths
+            size_t programSize = 0;
+        };
+        std::vector<TileClassTask> tileTasks;
+        std::map<std::vector<int64_t>, size_t> taskOf;
+        for (const std::vector<NodeId> *members : groups) {
+            for (const TileRequest &request :
+                 model.tileRequests(graph, members->front())) {
+                const auto [slot, fresh] = taskOf.try_emplace(
+                    tileClassKey(request.tile, request.config),
+                    tileTasks.size());
+                if (fresh)
+                    tileTasks.push_back(
+                        {{}, tileClassProgramSize(request.tile,
+                                                  request.config)});
+                std::vector<TileRequest> &requests =
+                    tileTasks[slot->second].requests;
+                if (std::none_of(requests.begin(), requests.end(),
+                                 [&](const TileRequest &r) {
+                                     return r.tile.k == request.tile.k;
+                                 }))
+                    requests.push_back(request);
+            }
+        }
+        std::stable_sort(tileTasks.begin(), tileTasks.end(),
+                         [](const TileClassTask &a, const TileClassTask &b) {
+                             return a.programSize > b.programSize;
+                         });
+        forEachIndex(pool, tileTasks.size(), [&](int64_t i) {
+            model.fillTiles(tileTasks[static_cast<size_t>(i)].requests);
+        });
+
+        // Phase 2: cost the representatives. Every tile lookup is now a
+        // memo hit; what remains is the cheap non-matmul kernels. Members
+        // are disjoint across groups, so parallel writes never touch the
+        // same plan slot.
+        forEachIndex(pool, groups.size(), [&](int64_t i) {
+            const std::vector<NodeId> &members =
+                *groups[static_cast<size_t>(i)];
             const NodeId rep = members.front();
             plans_[static_cast<size_t>(rep)] =
                 model.costedPlans(graph, rep);
             for (size_t m = 1; m < members.size(); ++m)
                 plans_[static_cast<size_t>(members[m])] =
                     plans_[static_cast<size_t>(rep)];
-        };
-        if (pool != nullptr && pool->size() > 1) {
-            pool->parallelFor(
-                static_cast<int64_t>(groups.size()), [&](int64_t i) {
-                    costClass(*groups[static_cast<size_t>(i)]);
-                });
-        } else {
-            for (const std::vector<NodeId> *members : groups)
-                costClass(*members);
-        }
+        });
         stats_.shapeClasses = classes.size();
         for (const auto &entry : classes) {
             const size_t copies = entry.second.size() - 1;
@@ -123,22 +174,16 @@ PlanTable::PlanTable(const graph::Graph &graph, const CostModel &model,
                 copies *
                 plans_[static_cast<size_t>(entry.second.front())].size();
         }
-    } else if (pool != nullptr && pool->size() > 1) {
+    } else {
         // Each node's plan set is an independent pure computation (the
         // cost model's memo cache is thread-safe), so any iteration
         // order yields the same table.
-        pool->parallelFor(
-            static_cast<int64_t>(nodes.size()), [&](int64_t i) {
-                const graph::Node &node = nodes[static_cast<size_t>(i)];
-                if (!node.dead)
-                    plans_[static_cast<size_t>(node.id)] =
-                        model.costedPlans(graph, node.id);
-            });
-    } else {
-        for (const graph::Node &node : nodes)
+        forEachIndex(pool, nodes.size(), [&](int64_t i) {
+            const graph::Node &node = nodes[static_cast<size_t>(i)];
             if (!node.dead)
                 plans_[static_cast<size_t>(node.id)] =
                     model.costedPlans(graph, node.id);
+        });
     }
     // Edge and free-node enumeration stays serial so their order (which
     // downstream solvers iterate in) is independent of thread count.

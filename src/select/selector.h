@@ -46,10 +46,12 @@ class PlanTable
   public:
     /**
      * Cost every candidate plan of every live node. Plan costing
-     * simulates canonical kernels, which dominates compile time; when a
-     * @p pool with more than one worker is supplied, nodes are costed
-     * concurrently (bit-identical to serial: each node's plans are an
-     * independent pure computation).
+     * simulates canonical kernels, which dominates compile time. With
+     * tiered costing it runs in two phases on @p pool (inline without
+     * one): first one task per matmul tile class, which certifies the
+     * class and fills every depth the table needs, then one task per
+     * node class, whose tile lookups are then all memo hits. The result
+     * is bit-identical at every pool size.
      */
     PlanTable(const graph::Graph &graph, const CostModel &model,
               ThreadPool *pool = nullptr);

@@ -75,8 +75,19 @@ itersFor(const MatMulShape &tile, const MatMulConfig &config)
     return (tile.k + quantum - 1) / quantum;
 }
 
+/** The class member at the @p anchor-th anchor depth. */
+MatMulShape
+anchorTile(MatMulShape tile, const MatMulConfig &config, int anchor)
+{
+    tile.k = kernels::kQuantum(config.scheme, config.unrollK) *
+             kAnchors[anchor];
+    return tile;
+}
+
+} // namespace
+
 std::vector<int64_t>
-classKeyOf(const MatMulShape &tile, const MatMulConfig &config)
+tileClassKey(const MatMulShape &tile, const MatMulConfig &config)
 {
     return {static_cast<int64_t>(config.scheme),
             config.unrollOut,
@@ -89,7 +100,13 @@ classKeyOf(const MatMulShape &tile, const MatMulConfig &config)
             tile.n};
 }
 
-} // namespace
+size_t
+tileClassProgramSize(const MatMulShape &tile, const MatMulConfig &config)
+{
+    return kernels::MatMulKernel(anchorTile(tile, config, 0), config)
+        .program()
+        .code.size();
+}
 
 bool
 transplantCompatible(const dsp::Program &a, const dsp::Program &b)
@@ -168,7 +185,7 @@ TieredCoster::~TieredCoster() = default;
 TieredCoster::TileClass &
 TieredCoster::classFor(const MatMulShape &tile, const MatMulConfig &config)
 {
-    const std::vector<int64_t> key = classKeyOf(tile, config);
+    const std::vector<int64_t> key = tileClassKey(tile, config);
     std::lock_guard<std::mutex> lock(mu_);
     std::unique_ptr<TileClass> &slot = classes_[key];
     if (!slot)
@@ -182,14 +199,10 @@ TieredCoster::certify(TileClass &cls, const MatMulShape &tile,
 {
     cls.tried = true;
     const Timer timer;
-    const int64_t quantum =
-        kernels::kQuantum(config.scheme, config.unrollK);
-
     NodeExecStats stats[3];
     for (int a = 0; a < 3; ++a) {
-        MatMulShape anchorTile = tile;
-        anchorTile.k = quantum * kAnchors[a];
-        const kernels::MatMulKernel kernel(anchorTile, config);
+        const kernels::MatMulKernel kernel(anchorTile(tile, config, a),
+                                           config);
         if (a == 0) {
             cls.canonical = kernel.program();
             cls.anchorPack = vliw::PackCache::global().lookupOrPack(

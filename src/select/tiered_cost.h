@@ -114,9 +114,11 @@ class TieredCoster
 
     TieredCounters counters() const;
 
-    /** Wall time spent certifying classes (packs + anchor sims). */
+    /** Time spent certifying classes (packs + anchor sims), summed over
+     *  every thread that certified one -- CPU time, not wall time. */
     double certifySeconds() const;
-    /** Wall time spent in tier-1 analytic bound computations. */
+    /** Time spent in tier-1 analytic bound computations, summed over
+     *  threads like certifySeconds(). */
     double analyticSeconds() const;
 
     /**
@@ -151,6 +153,22 @@ class TieredCoster
     mutable std::atomic<uint64_t> certifyMicros_{0};
     mutable std::atomic<uint64_t> analyticMicros_{0};
 };
+
+/**
+ * Key of the tile class of (@p tile, @p config): the scheme, the unroll
+ * choice and shift configuration, and the tile's m x n. Class members
+ * differ only in the reduction depth tile.k.
+ */
+std::vector<int64_t> tileClassKey(const kernels::MatMulShape &tile,
+                                  const kernels::MatMulConfig &config);
+
+/**
+ * Instruction count of the class's canonical program (the low-anchor
+ * kernel certification packs and simulates), so certification cost
+ * grows with it.
+ */
+size_t tileClassProgramSize(const kernels::MatMulShape &tile,
+                            const kernels::MatMulConfig &config);
 
 /**
  * Two programs are transplant-compatible when the deterministic packer

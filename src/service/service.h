@@ -176,8 +176,8 @@ class CompileService
     std::shared_ptr<select::CostCache> costCache_;
     /** Small pool the artifact loader's re-audit gate fans out on. A
      *  second pool (not pool_): serve() runs *on* a pool_ worker, and
-     *  ThreadPool::parallelFor waits for all pending pool tasks, so
-     *  nesting it on pool_ would deadlock on the serve task itself. */
+     *  helpers queued on pool_ would sit behind the queued serve tasks,
+     *  leaving the re-audit to the calling worker alone. */
     std::unique_ptr<ThreadPool> verifyPool_;
     common::ShardedLru<ModelKey,
                        std::shared_ptr<const runtime::CompiledModel>,

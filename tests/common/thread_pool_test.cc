@@ -1,13 +1,17 @@
 /**
  * @file
  * ThreadPool contract tests: inline serial mode, parallelFor coverage,
- * exception propagation, and reuse across waves of work.
+ * exception propagation, reuse across waves of work, and parallelFor's
+ * independence from busy workers and from concurrent callers.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -71,6 +75,57 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossWaves)
     for (int wave = 0; wave < 5; ++wave)
         pool.parallelFor(100, [&](int64_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 5 * (99 * 100 / 2));
+}
+
+TEST(ThreadPoolTest, ParallelForFinishesWhileEveryWorkerIsBusy)
+{
+    // The caller drains the loop itself; its helper tasks queue behind
+    // the blocked workers and find nothing left when they start.
+    ThreadPool pool(2);
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    std::atomic<int> blocked{0};
+    for (int w = 0; w < pool.size(); ++w)
+        pool.submit([&blocked, released] {
+            blocked.fetch_add(1);
+            released.wait();
+        });
+    while (blocked.load() < pool.size())
+        std::this_thread::yield();
+
+    std::vector<int> touched(64, 0);
+    auto loop = std::async(std::launch::async, [&] {
+        pool.parallelFor(static_cast<int64_t>(touched.size()),
+                         [&](int64_t i) { ++touched[i]; });
+    });
+    const bool finished =
+        loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    release.set_value();
+    loop.get();
+    pool.wait();
+    EXPECT_TRUE(finished) << "parallelFor waited for busy workers";
+    for (int count : touched)
+        EXPECT_EQ(count, 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForsRethrowOnlyTheirOwnErrors)
+{
+    ThreadPool pool(3);
+    for (int round = 0; round < 20; ++round) {
+        auto failing = std::async(std::launch::async, [&] {
+            pool.parallelFor(8, [](int64_t i) {
+                if (i == 3)
+                    throw std::runtime_error("boom");
+            });
+        });
+        auto clean = std::async(std::launch::async, [&] {
+            pool.parallelFor(8, [](int64_t) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+            });
+        });
+        EXPECT_THROW(failing.get(), std::runtime_error) << "round " << round;
+        EXPECT_NO_THROW(clean.get()) << "round " << round;
+    }
 }
 
 TEST(ThreadPoolTest, HardwareDefaultIsAtLeastOne)

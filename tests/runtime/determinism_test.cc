@@ -47,6 +47,24 @@ expectIdentical(const CompiledModel &serial, const CompiledModel &threaded)
     EXPECT_EQ(serial.totalMacs, threaded.totalMacs);
 }
 
+/** Plan-table tier counters: which tile classes were certified and how
+ *  each tile cost was obtained. Every tile class is filled by exactly
+ *  one task, so these must not depend on thread timing either. */
+std::vector<uint64_t>
+tierCounters(const CompiledModel &model)
+{
+    const PassReport *pass = model.report.pass("plan-table");
+    if (pass == nullptr)
+        return {};
+    std::vector<uint64_t> values;
+    for (const char *name :
+         {"plans-derived", "plans-simulated", "anchor-sims",
+          "transplanted-packs", "tier-classes-certified",
+          "tier-classes-uncertified"})
+        values.push_back(pass->counter(name));
+    return values;
+}
+
 std::vector<std::string>
 diagnosticLines(const CompiledModel &model)
 {
@@ -58,14 +76,14 @@ diagnosticLines(const CompiledModel &model)
 
 TEST(DeterminismTest, ThreadCountDoesNotChangeCompilationResults)
 {
-    // Branchy CNN, super-resolution (layout-diverse), and a transformer:
-    // together they exercise every selector path (partitioned solve,
+    // The whole zoo: branchy CNNs, super-resolution (layout-diverse),
+    // and transformers exercise every selector path (partitioned solve,
     // chunked polish windows, pinned boundaries) and every kernel family.
     // Conformer and EfficientDet-d0 retain the most schedules and
-    // dead-code rewrites, which kernel generation spreads over the pool.
-    for (ModelId id : {ModelId::MobileNetV3, ModelId::WdsrB,
-                       ModelId::TinyBert, ModelId::Conformer,
-                       ModelId::EfficientDetD0}) {
+    // dead-code rewrites, which kernel generation and the audit spread
+    // over the pool.
+    for (const models::ModelInfo &info : models::allModels()) {
+        const ModelId id = info.id;
         const graph::Graph g = models::buildModel(id);
         const CompiledModel serial = compile(g, withThreads(1));
         const std::vector<uint8_t> serialBytes =
@@ -78,7 +96,9 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeCompilationResults)
             expectIdentical(serial, threaded);
             EXPECT_EQ(service::serializeModel(threaded), serialBytes);
             EXPECT_EQ(diagnosticLines(threaded), diagnosticLines(serial));
+            EXPECT_EQ(tierCounters(threaded), tierCounters(serial));
         }
+        EXPECT_GT(tierCounters(serial).at(0), 0u); // plans-derived
     }
 }
 
