@@ -6,6 +6,20 @@ namespace gcd2::analysis {
 
 using common::DiagSeverity;
 
+LintCounts &
+LintCounts::operator+=(const LintCounts &other)
+{
+    useBeforeDef += other.useBeforeDef;
+    deadStore += other.deadStore;
+    hazards += other.hazards;
+    noalias += other.noalias;
+    redundantLoad += other.redundantLoad;
+    bounds += other.bounds;
+    errors += other.errors;
+    warnings += other.warnings;
+    return *this;
+}
+
 DiagSeverity
 LintResult::maxSeverity() const
 {
@@ -22,26 +36,21 @@ lintPackedProgram(const dsp::PackedProgram &packed,
     LintResult result;
     const BlockGraph graph = buildBlockGraph(packed);
 
-    if (options.useBeforeDef)
+    if (options.depth == LintDepth::Full) {
         result.counts.useBeforeDef =
             analyzeUseBeforeDef(graph, options, result.diags);
-    if (options.deadStore)
         result.counts.deadStore = analyzeDeadStores(graph, result.diags);
-    if (options.hazards)
-        result.counts.hazards = analyzeHazards(graph, result.diags);
+    }
+    result.counts.hazards = analyzeHazards(graph, result.diags);
 
     // The address-based analyzers share one value-flow solve.
-    if (options.noalias || options.redundantLoad || options.bounds) {
+    if (options.depth == LintDepth::Full) {
         const ValueFlow flow = computeValueFlow(graph);
-        if (options.noalias)
-            result.counts.noalias =
-                analyzeNoalias(graph, flow, options, result.diags);
-        if (options.redundantLoad)
-            result.counts.redundantLoad =
-                analyzeRedundantLoads(graph, flow, result.diags);
-        if (options.bounds)
-            result.counts.bounds =
-                analyzeBounds(graph, flow, result.diags);
+        result.counts.noalias =
+            analyzeNoalias(graph, flow, options, result.diags);
+        result.counts.redundantLoad =
+            analyzeRedundantLoads(graph, flow, result.diags);
+        result.counts.bounds = analyzeBounds(graph, flow, result.diags);
     }
 
     for (const common::Diag &diag : result.diags) {

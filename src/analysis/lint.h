@@ -11,8 +11,10 @@
  *    LintUseBeforeDef. A read inside maybe- but outside the
  *    *definitely*-assigned set (intersection meet) is uninitialized on at
  *    least one path: Warning LintMaybeUninit. Registers declared in
- *    Program::noaliasRegs are entry-defined (the kernel buffer ABI),
- *    matching dsp::verifyProgram.
+ *    Program::noaliasRegs are entry-defined (the kernel buffer ABI)
+ *    unless LintOptions::entryDefinedRegs names others. This is the
+ *    one use-before-def check: kernel validation (kernels::runKernel)
+ *    runs it too, beside dsp::verifyProgram's structural checks.
  *
  *  - Dead-store (use_def.cc): backward liveness. A side-effect-free
  *    instruction none of whose written registers are live afterwards is a
@@ -58,6 +60,7 @@
 #define GCD2_ANALYSIS_LINT_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -68,20 +71,28 @@
 
 namespace gcd2::analysis {
 
+/**
+ * How much of the lint runs. Cheap is the per-packet hazard scan alone
+ * (linear in packet members): what every served schedule and every
+ * loaded artifact must pass. Full adds the whole-program analyzers
+ * (use-before-def, dead stores) and the value-flow family (noalias
+ * claim audit, redundant loads, induction-range bounds).
+ */
+enum class LintDepth : uint8_t
+{
+    Cheap,
+    Full,
+};
+
 /** Which analyzers to run and with what environment assumptions. */
 struct LintOptions
 {
-    bool useBeforeDef = true;
-    bool deadStore = true;
-    bool hazards = true;
-    bool noalias = true;
-    bool redundantLoad = true;
-    bool bounds = true;
+    LintDepth depth = LintDepth::Full;
 
     /**
      * Scalar registers holding valid values at program entry. When unset,
-     * defaults to Program::noaliasRegs -- the kernel buffer ABI, the same
-     * convention dsp::verifyProgram checks against.
+     * defaults to Program::noaliasRegs -- the kernel buffer ABI. Kernel
+     * validation (kernels::runKernel) passes r1..r4 here.
      */
     const std::vector<int8_t> *entryDefinedRegs = nullptr;
 
@@ -111,6 +122,8 @@ struct LintCounts
         return useBeforeDef + deadStore + hazards + noalias +
                redundantLoad + bounds;
     }
+
+    LintCounts &operator+=(const LintCounts &other);
 };
 
 /** All findings of one lint run. */
@@ -122,7 +135,7 @@ struct LintResult
     common::DiagSeverity maxSeverity() const;
 };
 
-/** Run the enabled analyzers over @p packed. */
+/** Run the analyzers @p options.depth selects over @p packed. */
 LintResult lintPackedProgram(const dsp::PackedProgram &packed,
                              const LintOptions &options = {});
 

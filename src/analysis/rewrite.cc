@@ -4,8 +4,7 @@
 #include <string>
 
 #include "analysis/dataflow.h"
-#include "analysis/lint.h"
-#include "vliw/audit.h"
+#include "analysis/schedule_check.h"
 #include "vliw/pack_cache.h"
 
 namespace gcd2::analysis {
@@ -76,26 +75,26 @@ rewriteDeadCode(std::shared_ptr<const dsp::PackedProgram> packed,
     std::shared_ptr<const dsp::PackedProgram> repacked =
         vliw::PackCache::global().lookupOrPack(compact, packOptions);
 
-    // Serve the rewrite only if it is provably clean: structurally legal
-    // and free of remaining dead stores and Error-class lint findings.
-    std::vector<Diag> auditFindings = vliw::auditSchedule(*repacked);
-    const LintResult relint = lintPackedProgram(*repacked);
-    const bool clean = auditFindings.empty() &&
-                       relint.counts.deadStore == 0 &&
-                       relint.counts.errors == 0;
-    if (!clean) {
+    // Serve the rewrite only if it is provably clean: it passes the
+    // served-schedule gate with every analyzer on and has no dead
+    // stores left.
+    const ScheduleCheck check = checkSchedule(*repacked, LintDepth::Full);
+    if (check.errors() > 0 || check.lint.deadStore > 0) {
         result.diags.push_back(
             Diag{DiagSeverity::Warning, "dce", -1,
                  "dead-code rewrite rejected (" +
-                     std::to_string(auditFindings.size()) +
+                     std::to_string(check.auditFindings) +
                      " audit findings, " +
-                     std::to_string(relint.counts.deadStore) +
+                     std::to_string(check.lint.deadStore) +
                      " residual dead stores, " +
-                     std::to_string(relint.counts.errors) +
+                     std::to_string(check.lint.errors) +
                      " lint errors); serving the original schedule",
                  DiagCode::LintDeadStore});
-        for (Diag &diag : auditFindings)
-            result.diags.push_back(std::move(diag));
+        // The audit findings lead check.diags.
+        result.diags.insert(result.diags.end(), check.diags.begin(),
+                            check.diags.begin() +
+                                static_cast<ptrdiff_t>(
+                                    check.auditFindings));
         return result;
     }
 

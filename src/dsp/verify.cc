@@ -1,19 +1,12 @@
 #include "dsp/verify.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
-#include "dsp/deps.h"
-#include "vliw/cfg.h"
 
 namespace gcd2::dsp {
 
 namespace {
-
-constexpr int kTotalRegs = kNumScalarRegs + kNumVectorRegs;
-
-using RegSet = std::vector<bool>; // indexed by regUid
 
 void
 addIssue(std::vector<VerifyIssue> &issues, size_t idx, std::string msg)
@@ -24,12 +17,9 @@ addIssue(std::vector<VerifyIssue> &issues, size_t idx, std::string msg)
 } // namespace
 
 std::vector<VerifyIssue>
-verifyProgram(const Program &prog, std::vector<int8_t> abiScalarRegs)
+verifyProgram(const Program &prog)
 {
     std::vector<VerifyIssue> issues;
-
-    if (abiScalarRegs.empty())
-        abiScalarRegs = prog.noaliasRegs;
 
     // --- labels ----------------------------------------------------------
     for (size_t l = 0; l < prog.labels.size(); ++l) {
@@ -71,96 +61,13 @@ verifyProgram(const Program &prog, std::vector<int8_t> abiScalarRegs)
              static_cast<size_t>(inst.imm) >= prog.labels.size()))
             addIssue(issues, i, "branch to unknown label");
     }
-    if (!issues.empty())
-        return issues; // structural problems make dataflow meaningless
-
-    // --- may-initialized dataflow (use before def) -------------------------
-    const vliw::Cfg cfg = vliw::buildCfg(prog);
-    const size_t numBlocks = cfg.blocks.size();
-
-    // Successor blocks: fallthrough plus branch targets.
-    auto blockOf = [&](size_t instIdx) {
-        for (size_t b = 0; b < numBlocks; ++b)
-            if (instIdx >= cfg.blocks[b].begin &&
-                instIdx < cfg.blocks[b].end)
-                return b;
-        return numBlocks;
-    };
-    std::vector<std::vector<size_t>> succ(numBlocks);
-    for (size_t b = 0; b < numBlocks; ++b) {
-        const auto &block = cfg.blocks[b];
-        const Instruction &last = prog.code[block.end - 1];
-        const bool falls = !(last.op == Opcode::JUMP);
-        if (falls && b + 1 < numBlocks)
-            succ[b].push_back(b + 1);
-        if (last.isBranch()) {
-            const size_t target =
-                prog.labels[static_cast<size_t>(last.imm)];
-            if (target < prog.code.size())
-                succ[b].push_back(blockOf(target));
-        }
-    }
-
-    RegSet entry(kTotalRegs, false);
-    for (int8_t reg : abiScalarRegs)
-        entry[static_cast<size_t>(reg)] = true;
-
-    std::vector<RegSet> in(numBlocks, RegSet(kTotalRegs, false));
-    std::vector<RegSet> out(numBlocks, RegSet(kTotalRegs, false));
-    in[0] = entry;
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (size_t b = 0; b < numBlocks; ++b) {
-            RegSet state = in[b];
-            for (size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end;
-                 ++i)
-                for (int uid : regWrites(prog.code[i]))
-                    state[static_cast<size_t>(uid)] = true;
-            if (state != out[b]) {
-                out[b] = state;
-                changed = true;
-            }
-            for (size_t s : succ[b]) {
-                for (int uid = 0; uid < kTotalRegs; ++uid) {
-                    if (out[b][static_cast<size_t>(uid)] &&
-                        !in[s][static_cast<size_t>(uid)]) {
-                        in[s][static_cast<size_t>(uid)] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-
-    for (size_t b = 0; b < numBlocks; ++b) {
-        RegSet state = in[b];
-        for (size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end; ++i) {
-            for (int uid : regReads(prog.code[i])) {
-                if (!state[static_cast<size_t>(uid)]) {
-                    std::ostringstream oss;
-                    oss << "read of never-written register "
-                        << (uid < kNumScalarRegs
-                                ? "r" + std::to_string(uid)
-                                : "v" + std::to_string(uid -
-                                                       kNumScalarRegs))
-                        << " in '" << prog.code[i].toString() << "'";
-                    addIssue(issues, i, oss.str());
-                    state[static_cast<size_t>(uid)] = true; // report once
-                }
-            }
-            for (int uid : regWrites(prog.code[i]))
-                state[static_cast<size_t>(uid)] = true;
-        }
-    }
     return issues;
 }
 
 void
-requireVerified(const Program &prog, std::vector<int8_t> abiScalarRegs)
+requireVerified(const Program &prog)
 {
-    const auto issues = verifyProgram(prog, std::move(abiScalarRegs));
+    const auto issues = verifyProgram(prog);
     if (issues.empty())
         return;
     std::ostringstream oss;

@@ -3,9 +3,10 @@
  * Static verification of DSP programs.
  *
  * Catches code-generation bugs before simulation: malformed operands,
- * unbound or out-of-range labels, reads of registers that no path has
- * written (beyond the declared ABI inputs), vector-pair misalignment,
- * and stores through never-initialized base registers.
+ * unbound or out-of-range labels, vector-pair misalignment and branches
+ * to unknown labels. Reads of never-written registers are the lint's
+ * use-before-def analyzer (analysis::analyzeUseBeforeDef); kernel
+ * validation (kernels::runKernel) runs both.
  */
 #ifndef GCD2_DSP_VERIFY_H
 #define GCD2_DSP_VERIFY_H
@@ -24,19 +25,11 @@ struct VerifyIssue
     std::string message;
 };
 
-/**
- * Verify @p prog.
- *
- * @param abiScalarRegs scalar registers the caller initializes before
- *        entry (kernel ABI base pointers, defaults to noaliasRegs).
- * @return all findings (empty = clean).
- */
-std::vector<VerifyIssue> verifyProgram(
-    const Program &prog, std::vector<int8_t> abiScalarRegs = {});
+/** Verify @p prog; returns all findings (empty = clean). */
+std::vector<VerifyIssue> verifyProgram(const Program &prog);
 
 /** Panics with a readable report if verification finds anything. */
-void requireVerified(const Program &prog,
-                     std::vector<int8_t> abiScalarRegs = {});
+void requireVerified(const Program &prog);
 
 } // namespace gcd2::dsp
 

@@ -1,5 +1,6 @@
 #include "kernels/runner.h"
 
+#include "analysis/lint.h"
 #include "common/logging.h"
 #include "dsp/verify.h"
 #include "vliw/pack_cache.h"
@@ -16,16 +17,33 @@ alignUp(int64_t v, int64_t unit)
 
 } // namespace
 
+void
+requireValidKernel(const dsp::Program &prog)
+{
+    dsp::requireVerified(prog);
+    static const std::vector<int8_t> abi = {kRegInput, kRegWeights,
+                                            kRegOutput, kRegScratch};
+    analysis::LintOptions options;
+    options.entryDefinedRegs = &abi;
+    std::vector<common::Diag> findings;
+    analysis::analyzeUseBeforeDef(analysis::buildBlockGraph(prog), options,
+                                  findings);
+    std::string report;
+    for (const common::Diag &diag : findings)
+        if (diag.severity == common::DiagSeverity::Error)
+            report.append("\n  ").append(diag.toString());
+    if (!report.empty())
+        GCD2_PANIC("kernel reads never-written registers:" << report);
+}
+
 KernelRunResult
 runKernel(const dsp::Program &prog, const KernelBuffers &buffers,
           const std::vector<uint8_t> &input,
           const std::vector<uint8_t> &weights,
           const vliw::PackOptions &packOpts, bool validate)
 {
-    if (validate) {
-        dsp::requireVerified(prog, {kRegInput, kRegWeights, kRegOutput,
-                                    kRegScratch});
-    }
+    if (validate)
+        requireValidKernel(prog);
     return runPackedKernel(
         vliw::PackCache::global().lookupOrPack(prog, packOpts), buffers,
         input, weights, validate);

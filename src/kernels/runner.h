@@ -43,6 +43,15 @@ struct KernelRunResult
 };
 
 /**
+ * The static check runKernel(validate=true) runs before packing:
+ * dsp::verifyProgram's structural checks, then the use-before-def
+ * analyzer (analysis::analyzeUseBeforeDef) with the ABI registers
+ * r1..r4 entry-defined. Panics on a structural issue or an Error
+ * finding.
+ */
+void requireValidKernel(const dsp::Program &prog);
+
+/**
  * Execute an already-generated kernel program.
  *
  * @param prog kernel program following the r1..r4 buffer ABI

@@ -141,20 +141,13 @@ struct CompileOptions
      */
     int numThreads = 0;
     /**
-     * Run the standard graph-optimization pipeline (fold, fuse, DCE) on
-     * a private copy of the input graph before selection. Idempotent, so
-     * it is safe (and the default) even for graphs the model builders
-     * already optimized; disable to compile a graph exactly as given.
-     */
-    bool runGraphPasses = true;
-    /**
      * Layout-transform elimination (SmartMem-style rewrite group inside
      * the graph-optimize pass): cancel inverse Reshape/Transpose pairs,
      * sink transforms below layout-agnostic operators, and fuse
      * surviving single-consumer transforms into their producer kernels
      * as epilogue attributes -- the plan table then prices the reduced
      * transform-edge matrix. Runs on the session-private graph copy
-     * only (requires runGraphPasses). Library-style baselines disable
+     * only. Library-style baselines disable
      * it: their runtimes execute every transform as written.
      */
     bool eliminateLayoutTransforms = true;

@@ -2,11 +2,10 @@
 
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <sstream>
 
-#include "analysis/lint.h"
 #include "analysis/rewrite.h"
+#include "analysis/schedule_check.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "dsp/decoded.h"
@@ -15,7 +14,6 @@
 #include "kernels/matmul.h"
 #include "kernels/unroll.h"
 #include "select/audit.h"
-#include "vliw/audit.h"
 #include "vliw/pack_cache.h"
 #include "vliw/packer.h"
 
@@ -182,10 +180,6 @@ CompilationSession::runPass(const char *name,
 void
 CompilationSession::passGraphOptimize(PassReport &pass)
 {
-    if (!options_.runGraphPasses) {
-        pass.counters.emplace_back("skipped", 1);
-        return;
-    }
     graph::OptimizeOptions optimizeOptions;
     optimizeOptions.eliminateLayoutTransforms =
         options_.eliminateLayoutTransforms;
@@ -697,85 +691,39 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     // from the cost model's canonical kernels (see CompiledModel::
     // schedules). No re-packing happens here: auditing a fresh pack of
     // the same source program would vacuously re-verify the packer and
-    // miss any corruption of the served artifact. Distinct nodes often
-    // share one cached program, so audit each distinct program once.
-    // The dataflow lint rides the same loop. Cheap runs only the
-    // per-packet hazard lint (linear in packet members); Deep adds the
-    // whole-program dataflow analyzers (use-before-def, dead stores) and
-    // the value-flow family (cross-block noalias claim audit, redundant
-    // loads, induction-range bounds). Lint Warnings never block a
-    // compile -- only Errors count as failures alongside the structural
-    // audits.
-    analysis::LintOptions lintOpts;
-    lintOpts.useBeforeDef = deep;
-    lintOpts.deadStore = deep;
-    lintOpts.hazards = true;
-    lintOpts.noalias = deep;
-    lintOpts.redundantLoad = deep;
-    lintOpts.bounds = deep;
-    analysis::LintCounts lint;
-    size_t lintErrors = 0;
-
+    // miss any corruption of the served artifact. The served-schedule
+    // gate checks each distinct program once, on the pool. Cheap runs
+    // only the per-packet hazard lint; Deep runs every analyzer. Lint
+    // Warnings never block a compile -- only Errors count as failures
+    // alongside the structural audits.
+    //
     // Packs inside the schedule audit, counted apart from the deep
     // re-cost's: the audit reads the retained schedules, so this stays 0.
     const uint64_t scheduleMisses0 = vliw::PackCache::global().stats().misses;
-    // The distinct programs are audited in parallel, one result slot
-    // each; findings and counts are then merged in first-occurrence
-    // order, so the report is thread-count-invariant (as for DCE in
-    // kernel generation).
-    std::set<const dsp::PackedProgram *> seen;
     std::vector<const dsp::PackedProgram *> programs;
     for (const CompiledModel::ServedSchedule &sched : result.schedules)
-        if (seen.insert(sched.program.get()).second)
-            programs.push_back(sched.program.get());
-    struct ProgramAudit
-    {
-        std::vector<Diag> findings;
-        analysis::LintResult linted;
-    };
-    std::vector<ProgramAudit> audits(programs.size());
-    pool_.parallelFor(
-        static_cast<int64_t>(programs.size()), [&](int64_t i) {
-            const dsp::PackedProgram &program =
-                *programs[static_cast<size_t>(i)];
-            ProgramAudit &audit = audits[static_cast<size_t>(i)];
-            audit.findings = vliw::auditSchedule(program);
-            audit.linted = analysis::lintPackedProgram(program, lintOpts);
-        });
-    size_t scheduleFailures = 0;
-    for (ProgramAudit &audit : audits) {
-        scheduleFailures += audit.findings.size();
-        for (Diag &diag : audit.findings)
-            diag_.add(std::move(diag));
-        const analysis::LintCounts &counts = audit.linted.counts;
-        lint.useBeforeDef += counts.useBeforeDef;
-        lint.deadStore += counts.deadStore;
-        lint.hazards += counts.hazards;
-        lint.noalias += counts.noalias;
-        lint.redundantLoad += counts.redundantLoad;
-        lint.bounds += counts.bounds;
-        lintErrors += counts.errors;
-        for (Diag &diag : audit.linted.diags)
-            diag_.add(std::move(diag));
-    }
-    const uint64_t schedulesAudited = programs.size();
+        programs.push_back(sched.program.get());
+    analysis::ScheduleCheck check = analysis::checkSchedules(
+        programs,
+        deep ? analysis::LintDepth::Full : analysis::LintDepth::Cheap,
+        &pool_);
+    for (Diag &diag : check.diags)
+        diag_.add(std::move(diag));
+    const analysis::LintCounts &lint = check.lint;
     const uint64_t schedulePackMisses =
         vliw::PackCache::global().stats().misses - scheduleMisses0;
 
-    if (selectionFailures + scheduleFailures + lintErrors +
-            tieredFailures ==
-        0)
+    if (selectionFailures + check.errors() + tieredFailures == 0)
         diag_.add(DiagSeverity::Info, "audit", -1,
                   std::string(deep ? "deep" : "cheap") +
-                      " audit passed (" +
-                      std::to_string(schedulesAudited) +
+                      " audit passed (" + std::to_string(check.programs) +
                       " schedules checked)");
     pass.counters.emplace_back("selection-findings", selectionFailures);
-    pass.counters.emplace_back("schedule-findings", scheduleFailures);
+    pass.counters.emplace_back("schedule-findings", check.auditFindings);
     pass.counters.emplace_back("tiered-findings", tieredFailures);
     pass.counters.emplace_back("tier-audit-classes", tieredClassesChecked);
     pass.counters.emplace_back("tier-deep-audited", tieredDeep ? 1 : 0);
-    pass.counters.emplace_back("schedules-audited", schedulesAudited);
+    pass.counters.emplace_back("schedules-audited", check.programs);
     pass.counters.emplace_back("schedule-pack-misses", schedulePackMisses);
     pass.counters.emplace_back("lint-use-def-findings", lint.useBeforeDef);
     pass.counters.emplace_back("lint-dead-store-findings", lint.deadStore);
@@ -784,7 +732,7 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     pass.counters.emplace_back("lint-redundant-load-findings",
                                lint.redundantLoad);
     pass.counters.emplace_back("lint-bounds-findings", lint.bounds);
-    pass.counters.emplace_back("lint-errors", lintErrors);
+    pass.counters.emplace_back("lint-errors", lint.errors);
     pass.counters.emplace_back("deep", deep ? 1 : 0);
     packDelta.report(pass);
 }

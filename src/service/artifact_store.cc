@@ -6,12 +6,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <iterator>
 #include <thread>
 
-#include "analysis/lint.h"
-#include "common/thread_pool.h"
-#include "vliw/audit.h"
+#include "analysis/schedule_check.h"
 
 namespace gcd2::service {
 
@@ -671,62 +669,26 @@ ArtifactStore::load(const ModelKey &key, const graph::Graph &graph,
                             ": schedule for out-of-range node " +
                             std::to_string(sched.node));
 
-    // Gate 5: re-audit + re-lint every distinct served program -- the
-    // same structural + hazard gate a fresh Cheap-audit compile passes.
-    // An artifact that fails here parsed fine but would serve an illegal
+    // Gate 5: the served-schedule gate at Cheap depth -- the same
+    // structural + hazard check a fresh Cheap-audit compile passes. An
+    // artifact that fails here parsed fine but would serve an illegal
     // schedule (the corruption the checksum cannot catch: a valid file
     // containing wrong bits).
-    analysis::LintOptions lintOpts;
-    lintOpts.useBeforeDef = false;
-    lintOpts.deadStore = false;
-    lintOpts.hazards = true;
-    lintOpts.noalias = false;
-    lintOpts.redundantLoad = false;
-    lintOpts.bounds = false;
-
     std::vector<const dsp::PackedProgram *> programs;
-    std::set<const dsp::PackedProgram *> seen;
     for (const CompiledModel::ServedSchedule &sched : model->schedules) {
         if (sched.program == nullptr)
             return rejected("artifact " + path + ": null schedule");
-        if (seen.insert(sched.program.get()).second)
-            programs.push_back(sched.program.get());
+        programs.push_back(sched.program.get());
     }
-
-    // Each distinct program's audit is an independent pure check;
-    // per-program findings land in disjoint slots, so running them
-    // across the pool is bit-identical to the serial loop.
-    std::vector<std::vector<Diag>> findings(programs.size());
-    std::vector<size_t> errors(programs.size(), 0);
-    const auto auditOne = [&](int64_t i) {
-        const auto index = static_cast<size_t>(i);
-        const dsp::PackedProgram &program = *programs[index];
-        findings[index] = vliw::auditSchedule(program);
-        const analysis::LintResult linted =
-            analysis::lintPackedProgram(program, lintOpts);
-        errors[index] = findings[index].size() + linted.counts.errors;
-        findings[index].insert(findings[index].end(),
-                               linted.diags.begin(), linted.diags.end());
-    };
-    if (pool != nullptr)
-        pool->parallelFor(static_cast<int64_t>(programs.size()),
-                          auditOne);
-    else
-        for (size_t i = 0; i < programs.size(); ++i)
-            auditOne(static_cast<int64_t>(i));
-
-    const uint64_t audited = programs.size();
-    size_t failures = 0;
-    for (size_t i = 0; i < programs.size(); ++i) {
-        failures += errors[i];
-        if (diags != nullptr)
-            diags->insert(diags->end(),
-                          std::make_move_iterator(findings[i].begin()),
-                          std::make_move_iterator(findings[i].end()));
-    }
-    if (failures > 0)
+    analysis::ScheduleCheck check = analysis::checkSchedules(
+        programs, analysis::LintDepth::Cheap, pool);
+    if (diags != nullptr)
+        diags->insert(diags->end(),
+                      std::make_move_iterator(check.diags.begin()),
+                      std::make_move_iterator(check.diags.end()));
+    if (check.errors() > 0)
         return rejected("artifact " + path + ": re-audit found " +
-                        std::to_string(failures) +
+                        std::to_string(check.errors()) +
                         " violations; refusing to serve");
 
     // The served report describes *this* load, not the original compile
@@ -735,7 +697,7 @@ ArtifactStore::load(const ModelKey &key, const graph::Graph &graph,
     runtime::PassReport pass;
     pass.name = "artifact-load";
     pass.counters.emplace_back("payload-bytes", payload.size());
-    pass.counters.emplace_back("programs-audited", audited);
+    pass.counters.emplace_back("programs-audited", check.programs);
     model->report.passes.push_back(std::move(pass));
 
     // Touch the file so gc()'s oldest-mtime-first eviction treats this

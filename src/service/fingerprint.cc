@@ -103,7 +103,6 @@ hashRequest(const graph::Graph &graph,
     fnv.value(static_cast<uint8_t>(options.uniformScheme));
     fnv.value(options.perOpOverheadCycles);
     fnv.value(options.libraryStyleBoundaries);
-    fnv.value(options.runGraphPasses);
     fnv.value(options.eliminateLayoutTransforms);
     fnv.value(options.deadCodeElimination);
     fnv.value(options.enableExtendedFusion);

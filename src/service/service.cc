@@ -11,6 +11,13 @@ using common::Diag;
 using common::DiagSeverity;
 using runtime::CompiledModel;
 
+/**
+ * Compiled-model LRU capacity (whole models, so kept small). One shard:
+ * every lookup already runs under the service mutex, so shards would add
+ * no concurrency, only evict a hot key once its shard fills.
+ */
+constexpr size_t kModelCacheEntries = 32;
+
 double
 percentile(std::vector<double> sorted, double p)
 {
@@ -29,7 +36,7 @@ CompileService::CompileService(ServiceOptions options)
       costCache_(options_.compile.costCache
                      ? options_.compile.costCache
                      : std::make_shared<select::CostCache>()),
-      modelCache_(options_.modelCacheEntries, /*shardCount=*/8),
+      modelCache_(kModelCacheEntries, /*shardCount=*/1),
       pool_(options_.numWorkers)
 {
     if (!options_.artifactDir.empty()) {

@@ -58,8 +58,6 @@ struct ServiceOptions
     int compileThreads = 1;
     /** In-flight compile bound; requests beyond it are rejected. */
     size_t maxQueueDepth = 64;
-    /** Compiled-model LRU capacity (whole models, so keep it small). */
-    size_t modelCacheEntries = 32;
     /** Artifact directory; empty disables the on-disk store. */
     std::string artifactDir;
     /** Artifact-store size bound in bytes; 0 = unbounded. When set, the

@@ -10,6 +10,7 @@
 
 #include "graph/passes.h"
 #include "models/builders.h"
+#include "models/zoo.h"
 
 namespace gcd2::graph {
 namespace {
@@ -217,6 +218,20 @@ TEST(PassesTest, ConstantFoldingAndDce)
     EXPECT_EQ(stats.removedNodes, 2);
     EXPECT_EQ(g.node(wt).op, OpType::Constant);
     EXPECT_TRUE(g.node(orphan).dead);
+}
+
+TEST(PassesTest, ZooGraphsAreFixpointsOfDefaultOptimize)
+{
+    // The model builders already ran fold/fuse/DCE, so the compile's
+    // graph-optimize pass (transform elimination aside) leaves their
+    // graphs as built.
+    for (const models::ModelInfo &info : models::allModels()) {
+        Graph g = models::buildModel(info.id);
+        const PassStats stats = optimize(g);
+        EXPECT_EQ(stats.foldedNodes, 0) << info.name;
+        EXPECT_EQ(stats.fusedActivations, 0) << info.name;
+        EXPECT_EQ(stats.removedNodes, 0) << info.name;
+    }
 }
 
 TEST(PassesTest, MacAccounting)

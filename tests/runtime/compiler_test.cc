@@ -80,26 +80,6 @@ TEST(CompilerTest, PipelineReportCoversEveryPass)
         EXPECT_NE(text.find(name), std::string::npos) << name;
 }
 
-TEST(CompilerTest, SkippingGraphPassesIsVisibleInReport)
-{
-    // Zoo builders already optimize their graphs, so skipping the
-    // graph pass must not change the result -- only the report.
-    const graph::Graph g = models::buildModel(ModelId::WdsrB);
-    CompileOptions raw;
-    raw.runGraphPasses = false;
-    // Transform elimination rewrites beyond what the builders ran, so
-    // hold it off to isolate the skip toggle itself.
-    CompileOptions rerun;
-    rerun.eliminateLayoutTransforms = false;
-    const CompiledModel with = compile(g, rerun);
-    const CompiledModel without = compile(g, raw);
-    EXPECT_EQ(with.totals.cycles, without.totals.cycles);
-    EXPECT_EQ(with.selection.planIndex, without.selection.planIndex);
-    const PassReport *pass = without.report.pass("graph-optimize");
-    ASSERT_NE(pass, nullptr);
-    EXPECT_EQ(pass->counter("skipped"), 1u);
-}
-
 TEST(CompilerTest, ExtendedFusionCompilesTinyBertClean)
 {
     // Opt-in epilogue fusion (LUT activations, residual adds) on the

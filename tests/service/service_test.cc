@@ -2,7 +2,8 @@
  * @file
  * Compile-service tests: request coalescing (N concurrent identical
  * submissions cost exactly one compile and observe bit-identical
- * models), deterministic admission control, the in-memory model cache,
+ * models), deterministic admission control, the in-memory model cache
+ * (repeat hits, and a full cache of distinct models staying resident),
  * artifact warm starts across service restarts (with fallback to a
  * clean compile when the artifact is corrupt), and the selector
  * fallback ladder under a service request.
@@ -188,6 +189,30 @@ TEST(ServiceTest, ModelCacheServesRepeatSubmissionsWithoutCompiling)
     EXPECT_EQ(tenant(report, "t").modelCacheHits, 1u);
     EXPECT_GE(report.modelCache.hits, 1u);
     EXPECT_LE(report.modelCacheSize, report.modelCacheCapacity);
+}
+
+TEST(ServiceTest, ModelCacheHoldsThirtyTwoDistinctModels)
+{
+    // A full cache's worth of distinct keys must all stay resident: no
+    // key may be evicted while the cache holds fewer than its capacity.
+    const graph::Graph g = models::buildModel(ModelId::WdsrB);
+    ServiceOptions options;
+    options.numWorkers = 2;
+    CompileService service{options};
+
+    std::vector<runtime::CompileOptions> requests(32);
+    for (size_t i = 0; i < requests.size(); ++i)
+        requests[i].perOpOverheadCycles = 100 + i;
+    for (const runtime::CompileOptions &request : requests)
+        EXPECT_TRUE(service.submit(g, "t", &request).accepted);
+    service.drain();
+
+    size_t hits = 0;
+    for (const runtime::CompileOptions &request : requests)
+        hits += service.submit(g, "t", &request).path ==
+                Ticket::Path::ModelCacheHit;
+    EXPECT_EQ(hits, 32u);
+    EXPECT_EQ(service.report().totalCompiles, 32u);
 }
 
 TEST(ServiceTest, ArtifactWarmStartSurvivesServiceRestart)

@@ -65,14 +65,7 @@ lintModel(const models::ModelInfo &info)
             continue;
         const analysis::LintResult result =
             analysis::lintPackedProgram(*sched.program);
-        report.counts.useBeforeDef += result.counts.useBeforeDef;
-        report.counts.deadStore += result.counts.deadStore;
-        report.counts.hazards += result.counts.hazards;
-        report.counts.noalias += result.counts.noalias;
-        report.counts.redundantLoad += result.counts.redundantLoad;
-        report.counts.bounds += result.counts.bounds;
-        report.counts.errors += result.counts.errors;
-        report.counts.warnings += result.counts.warnings;
+        report.counts += result.counts;
 
         // Resolve each finding's anchor instruction to its basic block
         // so JSON consumers get a position that is stable under message
