@@ -21,20 +21,25 @@
  *    surfaced through Stats; the pipeline report and the compile
  *    service's ServiceReport both read them.
  *
- * lookupOrCompute() runs the miss computation *outside* the shard lock.
- * Every cache in this system stores pure functions of the key, so two
- * threads racing on one key may both compute, with bit-identical results
- * -- whichever inserts first wins and is what later lookups observe.
- * Values are returned by value (shared_ptr or small structs), never by
- * reference into the map, so eviction can never invalidate a caller.
+ * lookupOrCompute() runs the miss computation *outside* the shard lock
+ * and is single-flight: a caller that misses on a key another thread is
+ * already computing waits for that value instead of computing it again,
+ * so each resident key is computed once however many threads race on it
+ * (and the miss count, which callers report as work done, does not
+ * depend on thread timing). Values are returned by value (shared_ptr or
+ * small structs), never by reference into the map, so eviction can never
+ * invalidate a caller.
  */
 #ifndef GCD2_COMMON_LRU_CACHE_H
 #define GCD2_COMMON_LRU_CACHE_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -90,14 +95,12 @@ class ShardedLru
     {
         Shard &shard = shardFor(key);
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it == shard.index.end()) {
+        std::optional<Value> hit = findLocked(shard, key);
+        if (hit)
+            hits_.fetch_add(1, std::memory_order_relaxed);
+        else
             misses_.fetch_add(1, std::memory_order_relaxed);
-            return std::nullopt;
-        }
-        shard.order.splice(shard.order.begin(), shard.order, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second->second;
+        return hit;
     }
 
     /**
@@ -112,35 +115,66 @@ class ShardedLru
     {
         Shard &shard = shardFor(key);
         std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
-            shard.order.splice(shard.order.begin(), shard.order,
-                               it->second);
-            return it->second->second;
-        }
-        if (shard.order.size() >= perShard_) {
-            shard.index.erase(shard.order.back().first);
-            shard.order.pop_back();
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-        }
-        shard.order.emplace_front(key, std::move(value));
-        shard.index.emplace(key, shard.order.begin());
-        return shard.order.front().second;
+        return insertLocked(shard, key, std::move(value));
     }
 
     /**
      * lookup() falling back to @p compute on a miss. The computation
-     * runs outside the shard lock (concurrent misses on any keys, even
-     * the same key, proceed in parallel); the first inserted value wins
-     * and is what every caller receives.
+     * runs outside the shard lock, so misses on distinct keys proceed in
+     * parallel. Misses on one key are single-flight: the first caller
+     * computes (one miss), and every caller that arrives before its
+     * value is published waits for that value and counts as a hit. An
+     * exception from @p compute reaches the computing caller and every
+     * waiter; nothing is cached and the next caller computes afresh.
+     * @p compute must not look up @p key itself (it would wait on its
+     * own flight).
      */
     Value
     lookupOrCompute(const Key &key,
                     const std::function<Value()> &compute)
     {
-        if (std::optional<Value> hit = lookup(key))
-            return *std::move(hit);
-        return insert(key, compute());
+        Shard &shard = shardFor(key);
+        std::shared_ptr<Flight> flight;
+        {
+            std::unique_lock<std::mutex> lock(shard.mutex);
+            if (std::optional<Value> hit = findLocked(shard, key)) {
+                hits_.fetch_add(1, std::memory_order_relaxed);
+                return *std::move(hit);
+            }
+            if (const auto it = shard.inFlight.find(key);
+                it != shard.inFlight.end()) {
+                const std::shared_ptr<Flight> other = it->second;
+                hits_.fetch_add(1, std::memory_order_relaxed);
+                shard.landed.wait(lock, [&] { return other->done; });
+                if (other->error)
+                    std::rethrow_exception(other->error);
+                return *other->value;
+            }
+            flight = std::make_shared<Flight>();
+            shard.inFlight.emplace(key, flight);
+            misses_.fetch_add(1, std::memory_order_relaxed);
+        }
+
+        std::optional<Value> value;
+        std::exception_ptr error;
+        try {
+            value.emplace(compute());
+        } catch (...) {
+            error = std::current_exception();
+        }
+        {
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            if (error)
+                flight->error = error;
+            else
+                flight->value = insertLocked(shard, key, *std::move(value));
+            flight->done = true;
+            shard.inFlight.erase(key);
+        }
+        shard.landed.notify_all();
+        if (error)
+            std::rethrow_exception(error);
+        return *flight->value;
     }
 
     CacheStats
@@ -180,6 +214,14 @@ class ShardedLru
     }
 
   private:
+    /** One in-progress lookupOrCompute miss (guarded by the shard lock). */
+    struct Flight
+    {
+        bool done = false;
+        std::optional<Value> value;
+        std::exception_ptr error;
+    };
+
     struct Shard
     {
         mutable std::mutex mutex;
@@ -190,7 +232,38 @@ class ShardedLru
                                iterator,
                            Hash>
             index;
+        /** Keys being computed, and the signal their waiters sleep on. */
+        std::unordered_map<Key, std::shared_ptr<Flight>, Hash> inFlight;
+        std::condition_variable landed;
     };
+
+    /** The value cached under @p key, promoted to most-recently-used;
+     *  the caller holds @p shard's lock. */
+    std::optional<Value>
+    findLocked(Shard &shard, const Key &key)
+    {
+        const auto it = shard.index.find(key);
+        if (it == shard.index.end())
+            return std::nullopt;
+        shard.order.splice(shard.order.begin(), shard.order, it->second);
+        return it->second->second;
+    }
+
+    /** insert() body; the caller holds @p shard's lock. */
+    Value
+    insertLocked(Shard &shard, const Key &key, Value value)
+    {
+        if (std::optional<Value> existing = findLocked(shard, key))
+            return *std::move(existing);
+        if (shard.order.size() >= perShard_) {
+            shard.index.erase(shard.order.back().first);
+            shard.order.pop_back();
+            evictions_.fetch_add(1, std::memory_order_relaxed);
+        }
+        shard.order.emplace_front(key, std::move(value));
+        shard.index.emplace(key, shard.order.begin());
+        return shard.order.front().second;
+    }
 
     Shard &
     shardFor(const Key &key)

@@ -35,7 +35,9 @@ namespace {
  * answered by an earlier pack/decode (this compile or a previous one);
  * misses are fresh runs, whose packing wall-clock is charged as
  * pack-us; evictions count entries the LRU capacity bound displaced
- * while the pass ran.
+ * while the pass ran. A program miss packs block by block through the
+ * PackCache's block tier: pack-block-hits are blocks an earlier pack
+ * answered, pack-block-misses the blocks actually packed.
  */
 class PackCacheDelta
 {
@@ -60,6 +62,10 @@ class PackCacheDelta
             "pack-us",
             static_cast<uint64_t>(
                 (now.packSeconds - start_.packSeconds) * 1e6));
+        pass.counters.emplace_back("pack-block-hits",
+                                   now.blockHits - start_.blockHits);
+        pass.counters.emplace_back("pack-block-misses",
+                                   now.blockMisses - start_.blockMisses);
         const dsp::DecodeCache::Stats dec =
             dsp::DecodeCache::global().stats();
         pass.counters.emplace_back("decode-hits",

@@ -86,10 +86,15 @@ auditTieredCosts(const PlanTable &table, const Selection &selection,
 
     // A scratch exhaustive model: tiered costing off and a private
     // cache, so every cost below comes from a genuine generate + pack +
-    // simulate, independent of anything the tiered path produced. (The
-    // process-wide PackCache only holds packs that are bit-identical to
-    // a direct pack by construction, so sharing it does not weaken the
-    // re-cost.)
+    // simulate, independent of anything the tiered path produced. The
+    // packs go through the process-wide PackCache, whose block tier
+    // answers most of them from blocks the tiered path already packed.
+    // That does not weaken the re-cost: a block hit requires equal
+    // bytes for everything the block packer reads (opcodes, register
+    // operands, store-involving mayAlias bits, options), so it returns
+    // exactly what a direct pack would -- unlike a transplant, it takes
+    // nothing on trust from transplantCompatible -- and
+    // PackDifferentialTest pins the tier against vliw::pack.
     CostModelOptions exhaustiveOptions = options;
     exhaustiveOptions.tieredCosting = false;
     const CostModel exhaustive(exhaustiveOptions);

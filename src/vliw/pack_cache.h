@@ -20,6 +20,16 @@
  * least-recently-used eviction at the capacity bound, so the hot
  * canonical kernels survive indefinitely instead of being dropped by
  * the old wholesale epoch clear.
+ *
+ * Below the program tier sits a block-schedule tier. Packing is
+ * block-local: a block's packets are a function of its opcodes and
+ * register operands, of the mayAlias bit of each in-block memory pair
+ * that involves a store, and of the options -- never of an immediate
+ * (DESIGN.md section 11). Programs that differ only in trip counts or
+ * strides therefore share most blocks, so a program miss packs block by
+ * block and looks each block up first, keyed on exactly those inputs as
+ * bytes. Keys are compared byte for byte on a hit (the hash only picks a
+ * bucket), so a hit returns what packing the block would return.
  */
 #ifndef GCD2_VLIW_PACK_CACHE_H
 #define GCD2_VLIW_PACK_CACHE_H
@@ -27,8 +37,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/lru_cache.h"
+#include "vliw/cfg.h"
 #include "vliw/packer.h"
 
 namespace gcd2::vliw {
@@ -49,9 +61,10 @@ PackKey fingerprintForPacking(const dsp::Program &prog,
                               const PackOptions &opts);
 
 /**
- * Thread-safe pack cache. Reads take a shared lock; a miss packs outside
- * any lock (packing is pure, so concurrent duplicate work is safe) and
- * publishes under an exclusive lock.
+ * Thread-safe pack cache. Misses pack outside any lock, and both tiers
+ * are single-flight (ShardedLru::lookupOrCompute): a program or block
+ * that several threads miss together is packed once, and the others wait
+ * for it and count as hits.
  */
 class PackCache
 {
@@ -67,20 +80,29 @@ class PackCache
         uint64_t hits = 0;
         uint64_t misses = 0;
         uint64_t evictions = 0; ///< per-entry LRU evictions
-        /** Wall-clock seconds spent inside pack() on misses. */
+        /** Wall-clock seconds spent producing packed programs on misses. */
         double packSeconds = 0.0;
+        /** Block-tier lookups on program misses: blocks answered by an
+         *  earlier pack, and blocks packed. */
+        uint64_t blockHits = 0;
+        uint64_t blockMisses = 0;
     };
 
     Stats stats() const;
+    /** Cached programs (the block tier is not counted). */
     size_t size() const { return lru_.size(); }
-    /** Enforced entry bound (size() never exceeds it). */
+    /** Enforced program entry bound (size() never exceeds it). */
     size_t capacity() const { return lru_.capacity(); }
+    /** Drop both tiers and reset every counter. */
     void clear();
 
     /** Process-wide cache used by kernels::runKernel and the pipeline. */
     static PackCache &global();
 
   private:
+    /** Entry bound of the block-schedule tier. */
+    static constexpr size_t kBlockEntries = 4096;
+
     struct KeyHash
     {
         size_t operator()(const PackKey &key) const
@@ -89,9 +111,45 @@ class PackCache
         }
     };
 
+    /** Every input of one block's packing, as bytes, plus their hash. */
+    struct BlockKey
+    {
+        uint64_t hash = 0;
+        std::vector<uint8_t> bytes;
+
+        bool operator==(const BlockKey &other) const
+        {
+            return hash == other.hash && bytes == other.bytes;
+        }
+    };
+
+    struct BlockKeyHash
+    {
+        size_t operator()(const BlockKey &key) const
+        {
+            return static_cast<size_t>(key.hash);
+        }
+    };
+
+    /** One block's packets, instruction indices relative to its start. */
+    struct BlockPackets
+    {
+        std::vector<uint32_t> insts; ///< packet members, packet by packet
+        std::vector<uint8_t> sizes;  ///< members per packet
+    };
+
+    /** detail::packBlock, answered from the block tier when it can be. */
+    std::vector<dsp::Packet> packBlock(const dsp::Program &prog,
+                                       const BasicBlock &block,
+                                       const dsp::AliasAnalysis &alias,
+                                       const PackOptions &opts);
+
     common::ShardedLru<PackKey,
                        std::shared_ptr<const dsp::PackedProgram>, KeyHash>
         lru_;
+    common::ShardedLru<BlockKey, std::shared_ptr<const BlockPackets>,
+                       BlockKeyHash>
+        blocks_{kBlockEntries};
     /** Nanoseconds spent packing on misses (atomic: misses race). */
     std::atomic<uint64_t> packNanos_{0};
 };

@@ -823,8 +823,27 @@ packBlockListSchedFast(const dsp::Program &prog, const BasicBlock &block,
 
 } // namespace
 
+namespace detail {
+
+std::vector<Packet>
+packBlock(const dsp::Program &prog, const BasicBlock &block,
+          const dsp::AliasAnalysis &alias, const PackOptions &opts)
+{
+    switch (opts.policy) {
+      case PackPolicy::Sda:
+      case PackPolicy::SoftToHard:
+      case PackPolicy::SoftToNone:
+        return packBlockSdaFast(prog, block, alias, opts);
+      case PackPolicy::InOrder:
+        return packBlockInOrderFast(prog, block, alias);
+      case PackPolicy::ListSched:
+        return packBlockListSchedFast(prog, block, alias);
+    }
+    GCD2_PANIC("unknown pack policy " << static_cast<int>(opts.policy));
+}
+
 dsp::PackedProgram
-pack(const dsp::Program &prog, const PackOptions &opts)
+packBlocks(const dsp::Program &prog, const BlockPacker &packOne)
 {
     dsp::PackedProgram packed;
     packed.program = prog;
@@ -837,21 +856,7 @@ pack(const dsp::Program &prog, const PackOptions &opts)
 
     for (const BasicBlock &block : cfg.blocks) {
         blockStartPacket.push_back(packed.packets.size());
-        std::vector<Packet> blockPackets;
-        switch (opts.policy) {
-          case PackPolicy::Sda:
-          case PackPolicy::SoftToHard:
-          case PackPolicy::SoftToNone:
-            blockPackets = packBlockSdaFast(prog, block, alias, opts);
-            break;
-          case PackPolicy::InOrder:
-            blockPackets = packBlockInOrderFast(prog, block, alias);
-            break;
-          case PackPolicy::ListSched:
-            blockPackets = packBlockListSchedFast(prog, block, alias);
-            break;
-        }
-        for (auto &packet : blockPackets)
+        for (Packet &packet : packOne(block, alias))
             packed.packets.push_back(std::move(packet));
     }
 
@@ -873,6 +878,17 @@ pack(const dsp::Program &prog, const PackOptions &opts)
         GCD2_ASSERT(found, "label " << l << " is not a block leader");
     }
     return packed;
+}
+
+} // namespace detail
+
+dsp::PackedProgram
+pack(const dsp::Program &prog, const PackOptions &opts)
+{
+    return detail::packBlocks(
+        prog, [&](const BasicBlock &block, const dsp::AliasAnalysis &alias) {
+            return detail::packBlock(prog, block, alias, opts);
+        });
 }
 
 } // namespace gcd2::vliw

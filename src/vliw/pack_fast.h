@@ -3,15 +3,17 @@
  * Internal interface of the scalable SDA packer (pack_fast.cc).
  *
  * Not part of the library's public API: vliw::pack() in packer.h is the
- * entry point. These pieces are exposed only so tests can check the
- * repair pass's incremental trial scorer against the full block re-cost
- * on the same start schedules the packer builds.
+ * entry point. These pieces are exposed so the PackCache's block tier can
+ * pack one basic block at a time (packBlock, packBlocks), and so tests
+ * can check the repair pass's incremental trial scorer against the full
+ * block re-cost on the same start schedules the packer builds.
  */
 #ifndef GCD2_VLIW_PACK_FAST_H
 #define GCD2_VLIW_PACK_FAST_H
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -25,6 +27,29 @@ using NodeSchedule = std::vector<std::vector<size_t>>;
 
 inline constexpr size_t kSlots = static_cast<size_t>(dsp::kPacketSlots);
 inline constexpr size_t kNone = static_cast<size_t>(-1);
+
+/**
+ * The packets pack() emits for @p block (absolute instruction indices).
+ * Reads the block's opcodes and register operands, @p alias on the
+ * block's store-involving memory pairs, and opts' policy, w and
+ * penaltyScale -- nothing else (no immediate, nothing outside the block).
+ */
+std::vector<dsp::Packet> packBlock(const dsp::Program &prog,
+                                   const BasicBlock &block,
+                                   const dsp::AliasAnalysis &alias,
+                                   const PackOptions &opts);
+
+/** One block's packets, given the program's alias analysis. */
+using BlockPacker = std::function<std::vector<dsp::Packet>(
+    const BasicBlock &, const dsp::AliasAnalysis &)>;
+
+/**
+ * The packed program whose blocks @p packOne packs, in program order,
+ * with every label mapped to its block's first packet. pack(),
+ * packReference() and PackCache::lookupOrPack differ only in @p packOne.
+ */
+dsp::PackedProgram packBlocks(const dsp::Program &prog,
+                              const BlockPacker &packOne);
 
 /** buildSdaSchedule mirror (Algorithm 1); consumes its graph copy. */
 NodeSchedule buildSdaFast(FastIdg idg, const PackOptions &opts);

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "dsp/timing_sim.h"
+#include "vliw/pack_fast.h"
 
 namespace gcd2::vliw {
 
@@ -525,54 +526,17 @@ packBlockListSched(const dsp::Program &prog, const BasicBlock &block,
 dsp::PackedProgram
 packReference(const dsp::Program &prog, const PackOptions &opts)
 {
-    dsp::PackedProgram packed;
-    packed.program = prog;
-
-    const dsp::AliasAnalysis alias(prog);
-    const Cfg cfg = buildCfg(prog);
-
-    // Remember which packet each block begins at for label resolution.
-    std::vector<size_t> blockStartPacket;
-    blockStartPacket.reserve(cfg.blocks.size());
-
-    for (const BasicBlock &block : cfg.blocks) {
-        blockStartPacket.push_back(packed.packets.size());
-        std::vector<Packet> blockPackets;
-        switch (opts.policy) {
-          case PackPolicy::Sda:
-          case PackPolicy::SoftToHard:
-          case PackPolicy::SoftToNone:
-            blockPackets = packBlockSda(prog, block, alias, opts);
-            break;
-          case PackPolicy::InOrder:
-            blockPackets = packBlockInOrder(prog, block, alias);
-            break;
-          case PackPolicy::ListSched:
-            blockPackets = packBlockListSched(prog, block, alias);
-            break;
-        }
-        for (auto &packet : blockPackets)
-            packed.packets.push_back(std::move(packet));
-    }
-
-    packed.labelPacket.resize(prog.labels.size());
-    for (size_t l = 0; l < prog.labels.size(); ++l) {
-        const size_t target = prog.labels[l];
-        if (target == prog.code.size()) {
-            packed.labelPacket[l] = packed.packets.size();
-            continue;
-        }
-        bool found = false;
-        for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-            if (cfg.blocks[b].begin == target) {
-                packed.labelPacket[l] = blockStartPacket[b];
-                found = true;
-                break;
+    return detail::packBlocks(
+        prog, [&](const BasicBlock &block, const dsp::AliasAnalysis &alias) {
+            switch (opts.policy) {
+              case PackPolicy::InOrder:
+                return packBlockInOrder(prog, block, alias);
+              case PackPolicy::ListSched:
+                return packBlockListSched(prog, block, alias);
+              default:
+                return packBlockSda(prog, block, alias, opts);
             }
-        }
-        GCD2_ASSERT(found, "label " << l << " is not a block leader");
-    }
-    return packed;
+        });
 }
 
 const char *

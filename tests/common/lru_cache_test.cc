@@ -2,11 +2,15 @@
  * @file
  * Contract tests of the managed cache tier's primitive: capacity is
  * respected exactly, eviction is least-recently-used, lookups promote
- * recency, counters add up, and concurrent mixed workloads stay inside
- * the bound (also exercised under TSan in CI).
+ * recency, counters add up, concurrent misses on one key compute once,
+ * and concurrent mixed workloads stay inside the bound (also exercised
+ * under TSan in CI).
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,4 +110,54 @@ TEST(LruCacheTest, ConcurrentMixedWorkloadStaysBounded)
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.hits + s.misses,
               static_cast<uint64_t>(kThreads) * kOpsPerThread);
+}
+
+TEST(LruCacheTest, RacingMissesOnOneKeyComputeOnce)
+{
+    // Four threads miss one key together. The first computes; the
+    // computation holds until every thread has called lookupOrCompute (or
+    // a generous timeout passes), so the other three arrive while it is
+    // in flight and must wait for its value instead of computing again.
+    ShardedLru<int, int> cache(16, 4);
+    constexpr int kThreads = 4;
+    std::atomic<int> arrived{0};
+    std::atomic<int> computed{0};
+    const auto compute = [&] {
+        ++computed;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < kThreads &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        // Let the last arrival reach the wait.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return 42;
+    };
+    std::vector<int> got(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ++arrived;
+            got[static_cast<size_t>(t)] = cache.lookupOrCompute(7, compute);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(computed.load(), 1);
+    for (int value : got)
+        EXPECT_EQ(value, 42);
+    const CacheStats s = cache.stats();
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.hits, static_cast<uint64_t>(kThreads - 1));
+}
+
+TEST(LruCacheTest, FailedComputeCachesNothing)
+{
+    ShardedLru<int, int> cache(4, 1);
+    EXPECT_THROW(cache.lookupOrCompute(
+                     1, []() -> int { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.lookupOrCompute(1, [] { return 5; }), 5);
+    EXPECT_EQ(cache.stats().misses, 2u);
 }

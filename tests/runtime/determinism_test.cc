@@ -65,6 +65,17 @@ tierCounters(const CompiledModel &model)
     return values;
 }
 
+/** Kernel simulations per pass: distinct cost-cache keys, each
+ *  simulated once however many threads miss on it together. */
+std::vector<uint64_t>
+kernelSims(const CompiledModel &model)
+{
+    std::vector<uint64_t> values;
+    for (const PassReport &pass : model.report.passes)
+        values.push_back(pass.counter("kernel-sims"));
+    return values;
+}
+
 std::vector<std::string>
 diagnosticLines(const CompiledModel &model)
 {
@@ -97,6 +108,7 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeCompilationResults)
             EXPECT_EQ(service::serializeModel(threaded), serialBytes);
             EXPECT_EQ(diagnosticLines(threaded), diagnosticLines(serial));
             EXPECT_EQ(tierCounters(threaded), tierCounters(serial));
+            EXPECT_EQ(kernelSims(threaded), kernelSims(serial));
         }
         EXPECT_GT(tierCounters(serial).at(0), 0u); // plans-derived
     }

@@ -14,10 +14,18 @@
  * slot-mask mix, and the tile kernels of the unroll grid pin it on the
  * programs a deep audit re-packs; directed cases pin the cache's
  * identity/keying behavior.
+ *
+ * The PackCache's block-schedule tier is held to the same contract: a
+ * packed program it assembles from cached block schedules equals a
+ * direct pack() bit for bit, on random programs and immediate/register
+ * variants of them under every policy, on every zoo served program, and
+ * on every depth variant of every matmul tile class.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <thread>
 
 #include "common/rng.h"
 #include "kernels/matmul.h"
@@ -34,6 +42,7 @@ namespace gcd2::vliw {
 namespace {
 
 using namespace gcd2::dsp;
+using testing::randomBlock;
 using testing::randomProgram;
 
 void
@@ -229,6 +238,170 @@ TEST(PackDifferentialTest, DeepAuditSpillingTileKernelsBitIdentical)
     EXPECT_GE(largestBlock, 700u);
 }
 
+// Block-schedule tier ----------------------------------------------------
+
+/** @p prog with fresh memory offsets and MOVI constants: the same blocks
+ *  to the packer except where the mayAlias relation moved. */
+Program
+withRedrawnImmediates(Program prog, Rng &rng)
+{
+    for (Instruction &inst : prog.code) {
+        if (inst.info().mem != MemKind::None)
+            inst.imm = rng.uniformInt(0, 7) * 128;
+        else if (inst.op == Opcode::MOVI)
+            inst.imm = rng.uniformInt(-64, 64);
+    }
+    return prog;
+}
+
+/** @p prog with the scalar sources of one ALU instruction renamed. */
+Program
+withRenamedSources(Program prog, Rng &rng)
+{
+    std::vector<size_t> alu;
+    for (size_t i = 0; i < prog.code.size(); ++i)
+        if (prog.code[i].info().mem == MemKind::None &&
+            !prog.code[i].isBranch() &&
+            prog.code[i].src[0].cls == RegClass::Scalar)
+            alu.push_back(i);
+    if (alu.empty())
+        return prog;
+    Instruction &inst = prog.code[alu[static_cast<size_t>(
+        rng.uniformInt(0, static_cast<int64_t>(alu.size()) - 1))]];
+    for (Operand &src : inst.src)
+        if (src.cls == RegClass::Scalar)
+            src = sreg(static_cast<int>(rng.uniformInt(1, 8)));
+    return prog;
+}
+
+/** lookupOrPack through @p cache equals a direct pack(), bit for bit. */
+void
+expectTierExact(PackCache &cache, const Program &prog,
+                const PackOptions &opts, const std::string &what)
+{
+    expectSamePacking(pack(prog, opts), *cache.lookupOrPack(prog, opts),
+                      what);
+}
+
+TEST(PackDifferentialTest, BlockTierBitIdenticalOnRandomVariants)
+{
+    // Each random program comes with variants the program tier misses
+    // but the block tier may answer: redrawn immediates (the mayAlias
+    // relation stays or moves) and renamed sources (the dependence graph
+    // moves). Every packed program must still be a direct pack.
+    Rng rng(0xb10cULL);
+    PackCache cache;
+    constexpr int kPrograms = 40;
+    for (int n = 0; n < kPrograms; ++n) {
+        const Program prog = n % 2 == 0 ? randomProgram(rng)
+                                        : randomBlock(rng, true);
+        std::vector<Program> variants{prog};
+        for (int v = 0; v < 3; ++v)
+            variants.push_back(withRedrawnImmediates(prog, rng));
+        for (int v = 0; v < 2; ++v)
+            variants.push_back(withRenamedSources(prog, rng));
+        for (const PackPolicy policy : kPolicies) {
+            PackOptions opts;
+            opts.policy = policy;
+            for (size_t v = 0; v < variants.size(); ++v)
+                expectTierExact(cache, variants[v], opts,
+                                "random #" + std::to_string(n) +
+                                    " variant " + std::to_string(v) +
+                                    " policy " + packPolicyName(policy));
+        }
+        if (HasFailure()) {
+            ADD_FAILURE() << "first divergence at program " << n
+                          << "; seed 0xb10c";
+            break;
+        }
+    }
+    EXPECT_GT(cache.stats().blockHits, 0u);
+    EXPECT_GT(cache.stats().blockMisses, 0u);
+}
+
+TEST(PackDifferentialTest, BlockTierBitIdenticalOnZooServedPrograms)
+{
+    // Every distinct program the ten zoo models serve, through one cache
+    // that starts empty, so later programs reuse earlier ones' blocks.
+    std::vector<Program> programs;
+    std::vector<PackKey> seen;
+    for (const models::ModelInfo &info : models::allModels()) {
+        const runtime::CompiledModel compiled =
+            runtime::compile(models::buildModel(info.id));
+        for (const auto &served : compiled.schedules) {
+            const Program &prog = served.program->program;
+            const PackKey key = fingerprintForPacking(prog, {});
+            if (std::find(seen.begin(), seen.end(), key) != seen.end())
+                continue;
+            seen.push_back(key);
+            programs.push_back(prog);
+        }
+    }
+    ASSERT_GE(programs.size(), 50u);
+
+    PackCache cache;
+    for (const PackPolicy policy : kPolicies) {
+        PackOptions opts;
+        opts.policy = policy;
+        for (size_t n = 0; n < programs.size(); ++n)
+            expectTierExact(cache, programs[n], opts,
+                            "served #" + std::to_string(n) + " policy " +
+                                packPolicyName(policy));
+        if (HasFailure())
+            return;
+    }
+    EXPECT_GT(cache.stats().blockHits, 0u);
+}
+
+TEST(PackDifferentialTest, BlockTierBitIdenticalOnTileDepthVariants)
+{
+    // Every tile class of the unroll grid (spilling column factors
+    // included) at every inner-loop trip count from 1 to 16 and at a
+    // deep reduction: the programs an exhaustive re-cost packs, which
+    // differ within a class only in trip counts and strides.
+    using kernels::MatMulScheme;
+    PackCache cache;
+    size_t programs = 0;
+    for (const MatMulScheme scheme :
+         {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
+        const int64_t panelRows =
+            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
+        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
+                                    : scheme == MatMulScheme::Vmpa ? 2
+                                                                   : 4;
+        for (const kernels::UnrollChoice &choice :
+             kernels::unrollCandidates()) {
+            const int64_t quantum = kernels::kQuantum(scheme, choice.k);
+            std::vector<int64_t> depths;
+            for (int64_t iters = 1; iters <= 16; ++iters)
+                depths.push_back(quantum * iters);
+            depths.push_back(1024);
+            for (const int64_t k : depths) {
+                const kernels::MatMulShape tile{panelRows * choice.outer, k,
+                                                colsPerUnit * choice.cols};
+                const Program prog =
+                    kernels::MatMulKernel(
+                        tile,
+                        kernels::withUnroll({.scheme = scheme}, choice))
+                        .program();
+                expectTierExact(
+                    cache, prog, {},
+                    std::string(kernels::schemeName(scheme)) + " unroll " +
+                        std::to_string(choice.outer) + "/" +
+                        std::to_string(choice.cols) + "/" +
+                        std::to_string(choice.k) + " k " +
+                        std::to_string(k));
+                ++programs;
+            }
+            if (HasFailure())
+                return;
+        }
+    }
+    EXPECT_EQ(programs, 3u * 32u * 17u);
+    // Most depth variants reuse their class's loop body.
+    EXPECT_GT(cache.stats().blockHits, cache.stats().blockMisses);
+}
+
 // PackCache ------------------------------------------------------------
 
 TEST(PackCacheTest, HitsOnIdenticalProgramsAndSharesThePointer)
@@ -299,6 +472,109 @@ TEST(PackCacheTest, DistinctOptionsPackDistinctEntries)
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(PackCacheTest, BlockTierAnswersProgramsThatDifferOnlyInImmediates)
+{
+    // Two trip counts of one loop: distinct programs, identical blocks.
+    auto loop = [](int64_t trips) {
+        Program prog;
+        prog.push(makeMovi(sreg(1), trips));
+        const int top = prog.newLabel();
+        prog.bindLabel(top);
+        prog.push(makeLoad(Opcode::LOADW, sreg(2), sreg(0), 0));
+        prog.push(makeBinary(Opcode::ADD, sreg(3), sreg(2), sreg(3)));
+        prog.push(makeAddi(sreg(1), sreg(1), -1));
+        prog.push(makeJumpNz(sreg(1), top));
+        return prog;
+    };
+    const Program a = loop(4);
+    const Program b = loop(9);
+    const size_t blocks = buildCfg(a).blocks.size();
+
+    PackCache cache;
+    (void)cache.lookupOrPack(a);
+    EXPECT_EQ(cache.stats().blockMisses, blocks);
+    EXPECT_EQ(cache.stats().blockHits, 0u);
+    const auto packedB = cache.lookupOrPack(b);
+    EXPECT_EQ(cache.stats().misses, 2u); // the program tier missed twice
+    EXPECT_EQ(cache.stats().blockMisses, blocks);
+    EXPECT_EQ(cache.stats().blockHits, blocks);
+    expectSamePacking(pack(b), *packedB, "block-tier program");
+    EXPECT_EQ(packedB->program.code[0].imm, 9);
+
+    cache.clear();
+    EXPECT_EQ(cache.stats().blockHits, 0u);
+    EXPECT_EQ(cache.stats().blockMisses, 0u);
+    (void)cache.lookupOrPack(b);
+    EXPECT_EQ(cache.stats().blockMisses, blocks); // cleared: packs again
+}
+
+TEST(PackCacheTest, DirectPackersBypassBothTiers)
+{
+    // pack() and packReference() time real packing (the pack benches and
+    // the perfbench replay rely on it): they read and fill no cache.
+    Rng rng(0xd1ecULL);
+    const Program prog = randomProgram(rng);
+    (void)PackCache::global().lookupOrPack(prog);
+    const PackCache::Stats before = PackCache::global().stats();
+    for (const PackPolicy policy : kPolicies) {
+        PackOptions opts;
+        opts.policy = policy;
+        (void)pack(prog, opts);
+        (void)packReference(prog, opts);
+    }
+    const PackCache::Stats after = PackCache::global().stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.blockHits, before.blockHits);
+    EXPECT_EQ(after.blockMisses, before.blockMisses);
+}
+
+TEST(PackCacheTest, ConcurrentBlockTierPacksEachBlockOnce)
+{
+    // Four threads pack the same immediate variants at once. Block
+    // lookups are single-flight, so every distinct block is packed once
+    // -- as many block misses as a one-thread pass -- and every result is
+    // a direct pack.
+    Rng rng(0xc0c0ULL);
+    std::vector<Program> programs;
+    for (int n = 0; n < 6; ++n) {
+        const Program prog = randomProgram(rng);
+        programs.push_back(prog);
+        for (int v = 0; v < 3; ++v)
+            programs.push_back(withRedrawnImmediates(prog, rng));
+    }
+    std::vector<PackedProgram> direct;
+    PackCache serial;
+    for (const Program &prog : programs) {
+        direct.push_back(pack(prog));
+        (void)serial.lookupOrPack(prog);
+    }
+
+    PackCache shared;
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<std::vector<std::shared_ptr<const PackedProgram>>> got(
+        kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            for (const Program &prog : programs)
+                got[static_cast<size_t>(t)].push_back(
+                    shared.lookupOrPack(prog));
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (const auto &results : got)
+        for (size_t n = 0; n < programs.size(); ++n)
+            expectSamePacking(direct[n], *results[n],
+                              "program " + std::to_string(n));
+    EXPECT_EQ(shared.stats().blockMisses, serial.stats().blockMisses);
+    EXPECT_GT(serial.stats().blockHits, 0u);
 }
 
 } // namespace
