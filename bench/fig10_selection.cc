@@ -76,7 +76,7 @@ main()
             const double estimate =
                 perCombo * std::pow(3.0, static_cast<double>(freeOps));
             globalTime = fmtDouble(estimate, 1) + "*";
-            globalSpeedup = "~" + fmtSpeedup(
+            globalSpeedup = '~' + fmtSpeedup(
                 static_cast<double>(local.selection.totalCost) /
                     static_cast<double>(gcd17.selection.totalCost),
                 2);

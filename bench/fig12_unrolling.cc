@@ -140,7 +140,9 @@ main()
         const double exhaustive =
             none / static_cast<double>(
                        cyclesFor(shape, exhaustiveBest(shape)));
-        part2.addRow({"O" + std::to_string(idx++), "1.00x",
+        std::string label = "O";
+        label += std::to_string(idx++);
+        part2.addRow({label, "1.00x",
                       fmtSpeedup(bestOut, 2), fmtSpeedup(bestMid, 2),
                       fmtSpeedup(gcd2, 2), fmtSpeedup(exhaustive, 2)});
     }

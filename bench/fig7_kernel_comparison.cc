@@ -31,8 +31,10 @@ main()
         packetRatioVsRake;
     const auto &kernels = baselines::resnetConvKernels();
     for (size_t i = 0; i < kernels.size(); ++i) {
-        std::vector<std::string> speedRow{"C" + std::to_string(i)};
-        std::vector<std::string> packetRow{"C" + std::to_string(i)};
+        std::string label = "C";
+        label += std::to_string(i);
+        std::vector<std::string> speedRow{label};
+        std::vector<std::string> packetRow{label};
         double halideCycles = 0, halidePackets = 0;
         double tvmPackets = 0, rakePackets = 0, gcd2Packets = 0;
         for (KernelCompiler compiler : compilers) {

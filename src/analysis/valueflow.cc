@@ -123,13 +123,14 @@ VfValue::toString() const
     if (root == kVfConstRoot) {
         s = std::to_string(offset);
     } else {
-        if (root < dsp::kNumScalarRegs)
-            s = "r" + std::to_string(root);
-        else
-            s = "def@" + std::to_string(root - kVfFirstDefRoot);
+        // Appended piecewise: GCC 12 reports a false -Wrestrict on
+        // `"literal" + std::string&&`.
+        const bool reg = root < dsp::kNumScalarRegs;
+        s = reg ? "r" : "def@";
+        s += std::to_string(reg ? root : root - kVfFirstDefRoot);
         if (offset > 0)
-            s += "+" + std::to_string(offset);
-        else if (offset < 0)
+            s += '+';
+        if (offset != 0)
             s += std::to_string(offset);
     }
     for (int i = 0; i < numTerms; ++i) {

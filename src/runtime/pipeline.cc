@@ -311,23 +311,13 @@ CompilationSession::passSelection(PassReport &pass, CompiledModel &result)
           case SelectionMode::Pbqp:
             return solvePbqp();
           case SelectionMode::Uniform: {
-            // One scheme for every matmul-family operator, row-major for
-            // the rest: the uniform per-op-type implementations of
-            // TFLite/SNPE.
             select::SelectorResult uniform = select::selectLocal(*table_);
-            for (const graph::Node &node : graph_.nodes()) {
-                if (node.dead)
-                    continue;
-                if (graph::isMatMulFamily(node.op)) {
+            for (const graph::Node &node : graph_.nodes())
+                if (!node.dead)
                     uniform.selection
                         .planIndex[static_cast<size_t>(node.id)] =
-                        static_cast<int>(options_.uniformScheme);
-                } else if (select::isLayoutAgnostic(node.op)) {
-                    // Row-major plan (index 0).
-                    uniform.selection
-                        .planIndex[static_cast<size_t>(node.id)] = 0;
-                }
-            }
+                        select::uniformPlanIndex(node.op,
+                                                 options_.uniformScheme);
             uniform.selection.totalCost =
                 select::aggCost(*table_, uniform.selection);
             return uniform;
@@ -458,9 +448,10 @@ CompilationSession::passKernelGeneration(PassReport &pass,
         });
 
     // Retain the schedule served for every live operator: the packed
-    // program of the same canonical kernel planStats just simulated,
-    // answered by the PackCache (all hits at this point). One slot per
-    // node, so the pool splits the nodes.
+    // program of the first canonical kernel of its plan's recipe, which
+    // planStats just simulated (select/plan.h), answered by the
+    // PackCache (all hits at this point). One slot per node, so the
+    // pool splits the nodes.
     std::vector<std::shared_ptr<const dsp::PackedProgram>> retained(
         nodes.size());
     pool_.parallelFor(
@@ -583,18 +574,15 @@ CompilationSession::passCycleAccounting(PassReport &pass,
                 result.selection.planIndex[static_cast<size_t>(node.id)];
             const ExecutionPlan &plan =
                 table_->plans(node.id)[static_cast<size_t>(planIdx)];
-            if (plan.isMatMulPlan()) {
-                const graph::Node &producer = graph_.node(node.inputs[0]);
-                const NodeExecStats inPack = model_->transformStats(
-                    producer.shape, tensor::Layout::RowMajor,
-                    plan.inLayout);
-                const NodeExecStats outUnpack = model_->transformStats(
-                    node.shape, plan.outLayout, tensor::Layout::RowMajor);
-                result.totals += inPack;
-                result.totals += outUnpack;
-                result.transformOnly += inPack;
-                result.transformOnly += outUnpack;
-            }
+            const graph::Node &producer = graph_.node(node.inputs[0]);
+            const NodeExecStats inPack = model_->transformStats(
+                producer.shape, tensor::Layout::RowMajor, plan.inLayout);
+            const NodeExecStats outUnpack = model_->transformStats(
+                node.shape, plan.outLayout, tensor::Layout::RowMajor);
+            result.totals += inPack;
+            result.totals += outUnpack;
+            result.transformOnly += inPack;
+            result.transformOnly += outUnpack;
         }
     }
     // With library-style boundaries every inter-operator tensor is

@@ -20,10 +20,10 @@
  * invalidate.
  *
  * Because an entry's value is a pure function of its key, the cache is
- * safe to share between CostModel instances (and across compiles): if
- * two threads miss the same key they both simulate, and whichever
- * inserts first wins -- with identical bits either way, so compilation
- * results never depend on thread timing.
+ * safe to share between CostModel instances (and across compiles). A
+ * miss is single-flight: if two threads miss the same key, one simulates
+ * and the other waits for its value, so each key is simulated once and
+ * neither results nor miss counts depend on thread timing.
  */
 #ifndef GCD2_SELECT_COST_CACHE_H
 #define GCD2_SELECT_COST_CACHE_H
@@ -84,9 +84,9 @@ class CostCache
 
     /**
      * Return the stats for @p key, running @p compute on a miss. The
-     * computation executes outside the shard lock, so concurrent misses
-     * on other keys (and even the same key) proceed in parallel; the
-     * first inserted value wins and is what every caller sees.
+     * computation executes outside the shard lock, so misses on other
+     * keys proceed in parallel; a caller that misses on a key already
+     * being computed waits for that value.
      */
     NodeExecStats
     lookupOrCompute(const CostKey &key,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/logging.h"
 #include "kernels/conv.h"
@@ -12,7 +11,6 @@
 namespace gcd2::select {
 
 using graph::NodeId;
-using graph::OpType;
 using kernels::EwOp;
 using kernels::MatMulScheme;
 using kernels::MatMulShape;
@@ -26,50 +24,6 @@ int64_t
 roundUp(int64_t v, int64_t unit)
 {
     return (v + unit - 1) / unit * unit;
-}
-
-int
-panelRowsOf(MatMulScheme scheme)
-{
-    return tensor::layoutPanelRows(kernels::schemeLayout(scheme));
-}
-
-int
-colsPerUnitOf(MatMulScheme scheme)
-{
-    return scheme == MatMulScheme::Vmpy  ? 1
-           : scheme == MatMulScheme::Vmpa ? 2
-                                          : 4;
-}
-
-/** Scalar-division cycles per row for reductions (DIV + glue). */
-constexpr uint64_t kScalarDivCycles = 56;
-/** Reciprocal-lookup cycles per row when the LUT optimization is on. */
-constexpr uint64_t kLutDivCycles = 8;
-
-NodeExecStats
-fromTiming(const kernels::KernelRunResult &run)
-{
-    NodeExecStats stats;
-    stats.cycles = run.stats.cycles;
-    stats.instructions = run.stats.instructionsExecuted;
-    stats.packets = run.stats.packetsExecuted;
-    stats.bytesLoaded = run.stats.bytesLoaded;
-    stats.bytesStored = run.stats.bytesStored;
-    return stats;
-}
-
-/** Analytic data-movement stats: @p vectors 128-byte vectors each way. */
-NodeExecStats
-analyticCopy(int64_t vectors, uint64_t cyclesPerVector)
-{
-    NodeExecStats stats;
-    stats.cycles = static_cast<uint64_t>(vectors) * cyclesPerVector + 8;
-    stats.instructions = static_cast<uint64_t>(vectors) * 3;
-    stats.packets = std::max<uint64_t>(1, stats.cycles / 3);
-    stats.bytesLoaded = static_cast<uint64_t>(vectors) * 128;
-    stats.bytesStored = static_cast<uint64_t>(vectors) * 128;
-    return stats;
 }
 
 } // namespace
@@ -125,168 +79,189 @@ CostModel::~CostModel() = default;
 
 namespace {
 
-/** The periodic 16-bit accumulator-drain charge of matmulTileStats,
- *  exposed so dominance pruning can bound exact costs analytically. */
-uint64_t
-drainCycles(MatMulScheme scheme, const UnrollChoice &choice, int64_t k)
+/** The tile a MatMulTile key names: one row panel x one column tile at
+ *  the key's unroll, full reduction depth, and its generator config. */
+TileRequest
+tileOf(const CostKey &key)
 {
-    if (scheme == MatMulScheme::Vrmpy)
-        return 0;
-    const int accPairs =
-        choice.cols * (scheme == MatMulScheme::Vmpa ? 2 : 1);
-    const int64_t drains = std::max<int64_t>(0, (k + 31) / 32 - 1);
-    return static_cast<uint64_t>(drains) *
-           static_cast<uint64_t>(accPairs) * 14;
-}
-
-/** The canonical tile kernel matmulTileStats simulates. */
-MatMulShape
-tileShapeOf(MatMulScheme scheme, const UnrollChoice &choice, int64_t k)
-{
-    MatMulShape tile;
-    tile.m = static_cast<int64_t>(panelRowsOf(scheme)) * choice.outer;
-    tile.k = k;
-    tile.n = static_cast<int64_t>(colsPerUnitOf(scheme)) * choice.cols;
-    return tile;
-}
-
-kernels::MatMulConfig
-tileConfigOf(MatMulScheme scheme, const UnrollChoice &choice)
-{
+    const auto scheme = static_cast<MatMulScheme>(key.tag);
+    const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
+                                : scheme == MatMulScheme::Vmpa ? 2
+                                                               : 4;
     kernels::MatMulConfig config;
     config.scheme = scheme;
-    return kernels::withUnroll(config, choice);
+    return {{tensor::layoutPanelRows(kernels::schemeLayout(scheme)) *
+                 static_cast<int64_t>(key.unrollOut),
+             key.extent, colsPerUnit * key.unrollCols},
+            kernels::withUnroll(
+                config, {key.unrollOut, key.unrollCols, key.unrollK})};
 }
 
-/** Row panels x column tiles of @p shape under (scheme, choice): the
- *  factor that scales one canonical tile's stats to the whole kernel. */
+/** Row panels x column tiles of @p shape: the factor that scales one
+ *  canonical tile's stats to the whole kernel. */
 double
-tileTrips(const MatMulShape &shape, MatMulScheme scheme,
-          const UnrollChoice &choice)
+tileTrips(const MatMulShape &shape, const MatMulShape &tile)
 {
-    const int64_t panelSpan =
-        static_cast<int64_t>(panelRowsOf(scheme)) * choice.outer;
-    const int64_t tileSpan =
-        static_cast<int64_t>(colsPerUnitOf(scheme)) * choice.cols;
     const double panels =
-        static_cast<double>(roundUp(shape.m, panelSpan) / panelSpan);
+        static_cast<double>(roundUp(shape.m, tile.m) / tile.m);
     const double tiles =
-        static_cast<double>(roundUp(shape.n, tileSpan) / tileSpan);
+        static_cast<double>(roundUp(shape.n, tile.n) / tile.n);
     return panels * tiles;
 }
 
-/** The matmul a matmul-family node runs, @c batch times over. */
-struct MatMulProblem
+/** Accumulator drains a tile is charged for (see kernelStats): one per
+ *  live 16-bit accumulator pair every 32 reduction steps; none for
+ *  vrmpy, which accumulates in 32-bit lanes natively. */
+uint64_t
+drainSteps(const CostKey &key)
 {
-    MatMulShape shape;
-    int64_t batch = 1;
-    bool im2col = false; ///< non-pointwise Conv2D: patches gathered first
-};
+    const auto scheme = static_cast<MatMulScheme>(key.tag);
+    if (scheme == MatMulScheme::Vrmpy)
+        return 0;
+    const int accPairs =
+        key.unrollCols * (scheme == MatMulScheme::Vmpa ? 2 : 1);
+    const int64_t drains = std::max<int64_t>(0, (key.extent + 31) / 32 - 1);
+    return static_cast<uint64_t>(drains) * static_cast<uint64_t>(accPairs);
+}
 
 /**
- * Conv2D runs its im2col product. MatMul takes its kernel's output
- * columns from the natural shape (node.shape may carry a fused epilogue
- * transform) and repeats over the leading batch dimensions. nullopt for
- * every other op.
+ * Run @p fn on the generated kernel a cost key names: a matmul tile, the
+ * canonical depthwise tile (one channel, two output rows of 256
+ * columns), or an elementwise run of key.extent elements.
  */
-std::optional<MatMulProblem>
-matmulProblemOf(const graph::Graph &graph, const graph::Node &node)
+template <typename Fn>
+auto
+withCanonicalKernel(const CostKey &key, Fn &&fn)
 {
-    if (!graph::isMatMulFamily(node.op))
-        return std::nullopt;
-    const tensor::Shape &in = graph.node(node.inputs[0]).shape;
-    if (node.op == OpType::Conv2D) {
-        kernels::ConvShape conv;
-        conv.inC = in.dim(0);
-        conv.inH = in.dim(1);
-        conv.inW = in.dim(2);
-        conv.outC = node.attrs.outC;
-        conv.kH = node.attrs.kH;
-        conv.kW = node.attrs.kW;
-        conv.strideH = node.attrs.strideH;
-        conv.strideW = node.attrs.strideW;
-        conv.padH = node.attrs.padH;
-        conv.padW = node.attrs.padW;
-        return MatMulProblem{conv.matmulShape(), 1, !conv.isPointwise()};
+    switch (key.kind) {
+      case CostKind::MatMulTile: {
+        const TileRequest tile = tileOf(key);
+        return fn(kernels::MatMulKernel(tile.tile, tile.config));
+      }
+      case CostKind::DepthwiseRow: // key.tag is the stride
+        return fn(kernels::DepthwiseKernel({.channels = 1,
+                                            .inH = key.tag == 2 ? 5 : 4,
+                                            .inW = 256,
+                                            .stride = key.tag}));
+      case CostKind::Elementwise: {
+        kernels::EwConfig config;
+        config.op = static_cast<EwOp>(key.tag);
+        config.length = key.extent;
+        return fn(kernels::ElementwiseKernel(config));
+      }
     }
-    const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-    MatMulProblem problem;
-    problem.shape.m = in.dim(in.rank() - 2);
-    problem.shape.k = in.dim(in.rank() - 1);
-    problem.shape.n = natural.dim(natural.rank() - 1);
-    problem.batch = std::max<int64_t>(
-        1, in.elements() / (problem.shape.m * problem.shape.k));
-    return problem;
+    GCD2_PANIC("unknown cost kind");
 }
 
 } // namespace
 
 CostKey
-CostModel::baseKey(CostKind kind) const
+CostModel::tileKey(MatMulScheme scheme, const UnrollChoice &choice,
+                   int64_t k) const
 {
-    CostKey key;
-    key.kind = kind;
-    key.policy = options_.packOptions.policy;
-    key.packW = options_.packOptions.w;
-    key.packPenaltyScale = options_.packOptions.penaltyScale;
-    return key;
+    return {CostKind::MatMulTile, static_cast<int32_t>(scheme),
+            choice.outer, choice.cols, choice.k, k,
+            options_.packOptions.policy, options_.packOptions.w,
+            options_.packOptions.penaltyScale};
+}
+
+CostKey
+CostModel::kernelKey(const KernelTerm &term) const
+{
+    if (term.kind == CostKind::MatMulTile) {
+        const auto scheme = static_cast<MatMulScheme>(term.tag);
+        return tileKey(scheme, unrollFor(term.product, scheme),
+                       term.product.k);
+    }
+    // Elementwise runs are simulated at a canonical length and scaled:
+    // 512 elements for the scalar-loop ops, 8192 for the vector ones.
+    const auto op = static_cast<EwOp>(term.tag);
+    const bool scalarOp = op == EwOp::Div || op == EwOp::DivLut;
+    return {term.kind, term.tag, 0, 0, 0,
+            term.kind == CostKind::Elementwise
+                ? std::min<int64_t>(term.length, scalarOp ? 512 : 8192)
+                : 0,
+            options_.packOptions.policy, options_.packOptions.w,
+            options_.packOptions.penaltyScale};
 }
 
 NodeExecStats
-CostModel::matmulTileStats(MatMulScheme scheme, const UnrollChoice &choice,
-                           int64_t k) const
+CostModel::kernelStats(const CostKey &key) const
 {
-    CostKey key = baseKey(CostKind::MatMulTile);
-    key.tag = static_cast<int32_t>(scheme);
-    key.unrollOut = choice.outer;
-    key.unrollCols = choice.cols;
-    key.unrollK = choice.k;
-    key.extent = k;
     return cache_->lookupOrCompute(key, [&] {
-        // One row panel x one column tile, full reduction depth: every
-        // other tile of the kernel does identical work, so scaling is
-        // exact.
-        const MatMulShape tile = tileShapeOf(scheme, choice, k);
-        const kernels::MatMulConfig config = tileConfigOf(scheme, choice);
-
         NodeExecStats entry;
-        if (tiered_) {
+        if (key.kind == CostKind::MatMulTile && tiered_) {
             // Shared-structure path: a certified affine derivation or a
             // transplant-scheduled simulation, exact either way.
-            entry = tiered_->tileStats(tile, config);
+            const TileRequest tile = tileOf(key);
+            entry = tiered_->tileStats(tile.tile, tile.config);
         } else {
-            const kernels::MatMulKernel kernel(tile, config);
-            const kernels::KernelRunResult run =
-                kernels::runKernel(kernel.program(), kernel.buffers(), {},
-                                   {}, options_.packOptions);
-            entry = fromTiming(run);
+            entry = withCanonicalKernel(key, [&](const auto &kernel) {
+                const dsp::TimingStats run =
+                    kernels::runKernel(kernel.program(), kernel.buffers(),
+                                       {}, {}, options_.packOptions)
+                        .stats;
+                return NodeExecStats{run.cycles, run.instructionsExecuted,
+                                     run.packetsExecuted, run.bytesLoaded,
+                                     run.bytesStored};
+            });
         }
 
-        // 16-bit accumulator drain: vmpy/vmpa accumulate 8-bit products
-        // into halfword lanes, which is only overflow-safe for a bounded
-        // number of accumulation steps; production kernels periodically
-        // widen the partial sums into 32-bit lanes. The generated kernels
-        // implement the drain-free building block; the model charges the
-        // periodic widening (one widen + re-zero sequence per live
-        // accumulator pair every 32 reduction steps), which is what makes
-        // vrmpy (native 32-bit accumulation) win deep reductions -- the
-        // shape-dependent instruction trade-off behind Table II and
-        // Fig. 10.
-        if (scheme != MatMulScheme::Vrmpy) {
-            const int accPairs =
-                choice.cols * (scheme == MatMulScheme::Vmpa ? 2 : 1);
-            // Drain every 32 reduction steps (requantized-operand
-            // headroom in the halfword lanes); each drain reads the pair,
-            // widen-adds into the 32-bit partials and re-zeroes it -- ~14
-            // cycles per pair through the single shift and permute units.
-            const int64_t drains = std::max<int64_t>(0, (k + 31) / 32 - 1);
-            entry.cycles += static_cast<uint64_t>(drains) *
-                            static_cast<uint64_t>(accPairs) * 14;
-            entry.instructions += static_cast<uint64_t>(drains) *
-                                  static_cast<uint64_t>(accPairs) * 8;
+        if (key.kind == CostKind::DepthwiseRow)
+            return entry.scaled(0.5); // per output row tile
+        if (key.kind == CostKind::MatMulTile) {
+            // 16-bit accumulator drain: vmpy/vmpa accumulate 8-bit
+            // products into halfword lanes, which is only overflow-safe
+            // for a bounded number of accumulation steps; production
+            // kernels periodically widen the partial sums into 32-bit
+            // lanes. The generated kernels implement the drain-free
+            // building block; the model charges the periodic widening,
+            // which is what makes vrmpy (native 32-bit accumulation) win
+            // deep reductions -- the shape-dependent instruction
+            // trade-off behind Table II and Fig. 10. Each drain reads the
+            // pair, widen-adds into the 32-bit partials and re-zeroes it:
+            // ~14 cycles per pair through the single shift and permute
+            // units.
+            const uint64_t steps = drainSteps(key);
+            entry.cycles += steps * 14;
+            entry.instructions += steps * 8;
         }
         return entry;
     });
+}
+
+NodeExecStats
+CostModel::termStats(const KernelTerm &term) const
+{
+    const CostKey key = kernelKey(term);
+    NodeExecStats stats = kernelStats(key);
+    if (term.kind == CostKind::MatMulTile) {
+        // One row panel x one column tile, full reduction depth: every
+        // other tile of the kernel does identical work, so scaling is
+        // exact.
+        stats = stats.scaled(tileTrips(term.product, tileOf(key).tile));
+    } else if (term.kind == CostKind::Elementwise) {
+        const double factor = static_cast<double>(term.length) /
+                              static_cast<double>(key.extent);
+        if (factor != 1.0)
+            stats = stats.scaled(factor);
+    }
+    if (term.scale != 1.0)
+        stats = stats.scaled(term.scale);
+    return stats;
+}
+
+uint64_t
+CostModel::tileFloor(const CostKey &key, const MatMulShape &shape) const
+{
+    const TileRequest tile = tileOf(key);
+    const uint64_t rawLb = tiered_->tileLowerBound(tile.tile, tile.config);
+    if (rawLb == 0)
+        return 0;
+    // The same drain charge and trip-count scaling (same double
+    // multiplication and truncation) as the exact path.
+    return scaleSaturating(addSaturating(rawLb, drainSteps(key) * 14),
+                           tileTrips(shape, tile.tile));
 }
 
 UnrollChoice
@@ -311,30 +286,18 @@ CostModel::unrollFor(const MatMulShape &shape, MatMulScheme scheme) const
       case UnrollStrategy::Exhaustive: {
         uint64_t best = UINT64_MAX;
         for (const UnrollChoice &candidate : kernels::unrollCandidates()) {
-            const double trips = tileTrips(shape, scheme, candidate);
-            if (tiered_ && best != UINT64_MAX) {
-                // Tier-1 prefilter: a candidate whose certified analytic
-                // floor (raw bound + the same drain charge and trip-count
-                // scaling the exact path applies) already exceeds the
-                // best exact cost can never win the `cycles < best`
-                // argmin, so skip its pack + simulation entirely.
-                const uint64_t rawLb = tiered_->tileLowerBound(
-                    tileShapeOf(scheme, candidate, shape.k),
-                    tileConfigOf(scheme, candidate));
-                if (rawLb > 0) {
-                    const uint64_t scaledLb = scaleSaturating(
-                        addSaturating(rawLb, drainCycles(scheme, candidate,
-                                                         shape.k)),
-                        trips);
-                    if (scaledLb > best) {
-                        tiered_->notePruned(1);
-                        continue;
-                    }
-                }
+            // Tier-1 prefilter: a candidate whose certified floor
+            // already exceeds the best exact cost can never win the
+            // `cycles < best` argmin, so skip its pack + simulation.
+            const CostKey key = tileKey(scheme, candidate, shape.k);
+            if (tiered_ && best != UINT64_MAX &&
+                tileFloor(key, shape) > best) {
+                tiered_->notePruned(1);
+                continue;
             }
             const uint64_t cycles =
-                matmulTileStats(scheme, candidate, shape.k)
-                    .scaled(trips)
+                kernelStats(key)
+                    .scaled(tileTrips(shape, tileOf(key).tile))
                     .cycles;
             if (cycles < best) {
                 best = cycles;
@@ -351,251 +314,27 @@ NodeExecStats
 CostModel::matmulStats(const MatMulShape &shape, MatMulScheme scheme,
                        uint64_t extraCycles) const
 {
-    const UnrollChoice choice = unrollFor(shape, scheme);
-    NodeExecStats stats = matmulTileStats(scheme, choice, shape.k)
-                              .scaled(tileTrips(shape, scheme, choice));
+    NodeExecStats stats = termStats({.kind = CostKind::MatMulTile,
+                                     .tag = static_cast<int32_t>(scheme),
+                                     .product = shape});
     stats.cycles += extraCycles;
     return stats;
 }
 
 NodeExecStats
-CostModel::depthwiseRowStats(int stride) const
+CostModel::planStats(const graph::Graph &graph, NodeId id,
+                     const ExecutionPlan &plan) const
 {
-    CostKey key = baseKey(CostKind::DepthwiseRow);
-    key.tag = stride;
-    return cache_->lookupOrCompute(key, [&] {
-        kernels::DepthwiseConfig config;
-        config.channels = 1;
-        config.stride = stride;
-        config.inH = stride == 2 ? 5 : 4; // two output rows
-        config.inW = 256;
-        const kernels::DepthwiseKernel kernel(config);
-        const kernels::KernelRunResult run =
-            kernels::runKernel(kernel.program(), kernel.buffers(), {}, {},
-                               options_.packOptions);
-        return fromTiming(run).scaled(0.5); // per output row tile
-    });
-}
-
-NodeExecStats
-CostModel::elementwiseStats(EwOp op, int64_t length) const
-{
-    const bool scalarOp = op == EwOp::Div || op == EwOp::DivLut;
-    const int64_t simLen =
-        std::min<int64_t>(length, scalarOp ? 512 : 8192);
-
-    CostKey key = baseKey(CostKind::Elementwise);
-    key.tag = static_cast<int32_t>(op);
-    key.extent = simLen;
-    const NodeExecStats entry = cache_->lookupOrCompute(key, [&] {
-        kernels::EwConfig config;
-        config.op = op;
-        config.length = simLen;
-        const kernels::ElementwiseKernel kernel(config);
-        const kernels::KernelRunResult run =
-            kernels::runKernel(kernel.program(), kernel.buffers(), {}, {},
-                               options_.packOptions);
-        return fromTiming(run);
-    });
-
-    const double factor =
-        static_cast<double>(length) / static_cast<double>(simLen);
-    return factor == 1.0 ? entry : entry.scaled(factor);
-}
-
-NodeExecStats
-CostModel::computeStats(const graph::Graph &graph, NodeId id,
-                        const ExecutionPlan &plan) const
-{
-    const graph::Node &node = graph.node(id);
-    const MatrixView view = matrixView(node.shape);
-    const int64_t elements = node.shape.elements();
-    // Elementwise work covers the plan layout's padding too.
-    const int64_t paddedElements =
-        tensor::packedByteSize(plan.inLayout, view.rows, view.cols);
-    const int64_t rows = std::max<int64_t>(1, view.rows);
-    const uint64_t perRowDiv =
-        options_.lutOptimization ? kLutDivCycles : kScalarDivCycles;
-
-    // Epilogue of a fused layout transform (attrs.fusedTransform): the
-    // kernel's store pass writes the transformed row-major view
-    // directly. Charged at half the standalone unpack cost (the store
-    // traffic is already paid by the kernel; only the scatter pattern
-    // and setup remain), plus one permute-unit op per output vector
-    // when a non-identity Transpose was folded in. Living in the plan's
-    // cycles keeps auditSelection's Eq.-1 re-derivation consistent: the
-    // edge sees a RowMajor producer layout and prices 0.
-    const auto fusedTransformEpilogue = [&](NodeExecStats &stats) {
-        if (!node.attrs.fusedTransform)
-            return;
-        const tensor::Shape natural =
-            graph::naturalNodeShape(graph, node);
-        uint64_t cycles =
-            transformCost(natural, plan.inLayout, Layout::RowMajor) / 2;
-        if (node.attrs.fusedTransformPermutes) {
-            const uint64_t vectors = static_cast<uint64_t>(
-                (natural.elements() + 127) / 128);
-            cycles += vectors;
-            stats.instructions += vectors;
-        }
-        stats.cycles += cycles;
-    };
-
-    switch (node.op) {
-      case OpType::Input:
-      case OpType::Constant:
-      case OpType::Output:
-      case OpType::Reshape: // zero-copy view in row-major
-        return {};
-
-      case OpType::Conv2D:
-      case OpType::MatMul: {
-        const MatMulProblem problem = *matmulProblemOf(graph, node);
-        uint64_t im2col = 0;
-        NodeExecStats extraTraffic;
-        if (problem.im2col) {
-            const int64_t patchBytes = problem.shape.m * problem.shape.k;
-            im2col = static_cast<uint64_t>(
-                4 * (patchBytes / dsp::kVectorBytes) + 16);
-            extraTraffic.bytesLoaded =
-                static_cast<uint64_t>(patchBytes);
-            extraTraffic.bytesStored =
-                static_cast<uint64_t>(patchBytes);
-            extraTraffic.instructions = static_cast<uint64_t>(
-                3 * (patchBytes / dsp::kVectorBytes));
-        }
-        NodeExecStats stats =
-            matmulStats(problem.shape, plan.scheme, im2col);
-        stats += extraTraffic;
-        if (problem.batch != 1)
-            stats = stats.scaled(static_cast<double>(problem.batch));
-        if (node.attrs.fusedLut) {
-            // Fused nonlinearity: one extra VLUT per output vector in the
-            // epilogue (permute-unit bound), vs. a whole separate pass.
-            stats.cycles += static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-        }
-        if (node.attrs.fusedAdd) {
-            // Fused residual: stream the second operand through the
-            // epilogue (one load + one byte-average per output vector).
-            const uint64_t vectors = static_cast<uint64_t>(
-                (node.shape.elements() + 127) / 128);
-            stats.cycles += 2 * vectors;
-            stats.bytesLoaded += vectors * 128;
-            stats.instructions += 2 * vectors;
-        }
-        fusedTransformEpilogue(stats);
-        return stats;
-      }
-
-      case OpType::DepthwiseConv2D: {
-        // Compute-loop extents come from the natural shape (a fused
-        // transform only changes the stored view).
-        const tensor::Shape natural = graph::naturalNodeShape(graph, node);
-        const int64_t c = natural.dim(0);
-        const int64_t oh = natural.dim(1);
-        const int64_t ow = natural.dim(2);
-        const int stride = node.attrs.strideW == 1 ? 1 : 2;
-        // Stride-2 tiles yield 128 outputs per pass, stride-1 tiles 256.
-        const int64_t tileOut = stride == 2 ? 128 : 256;
-        double rowTiles = static_cast<double>(c) *
-                          static_cast<double>(oh) *
-                          static_cast<double>((ow + tileOut - 1) /
-                                              tileOut);
-        // The canonical tile is 3x3; other kernel extents scale by taps.
-        rowTiles *= static_cast<double>(node.attrs.kH * node.attrs.kW) /
-                    9.0;
-        NodeExecStats stats = depthwiseRowStats(stride).scaled(rowTiles);
-        fusedTransformEpilogue(stats);
-        return stats;
-      }
-
-      case OpType::Add:
-      case OpType::Sub:
-      case OpType::Mul:
-        return elementwiseStats(EwOp::Add, paddedElements);
-
-      case OpType::Div: {
-        if (options_.lutOptimization) {
-            // Reciprocal lookup + multiply: two LUT-class passes.
-            NodeExecStats stats =
-                elementwiseStats(EwOp::Lut, paddedElements);
-            stats += elementwiseStats(EwOp::Lut, paddedElements);
-            return stats;
-        }
-        return elementwiseStats(EwOp::Div, paddedElements);
-      }
-
-      case OpType::Pow:
-      case OpType::Sigmoid:
-      case OpType::Tanh:
-      case OpType::Gelu:
-        // Vectorizing byte-table lookups with VLUT is itself one of the
-        // "other optimizations"; without it the nonlinearity runs as a
-        // scalar lookup loop.
-        return elementwiseStats(options_.lutOptimization ? EwOp::Lut
-                                                         : EwOp::DivLut,
-                                paddedElements);
-
-      case OpType::Clamp:
-        return elementwiseStats(EwOp::Clamp, paddedElements);
-
-      case OpType::Softmax: {
-        // exp lookup + row-sum reduce + per-row normalization.
-        NodeExecStats stats = elementwiseStats(
-            options_.lutOptimization ? EwOp::Lut : EwOp::DivLut,
-            elements);
-        stats += elementwiseStats(EwOp::Add, elements); // reduction tree
-        if (options_.lutOptimization) {
-            stats += elementwiseStats(EwOp::Lut, elements); // recip scale
-            stats.cycles += static_cast<uint64_t>(rows) * kLutDivCycles;
-        } else {
-            stats += elementwiseStats(EwOp::Div, elements);
-            stats.cycles += static_cast<uint64_t>(rows) *
-                            kScalarDivCycles;
-        }
-        return stats;
-      }
-
-      case OpType::LayerNorm: {
-        // mean + variance reductions, then a scale/shift pass.
-        NodeExecStats stats = elementwiseStats(EwOp::Add, elements);
-        stats += elementwiseStats(EwOp::Add, elements);
-        stats += elementwiseStats(EwOp::Lut, elements);
-        stats.cycles += static_cast<uint64_t>(rows) * perRowDiv;
-        return stats;
-      }
-
-      case OpType::MaxPool:
-      case OpType::AvgPool: {
-        const int64_t window = node.attrs.poolK * node.attrs.poolK;
-        const int64_t passes = (window + 1) / 2;
-        const EwOp op = node.op == OpType::MaxPool ? EwOp::MaxPool
-                                                   : EwOp::AvgPool;
-        return elementwiseStats(op, 2 * elements)
-            .scaled(static_cast<double>(passes));
-      }
-
-      case OpType::GlobalAvgPool: {
-        const int64_t inElements =
-            graph.node(node.inputs[0]).shape.elements();
-        NodeExecStats stats = elementwiseStats(EwOp::Add, inElements);
-        stats.cycles +=
-            static_cast<uint64_t>(node.shape.elements()) * perRowDiv;
-        return stats;
-      }
-
-      case OpType::Upsample:
-      case OpType::Concat:
-        return analyticCopy((elements + 127) / 128, 3);
-
-      case OpType::Transpose:
-        return analyticCopy((elements + 127) / 128, 4);
-
-      case OpType::kNumOps:
-        break;
-    }
-    GCD2_PANIC("unhandled op in cost model");
+    const PlanRecipe recipe =
+        planRecipe(graph, id, plan, options_.lutOptimization);
+    NodeExecStats stats;
+    for (const KernelTerm &term : recipe.kernels)
+        stats += termStats(term);
+    stats += recipe.inner;
+    if (recipe.batch != 1.0)
+        stats = stats.scaled(recipe.batch);
+    stats += recipe.outer;
+    return stats;
 }
 
 std::vector<ExecutionPlan>
@@ -604,14 +343,13 @@ CostModel::costedPlans(const graph::Graph &graph, NodeId id) const
     std::vector<ExecutionPlan> plans = enumeratePlans(graph, id);
     if (tiered_) {
         // Tier 2: same-layout dominance. The current plan enumeration
-        // gives matmul-family plans pairwise distinct layout pairs, so
-        // this filter is usually a no-op on zoo graphs -- it earns its
-        // keep under exhaustive unroll scans and future enumerations
-        // that propose several kernels per layout.
+        // gives every family pairwise distinct layout pairs, so this
+        // filter is a no-op on zoo graphs -- it earns its keep once a
+        // family proposes several kernels per layout.
         tiered_->notePruned(applySameLayoutDominance(
             plans,
             [&](const ExecutionPlan &plan) {
-                return computeStats(graph, id, plan).cycles;
+                return planStats(graph, id, plan).cycles;
             },
             [&](const ExecutionPlan &plan) {
                 return planLowerBound(graph, id, plan);
@@ -619,7 +357,7 @@ CostModel::costedPlans(const graph::Graph &graph, NodeId id) const
         return plans;
     }
     for (ExecutionPlan &plan : plans)
-        plan.cycles = computeStats(graph, id, plan).cycles;
+        plan.cycles = planStats(graph, id, plan).cycles;
     return plans;
 }
 
@@ -629,28 +367,25 @@ CostModel::planLowerBound(const graph::Graph &graph, NodeId id,
 {
     if (!tiered_)
         return 0;
-    // Only matmul-family plans have a certified analytic floor; every
-    // other operator reports "no bound" (0), which never prunes.
-    const std::optional<MatMulProblem> problem =
-        matmulProblemOf(graph, graph.node(id));
-    if (!problem)
-        return 0;
-    const MatMulShape &shape = problem->shape;
-    const UnrollChoice choice = unrollFor(shape, plan.scheme);
-    const uint64_t rawLb = tiered_->tileLowerBound(
-        tileShapeOf(plan.scheme, choice, shape.k),
-        tileConfigOf(plan.scheme, choice));
-    if (rawLb == 0)
-        return 0;
-
-    // Mirror computeStats' scaling exactly (same double multiplications
-    // and truncations), dropping every non-negative extra term (im2col,
-    // fused epilogues) so the result stays a true floor.
-    uint64_t bound = scaleSaturating(
-        addSaturating(rawLb, drainCycles(plan.scheme, choice, shape.k)),
-        tileTrips(shape, plan.scheme, choice));
-    if (problem->batch != 1)
-        bound = scaleSaturating(bound, static_cast<double>(problem->batch));
+    // Only matmul tiles have a certified analytic floor; a recipe with
+    // any other kernel, or none, reports "no bound" (0), which never
+    // prunes. The floor mirrors planStats' scaling exactly and drops
+    // every non-negative analytic term (im2col, fused epilogues).
+    const PlanRecipe recipe =
+        planRecipe(graph, id, plan, options_.lutOptimization);
+    uint64_t bound = 0;
+    for (const KernelTerm &term : recipe.kernels) {
+        if (term.kind != CostKind::MatMulTile)
+            return 0;
+        uint64_t floor = tileFloor(kernelKey(term), term.product);
+        if (floor == 0)
+            return 0;
+        if (term.scale != 1.0)
+            floor = scaleSaturating(floor, term.scale);
+        bound = addSaturating(bound, floor);
+    }
+    if (recipe.batch != 1.0)
+        bound = scaleSaturating(bound, recipe.batch);
     return bound;
 }
 
@@ -660,19 +395,13 @@ CostModel::tileRequests(const graph::Graph &graph, NodeId id) const
     std::vector<TileRequest> requests;
     if (!tiered_ || options_.unroll == UnrollStrategy::Exhaustive)
         return requests;
-    const std::optional<MatMulProblem> problem =
-        matmulProblemOf(graph, graph.node(id));
-    if (!problem)
-        return requests;
-    // enumeratePlans gives matmul-family plans pairwise distinct
-    // layouts, so same-layout dominance never prunes one: costedPlans
-    // looks up the tile of every plan.
-    for (const ExecutionPlan &plan : enumeratePlans(graph, id)) {
-        const UnrollChoice choice = unrollFor(problem->shape, plan.scheme);
-        requests.push_back(
-            {tileShapeOf(plan.scheme, choice, problem->shape.k),
-             tileConfigOf(plan.scheme, choice)});
-    }
+    // Same-layout dominance never prunes a plan of today's enumeration,
+    // so costedPlans looks up the tile of every plan.
+    for (const ExecutionPlan &plan : enumeratePlans(graph, id))
+        for (const KernelTerm &term :
+             planRecipe(graph, id, plan, options_.lutOptimization).kernels)
+            if (term.kind == CostKind::MatMulTile)
+                requests.push_back(tileOf(kernelKey(term)));
     return requests;
 }
 
@@ -681,128 +410,35 @@ CostModel::fillTiles(const std::vector<TileRequest> &requests) const
 {
     for (const TileRequest &request : requests) {
         const kernels::MatMulConfig &config = request.config;
-        matmulTileStats(config.scheme,
-                        UnrollChoice{config.unrollOut, config.unrollCols,
-                                     config.unrollK},
-                        request.tile.k);
+        kernelStats(tileKey(config.scheme,
+                            UnrollChoice{config.unrollOut,
+                                         config.unrollCols, config.unrollK},
+                            request.tile.k));
     }
-}
-
-NodeExecStats
-CostModel::planStats(const graph::Graph &graph, NodeId id,
-                     const ExecutionPlan &plan) const
-{
-    return computeStats(graph, id, plan);
 }
 
 std::shared_ptr<const dsp::PackedProgram>
 CostModel::canonicalSchedule(const graph::Graph &graph, NodeId id,
                              const ExecutionPlan &plan) const
 {
-    const graph::Node &node = graph.node(id);
-    const MatrixView view = matrixView(node.shape);
-    const int64_t elements = node.shape.elements();
-    const int64_t paddedElements =
-        tensor::packedByteSize(plan.inLayout, view.rows, view.cols);
-
-    auto packOf = [&](const dsp::Program &prog) {
-        return vliw::PackCache::global().lookupOrPack(
-            prog, options_.packOptions);
-    };
-    auto matmulSchedule = [&](const MatMulShape &shape,
-                              MatMulScheme scheme) {
-        // Rebuild the exact canonical tile kernel matmulTileStats
-        // simulates for this shape's unroll choice.
-        const UnrollChoice choice = unrollFor(shape, scheme);
-        const MatMulShape tile = tileShapeOf(scheme, choice, shape.k);
-        const kernels::MatMulConfig config = tileConfigOf(scheme, choice);
+    const PlanRecipe recipe =
+        planRecipe(graph, id, plan, options_.lutOptimization);
+    if (recipe.kernels.empty())
+        return nullptr; // costed analytically; no kernel program served
+    const CostKey key = kernelKey(recipe.kernels.front());
+    if (key.kind == CostKind::MatMulTile && tiered_) {
         // The tiered coster serves the class anchor's packet structure
         // transplanted onto this kernel -- bit-identical to packing it
         // (transplantCompatible programs share one dependence graph),
         // and one shared PackedProgram object per (class, depth) so
         // downstream passes that dedupe by pointer still coalesce.
-        if (tiered_)
-            return tiered_->tileSchedule(tile, config);
-        return packOf(kernels::MatMulKernel(tile, config).program());
-    };
-    auto elementwiseSchedule = [&](EwOp op, int64_t length) {
-        // Mirror elementwiseStats' canonical simulation length.
-        const bool scalarOp = op == EwOp::Div || op == EwOp::DivLut;
-        kernels::EwConfig config;
-        config.op = op;
-        config.length = std::min<int64_t>(length, scalarOp ? 512 : 8192);
-        return packOf(kernels::ElementwiseKernel(config).program());
-    };
-
-    switch (node.op) {
-      case OpType::Input:
-      case OpType::Constant:
-      case OpType::Output:
-      case OpType::Reshape:
-      case OpType::Upsample:
-      case OpType::Concat:
-      case OpType::Transpose:
-        return nullptr; // costed analytically; no kernel program served
-
-      case OpType::Conv2D:
-      case OpType::MatMul:
-        return matmulSchedule(matmulProblemOf(graph, node)->shape,
-                              plan.scheme);
-
-      case OpType::DepthwiseConv2D: {
-        const int stride = node.attrs.strideW == 1 ? 1 : 2;
-        kernels::DepthwiseConfig config;
-        config.channels = 1;
-        config.stride = stride;
-        config.inH = stride == 2 ? 5 : 4;
-        config.inW = 256;
-        return packOf(kernels::DepthwiseKernel(config).program());
-      }
-
-      case OpType::Add:
-      case OpType::Sub:
-      case OpType::Mul:
-        return elementwiseSchedule(EwOp::Add, paddedElements);
-
-      case OpType::Div:
-        return elementwiseSchedule(options_.lutOptimization ? EwOp::Lut
-                                                            : EwOp::Div,
-                                   paddedElements);
-
-      case OpType::Pow:
-      case OpType::Sigmoid:
-      case OpType::Tanh:
-      case OpType::Gelu:
-        return elementwiseSchedule(options_.lutOptimization ? EwOp::Lut
-                                                            : EwOp::DivLut,
-                                   paddedElements);
-
-      case OpType::Clamp:
-        return elementwiseSchedule(EwOp::Clamp, paddedElements);
-
-      case OpType::Softmax:
-        return elementwiseSchedule(options_.lutOptimization ? EwOp::Lut
-                                                            : EwOp::DivLut,
-                                   elements);
-
-      case OpType::LayerNorm:
-        return elementwiseSchedule(EwOp::Add, elements);
-
-      case OpType::MaxPool:
-      case OpType::AvgPool:
-        return elementwiseSchedule(node.op == OpType::MaxPool
-                                       ? EwOp::MaxPool
-                                       : EwOp::AvgPool,
-                                   2 * elements);
-
-      case OpType::GlobalAvgPool:
-        return elementwiseSchedule(
-            EwOp::Add, graph.node(node.inputs[0]).shape.elements());
-
-      case OpType::kNumOps:
-        break;
+        const TileRequest tile = tileOf(key);
+        return tiered_->tileSchedule(tile.tile, tile.config);
     }
-    GCD2_PANIC("unhandled op in canonicalSchedule");
+    return withCanonicalKernel(key, [&](const auto &kernel) {
+        return vliw::PackCache::global().lookupOrPack(
+            kernel.program(), options_.packOptions);
+    });
 }
 
 uint64_t

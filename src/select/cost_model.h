@@ -11,6 +11,8 @@
  * identical work per tile (padding included). Elementwise and pooling
  * operators scale a simulated canonical length; reductions and
  * normalizations use documented compositions of simulated primitives.
+ * Which kernels a plan sums, and how each scales, is the plan's recipe
+ * in the op-family table (plan.h); this class evaluates recipes.
  *
  * The options mirror the ablations of the paper's Fig. 9/11/12: which
  * VLIW packer generates the code, which unrolling strategy is used, and
@@ -113,7 +115,8 @@ class CostModel
      */
     void fillTiles(const std::vector<TileRequest> &requests) const;
 
-    /** Full event statistics of a node under a plan. */
+    /** Full event statistics of a node under a plan: its recipe's
+     *  (sum of kernels + inner) x batch + outer. */
     NodeExecStats planStats(const graph::Graph &graph, graph::NodeId id,
                             const ExecutionPlan &plan) const;
 
@@ -137,33 +140,42 @@ class CostModel
 
     /**
      * The schedule served for (node, plan): the packed program of the
-     * same canonical kernel this model simulates when costing the plan,
-     * fetched through the process-wide vliw::PackCache (a cache hit once
-     * the plan has been costed). The pipeline retains these in
-     * CompiledModel so the audit pass audits served schedules directly.
-     * Returns nullptr for operators costed analytically (no kernel
-     * program exists for them).
+     * first canonical kernel of the plan's recipe, which this model
+     * simulates when costing the plan, fetched through the process-wide
+     * vliw::PackCache (a cache hit once the plan has been costed). The
+     * pipeline retains these in CompiledModel so the audit pass audits
+     * served schedules directly. Returns nullptr for recipes without
+     * kernels (operators costed analytically).
      */
     std::shared_ptr<const dsp::PackedProgram>
     canonicalSchedule(const graph::Graph &graph, graph::NodeId id,
                       const ExecutionPlan &plan) const;
 
+    /**
+     * The cache key of canonical kernel @p term under this model's unroll
+     * strategy and packer; for a recipe's first kernel, the key of the
+     * entry its served schedule was simulated for.
+     */
+    CostKey kernelKey(const KernelTerm &term) const;
+
   private:
-    /** Key prefix shared by every simulation under these options. */
-    CostKey baseKey(CostKind kind) const;
+    CostKey tileKey(kernels::MatMulScheme scheme,
+                    const kernels::UnrollChoice &choice, int64_t k) const;
 
     /** The unroll choice matmulStats uses for @p shape under this
      *  model's strategy (Exhaustive scans the candidate set by cost). */
     kernels::UnrollChoice unrollFor(const kernels::MatMulShape &shape,
                                     kernels::MatMulScheme scheme) const;
 
-    NodeExecStats matmulTileStats(kernels::MatMulScheme scheme,
-                                  const kernels::UnrollChoice &choice,
-                                  int64_t k) const;
-    NodeExecStats depthwiseRowStats(int stride) const;
-    NodeExecStats elementwiseStats(kernels::EwOp op, int64_t length) const;
-    NodeExecStats computeStats(const graph::Graph &graph, graph::NodeId id,
-                               const ExecutionPlan &plan) const;
+    /** Certified floor of tile @p key's cycles scaled to @p shape (0 =
+     *  no bound): the raw bound plus the drain charge, times the trips. */
+    uint64_t tileFloor(const CostKey &key,
+                       const kernels::MatMulShape &shape) const;
+
+    /** The memoized stats of one canonical kernel. */
+    NodeExecStats kernelStats(const CostKey &key) const;
+    /** @p term's kernel stats scaled to the node. */
+    NodeExecStats termStats(const KernelTerm &term) const;
 
     /** Certified analytic lower bound on a plan's cycles (0 = no bound);
      *  used by the same-layout dominance filter in costedPlans. */

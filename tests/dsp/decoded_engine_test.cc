@@ -341,8 +341,9 @@ TEST(DecodedEngine, FingerprintSeesEveryDecodeInput)
 
     // Same instructions, different packetization.
     const PackedProgram split = onePerPacket(prog);
-    if (split.packets.size() != packed.packets.size())
+    if (split.packets.size() != packed.packets.size()) {
         EXPECT_FALSE(base == fingerprintProgram(split));
+    }
 }
 
 TEST(DecodedEngine, DecodeCacheIsThreadSafe)

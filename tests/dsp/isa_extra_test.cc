@@ -119,10 +119,11 @@ TEST_F(IsaExtraTest, OpcodeMetadataInvariants)
         EXPECT_GE(meta.multUnits, 0);
         EXPECT_LE(meta.multUnits, 2);
         // Only multiply-unit opcodes consume multiply pipes.
-        if (meta.multUnits > 0)
+        if (meta.multUnits > 0) {
             EXPECT_EQ(static_cast<int>(meta.unit),
                       static_cast<int>(UnitKind::Mult))
                 << meta.mnemonic;
+        }
     }
 }
 

@@ -160,8 +160,9 @@ TEST(CompilerTest, PbqpModeServesEndToEnd)
     gcd2.selection = SelectionMode::Gcd2;
     const uint64_t pbqpCost = compiled.selection.totalCost;
     EXPECT_LE(pbqpCost, compile(g, local).selection.totalCost);
-    if (selection->counter("pbqp-rn") == 0)
+    if (selection->counter("pbqp-rn") == 0) {
         EXPECT_EQ(pbqpCost, compile(g, gcd2).selection.totalCost);
+    }
 }
 
 TEST(CompilerTest, DeepAuditReportsTheReCostsPacks)

@@ -232,8 +232,9 @@ TEST(FaultInjectionTest, AuditConsumesRetainedSchedules)
     EXPECT_EQ(audit->counter("schedule-pack-misses"), 0u);
     // A cheap audit packs nothing at all. A deep audit's exhaustive
     // re-cost packs its own tile programs, and the pass counts those.
-    if (audit->counter("tier-deep-audited") == 0)
+    if (audit->counter("tier-deep-audited") == 0) {
         EXPECT_EQ(audit->counter("pack-misses"), 0u);
+    }
 }
 
 TEST(FaultInjectionTest, AuditOffSkipsTheAuditPass)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Plan-enumeration and matrix-view tests.
+ * Plan-enumeration (op-family table) and matrix-view tests.
  */
 #include <gtest/gtest.h>
 
@@ -36,13 +36,14 @@ TEST(PlanTest, MatrixViewFollowsLastDimension)
 
 TEST(PlanTest, LayoutAgnosticClassification)
 {
-    EXPECT_TRUE(isLayoutAgnostic(OpType::Add));
-    EXPECT_TRUE(isLayoutAgnostic(OpType::Sigmoid));
-    EXPECT_TRUE(isLayoutAgnostic(OpType::Pow));
-    EXPECT_FALSE(isLayoutAgnostic(OpType::Conv2D));
-    EXPECT_FALSE(isLayoutAgnostic(OpType::Softmax));
-    EXPECT_FALSE(isLayoutAgnostic(OpType::Reshape));
-    EXPECT_FALSE(isLayoutAgnostic(OpType::MaxPool));
+    const auto planSet = [](OpType op) { return opFamily(op).plans; };
+    EXPECT_EQ(planSet(OpType::Add), PlanSet::PerLayout);
+    EXPECT_EQ(planSet(OpType::Sigmoid), PlanSet::PerLayout);
+    EXPECT_EQ(planSet(OpType::Pow), PlanSet::PerLayout);
+    EXPECT_EQ(planSet(OpType::Conv2D), PlanSet::PerScheme);
+    EXPECT_EQ(planSet(OpType::Softmax), PlanSet::RowMajor);
+    EXPECT_EQ(planSet(OpType::Reshape), PlanSet::RowMajor);
+    EXPECT_EQ(planSet(OpType::MaxPool), PlanSet::RowMajor);
 }
 
 TEST(PlanTest, EnumerationPerOpFamily)
@@ -59,6 +60,7 @@ TEST(PlanTest, EnumerationPerOpFamily)
     graph::optimize(g);
 
     // Conv: one plan per SIMD scheme, layouts bound to the scheme.
+    ASSERT_EQ(opFamily(OpType::Conv2D).plans, PlanSet::PerScheme);
     const auto convPlans = enumeratePlans(g, c);
     ASSERT_EQ(convPlans.size(), 3u);
     EXPECT_EQ(convPlans[0].inLayout, tensor::Layout::OneColumn);
@@ -66,10 +68,11 @@ TEST(PlanTest, EnumerationPerOpFamily)
     EXPECT_EQ(convPlans[2].inLayout, tensor::Layout::FourColumn);
     for (const auto &plan : convPlans) {
         EXPECT_EQ(plan.inLayout, plan.outLayout);
-        EXPECT_TRUE(plan.isMatMulPlan());
+        EXPECT_NE(plan.inLayout, tensor::Layout::RowMajor);
     }
 
     // Elementwise: one layout-preserving plan per layout.
+    ASSERT_EQ(opFamily(OpType::Add).plans, PlanSet::PerLayout);
     const auto addPlans = enumeratePlans(g, a);
     ASSERT_EQ(addPlans.size(), 4u);
     EXPECT_EQ(addPlans[0].inLayout, tensor::Layout::RowMajor);
@@ -77,10 +80,11 @@ TEST(PlanTest, EnumerationPerOpFamily)
         EXPECT_EQ(plan.inLayout, plan.outLayout);
 
     // Layout-pinned: exactly one row-major plan.
+    ASSERT_EQ(opFamily(OpType::MaxPool).plans, PlanSet::RowMajor);
     const auto poolPlans = enumeratePlans(g, p);
     ASSERT_EQ(poolPlans.size(), 1u);
     EXPECT_EQ(poolPlans[0].inLayout, tensor::Layout::RowMajor);
-    EXPECT_FALSE(poolPlans[0].isMatMulPlan());
+    EXPECT_EQ(poolPlans[0].outLayout, tensor::Layout::RowMajor);
 }
 
 TEST(PlanTest, RemainingShapeInferenceBranches)

@@ -291,11 +291,13 @@ TEST_F(SelectorTest, BudgetedExhaustiveServesBestSoFarInsteadOfRefusing)
     EXPECT_TRUE(truncated.truncated);
     // The served assignment is complete and no worse than the local
     // baseline (the search is seeded with it as an incumbent).
-    for (const auto &node : g.nodes())
-        if (!node.dead)
+    for (const auto &node : g.nodes()) {
+        if (!node.dead) {
             EXPECT_GE(truncated.selection
                           .planIndex[static_cast<size_t>(node.id)],
                       0);
+        }
+    }
     const SelectorResult local = selectLocal(table);
     EXPECT_LE(truncated.selection.totalCost, local.selection.totalCost);
     EXPECT_EQ(truncated.selection.totalCost,
