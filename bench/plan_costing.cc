@@ -7,9 +7,9 @@
  * before) pays, and plan costing -- kernel generation, VLIW packing, and
  * tile simulation of every candidate plan -- dominates them. The tiered
  * coster (select/tiered_cost.h) attacks exactly this: analytic bounds
- * prefilter the candidate set, same-layout dominance prunes plans
- * without simulating them, and shape-class sharing costs each
- * structurally identical operator once.
+ * prefilter exhaustive unroll search's candidates, affine derivation
+ * prices deep tiles without simulating them, and shape-class sharing
+ * costs each structurally identical operator once.
  *
  * Two measurements per zoo model, each a tiered/exhaustive pair compiled
  * truly cold (CostCache is per-model; PackCache and DecodeCache are

@@ -70,8 +70,8 @@ def main() -> int:
               "certified)", file=sys.stderr)
         failed = True
     if pruned == 0:
-        print("FAIL: search mode pruned no plans (dominance filter "
-              "dead)", file=sys.stderr)
+        print("FAIL: search mode pruned no plans (tier-1 unroll "
+              "prefilter dead)", file=sys.stderr)
         failed = True
 
     if failed:

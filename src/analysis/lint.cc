@@ -20,15 +20,6 @@ LintCounts::operator+=(const LintCounts &other)
     return *this;
 }
 
-DiagSeverity
-LintResult::maxSeverity() const
-{
-    DiagSeverity worst = DiagSeverity::Info;
-    for (const common::Diag &diag : diags)
-        worst = std::max(worst, diag.severity);
-    return worst;
-}
-
 LintResult
 lintPackedProgram(const dsp::PackedProgram &packed,
                   const LintOptions &options)

@@ -131,8 +131,6 @@ struct LintResult
 {
     std::vector<common::Diag> diags;
     LintCounts counts;
-
-    common::DiagSeverity maxSeverity() const;
 };
 
 /** Run the analyzers @p options.depth selects over @p packed. */

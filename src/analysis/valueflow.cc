@@ -509,16 +509,6 @@ struct ValueFlowProblem
 
 // Driver --------------------------------------------------------------
 
-int
-ValueFlow::loopOf(int block) const
-{
-    int found = -1;
-    for (size_t i = 0; i < loops.size(); ++i)
-        if (loops[i].head <= block && block <= loops[i].tail)
-            found = static_cast<int>(i); // outermost-first: last wins
-    return found;
-}
-
 ValueFlow
 computeValueFlow(const BlockGraph &graph)
 {

@@ -114,7 +114,6 @@ struct VfValue
 
     /** Stride of the @p loop term, 0 when absent. */
     int64_t strideOf(int loop) const;
-    bool hasTerm(int loop) const { return strideOf(loop) != 0; }
     /** Same root and identical term lists (offsets may differ). */
     bool sameShape(const VfValue &other) const;
     /** This value plus a constant (affine only; others unchanged). */
@@ -170,9 +169,6 @@ struct ValueFlow
     /** Per block, per scalar register: value at block entry / exit. */
     std::vector<std::vector<VfValue>> in;
     std::vector<std::vector<VfValue>> out;
-
-    /** Innermost loop whose body contains @p block, -1 when none. */
-    int loopOf(int block) const;
 };
 
 /** Run the value-flow analysis over @p graph. */

@@ -54,15 +54,6 @@ struct CacheStats
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0; ///< entries displaced by the capacity bound
-
-    double
-    hitRate() const
-    {
-        const uint64_t total = hits + misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(total);
-    }
 };
 
 template <typename Key, typename Value, typename Hash = std::hash<Key>>

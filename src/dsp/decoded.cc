@@ -6,6 +6,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "dsp/alias.h"
 #include "dsp/deps.h"
@@ -18,56 +19,10 @@ namespace {
 
 // Fingerprinting ------------------------------------------------------
 
-/** FNV-1a over an arbitrary byte stream, seedable for a second lane. */
-class Fnv
-{
-  public:
-    explicit Fnv(uint64_t seed) : h_(seed) {}
-
-    void
-    bytes(const void *data, size_t n)
-    {
-        const auto *p = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < n; ++i) {
-            h_ ^= p[i];
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    template <typename T>
-    void
-    value(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        bytes(&v, sizeof(v));
-    }
-
-    uint64_t digest() const { return h_; }
-
-  private:
-    uint64_t h_;
-};
-
 void
-hashProgram(const PackedProgram &packed, Fnv &fnv)
+hashProgram(const PackedProgram &packed, common::Fnv &fnv)
 {
-    const Program &prog = packed.program;
-    for (const Instruction &inst : prog.code) {
-        fnv.value(static_cast<uint8_t>(inst.op));
-        fnv.value(static_cast<uint8_t>(inst.dst[0].cls));
-        fnv.value(inst.dst[0].idx);
-        for (const Operand &src : inst.src) {
-            fnv.value(static_cast<uint8_t>(src.cls));
-            fnv.value(src.idx);
-        }
-        fnv.value(inst.imm);
-    }
-    fnv.value(uint64_t{0xfeed});
-    for (size_t label : prog.labels)
-        fnv.value(static_cast<uint64_t>(label));
-    fnv.value(uint64_t{0xbeef});
-    for (int8_t reg : prog.noaliasRegs)
-        fnv.value(reg);
+    hashProgramCode(packed.program, fnv);
     fnv.value(uint64_t{0xcafe});
     for (const Packet &packet : packed.packets) {
         fnv.value(static_cast<uint64_t>(packet.insts.size()));
@@ -823,8 +778,8 @@ constexpr std::array<ExecFn, kFallbackSlot + 1> kExecTable =
 DecodeKey
 fingerprintProgram(const PackedProgram &packed)
 {
-    Fnv a(0xcbf29ce484222325ULL);
-    Fnv b(0x9e3779b97f4a7c15ULL);
+    common::Fnv a;
+    common::Fnv b(common::Fnv::kSecondLaneSeed);
     hashProgram(packed, a);
     hashProgram(packed, b);
     DecodeKey key;
@@ -1005,13 +960,9 @@ runDecoded(const DecodedProgram &dec, RegisterFile &regs, Memory &mem,
 std::shared_ptr<const DecodedProgram>
 DecodeCache::lookupOrDecode(const PackedProgram &packed)
 {
-    const DecodeKey key = fingerprintProgram(packed);
-    if (auto hit = lru_.lookup(key))
-        return *std::move(hit);
-    // Decode outside the shard lock: two threads may race on the same
-    // program, but decoding is a pure function so either result is
-    // usable; the first insert wins.
-    return lru_.insert(key, DecodedProgram::build(packed));
+    return lru_.lookupOrCompute(fingerprintProgram(packed), [&] {
+        return DecodedProgram::build(packed);
+    });
 }
 
 DecodeCache &

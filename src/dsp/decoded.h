@@ -144,12 +144,13 @@ TimingStats runDecoded(const DecodedProgram &dec, RegisterFile &regs,
 /**
  * Thread-safe bounded cache of decoded programs keyed on content
  * fingerprint -- a member of the managed cache tier (common::ShardedLru,
- * DESIGN.md section 14). A miss decodes outside any lock (two threads
- * may race to decode the same program; both results are identical and
- * one wins the insert); when a shard exceeds its share of the capacity
- * the least-recently-used entry is evicted, so a long-lived service
- * keeps its hot decoded kernels instead of periodically dropping the
- * whole working set.
+ * DESIGN.md section 14). A miss decodes outside any lock and is
+ * single-flight (a thread that misses on a program another thread is
+ * decoding waits for that decode, so a resident program was decoded
+ * once and counted one miss, whatever the thread count); when a shard
+ * exceeds its share of the capacity the least-recently-used entry is
+ * evicted, so a long-lived service keeps its hot decoded kernels
+ * instead of periodically dropping the whole working set.
  */
 class DecodeCache
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 
 namespace gcd2::dsp {
@@ -476,6 +477,27 @@ makeVshuff(Opcode op, Operand vd, Operand vu, Operand vv, int laneLog2)
     requireVector(vu, "shuffle src0");
     requireVector(vv, "shuffle src1");
     return Instruction{op, {vd}, {vu, vv}, laneLog2};
+}
+
+void
+hashProgramCode(const Program &prog, common::Fnv &fnv)
+{
+    for (const Instruction &inst : prog.code) {
+        fnv.value(static_cast<uint8_t>(inst.op));
+        fnv.value(static_cast<uint8_t>(inst.dst[0].cls));
+        fnv.value(inst.dst[0].idx);
+        for (const Operand &src : inst.src) {
+            fnv.value(static_cast<uint8_t>(src.cls));
+            fnv.value(src.idx);
+        }
+        fnv.value(inst.imm);
+    }
+    fnv.value(uint64_t{0xfeed});
+    for (size_t label : prog.labels)
+        fnv.value(static_cast<uint64_t>(label));
+    fnv.value(uint64_t{0xbeef});
+    for (int8_t reg : prog.noaliasRegs)
+        fnv.value(reg);
 }
 
 } // namespace gcd2::dsp

@@ -29,6 +29,10 @@
 #include <string>
 #include <vector>
 
+namespace gcd2::common {
+class Fnv;
+} // namespace gcd2::common
+
 namespace gcd2::dsp {
 
 /** Number of scalar registers. */
@@ -274,6 +278,14 @@ struct Program
 
     std::string toString() const;
 };
+
+/**
+ * Feed the content of @p prog that names it to @p fnv: every
+ * instruction's opcode, operands and immediate, then the labels, then
+ * the noalias registers. The prefix of the pack-cache and decode-cache
+ * keys (vliw::fingerprintForPacking, fingerprintProgram).
+ */
+void hashProgramCode(const Program &prog, common::Fnv &fnv);
 
 // Instruction factory helpers ------------------------------------------
 

@@ -39,16 +39,6 @@ TimingSimulator::packetCost(const Program &prog, const Packet &packet,
     return cost;
 }
 
-uint64_t
-TimingSimulator::staticCost(const PackedProgram &packed)
-{
-    AliasAnalysis alias(packed.program);
-    uint64_t total = 0;
-    for (const Packet &packet : packed.packets)
-        total += packetCost(packed.program, packet, alias);
-    return total;
-}
-
 TimingStats
 TimingSimulator::run(const PackedProgram &packed, bool validate,
                      uint64_t maxPackets)

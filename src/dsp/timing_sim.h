@@ -79,9 +79,6 @@ class TimingSimulator
                                const AliasAnalysis &alias,
                                uint64_t *stallOut = nullptr);
 
-    /** Sum of packetCost over all packets (straight-line estimate). */
-    static uint64_t staticCost(const PackedProgram &packed);
-
   private:
     FunctionalSimulator funcSim_;
 };

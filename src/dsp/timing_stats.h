@@ -35,16 +35,6 @@ struct TimingStats
                           static_cast<double>(packetsExecuted));
     }
 
-    /** Issue-level parallelism per cycle (relative DSP utilization). */
-    double
-    computeUtilization() const
-    {
-        return cycles == 0 ? 0.0
-                           : static_cast<double>(instructionsExecuted) /
-                                 (static_cast<double>(kPacketSlots) *
-                                  static_cast<double>(cycles));
-    }
-
     /** Memory traffic per cycle in bytes (relative bandwidth). */
     double
     memoryBandwidth() const

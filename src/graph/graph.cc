@@ -95,17 +95,6 @@ Graph::totalMacs() const
     return total;
 }
 
-std::vector<NodeId>
-Graph::topoOrder() const
-{
-    std::vector<NodeId> order;
-    order.reserve(nodes_.size());
-    for (const Node &n : nodes_)
-        if (!n.dead)
-            order.push_back(n.id);
-    return order;
-}
-
 std::vector<std::vector<NodeId>>
 Graph::successors() const
 {

@@ -57,9 +57,6 @@ class Graph
     /** Total MACs over live nodes. */
     int64_t totalMacs() const;
 
-    /** Ids of live nodes in topological (append) order. */
-    std::vector<NodeId> topoOrder() const;
-
     /** Consumers of each node (live nodes only). */
     std::vector<std::vector<NodeId>> successors() const;
 

@@ -270,16 +270,6 @@ struct CompiledModel
                           static_cast<double>(totals.cycles));
     }
 
-    /** VLIW packing density: instructions per issued packet slot. */
-    double
-    packingDensity() const
-    {
-        return totals.packets == 0
-                   ? 0.0
-                   : static_cast<double>(totals.instructions) /
-                         (4.0 * static_cast<double>(totals.packets));
-    }
-
     /**
      * Achieved useful memory bandwidth in bytes per cycle: the tensor
      * traffic the graph *demands* (operator inputs + outputs, weights

@@ -38,6 +38,15 @@ namespace {
  * while the pass ran. A program miss packs block by block through the
  * PackCache's block tier: pack-block-hits are blocks an earlier pack
  * answered, pack-block-misses the blocks actually packed.
+ *
+ * Both caches are single-flight, so from a cleared cache that the
+ * compile does not overflow each delta is independent of the thread
+ * count. The caches are process-wide and LRU-bounded, though: which
+ * entries an earlier compile in the same process left resident (and in
+ * what recency order), and once a shard fills, the order in which
+ * threads reached it, decide what this pass hits, misses and evicts.
+ * So the deltas are a function of the compile's inputs only when the
+ * caches start cleared and nothing is evicted.
  */
 class PackCacheDelta
 {
@@ -426,32 +435,17 @@ void
 CompilationSession::passKernelGeneration(PassReport &pass,
                                          CompiledModel &result)
 {
-    // Statistics of the *chosen* kernel for every live node. Each node
-    // is independent, so the pool splits them; aggregation stays in the
-    // cycle-accounting pass (in node order) to keep totals
-    // thread-count-invariant by construction.
+    // For every live node: statistics of the *chosen* kernel, and the
+    // schedule it serves -- the packed program of the first canonical
+    // kernel of its plan's recipe, which plan costing already simulated
+    // (select/plan.h), so the PackCache answers it. Each node is
+    // independent and has its own slots, so the pool splits them;
+    // aggregation stays in the cycle-accounting pass (in node order) to
+    // keep totals thread-count-invariant by construction.
     const uint64_t misses0 = model_->cache().misses();
     const PackCacheDelta packDelta;
     nodeStats_.assign(graph_.size(), NodeExecStats{});
     const std::vector<graph::Node> &nodes = graph_.nodes();
-    pool_.parallelFor(
-        static_cast<int64_t>(nodes.size()), [&](int64_t i) {
-            const graph::Node &node = nodes[static_cast<size_t>(i)];
-            if (node.dead)
-                return;
-            const int planIdx =
-                result.selection.planIndex[static_cast<size_t>(node.id)];
-            const ExecutionPlan &plan =
-                table_->plans(node.id)[static_cast<size_t>(planIdx)];
-            nodeStats_[static_cast<size_t>(i)] =
-                model_->planStats(graph_, node.id, plan);
-        });
-
-    // Retain the schedule served for every live operator: the packed
-    // program of the first canonical kernel of its plan's recipe, which
-    // planStats just simulated (select/plan.h), answered by the
-    // PackCache (all hits at this point). One slot per node, so the
-    // pool splits the nodes.
     std::vector<std::shared_ptr<const dsp::PackedProgram>> retained(
         nodes.size());
     pool_.parallelFor(
@@ -463,6 +457,8 @@ CompilationSession::passKernelGeneration(PassReport &pass,
                 result.selection.planIndex[static_cast<size_t>(node.id)];
             const ExecutionPlan &plan =
                 table_->plans(node.id)[static_cast<size_t>(planIdx)];
+            nodeStats_[static_cast<size_t>(i)] =
+                model_->planStats(graph_, node.id, plan);
             retained[static_cast<size_t>(i)] =
                 model_->canonicalSchedule(graph_, node.id, plan);
         });
@@ -656,9 +652,9 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     // Tiered-costing audit. Always-on cheap tier: the coster re-derives
     // its certified affine fits from the stored anchor simulations and
     // re-checks the analytic bounds bracket them. Deep tier: re-cost the
-    // whole plan table through a scratch exhaustive model and prove the
-    // served selection's Eq.-1 total is bit-identical to unpruned
-    // costing (select::auditTieredCosts).
+    // whole plan table through a scratch exhaustive model and prove
+    // every plan's cost exact, so the served selection's Eq.-1 total is
+    // bit-identical to exhaustive costing (select::auditTieredCosts).
     size_t tieredFailures = 0;
     uint64_t tieredClassesChecked = 0;
     bool tieredDeep = false;
@@ -672,8 +668,8 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
         tieredClassesChecked = classesChecked;
         if (deep) {
             tieredDeep = true;
-            std::vector<Diag> tieredFindings = select::auditTieredCosts(
-                *table_, result.selection, options_.cost);
+            std::vector<Diag> tieredFindings =
+                select::auditTieredCosts(*table_, options_.cost);
             tieredFailures += tieredFindings.size();
             for (Diag &diag : tieredFindings)
                 diag_.add(std::move(diag));

@@ -29,8 +29,8 @@
  * Programs whose control flow the analyzer cannot resolve (forward
  * branches, unconditional jumps, unrecognized counter idioms) yield
  * `certified == false`, and callers must not prune based on the bounds.
- * Soundness of dominance pruning (select/tiered_cost.h) rests only on
- * `lower <= simulated cycles` for certified programs.
+ * Soundness of the unroll-search prefilter (CostModel::unrollFor) rests
+ * only on `lower <= simulated cycles` for certified programs.
  */
 #ifndef GCD2_SELECT_ANALYTIC_H
 #define GCD2_SELECT_ANALYTIC_H

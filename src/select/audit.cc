@@ -75,8 +75,7 @@ auditSelection(const PlanTable &table, const Selection &selection,
 }
 
 std::vector<Diag>
-auditTieredCosts(const PlanTable &table, const Selection &selection,
-                 const CostModelOptions &options)
+auditTieredCosts(const PlanTable &table, const CostModelOptions &options)
 {
     std::vector<Diag> findings;
     const auto fail = [&](int64_t node, std::string message) {
@@ -113,8 +112,6 @@ auditTieredCosts(const PlanTable &table, const Selection &selection,
                               std::to_string(exact.size()));
             continue;
         }
-        const int selected =
-            selection.planIndex[static_cast<size_t>(node.id)];
         for (size_t i = 0; i < tiered.size(); ++i) {
             if (tiered[i].scheme != exact[i].scheme ||
                 tiered[i].inLayout != exact[i].inLayout ||
@@ -124,39 +121,12 @@ auditTieredCosts(const PlanTable &table, const Selection &selection,
                                   "exhaustive enumeration");
                 continue;
             }
-            if (tiered[i].cycles == exact[i].cycles)
-                continue;
-            // Not exact: only acceptable as a pruned plan with a valid
-            // dominance certificate.
-            if (static_cast<int>(i) == selected) {
-                fail(node.id,
-                     "selected plan " + std::to_string(i) + " costs " +
-                         std::to_string(tiered[i].cycles) +
-                         " tiered but " + std::to_string(exact[i].cycles) +
-                         " exhaustively");
-                continue;
-            }
-            if (tiered[i].cycles > exact[i].cycles) {
-                fail(node.id,
-                     "pruned plan " + std::to_string(i) + " stores " +
-                         std::to_string(tiered[i].cycles) +
-                         ", above its exhaustive cost " +
-                         std::to_string(exact[i].cycles) +
-                         " (not a lower bound)");
-                continue;
-            }
-            bool dominated = false;
-            for (size_t j = 0; j < i && !dominated; ++j) {
-                dominated = tiered[j].inLayout == tiered[i].inLayout &&
-                            tiered[j].outLayout == tiered[i].outLayout &&
-                            tiered[j].cycles == exact[j].cycles &&
-                            tiered[j].cycles < tiered[i].cycles;
-            }
-            if (!dominated) {
-                fail(node.id,
-                     "plan " + std::to_string(i) +
-                         " is inexact without an earlier identical-"
-                         "layout dominator costed exactly below it");
+            if (tiered[i].cycles != exact[i].cycles) {
+                fail(node.id, "plan " + std::to_string(i) + " costs " +
+                                  std::to_string(tiered[i].cycles) +
+                                  " tiered but " +
+                                  std::to_string(exact[i].cycles) +
+                                  " exhaustively");
             }
         }
     }

@@ -56,18 +56,14 @@ auditSelection(const PlanTable &table, const Selection &selection,
  * Deep tiered-costing audit (expensive): re-cost every live node's plans
  * through a scratch *exhaustive* cost model -- tiered costing off, a
  * fresh private CostCache, so nothing the tiered path memoized can leak
- * in -- and prove the table the selection was solved over is what full
- * costing produces. Every plan must either match exactly or carry a
- * valid dominance certificate (its stored bound is a true lower bound,
- * an earlier identical-layout plan is exactly costed strictly below it),
- * and the *selected* plan of every node must match exactly -- which,
- * with TC independent of costing, proves the served Eq.-1 total is
- * bit-identical to unpruned costing. Returns Error diagnostics (pass
- * "tiered-audit"; empty = proven).
+ * in -- and prove @p table is what full costing produces: every plan
+ * must match its exhaustive enumeration and cost exactly. With TC
+ * independent of costing, that makes any selection solved over the
+ * table bit-identical to one solved over exhaustive costs. Returns
+ * Error diagnostics (pass "tiered-audit"; empty = proven).
  */
 std::vector<common::Diag>
-auditTieredCosts(const PlanTable &table, const Selection &selection,
-                 const CostModelOptions &options);
+auditTieredCosts(const PlanTable &table, const CostModelOptions &options);
 
 } // namespace gcd2::select
 

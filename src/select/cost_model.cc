@@ -341,52 +341,9 @@ std::vector<ExecutionPlan>
 CostModel::costedPlans(const graph::Graph &graph, NodeId id) const
 {
     std::vector<ExecutionPlan> plans = enumeratePlans(graph, id);
-    if (tiered_) {
-        // Tier 2: same-layout dominance. The current plan enumeration
-        // gives every family pairwise distinct layout pairs, so this
-        // filter is a no-op on zoo graphs -- it earns its keep once a
-        // family proposes several kernels per layout.
-        tiered_->notePruned(applySameLayoutDominance(
-            plans,
-            [&](const ExecutionPlan &plan) {
-                return planStats(graph, id, plan).cycles;
-            },
-            [&](const ExecutionPlan &plan) {
-                return planLowerBound(graph, id, plan);
-            }));
-        return plans;
-    }
     for (ExecutionPlan &plan : plans)
         plan.cycles = planStats(graph, id, plan).cycles;
     return plans;
-}
-
-uint64_t
-CostModel::planLowerBound(const graph::Graph &graph, NodeId id,
-                          const ExecutionPlan &plan) const
-{
-    if (!tiered_)
-        return 0;
-    // Only matmul tiles have a certified analytic floor; a recipe with
-    // any other kernel, or none, reports "no bound" (0), which never
-    // prunes. The floor mirrors planStats' scaling exactly and drops
-    // every non-negative analytic term (im2col, fused epilogues).
-    const PlanRecipe recipe =
-        planRecipe(graph, id, plan, options_.lutOptimization);
-    uint64_t bound = 0;
-    for (const KernelTerm &term : recipe.kernels) {
-        if (term.kind != CostKind::MatMulTile)
-            return 0;
-        uint64_t floor = tileFloor(kernelKey(term), term.product);
-        if (floor == 0)
-            return 0;
-        if (term.scale != 1.0)
-            floor = scaleSaturating(floor, term.scale);
-        bound = addSaturating(bound, floor);
-    }
-    if (recipe.batch != 1.0)
-        bound = scaleSaturating(bound, recipe.batch);
-    return bound;
 }
 
 std::vector<TileRequest>
@@ -395,8 +352,6 @@ CostModel::tileRequests(const graph::Graph &graph, NodeId id) const
     std::vector<TileRequest> requests;
     if (!tiered_ || options_.unroll == UnrollStrategy::Exhaustive)
         return requests;
-    // Same-layout dominance never prunes a plan of today's enumeration,
-    // so costedPlans looks up the tile of every plan.
     for (const ExecutionPlan &plan : enumeratePlans(graph, id))
         for (const KernelTerm &term :
              planRecipe(graph, id, plan, options_.lutOptimization).kernels)

@@ -54,11 +54,12 @@ struct CostModelOptions
     /** "Other optimizations": replace divisions with table lookups. */
     bool lutOptimization = true;
     /**
-     * Tiered plan costing (DESIGN.md section 16): analytic bound
-     * prefilter, same-layout dominance pruning, and shared-structure
-     * affine costing with packet transplantation. Produces bit-identical
-     * costs, selections, and served schedules to the exhaustive path
-     * (enforced by the always-on audit and the deep exhaustive re-cost),
+     * Tiered plan costing (DESIGN.md section 16): the certified analytic
+     * bound prefilters exhaustive unroll search, and shared-structure
+     * affine costing with packet transplantation prices matmul tiles.
+     * Every plan gets its exact cost, so costs, selections, and served
+     * schedules are bit-identical to the exhaustive path (enforced by
+     * the always-on audit and the deep exhaustive re-cost),
      * so it only trades compile time -- deliberately *not* part of the
      * service request fingerprint (service/fingerprint.cc).
      */
@@ -176,11 +177,6 @@ class CostModel
     NodeExecStats kernelStats(const CostKey &key) const;
     /** @p term's kernel stats scaled to the node. */
     NodeExecStats termStats(const KernelTerm &term) const;
-
-    /** Certified analytic lower bound on a plan's cycles (0 = no bound);
-     *  used by the same-layout dominance filter in costedPlans. */
-    uint64_t planLowerBound(const graph::Graph &graph, graph::NodeId id,
-                            const ExecutionPlan &plan) const;
 
     CostModelOptions options_;
     std::shared_ptr<CostCache> cache_;

@@ -17,7 +17,7 @@ using graph::OpType;
 namespace {
 
 /**
- * Structural node signature (tier 3 of tiered costing, DESIGN.md
+ * Structural node signature (tier 2 of tiered costing, DESIGN.md
  * section 16): two live nodes with equal signatures produce identical
  * costedPlans vectors, because plan enumeration and the cost model read
  * nothing else about a node -- its op, its full attribute set, its

@@ -56,7 +56,7 @@ class PlanTable
     PlanTable(const graph::Graph &graph, const CostModel &model,
               ThreadPool *pool = nullptr);
 
-    /** Shape-class sharing telemetry (tier 3 of tiered costing). */
+    /** Shape-class sharing telemetry (tier 2 of tiered costing). */
     struct Stats
     {
         uint64_t shapeClasses = 0; ///< distinct structural signatures

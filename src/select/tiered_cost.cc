@@ -449,40 +449,4 @@ TieredCoster::audit(size_t *classesChecked) const
     return errors;
 }
 
-size_t
-applySameLayoutDominance(
-    std::vector<ExecutionPlan> &plans,
-    const std::function<uint64_t(const ExecutionPlan &)> &exactCycles,
-    const std::function<uint64_t(const ExecutionPlan &)> &lowerBound)
-{
-    size_t pruned = 0;
-    // Best exact cost seen so far per (input layout, output layout).
-    std::map<std::pair<int, int>, uint64_t> bestByLayout;
-    for (ExecutionPlan &plan : plans) {
-        const std::pair<int, int> layouts{
-            static_cast<int>(plan.inLayout),
-            static_cast<int>(plan.outLayout)};
-        const auto it = bestByLayout.find(layouts);
-        if (it != bestByLayout.end()) {
-            const uint64_t lb = lowerBound(plan);
-            if (lb > it->second) {
-                // Strictly dominated: an earlier identical-layout plan is
-                // exactly costed below this plan's certified floor, and
-                // identical layouts mean identical TC terms in every
-                // selection context. Store the bound (strictly worse than
-                // the dominator) so min-folds can never pick this plan.
-                plan.cycles = lb;
-                ++pruned;
-                continue;
-            }
-        }
-        plan.cycles = exactCycles(plan);
-        if (it == bestByLayout.end())
-            bestByLayout.emplace(layouts, plan.cycles);
-        else
-            it->second = std::min(it->second, plan.cycles);
-    }
-    return pruned;
-}
-
 } // namespace gcd2::select

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tier-2 of the tiered plan coster: shared-structure affine costing of
- * matmul tile kernels with packet transplantation, plus the same-layout
- * dominance filter (DESIGN.md section 16).
+ * Tier 2 of the tiered plan coster: shared-structure affine costing of
+ * matmul tile kernels with packet transplantation (DESIGN.md section 16).
+ * Tier 1, the certified analytic lower bound (select/analytic.h), is
+ * served through tileLowerBound and prefilters exhaustive unroll search.
  *
  * Cold compiles are dominated by costing candidate plans: every matmul
  * tile is generated, VLIW-packed, and simulated at its full reduction
@@ -39,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,7 +49,6 @@
 #include "kernels/matmul.h"
 #include "select/analytic.h"
 #include "select/exec_stats.h"
-#include "select/plan.h"
 #include "vliw/packer.h"
 
 namespace gcd2::select {
@@ -59,7 +58,7 @@ struct TieredCounters
 {
     uint64_t plansDerived = 0;      ///< stats from a certified affine fit
     uint64_t plansSimulated = 0;    ///< stats from a real simulation
-    uint64_t plansPruned = 0;       ///< candidates pruned by dominance
+    uint64_t plansPruned = 0;       ///< unroll candidates prefiltered
     uint64_t anchorSims = 0;        ///< certification anchor simulations
     uint64_t transplantedPacks = 0; ///< schedules served by transplant
     uint64_t certifiedClasses = 0;
@@ -109,7 +108,8 @@ class TieredCoster
     uint64_t tileLowerBound(const kernels::MatMulShape &tile,
                             const kernels::MatMulConfig &config);
 
-    /** Record dominance prunes decided by the caller (cost model). */
+    /** Record unroll candidates the caller (cost model) prefiltered by
+     *  tileLowerBound. */
     void notePruned(uint64_t count);
 
     TieredCounters counters() const;
@@ -182,26 +182,6 @@ size_t tileClassProgramSize(const kernels::MatMulShape &tile,
  * and therefore identical packs.
  */
 bool transplantCompatible(const dsp::Program &a, const dsp::Program &b);
-
-/**
- * Same-layout dominance filter (tier 2 of the plan coster). Walks
- * @p plans in order; a plan whose certified analytic lower bound
- * *strictly* exceeds the exact cost of an earlier plan with identical
- * input and output layouts is pruned -- its cycles are set to that lower
- * bound and @p exactCycles is never called for it. Everything else gets
- * exact cycles.
- *
- * Soundness: layout-transform costs (TC) depend only on layouts, so the
- * dominating plan is at least as good in every selection context; the
- * strict inequality keeps the pruned plan's stored cycles strictly worse
- * than the dominating plan's, so no min-fold or first-index tie-break in
- * any solver can ever pick it. A lower bound of 0 (uncertified) never
- * prunes. Returns the number of plans pruned.
- */
-size_t applySameLayoutDominance(
-    std::vector<ExecutionPlan> &plans,
-    const std::function<uint64_t(const ExecutionPlan &)> &exactCycles,
-    const std::function<uint64_t(const ExecutionPlan &)> &lowerBound);
 
 } // namespace gcd2::select
 

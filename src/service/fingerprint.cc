@@ -1,50 +1,14 @@
 #include "service/fingerprint.h"
 
 #include <bit>
-#include <type_traits>
+
+#include "common/fnv.h"
 
 namespace gcd2::service {
 
 namespace {
 
-/** FNV-1a, same lane construction as the decode and pack caches. */
-class Fnv
-{
-  public:
-    explicit Fnv(uint64_t seed) : h_(seed) {}
-
-    void
-    bytes(const void *data, size_t n)
-    {
-        const auto *p = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < n; ++i) {
-            h_ ^= p[i];
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    template <typename T>
-    void
-    value(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        bytes(&v, sizeof(v));
-    }
-
-    template <typename T>
-    void
-    sequence(const std::vector<T> &values)
-    {
-        value(static_cast<uint64_t>(values.size()));
-        for (const T &v : values)
-            value(v);
-    }
-
-    uint64_t digest() const { return h_; }
-
-  private:
-    uint64_t h_;
-};
+using common::Fnv;
 
 void
 hashNode(const graph::Node &node, Fnv &fnv)
@@ -114,8 +78,8 @@ ModelKey
 fingerprintRequest(const graph::Graph &graph,
                    const runtime::CompileOptions &options)
 {
-    Fnv a(0xcbf29ce484222325ULL);
-    Fnv b(0x9e3779b97f4a7c15ULL);
+    Fnv a;
+    Fnv b(Fnv::kSecondLaneSeed);
     hashRequest(graph, options, a);
     hashRequest(graph, options, b);
     b.value(uint64_t{0x5eed});

@@ -148,9 +148,6 @@ class FastIdg
         return pair_.copackDelay(a, b);
     }
 
-    /** The embedded pair-classification tables. */
-    const dsp::CopackModel &pairModel() const { return pair_; }
-
     uint64_t readMask(size_t i) const { return pair_.readMask(i); }
     uint64_t writeMask(size_t i) const { return pair_.writeMask(i); }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "common/fnv.h"
 #include "common/timer.h"
 #include "vliw/pack_fast.h"
 
@@ -11,55 +12,11 @@ namespace gcd2::vliw {
 
 namespace {
 
-/** FNV-1a, same lane construction as the decode cache. */
-class Fnv
-{
-  public:
-    explicit Fnv(uint64_t seed) : h_(seed) {}
-
-    void
-    bytes(const void *data, size_t n)
-    {
-        const auto *p = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < n; ++i) {
-            h_ ^= p[i];
-            h_ *= 0x100000001b3ULL;
-        }
-    }
-
-    template <typename T>
-    void
-    value(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        bytes(&v, sizeof(v));
-    }
-
-    uint64_t digest() const { return h_; }
-
-  private:
-    uint64_t h_;
-};
-
 void
-hashRequest(const dsp::Program &prog, const PackOptions &opts, Fnv &fnv)
+hashRequest(const dsp::Program &prog, const PackOptions &opts,
+            common::Fnv &fnv)
 {
-    for (const dsp::Instruction &inst : prog.code) {
-        fnv.value(static_cast<uint8_t>(inst.op));
-        fnv.value(static_cast<uint8_t>(inst.dst[0].cls));
-        fnv.value(inst.dst[0].idx);
-        for (const dsp::Operand &src : inst.src) {
-            fnv.value(static_cast<uint8_t>(src.cls));
-            fnv.value(src.idx);
-        }
-        fnv.value(inst.imm);
-    }
-    fnv.value(uint64_t{0xfeed});
-    for (size_t label : prog.labels)
-        fnv.value(static_cast<uint64_t>(label));
-    fnv.value(uint64_t{0xbeef});
-    for (int8_t reg : prog.noaliasRegs)
-        fnv.value(reg);
+    dsp::hashProgramCode(prog, fnv);
     // Options: the policy plus the exact bit patterns of the scoring
     // tunables (two doubles that differ in any bit pack differently).
     fnv.value(uint64_t{0x9acc});
@@ -91,8 +48,8 @@ putOperand(std::vector<uint8_t> &out, const dsp::Operand &operand)
 PackKey
 fingerprintForPacking(const dsp::Program &prog, const PackOptions &opts)
 {
-    Fnv a(0xcbf29ce484222325ULL);
-    Fnv b(0x9e3779b97f4a7c15ULL);
+    common::Fnv a;
+    common::Fnv b(common::Fnv::kSecondLaneSeed);
     hashRequest(prog, opts, a);
     hashRequest(prog, opts, b);
     b.value(uint64_t{0x5eed});
@@ -167,7 +124,7 @@ PackCache::packBlock(const dsp::Program &prog, const BasicBlock &block,
     }
     if (used > 0)
         bytes.push_back(bits);
-    Fnv fnv(0xcbf29ce484222325ULL);
+    common::Fnv fnv;
     fnv.bytes(bytes.data(), bytes.size());
     key.hash = fnv.digest();
 

@@ -349,7 +349,8 @@ TEST(DecodedEngine, FingerprintSeesEveryDecodeInput)
 TEST(DecodedEngine, DecodeCacheIsThreadSafe)
 {
     // Hammer one cache with a small working set from several threads; all
-    // threads must observe structurally identical decoded programs.
+    // threads must observe structurally identical decoded programs, and
+    // each program decodes once (misses are single-flight).
     std::vector<PackedProgram> programs;
     for (int n = 1; n <= 4; ++n) {
         Program prog;
@@ -378,6 +379,9 @@ TEST(DecodedEngine, DecodeCacheIsThreadSafe)
     for (int t = 0; t < kThreads; ++t)
         EXPECT_EQ(failures[t], 0) << "thread " << t;
     EXPECT_EQ(cache.size(), programs.size());
+    EXPECT_EQ(cache.stats().misses, programs.size());
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses,
+              static_cast<uint64_t>(kThreads) * 50);
 }
 
 // Random-program differential fuzz ------------------------------------

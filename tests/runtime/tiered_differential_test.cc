@@ -2,7 +2,7 @@
  * @file
  * Tiered costing must be invisible in compiler output: for every zoo
  * model and every selector rung, a compile with the tiered plan coster
- * (analytic prefilter + shape-class sharing + dominance pruning) must
+ * (analytic unroll prefilter + shape-class sharing) must
  * produce bit-identical selections, costs, cycle totals, and served
  * schedules to a compile that simulates every candidate exhaustively.
  * The speedup may only change wall-clock compile time -- the same
@@ -14,6 +14,8 @@
 #include "models/builders.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
+#include "select/audit.h"
+#include "select/selector.h"
 #include "service/artifact_store.h"
 
 namespace gcd2::runtime {
@@ -91,8 +93,8 @@ TEST(TieredDifferentialTest, ServedSchedulesAreBitIdentical)
 
 TEST(TieredDifferentialTest, SearchModeMatchesAndPrunes)
 {
-    // Exhaustive unroll search is where the tier-1 prefilter and the
-    // dominance filter actually fire (32 unroll candidates per shape);
+    // Exhaustive unroll search is where the tier-1 unroll prefilter
+    // actually fires (32 unroll candidates per shape);
     // the selection must still match the fully simulated search.
     CompileOptions tieredSearch = withTiered(true);
     tieredSearch.cost.unroll = kernels::UnrollStrategy::Exhaustive;
@@ -162,6 +164,32 @@ TEST(TieredDifferentialTest, DeepAuditRecertifiesTieredCosts)
     for (const common::Diag &diag : compiled.report.diagnostics)
         EXPECT_NE(diag.severity, common::DiagSeverity::Error)
             << diag.message;
+}
+
+TEST(TieredDifferentialTest, DeepAuditReportsMiscostedTable)
+{
+    // A table costed under one option set, audited against another: the
+    // LUT toggle reprices TinyBERT's softmax and layer-norm divisions,
+    // so the exhaustive re-cost must disagree with those plans' stored
+    // cycles, and every disagreement is an Error.
+    graph::Graph g = models::buildModel(ModelId::TinyBert);
+    graph::optimize(g);
+    const select::CostModel model(withTiered(true).cost);
+    const select::PlanTable table(g, model);
+    EXPECT_TRUE(select::auditTieredCosts(table, model.options()).empty());
+
+    select::CostModelOptions flipped = model.options();
+    flipped.lutOptimization = !flipped.lutOptimization;
+    const std::vector<common::Diag> findings =
+        select::auditTieredCosts(table, flipped);
+    ASSERT_FALSE(findings.empty());
+    for (const common::Diag &diag : findings) {
+        EXPECT_EQ(diag.severity, common::DiagSeverity::Error);
+        EXPECT_EQ(diag.pass, "tiered-audit");
+        EXPECT_GE(diag.node, 0);
+        EXPECT_NE(diag.message.find("exhaustively"), std::string::npos)
+            << diag.message;
+    }
 }
 
 } // namespace

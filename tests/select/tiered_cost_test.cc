@@ -2,10 +2,9 @@
  * @file
  * Tiered plan costing tests: the analytic model's bounds really bracket
  * simulation, transplanted schedules are bit-identical to direct packs,
- * affine-derived stats equal direct simulation, and the dominance filter
- * prunes only what its soundness argument covers (identical layouts,
- * strictly dominated). The zoo-wide differential and deep-audit tests
- * live in tests/runtime/tiered_differential_test.cc.
+ * and affine-derived stats equal direct simulation. The zoo-wide
+ * differential and deep-audit tests live in
+ * tests/runtime/tiered_differential_test.cc.
  */
 #include <gtest/gtest.h>
 
@@ -123,7 +122,7 @@ TEST(AnalyticModelTest, RefusesDataDependentTripCount)
     EXPECT_FALSE(analyzeProgram(prog).certified);
 }
 
-// -- Tier 3: transplants and affine derivation -------------------------
+// -- Tier 2: transplants and affine derivation -------------------------
 
 TEST(TieredCosterTest, TransplantedScheduleBitIdenticalToDirectPack)
 {
@@ -208,89 +207,6 @@ TEST(TieredCosterTest, ShallowReductionSimulatesOnTransplant)
         kernel.program(), kernel.buffers(), {}, {}, packOptions);
     EXPECT_EQ(stats.cycles, run.stats.cycles);
     EXPECT_EQ(stats.instructions, run.stats.instructionsExecuted);
-}
-
-// -- Tier 2: same-layout dominance -------------------------------------
-
-ExecutionPlan
-planWith(tensor::Layout in, tensor::Layout out)
-{
-    ExecutionPlan plan;
-    plan.inLayout = in;
-    plan.outLayout = out;
-    return plan;
-}
-
-TEST(DominanceFilterTest, PrunesStrictlyDominatedSameLayoutPlan)
-{
-    using tensor::Layout;
-    std::vector<ExecutionPlan> plans = {
-        planWith(Layout::OneColumn, Layout::OneColumn),  // exact 100
-        planWith(Layout::OneColumn, Layout::OneColumn),  // lb 150: prune
-        planWith(Layout::OneColumn, Layout::OneColumn),  // lb 100: keep
-    };
-    size_t exactCalls = 0;
-    const auto exact = [&](const ExecutionPlan &) -> uint64_t {
-        ++exactCalls;
-        return 100;
-    };
-    size_t lbCalls = 0;
-    const auto lb = [&](const ExecutionPlan &) -> uint64_t {
-        return ++lbCalls == 1 ? 150 : 100;
-    };
-    const size_t pruned = applySameLayoutDominance(plans, exact, lb);
-    EXPECT_EQ(pruned, 1u);
-    // Plan 1 pruned without an exact cost; plan 2's bound ties the best
-    // exact cost, so the strict rule keeps it and costs it exactly.
-    EXPECT_EQ(exactCalls, 2u);
-    EXPECT_EQ(plans[0].cycles, 100u);
-    EXPECT_EQ(plans[1].cycles, 150u); // stores its lower bound
-    EXPECT_EQ(plans[2].cycles, 100u);
-}
-
-TEST(DominanceFilterTest, NeverPrunesAcrossDifferentLayouts)
-{
-    using tensor::Layout;
-    // Identical schemes, huge lower bounds -- but no two plans share
-    // both layouts, so every plan must be costed exactly (their TC terms
-    // differ by selection context).
-    std::vector<ExecutionPlan> plans = {
-        planWith(Layout::OneColumn, Layout::OneColumn),
-        planWith(Layout::OneColumn, Layout::TwoColumn),
-        planWith(Layout::TwoColumn, Layout::OneColumn),
-        planWith(Layout::FourColumn, Layout::FourColumn),
-    };
-    size_t exactCalls = 0;
-    const auto exact = [&](const ExecutionPlan &) -> uint64_t {
-        ++exactCalls;
-        return 10;
-    };
-    const auto lb = [](const ExecutionPlan &) -> uint64_t {
-        return 1000000;
-    };
-    EXPECT_EQ(applySameLayoutDominance(plans, exact, lb), 0u);
-    EXPECT_EQ(exactCalls, plans.size());
-    for (const ExecutionPlan &plan : plans)
-        EXPECT_EQ(plan.cycles, 10u);
-}
-
-TEST(DominanceFilterTest, UncertifiedBoundZeroNeverPrunes)
-{
-    using tensor::Layout;
-    std::vector<ExecutionPlan> plans = {
-        planWith(Layout::OneColumn, Layout::OneColumn),
-        planWith(Layout::OneColumn, Layout::OneColumn),
-    };
-    size_t exactCalls = 0;
-    const auto exact = [&](const ExecutionPlan &) -> uint64_t {
-        ++exactCalls;
-        return 5;
-    };
-    // tileLowerBound returns 0 for uncertified classes; 0 is never
-    // strictly above an exact cost, so nothing may be pruned.
-    const auto lb = [](const ExecutionPlan &) -> uint64_t { return 0; };
-    EXPECT_EQ(applySameLayoutDominance(plans, exact, lb), 0u);
-    EXPECT_EQ(exactCalls, 2u);
 }
 
 // -- transplantCompatible ----------------------------------------------
