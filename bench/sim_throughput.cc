@@ -10,6 +10,9 @@
  * identical TimingStats and output bytes -- so the bench doubles as an
  * end-to-end bit-identity check on real kernels.
  *
+ * The cases are small zoo kernels plus the full-depth canonical tiles of
+ * each multiply scheme that plan costing re-simulates (k = 576 / 1152).
+ *
  * Output: a human-readable table on stdout and a machine-readable JSON
  * file (argv[1], default "BENCH_sim.json") consumed by CI, which compares
  * the decoded/reference speedup against a checked-in baseline
@@ -176,6 +179,15 @@ buildZoo()
          kernels::MatMulScheme::Vmpa, {128, 128, 8}},
         {"matmul_vrmpy_128x128x16",
          kernels::MatMulScheme::Vrmpy, {128, 128, 16}},
+        // Canonical cost tiles at full reduction depth, as the plan
+        // costing and the deep audit simulate them: one row panel x one
+        // column tile of each scheme's layout, unroll factor 1.
+        {"tile_vmpy_128x576x1", kernels::MatMulScheme::Vmpy, {128, 576, 1}},
+        {"tile_vmpy_128x1152x1",
+         kernels::MatMulScheme::Vmpy, {128, 1152, 1}},
+        {"tile_vmpa_64x576x2", kernels::MatMulScheme::Vmpa, {64, 576, 2}},
+        {"tile_vrmpy_32x1152x4",
+         kernels::MatMulScheme::Vrmpy, {32, 1152, 4}},
     };
     for (const MatCase &m : mats) {
         kernels::MatMulConfig config;

@@ -7,8 +7,9 @@ The benchmark reports the decoded-engine / reference-interpreter speedup
 per kernel and as a geometric mean. The speedup is a same-machine ratio,
 so it is comparable across CI runners in a way absolute packets/sec are
 not. This gate fails when the measured geomean speedup falls more than
-20% below the baseline's, which also enforces the hard floor that the
-decoded engine is at least 2x the reference.
+20% below the baseline's, or below the hard floor that the decoded
+engine is at least 2x the reference, and when any single kernel's
+speedup falls below that floor.
 """
 import json
 import sys
@@ -30,16 +31,26 @@ def main() -> int:
     expected = baseline["geomean_speedup"]
     threshold = max(expected * (1.0 - ALLOWED_REGRESSION), HARD_FLOOR)
 
-    print(f"kernels:")
-    for k in current.get("kernels", []):
+    failed = False
+    print("kernels:")
+    for k in current["kernels"]:
+        slow = k["speedup"] < HARD_FLOOR
         print(f"  {k['name']:32s} speedup {k['speedup']:.2f}x "
-              f"({k['dynamic_packets']} packets)")
+              f"({k['dynamic_packets']} packets)"
+              f"{'  BELOW FLOOR' if slow else ''}")
+        if slow:
+            print(f"FAIL: {k['name']} decoded-engine speedup "
+                  f"{k['speedup']:.2f}x is below the {HARD_FLOOR:.1f}x "
+                  f"floor", file=sys.stderr)
+            failed = True
     print(f"geomean speedup: measured {measured:.2f}x, "
           f"baseline {expected:.2f}x, threshold {threshold:.2f}x")
 
     if measured < threshold:
         print(f"FAIL: decoded-engine speedup {measured:.2f}x regressed "
               f"below {threshold:.2f}x", file=sys.stderr)
+        failed = True
+    if failed:
         return 1
     print("OK")
     return 0

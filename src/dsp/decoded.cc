@@ -11,7 +11,6 @@
 #include "dsp/alias.h"
 #include "dsp/deps.h"
 #include "dsp/schedule_checks.h"
-#include "dsp/sim_math.h"
 
 namespace gcd2::dsp {
 
@@ -20,7 +19,7 @@ namespace {
 // Fingerprinting ------------------------------------------------------
 
 void
-hashProgram(const PackedProgram &packed, common::Fnv &fnv)
+hashProgram(const PackedProgram &packed, common::FnvPair &fnv)
 {
     hashProgramCode(packed.program, fnv);
     fnv.value(uint64_t{0xcafe});
@@ -61,6 +60,12 @@ needsFallback(const Instruction &inst)
       case Opcode::VASRHUB:
       case Opcode::VASRWH:
         return d == s0 || d == s0 + 1;
+      case Opcode::VSHUFF:
+      case Opcode::VDEAL:
+      case Opcode::VSHUFFE:
+      case Opcode::VSHUFFO:
+        // The fast permutes run byte, halfword or word lanes only.
+        return inst.imm < 0 || inst.imm > 2;
       case Opcode::VLUT:
         // Only the table pair (s0, s0+1) is read cross-lane; the index
         // vector (src[1]) is read lane-aligned, so a destination equal to
@@ -87,11 +92,13 @@ using ExecFn = int32_t (*)(const DecodedInst &, St &);
 /** Dispatch slot for instructions executed through the interpreter. */
 constexpr size_t kFallbackSlot = static_cast<size_t>(Opcode::kNumOpcodes);
 
-/** Signed scalar byte j of a packed 4-byte multiplier operand. */
-inline int8_t
-scalarByte(uint32_t r, int j)
+/** Signed scalar byte j of a packed 4-byte multiplier operand, as a
+ *  uint16_t lane: products with it wrap mod 2^16 exactly like the
+ *  interpreter's int16_t sums. */
+inline uint16_t
+weightLane(uint32_t r, int j)
 {
-    return static_cast<int8_t>((r >> (8 * j)) & 0xff);
+    return static_cast<uint16_t>(static_cast<int8_t>((r >> (8 * j)) & 0xff));
 }
 
 int32_t
@@ -462,26 +469,28 @@ execVmpy(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
     const bool acc = di.op == Opcode::VMPYACC;
-    const auto a = vr[di.s0];
+    // Source byte 2h is the low byte of halfword h and byte 2h+1 its high
+    // byte, so the lane loop reads halfwords. Even halves take weight
+    // bytes 0/1 and odd halves 2/3; stepping h by 2 keeps each weight
+    // fixed per statement. uint16_t lanes wrap exactly like the int16_t
+    // sums of the interpreter.
+    uint16_t a[kVectorHalves], lo[kVectorHalves], hi[kVectorHalves];
+    std::memcpy(a, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(lo, vr[di.d].data(), kVectorBytes);
+    std::memcpy(hi, vr[di.d + 1].data(), kVectorBytes);
+    const uint16_t keep = acc ? 0xffff : 0; // VMPY overwrites the pair
     const uint32_t w = st.regs.scalar[di.s1];
-    const int8_t wb[4] = {scalarByte(w, 0), scalarByte(w, 1),
-                          scalarByte(w, 2), scalarByte(w, 3)};
-    int16_t lo[kVectorHalves], hi[kVectorHalves];
-    if (acc) {
-        std::memcpy(lo, vr[di.d].data(), kVectorBytes);
-        std::memcpy(hi, vr[di.d + 1].data(), kVectorBytes);
-    } else {
-        std::memset(lo, 0, sizeof(lo));
-        std::memset(hi, 0, sizeof(hi));
-    }
-    // Lane 2h multiplies by weight byte 2h mod 4, lane 2h+1 by 2h+1 mod 4;
-    // even products land in the low pair register, odd in the high one.
-    for (int h = 0; h < kVectorHalves; ++h) {
-        lo[h] = static_cast<int16_t>(
-            lo[h] + static_cast<int32_t>(a[2 * h]) * wb[2 * (h & 1)]);
-        hi[h] = static_cast<int16_t>(
-            hi[h] +
-            static_cast<int32_t>(a[2 * h + 1]) * wb[2 * (h & 1) + 1]);
+    const auto w0 = weightLane(w, 0);
+    const auto w1 = weightLane(w, 1);
+    const auto w2 = weightLane(w, 2);
+    const auto w3 = weightLane(w, 3);
+    for (int h = 0; h < kVectorHalves; h += 2) {
+        lo[h] = static_cast<uint16_t>((lo[h] & keep) + (a[h] & 0xff) * w0);
+        hi[h] = static_cast<uint16_t>((hi[h] & keep) + (a[h] >> 8) * w1);
+        lo[h + 1] = static_cast<uint16_t>((lo[h + 1] & keep) +
+                                          (a[h + 1] & 0xff) * w2);
+        hi[h + 1] = static_cast<uint16_t>((hi[h + 1] & keep) +
+                                          (a[h + 1] >> 8) * w3);
     }
     std::memcpy(vr[di.d].data(), lo, kVectorBytes);
     std::memcpy(vr[di.d + 1].data(), hi, kVectorBytes);
@@ -492,21 +501,24 @@ int32_t
 execVmpa(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
-    const auto a0 = vr[di.s0];
-    const auto a1 = vr[di.s0 + 1];
+    // Halfword lanes as in execVmpy: each output half sums the two bytes
+    // of the same source half, low byte by the first weight of its pair.
+    uint16_t x0[kVectorHalves], x1[kVectorHalves];
+    std::memcpy(x0, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(x1, vr[di.s0 + 1].data(), kVectorBytes);
     const uint32_t w = st.regs.scalar[di.s1];
-    const int8_t wb[4] = {scalarByte(w, 0), scalarByte(w, 1),
-                          scalarByte(w, 2), scalarByte(w, 3)};
-    int16_t lo[kVectorHalves], hi[kVectorHalves];
+    const auto w0 = weightLane(w, 0);
+    const auto w1 = weightLane(w, 1);
+    const auto w2 = weightLane(w, 2);
+    const auto w3 = weightLane(w, 3);
+    uint16_t lo[kVectorHalves], hi[kVectorHalves];
     std::memcpy(lo, vr[di.d].data(), kVectorBytes);
     std::memcpy(hi, vr[di.d + 1].data(), kVectorBytes);
     for (int r = 0; r < kVectorHalves; ++r) {
-        lo[r] = static_cast<int16_t>(
-            lo[r] + static_cast<int32_t>(a0[2 * r]) * wb[0] +
-            static_cast<int32_t>(a0[2 * r + 1]) * wb[1]);
-        hi[r] = static_cast<int16_t>(
-            hi[r] + static_cast<int32_t>(a1[2 * r]) * wb[2] +
-            static_cast<int32_t>(a1[2 * r + 1]) * wb[3]);
+        lo[r] = static_cast<uint16_t>(lo[r] + (x0[r] & 0xff) * w0 +
+                                      (x0[r] >> 8) * w1);
+        hi[r] = static_cast<uint16_t>(hi[r] + (x1[r] & 0xff) * w2 +
+                                      (x1[r] >> 8) * w3);
     }
     std::memcpy(vr[di.d].data(), lo, kVectorBytes);
     std::memcpy(vr[di.d + 1].data(), hi, kVectorBytes);
@@ -517,18 +529,38 @@ int32_t
 execVrmpy(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
-    const auto a = vr[di.s0];
+    // A byte times a signed weight byte fits int16_t, so the four
+    // products of each word are formed in halfword lanes (as in
+    // execVmpy), the low-byte and high-byte products in separate arrays.
+    // Each word of those arrays then holds two int16_t products, which
+    // 32-bit lanes sign-extend and add with shifts alone.
+    uint16_t x[kVectorHalves];
+    std::memcpy(x, vr[di.s0].data(), kVectorBytes);
     const uint32_t w = st.regs.scalar[di.s1];
-    const int8_t wb[4] = {scalarByte(w, 0), scalarByte(w, 1),
-                          scalarByte(w, 2), scalarByte(w, 3)};
-    int32_t acc[kVectorWords];
-    std::memcpy(acc, vr[di.d].data(), kVectorBytes);
-    for (int i = 0; i < kVectorWords; ++i) {
-        acc[i] += static_cast<int32_t>(a[4 * i]) * wb[0] +
-                  static_cast<int32_t>(a[4 * i + 1]) * wb[1] +
-                  static_cast<int32_t>(a[4 * i + 2]) * wb[2] +
-                  static_cast<int32_t>(a[4 * i + 3]) * wb[3];
+    const auto w0 = weightLane(w, 0);
+    const auto w1 = weightLane(w, 1);
+    const auto w2 = weightLane(w, 2);
+    const auto w3 = weightLane(w, 3);
+    uint16_t lowProd[kVectorHalves], highProd[kVectorHalves];
+    for (int h = 0; h < kVectorHalves; h += 2) {
+        lowProd[h] = static_cast<uint16_t>((x[h] & 0xff) * w0);
+        highProd[h] = static_cast<uint16_t>((x[h] >> 8) * w1);
+        lowProd[h + 1] = static_cast<uint16_t>((x[h + 1] & 0xff) * w2);
+        highProd[h + 1] = static_cast<uint16_t>((x[h + 1] >> 8) * w3);
     }
+    int32_t lowPair[kVectorWords], highPair[kVectorWords];
+    std::memcpy(lowPair, lowProd, kVectorBytes);
+    std::memcpy(highPair, highProd, kVectorBytes);
+    // uint32_t accumulator: HVX word sums wrap modulo 2^32.
+    uint32_t acc[kVectorWords];
+    std::memcpy(acc, vr[di.d].data(), kVectorBytes);
+    const auto lowHalf = [](int32_t v) {
+        return static_cast<int32_t>(static_cast<uint32_t>(v) << 16) >> 16;
+    };
+    for (int i = 0; i < kVectorWords; ++i)
+        acc[i] += static_cast<uint32_t>(
+            lowHalf(lowPair[i]) + (lowPair[i] >> 16) +
+            lowHalf(highPair[i]) + (highPair[i] >> 16));
     std::memcpy(vr[di.d].data(), acc, kVectorBytes);
     return -1;
 }
@@ -537,24 +569,28 @@ int32_t
 execVtmpy(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
-    const auto a0 = vr[di.s0];
-    const auto a1 = vr[di.s0 + 1];
+    // Halfword lanes as in execVmpy; one extra half per source holds the
+    // third tap of the last lane (the next register's byte 0 for the low
+    // source, zero for the high one), so every lane reads x[r], x[r + 1].
+    uint16_t x0[kVectorHalves + 1], x1[kVectorHalves + 1];
+    std::memcpy(x0, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(x1, vr[di.s0 + 1].data(), kVectorBytes);
+    x0[kVectorHalves] = vr[di.s0 + 1][0];
+    x1[kVectorHalves] = 0;
     const uint32_t w = st.regs.scalar[di.s1];
-    const int8_t wb[4] = {scalarByte(w, 0), scalarByte(w, 1),
-                          scalarByte(w, 2), scalarByte(w, 3)};
-    int16_t lo[kVectorHalves], hi[kVectorHalves];
+    const auto w0 = weightLane(w, 0);
+    const auto w1 = weightLane(w, 1);
+    const auto w2 = weightLane(w, 2);
+    uint16_t lo[kVectorHalves], hi[kVectorHalves];
     std::memcpy(lo, vr[di.d].data(), kVectorBytes);
     std::memcpy(hi, vr[di.d + 1].data(), kVectorBytes);
     for (int r = 0; r < kVectorHalves; ++r) {
-        const bool inRange = 2 * r + 2 < kVectorBytes;
-        const int32_t c0 = inRange ? a0[2 * r + 2] : a1[0];
-        const int32_t c1 = inRange ? a1[2 * r + 2] : 0;
-        lo[r] = static_cast<int16_t>(
-            lo[r] + static_cast<int32_t>(a0[2 * r]) * wb[0] +
-            static_cast<int32_t>(a0[2 * r + 1]) * wb[1] + c0 * wb[2]);
-        hi[r] = static_cast<int16_t>(
-            hi[r] + static_cast<int32_t>(a1[2 * r]) * wb[0] +
-            static_cast<int32_t>(a1[2 * r + 1]) * wb[1] + c1 * wb[2]);
+        lo[r] = static_cast<uint16_t>(lo[r] + (x0[r] & 0xff) * w0 +
+                                      (x0[r] >> 8) * w1 +
+                                      (x0[r + 1] & 0xff) * w2);
+        hi[r] = static_cast<uint16_t>(hi[r] + (x1[r] & 0xff) * w0 +
+                                      (x1[r] >> 8) * w1 +
+                                      (x1[r + 1] & 0xff) * w2);
     }
     std::memcpy(vr[di.d].data(), lo, kVectorBytes);
     std::memcpy(vr[di.d + 1].data(), hi, kVectorBytes);
@@ -591,22 +627,52 @@ execVmpyiw(const DecodedInst &di, St &st)
 
 // --- Vector shift / narrowing -----------------------------------------
 
+/** The interpreter's roundShift by a loop-invariant shift, for lanes of
+ *  at most 32 bits: (v + 2^(s-1)) >> s == (v >> s) + bit s-1 of v for
+ *  s >= 1, so no lane needs the wider add. Shifts of 32 and more are not
+ *  represented (every lane of up to 32 bits rounds to 0 there). */
+struct LaneRound
+{
+    int shift;    ///< arithmetic shift, 0 for a non-positive imm
+    int roundAt;  ///< bit position of the rounding bit
+    int roundBit; ///< 1 when rounding applies, else 0
+
+    explicit LaneRound(int imm)
+        : shift(std::max(imm, 0)), roundAt(std::max(imm - 1, 0)),
+          roundBit(imm > 0 ? 1 : 0)
+    {
+    }
+
+    int32_t
+    operator()(int32_t v) const
+    {
+        return (v >> shift) + ((v >> roundAt) & roundBit);
+    }
+};
+
 int32_t
 execVasrhb(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
     const int shift = static_cast<int>(di.imm);
     const bool unsignedOut = di.op == Opcode::VASRHUB;
-    int16_t a[kVectorHalves], b[kVectorHalves];
-    std::memcpy(a, vr[di.s0].data(), kVectorBytes);
-    std::memcpy(b, vr[di.s0 + 1].data(), kVectorBytes);
+    int16_t in[kVectorBytes];
+    std::memcpy(in, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(in + kVectorHalves, vr[di.s0 + 1].data(), kVectorBytes);
     uint8_t o[kVectorBytes];
-    for (int i = 0; i < kVectorHalves; ++i) {
-        const auto lo = static_cast<int32_t>(roundShift(a[i], shift));
-        const auto hi = static_cast<int32_t>(roundShift(b[i], shift));
-        o[i] = unsignedOut ? usat8(lo) : static_cast<uint8_t>(sat8(lo));
-        o[kVectorHalves + i] =
-            unsignedOut ? usat8(hi) : static_cast<uint8_t>(sat8(hi));
+    if (shift >= 16) {
+        // roundShift of any int16_t by 16..63 bits is 0.
+        std::memset(o, 0, sizeof(o));
+    } else {
+        // int16_t lanes: a rounded int16_t shift stays in range, and the
+        // clamped value's low byte is what the interpreter's sat8/usat8
+        // produce.
+        const LaneRound round(shift);
+        const int16_t lo = unsignedOut ? 0 : INT8_MIN;
+        const int16_t hi = unsignedOut ? UINT8_MAX : INT8_MAX;
+        for (int i = 0; i < kVectorBytes; ++i)
+            o[i] = static_cast<uint8_t>(std::clamp(
+                static_cast<int16_t>(round(in[i])), lo, hi));
     }
     std::memcpy(vr[di.d].data(), o, kVectorBytes);
     return -1;
@@ -617,13 +683,18 @@ execVasrwh(const DecodedInst &di, St &st)
 {
     auto &vr = st.regs.vector;
     const int shift = static_cast<int>(di.imm);
-    int32_t a[kVectorWords], b[kVectorWords];
-    std::memcpy(a, vr[di.s0].data(), kVectorBytes);
-    std::memcpy(b, vr[di.s0 + 1].data(), kVectorBytes);
+    int32_t in[kVectorHalves];
+    std::memcpy(in, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(in + kVectorWords, vr[di.s0 + 1].data(), kVectorBytes);
     int16_t o[kVectorHalves];
-    for (int i = 0; i < kVectorWords; ++i) {
-        o[i] = sat16(roundShift(a[i], shift));
-        o[kVectorWords + i] = sat16(roundShift(b[i], shift));
+    if (shift >= 32) {
+        // roundShift of any int32_t by 32..63 bits is 0.
+        std::memset(o, 0, sizeof(o));
+    } else {
+        const LaneRound round(shift);
+        for (int i = 0; i < kVectorHalves; ++i)
+            o[i] = static_cast<int16_t>(
+                std::clamp(round(in[i]), INT16_MIN, INT16_MAX));
     }
     std::memcpy(vr[di.d].data(), o, kVectorBytes);
     return -1;
@@ -632,65 +703,103 @@ execVasrwh(const DecodedInst &di, St &st)
 // --- Vector permutes --------------------------------------------------
 
 // The interpreter already stages shuffles through temporaries, so these
-// are snapshot-equivalent for any operand aliasing.
+// are snapshot-equivalent for any operand aliasing. Each runs in lanes of
+// the permuted size (imm 0/1/2: bytes, halfwords, words; needsFallback
+// sends any other size to the interpreter), so the lane loops are plain
+// interleaves and de-interleaves of fixed-width elements.
+
+template <typename T>
+void
+shuffLanes(const DecodedInst &di, RegisterFile &regs)
+{
+    constexpr int n = kVectorBytes / static_cast<int>(sizeof(T));
+    auto &vr = regs.vector;
+    T a[n], b[n], o[2 * n];
+    std::memcpy(a, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(b, vr[di.s1].data(), kVectorBytes);
+    for (int i = 0; i < n; ++i) {
+        o[2 * i] = a[i];
+        o[2 * i + 1] = b[i];
+    }
+    std::memcpy(vr[di.d].data(), o, kVectorBytes);
+    std::memcpy(vr[di.d + 1].data(), o + n, kVectorBytes);
+}
+
+template <typename T>
+void
+dealLanes(const DecodedInst &di, RegisterFile &regs)
+{
+    constexpr int n = kVectorBytes / static_cast<int>(sizeof(T));
+    auto &vr = regs.vector;
+    T in[2 * n], o[2 * n];
+    std::memcpy(in, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(in + n, vr[di.s1].data(), kVectorBytes);
+    for (int i = 0; i < n; ++i) {
+        o[i] = in[2 * i];
+        o[n + i] = in[2 * i + 1];
+    }
+    std::memcpy(vr[di.d].data(), o, kVectorBytes);
+    std::memcpy(vr[di.d + 1].data(), o + n, kVectorBytes);
+}
+
+template <typename T>
+void
+shuffEoLanes(const DecodedInst &di, RegisterFile &regs)
+{
+    constexpr int n = kVectorBytes / static_cast<int>(sizeof(T));
+    auto &vr = regs.vector;
+    const int pick = (di.op == Opcode::VSHUFFE) ? 0 : 1;
+    T a[n], b[n], o[n];
+    std::memcpy(a, vr[di.s0].data(), kVectorBytes);
+    std::memcpy(b, vr[di.s1].data(), kVectorBytes);
+    for (int i = 0; i < n / 2; ++i) {
+        o[2 * i] = a[2 * i + pick];
+        o[2 * i + 1] = b[2 * i + pick];
+    }
+    std::memcpy(vr[di.d].data(), o, kVectorBytes);
+}
+
+/** Call @p fn with a value of the permuted lane type (imm 0/1/2). */
+template <typename Fn>
+int32_t
+byLaneWidth(const DecodedInst &di, Fn fn)
+{
+    switch (di.imm) {
+      case 0:
+        fn(uint8_t{});
+        break;
+      case 1:
+        fn(uint16_t{});
+        break;
+      default:
+        fn(uint32_t{});
+        break;
+    }
+    return -1;
+}
 
 int32_t
 execVshuff(const DecodedInst &di, St &st)
 {
-    auto &vr = st.regs.vector;
-    const int lane = 1 << di.imm;
-    const int perVec = kVectorBytes / lane;
-    std::array<uint8_t, 2 * kVectorBytes> out;
-    for (int i = 0; i < perVec; ++i) {
-        std::memcpy(out.data() + (2 * i) * lane,
-                    vr[di.s0].data() + i * lane, lane);
-        std::memcpy(out.data() + (2 * i + 1) * lane,
-                    vr[di.s1].data() + i * lane, lane);
-    }
-    std::memcpy(vr[di.d].data(), out.data(), kVectorBytes);
-    std::memcpy(vr[di.d + 1].data(), out.data() + kVectorBytes,
-                kVectorBytes);
-    return -1;
+    return byLaneWidth(di, [&](auto lane) {
+        shuffLanes<decltype(lane)>(di, st.regs);
+    });
 }
 
 int32_t
 execVdeal(const DecodedInst &di, St &st)
 {
-    auto &vr = st.regs.vector;
-    const int lane = 1 << di.imm;
-    const int perVec = kVectorBytes / lane;
-    std::array<uint8_t, 2 * kVectorBytes> in;
-    std::memcpy(in.data(), vr[di.s0].data(), kVectorBytes);
-    std::memcpy(in.data() + kVectorBytes, vr[di.s1].data(), kVectorBytes);
-    std::array<uint8_t, 2 * kVectorBytes> out;
-    for (int i = 0; i < perVec; ++i) {
-        std::memcpy(out.data() + i * lane, in.data() + (2 * i) * lane,
-                    lane);
-        std::memcpy(out.data() + (perVec + i) * lane,
-                    in.data() + (2 * i + 1) * lane, lane);
-    }
-    std::memcpy(vr[di.d].data(), out.data(), kVectorBytes);
-    std::memcpy(vr[di.d + 1].data(), out.data() + kVectorBytes,
-                kVectorBytes);
-    return -1;
+    return byLaneWidth(di, [&](auto lane) {
+        dealLanes<decltype(lane)>(di, st.regs);
+    });
 }
 
 int32_t
 execVshuffEo(const DecodedInst &di, St &st)
 {
-    auto &vr = st.regs.vector;
-    const int lane = 1 << di.imm;
-    const int perVec = kVectorBytes / lane;
-    const int pick = (di.op == Opcode::VSHUFFE) ? 0 : 1;
-    std::array<uint8_t, kVectorBytes> out;
-    for (int i = 0; i < perVec / 2; ++i) {
-        std::memcpy(out.data() + (2 * i) * lane,
-                    vr[di.s0].data() + (2 * i + pick) * lane, lane);
-        std::memcpy(out.data() + (2 * i + 1) * lane,
-                    vr[di.s1].data() + (2 * i + pick) * lane, lane);
-    }
-    vr[di.d] = out;
-    return -1;
+    return byLaneWidth(di, [&](auto lane) {
+        shuffEoLanes<decltype(lane)>(di, st.regs);
+    });
 }
 
 int32_t
@@ -778,13 +887,11 @@ constexpr std::array<ExecFn, kFallbackSlot + 1> kExecTable =
 DecodeKey
 fingerprintProgram(const PackedProgram &packed)
 {
-    common::Fnv a;
-    common::Fnv b(common::Fnv::kSecondLaneSeed);
-    hashProgram(packed, a);
-    hashProgram(packed, b);
+    common::FnvPair fnv;
+    hashProgram(packed, fnv);
     DecodeKey key;
-    key.h0 = a.digest();
-    key.h1 = b.digest();
+    key.h0 = fnv.first();
+    key.h1 = fnv.second();
     key.instructions = packed.program.code.size();
     key.packets = packed.packets.size();
     return key;
@@ -792,6 +899,12 @@ fingerprintProgram(const PackedProgram &packed)
 
 std::shared_ptr<const DecodedProgram>
 DecodedProgram::build(const PackedProgram &packed)
+{
+    return build(packed, fingerprintProgram(packed));
+}
+
+std::shared_ptr<const DecodedProgram>
+DecodedProgram::build(const PackedProgram &packed, const DecodeKey &key)
 {
     // Decode indexes the raw code through packet membership, so the
     // structural rows of the shared invariant table (every instruction
@@ -815,7 +928,7 @@ DecodedProgram::build(const PackedProgram &packed)
 
     auto dec = std::make_shared<DecodedProgram>();
     dec->rawCode = prog.code;
-    dec->key = fingerprintProgram(packed);
+    dec->key = key;
     dec->packets.reserve(packed.packets.size());
 
     size_t total = 0;
@@ -960,9 +1073,9 @@ runDecoded(const DecodedProgram &dec, RegisterFile &regs, Memory &mem,
 std::shared_ptr<const DecodedProgram>
 DecodeCache::lookupOrDecode(const PackedProgram &packed)
 {
-    return lru_.lookupOrCompute(fingerprintProgram(packed), [&] {
-        return DecodedProgram::build(packed);
-    });
+    const DecodeKey key = fingerprintProgram(packed);
+    return lru_.lookupOrCompute(
+        key, [&] { return DecodedProgram::build(packed, key); });
 }
 
 DecodeCache &

@@ -22,19 +22,25 @@
  *  - Branches carry their resolved target *packet index*; no label table
  *    lookups at run time.
  *  - Execution dispatches through a per-opcode function table whose wide
- *    SIMD handlers (vmpy / vmpa / vrmpy / shuffles / narrowing shifts)
- *    are tight lane loops over local copies, written to auto-vectorize.
+ *    SIMD handlers (multiplies / shuffles / narrowing shifts) are lane
+ *    loops over local copies in fixed-weight 16- or 32-bit lanes, which
+ *    GCC -O3 vectorizes for baseline x86-64 (DESIGN.md section 9; vlut,
+ *    a byte gather, is the one scalar lane loop left).
  *    Instructions whose destination registers alias their vector sources
  *    (where lane-ordered execution is observable) fall back to the
  *    reference executeInstruction, so decoded execution is bit-identical
  *    to the interpreter for *every* program -- enforced by differential
- *    fuzz tests (tests/dsp/decoded_engine_test.cc).
+ *    fuzz tests (tests/dsp/decoded_engine_test.cc) and a per-handler
+ *    lane test (tests/dsp/lane_differential_test.cc).
  *
  * DecodedProgram instances are cached in a thread-safe DecodeCache keyed
  * on program content, so the cost model's repeated re-simulation of
  * canonical kernels and repeated inference invocations skip re-decoding
- * entirely. Decoding is a pure function of the program, which keeps
- * multi-threaded compilation deterministic (see DESIGN.md section 9).
+ * entirely. A lookup walks the program once to fingerprint it (both FNV
+ * lanes in that one walk), and a miss decodes under that same key
+ * instead of hashing again. Decoding is a pure function of the program,
+ * which keeps multi-threaded compilation deterministic (see DESIGN.md
+ * section 9).
  */
 #ifndef GCD2_DSP_DECODED_H
 #define GCD2_DSP_DECODED_H
@@ -43,6 +49,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/lru_cache.h"
 #include "dsp/functional_sim.h"
 #include "dsp/packet.h"
@@ -118,6 +125,12 @@ class DecodedProgram
     static std::shared_ptr<const DecodedProgram>
     build(const PackedProgram &packed);
 
+    /** build() for a program whose fingerprint is already known: @p key
+     *  must be fingerprintProgram(@p packed). DecodeCache uses it to hash
+     *  a program once per lookup. */
+    static std::shared_ptr<const DecodedProgram>
+    build(const PackedProgram &packed, const DecodeKey &key);
+
     std::vector<DecodedInst> insts;
     std::vector<DecodedPacket> packets;
     /** Copy of the original instructions for fallback execution. */
@@ -150,7 +163,9 @@ TimingStats runDecoded(const DecodedProgram &dec, RegisterFile &regs,
  * once and counted one miss, whatever the thread count); when a shard
  * exceeds its share of the capacity the least-recently-used entry is
  * evicted, so a long-lived service keeps its hot decoded kernels
- * instead of periodically dropping the whole working set.
+ * instead of periodically dropping the whole working set. The shard is
+ * picked by common::mixLanes of the key's two lanes, so every shard
+ * takes its share of the capacity.
  */
 class DecodeCache
 {
@@ -178,7 +193,7 @@ class DecodeCache
     {
         size_t operator()(const DecodeKey &key) const
         {
-            return static_cast<size_t>(key.h0 ^ (key.h1 * 0x9e3779b9u));
+            return static_cast<size_t>(common::mixLanes(key.h0, key.h1));
         }
     };
 

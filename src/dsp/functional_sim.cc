@@ -2,9 +2,38 @@
 
 #include <algorithm>
 
-#include "dsp/sim_math.h"
-
 namespace gcd2::dsp {
+
+namespace {
+
+int8_t
+sat8(int32_t v)
+{
+    return static_cast<int8_t>(std::clamp(v, -128, 127));
+}
+
+uint8_t
+usat8(int32_t v)
+{
+    return static_cast<uint8_t>(std::clamp(v, 0, 255));
+}
+
+int16_t
+sat16(int64_t v)
+{
+    return static_cast<int16_t>(std::clamp<int64_t>(v, INT16_MIN, INT16_MAX));
+}
+
+/** Round-then-arithmetic-shift used by the narrowing shifts. */
+int64_t
+roundShift(int64_t v, int shift)
+{
+    if (shift <= 0)
+        return v;
+    return (v + (int64_t{1} << (shift - 1))) >> shift;
+}
+
+} // namespace
 
 int
 executeInstruction(const Instruction &inst, RegisterFile &regs_,

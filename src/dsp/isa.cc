@@ -480,7 +480,7 @@ makeVshuff(Opcode op, Operand vd, Operand vu, Operand vv, int laneLog2)
 }
 
 void
-hashProgramCode(const Program &prog, common::Fnv &fnv)
+hashProgramCode(const Program &prog, common::FnvPair &fnv)
 {
     for (const Instruction &inst : prog.code) {
         fnv.value(static_cast<uint8_t>(inst.op));

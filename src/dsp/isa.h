@@ -30,7 +30,7 @@
 #include <vector>
 
 namespace gcd2::common {
-class Fnv;
+class FnvPair;
 } // namespace gcd2::common
 
 namespace gcd2::dsp {
@@ -285,7 +285,7 @@ struct Program
  * the noalias registers. The prefix of the pack-cache and decode-cache
  * keys (vliw::fingerprintForPacking, fingerprintProgram).
  */
-void hashProgramCode(const Program &prog, common::Fnv &fnv);
+void hashProgramCode(const Program &prog, common::FnvPair &fnv);
 
 // Instruction factory helpers ------------------------------------------
 

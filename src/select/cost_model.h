@@ -28,7 +28,9 @@
  * (dsp/decoded.h), whose DecodeCache deduplicates the decode work one
  * level below this cache: a CostCache hit skips simulation entirely,
  * while a miss that re-simulates a previously seen program still reuses
- * its decoded form. See DESIGN.md section 9.
+ * its decoded form. Such a miss costs one fingerprint walk of the packed
+ * program plus the vectorized simulation; a first-seen program also pays
+ * one decode. See DESIGN.md section 9.
  */
 #ifndef GCD2_SELECT_COST_MODEL_H
 #define GCD2_SELECT_COST_MODEL_H

@@ -8,10 +8,10 @@ namespace gcd2::service {
 
 namespace {
 
-using common::Fnv;
+using common::FnvPair;
 
 void
-hashNode(const graph::Node &node, Fnv &fnv)
+hashNode(const graph::Node &node, FnvPair &fnv)
 {
     fnv.value(static_cast<uint8_t>(node.op));
     fnv.value(node.dead);
@@ -47,7 +47,7 @@ hashNode(const graph::Node &node, Fnv &fnv)
 
 void
 hashRequest(const graph::Graph &graph,
-            const runtime::CompileOptions &options, Fnv &fnv)
+            const runtime::CompileOptions &options, FnvPair &fnv)
 {
     fnv.value(static_cast<uint64_t>(graph.size()));
     for (const graph::Node &node : graph.nodes())
@@ -78,14 +78,12 @@ ModelKey
 fingerprintRequest(const graph::Graph &graph,
                    const runtime::CompileOptions &options)
 {
-    Fnv a;
-    Fnv b(Fnv::kSecondLaneSeed);
-    hashRequest(graph, options, a);
-    hashRequest(graph, options, b);
-    b.value(uint64_t{0x5eed});
+    FnvPair fnv;
+    hashRequest(graph, options, fnv);
+    fnv.secondLaneValue(uint64_t{0x5eed});
     ModelKey key;
-    key.h0 = a.digest();
-    key.h1 = b.digest();
+    key.h0 = fnv.first();
+    key.h1 = fnv.second();
     key.nodes = graph.size();
     return key;
 }

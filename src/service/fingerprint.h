@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fnv.h"
 #include "graph/graph.h"
 #include "runtime/compiler.h"
 
@@ -50,7 +51,7 @@ struct ModelKeyHash
     size_t
     operator()(const ModelKey &key) const noexcept
     {
-        return static_cast<size_t>(key.h0 ^ (key.h1 * 0x9e3779b9u));
+        return static_cast<size_t>(common::mixLanes(key.h0, key.h1));
     }
 };
 

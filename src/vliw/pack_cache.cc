@@ -14,7 +14,7 @@ namespace {
 
 void
 hashRequest(const dsp::Program &prog, const PackOptions &opts,
-            common::Fnv &fnv)
+            common::FnvPair &fnv)
 {
     dsp::hashProgramCode(prog, fnv);
     // Options: the policy plus the exact bit patterns of the scoring
@@ -48,14 +48,12 @@ putOperand(std::vector<uint8_t> &out, const dsp::Operand &operand)
 PackKey
 fingerprintForPacking(const dsp::Program &prog, const PackOptions &opts)
 {
-    common::Fnv a;
-    common::Fnv b(common::Fnv::kSecondLaneSeed);
-    hashRequest(prog, opts, a);
-    hashRequest(prog, opts, b);
-    b.value(uint64_t{0x5eed});
+    common::FnvPair fnv;
+    hashRequest(prog, opts, fnv);
+    fnv.secondLaneValue(uint64_t{0x5eed});
     PackKey key;
-    key.h0 = a.digest();
-    key.h1 = b.digest();
+    key.h0 = fnv.first();
+    key.h1 = fnv.second();
     key.instructions = prog.code.size();
     key.policy = static_cast<uint8_t>(opts.policy);
     return key;

@@ -39,6 +39,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/lru_cache.h"
 #include "vliw/cfg.h"
 #include "vliw/packer.h"
@@ -107,7 +108,7 @@ class PackCache
     {
         size_t operator()(const PackKey &key) const
         {
-            return static_cast<size_t>(key.h0 ^ (key.h1 * 0x9e3779b9u));
+            return static_cast<size_t>(common::mixLanes(key.h0, key.h1));
         }
     };
 

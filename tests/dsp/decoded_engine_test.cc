@@ -204,6 +204,14 @@ TEST(DecodedEngine, AliasedSimdOperandsStayBitIdentical)
          makeVshuff(Opcode::VDEAL, vreg(18), vreg(19), vreg(18), 0)},
         {"vshuffo dst==src",
          makeVshuff(Opcode::VSHUFFO, vreg(20), vreg(20), vreg(21), 2)},
+        // Lane sizes past a word (makeVshuff stops at 2) also run
+        // through the interpreter: the fast permutes stop at words.
+        {"vshuff 8-byte lanes",
+         Instruction{Opcode::VSHUFF, {vreg(16)}, {vreg(18), vreg(19)}, 3}},
+        {"vdeal 64-byte lanes",
+         Instruction{Opcode::VDEAL, {vreg(2)}, {vreg(4), vreg(5)}, 6}},
+        {"vshuffe 16-byte lanes",
+         Instruction{Opcode::VSHUFFE, {vreg(3)}, {vreg(6), vreg(7)}, 4}},
     };
 
     for (const Case &c : cases) {
@@ -315,6 +323,23 @@ TEST(DecodedEngine, DecodeCacheHitsOnIdenticalPrograms)
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(DecodedEngine, DecodeCacheUsesItsWholeCapacity)
+{
+    // Every shard takes its share: 2,000 distinct programs fit in a
+    // 4,096-entry cache without an eviction. A key hash whose low bits
+    // stay constant sends them all to one 512-entry shard instead.
+    DecodeCache cache(4096);
+    constexpr int kPrograms = 2000;
+    for (int n = 0; n < kPrograms; ++n) {
+        Program prog;
+        prog.push(makeMovi(sreg(1), n));
+        (void)cache.lookupOrDecode(onePerPacket(prog));
+    }
+    EXPECT_EQ(cache.size(), static_cast<size_t>(kPrograms));
+    EXPECT_EQ(cache.stats().misses, static_cast<uint64_t>(kPrograms));
+    EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(DecodedEngine, FingerprintSeesEveryDecodeInput)

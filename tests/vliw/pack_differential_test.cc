@@ -423,6 +423,22 @@ TEST(PackCacheTest, HitsOnIdenticalProgramsAndSharesThePointer)
     expectSamePacking(packReference(prog), *first, "cached program");
 }
 
+TEST(PackCacheTest, ProgramTierUsesItsWholeCapacity)
+{
+    // Every shard takes its share: 2,000 distinct programs fit in a
+    // 4,096-entry cache without an eviction.
+    PackCache cache(4096);
+    constexpr int kPrograms = 2000;
+    for (int n = 0; n < kPrograms; ++n) {
+        Program prog;
+        prog.push(makeMovi(sreg(1), n));
+        (void)cache.lookupOrPack(prog);
+    }
+    EXPECT_EQ(cache.size(), static_cast<size_t>(kPrograms));
+    EXPECT_EQ(cache.stats().misses, static_cast<uint64_t>(kPrograms));
+    EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
 TEST(PackCacheTest, FingerprintSeesEveryPackingInput)
 {
     Program prog;
