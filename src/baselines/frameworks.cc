@@ -6,20 +6,6 @@ namespace gcd2::baselines {
 
 using models::ModelId;
 
-const char *
-frameworkName(Framework fw)
-{
-    switch (fw) {
-      case Framework::TfLite:
-        return "TFLite";
-      case Framework::Snpe:
-        return "SNPE";
-      case Framework::Gcd2:
-        return "GCD2";
-    }
-    return "?";
-}
-
 bool
 supportsModel(Framework fw, ModelId id)
 {

@@ -33,8 +33,6 @@ namespace gcd2::baselines {
 /** Which end-to-end stack compiles/executes the model. */
 enum class Framework : uint8_t { TfLite, Snpe, Gcd2 };
 
-const char *frameworkName(Framework fw);
-
 /** Does the framework support the model (Table IV "-" entries)? */
 bool supportsModel(Framework fw, models::ModelId id);
 

@@ -7,8 +7,6 @@ namespace gcd2 {
 
 namespace {
 
-bool verboseLogging = false;
-
 /** Strip the leading directories so messages show a repo-relative path. */
 const char *
 baseName(const char *path)
@@ -36,19 +34,6 @@ void
 warnAt(const char *file, int line, const std::string &msg)
 {
     std::cerr << detail::formatMessage("warn", file, line, msg) << "\n";
-}
-
-void
-inform(const std::string &msg)
-{
-    if (verboseLogging)
-        std::cerr << "info: " << msg << "\n";
-}
-
-void
-setVerboseLogging(bool enabled)
-{
-    verboseLogging = enabled;
 }
 
 } // namespace gcd2

@@ -56,12 +56,6 @@ panicAt(const char *file, int line, const std::string &msg)
 /** Emit a non-fatal warning on stderr. */
 void warnAt(const char *file, int line, const std::string &msg);
 
-/** Emit an informational message on stderr (suppressed unless verbose). */
-void inform(const std::string &msg);
-
-/** Toggle informational logging (off by default to keep benches quiet). */
-void setVerboseLogging(bool enabled);
-
 } // namespace gcd2
 
 #define GCD2_FATAL(msg)                                                      \

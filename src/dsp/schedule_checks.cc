@@ -180,7 +180,7 @@ checkHardDeps(CheckCtx &ctx)
 
 struct CheckRow
 {
-    ScheduleCheckInfo info;
+    CheckDepth depth;
     void (*run)(CheckCtx &);
 };
 
@@ -192,36 +192,15 @@ struct CheckRow
  * row's packet access.
  */
 const CheckRow kChecks[] = {
-    {{"packet-shape", DiagCode::SchedEmptyPacket, CheckDepth::Structure},
-     checkPacketShape},
-    {{"instruction-coverage", DiagCode::SchedInstCoverage,
-      CheckDepth::Structure},
-     checkCoverage},
-    {{"packet-order", DiagCode::SchedPacketOrder, CheckDepth::Structure},
-     checkPacketOrder},
-    {{"label-mapping", DiagCode::SchedLabelBoundary,
-      CheckDepth::Structure},
-     checkLabels},
-    {{"slot-feasibility", DiagCode::SchedSlotInfeasible, CheckDepth::Full},
-     checkSlots},
-    {{"intra-packet-hard-deps", DiagCode::SchedHardDepInPacket,
-      CheckDepth::Full},
-     checkHardDeps},
+    {CheckDepth::Structure, checkPacketShape},
+    {CheckDepth::Structure, checkCoverage},
+    {CheckDepth::Structure, checkPacketOrder},
+    {CheckDepth::Structure, checkLabels},
+    {CheckDepth::Full, checkSlots},
+    {CheckDepth::Full, checkHardDeps},
 };
 
 } // namespace
-
-const std::vector<ScheduleCheckInfo> &
-scheduleCheckTable()
-{
-    static const std::vector<ScheduleCheckInfo> table = [] {
-        std::vector<ScheduleCheckInfo> rows;
-        for (const CheckRow &row : kChecks)
-            rows.push_back(row.info);
-        return rows;
-    }();
-    return table;
-}
 
 size_t
 runScheduleChecks(const PackedProgram &packed, CheckDepth depth,
@@ -230,7 +209,7 @@ runScheduleChecks(const PackedProgram &packed, CheckDepth depth,
     CheckCtx ctx{packed, depth, sink, 0, {}};
     for (const CheckRow &row : kChecks) {
         if (depth == CheckDepth::Structure &&
-            row.info.depth == CheckDepth::Full)
+            row.depth == CheckDepth::Full)
             continue;
         row.run(ctx);
     }

@@ -21,7 +21,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/diag.h"
 #include "dsp/packet.h"
@@ -42,17 +41,6 @@ enum class CheckDepth : uint8_t
  */
 using CheckSink = std::function<void(
     common::DiagCode code, int64_t node, const std::string &message)>;
-
-/** One row of the invariant table (enumerable for docs and tools). */
-struct ScheduleCheckInfo
-{
-    const char *name;
-    common::DiagCode code;
-    CheckDepth depth;
-};
-
-/** Every invariant the table enforces, in evaluation order. */
-const std::vector<ScheduleCheckInfo> &scheduleCheckTable();
 
 /**
  * Run every check at or below @p depth against @p packed, reporting each

@@ -50,7 +50,7 @@ tensor::Layout schemeLayout(MatMulScheme scheme);
 /**
  * K elements consumed per inner-loop iteration of a scheme at a given
  * reduction unroll factor: the generator pads K up to a multiple of this
- * quantum and the inner loop runs paddedK() / quantum times. Vmpy walks
+ * quantum and the inner loop runs padded K / quantum times. Vmpy walks
  * one K column per step; vmpa and vrmpy consume four interleaved columns
  * per step. The tiered cost model (select/tiered_cost.h) keys its
  * per-iteration affine fits on this quantum.
@@ -124,12 +124,7 @@ class MatMulKernel
     const MatMulShape &shape() const { return shape_; }
     const MatMulConfig &config() const { return config_; }
 
-    /** Column-padded K / N the generator actually iterates over. */
-    int64_t paddedK() const { return kp_; }
-    int64_t paddedN() const { return np_; }
-    int64_t paddedM() const { return mp_; }
-
-    /** Inner-loop trip count: paddedK() / kQuantum(scheme, unrollK). */
+    /** Inner-loop trip count: padded K / kQuantum(scheme, unrollK). */
     int64_t kIters() const
     {
         return kp_ / kQuantum(config_.scheme, config_.unrollK);

@@ -89,10 +89,8 @@ auditTieredCosts(const PlanTable &table, const CostModelOptions &options)
     // packs go through the process-wide PackCache, whose block tier
     // answers most of them from blocks the tiered path already packed.
     // That does not weaken the re-cost: a block hit requires equal
-    // bytes for everything the block packer reads (opcodes, register
-    // operands, store-involving mayAlias bits, options), so it returns
-    // exactly what a direct pack would -- unlike a transplant, it takes
-    // nothing on trust from transplantCompatible -- and
+    // vliw::blockPackingKey bytes, which hold everything the block
+    // packer reads, so it returns exactly what a direct pack would, and
     // PackDifferentialTest pins the tier against vliw::pack.
     CostModelOptions exhaustiveOptions = options;
     exhaustiveOptions.tieredCosting = false;

@@ -384,7 +384,7 @@ CostModel::canonicalSchedule(const graph::Graph &graph, NodeId id,
     if (key.kind == CostKind::MatMulTile && tiered_) {
         // The tiered coster serves the class anchor's packet structure
         // transplanted onto this kernel -- bit-identical to packing it
-        // (transplantCompatible programs share one dependence graph),
+        // (transplantCompatible programs have equal block packing keys),
         // and one shared PackedProgram object per (class, depth) so
         // downstream passes that dedupe by pointer still coalesce.
         const TileRequest tile = tileOf(key);

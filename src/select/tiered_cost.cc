@@ -84,6 +84,38 @@ anchorTile(MatMulShape tile, const MatMulConfig &config, int anchor)
     return tile;
 }
 
+/** The blockPackingKey of every block of @p prog, in program order. */
+std::vector<vliw::BlockPackingKey>
+packingKeys(const dsp::Program &prog, const vliw::PackOptions &opts)
+{
+    const dsp::AliasAnalysis alias(prog);
+    std::vector<vliw::BlockPackingKey> keys;
+    for (const vliw::BasicBlock &block : vliw::buildCfg(prog).blocks)
+        keys.push_back(vliw::blockPackingKey(prog, block, alias, opts));
+    return keys;
+}
+
+/** transplantCompatible short of the block keys. */
+bool
+sameFrame(const dsp::Program &a, const dsp::Program &b)
+{
+    if (a.code.size() != b.code.size() || a.labels != b.labels ||
+        a.noaliasRegs != b.noaliasRegs)
+        return false;
+    for (size_t i = 0; i < a.code.size(); ++i)
+        if (a.code[i].isBranch() && a.code[i].imm != b.code[i].imm)
+            return false;
+    return true;
+}
+
+/** @p prog served with @p anchor's packets and label map. */
+std::shared_ptr<const dsp::PackedProgram>
+transplant(const dsp::PackedProgram &anchor, const dsp::Program &prog)
+{
+    return std::make_shared<const dsp::PackedProgram>(
+        dsp::PackedProgram{prog, anchor.packets, anchor.labelPacket});
+}
+
 } // namespace
 
 std::vector<int64_t>
@@ -111,49 +143,7 @@ tileClassProgramSize(const MatMulShape &tile, const MatMulConfig &config)
 bool
 transplantCompatible(const dsp::Program &a, const dsp::Program &b)
 {
-    if (a.code.size() != b.code.size() || a.labels != b.labels ||
-        a.noaliasRegs != b.noaliasRegs)
-        return false;
-    bool memImmDiffers = false;
-    for (size_t i = 0; i < a.code.size(); ++i) {
-        const dsp::Instruction &x = a.code[i];
-        const dsp::Instruction &y = b.code[i];
-        if (x.op != y.op || x.dst != y.dst || x.src != y.src)
-            return false;
-        if (x.imm == y.imm)
-            continue;
-        if (x.isBranch())
-            return false; // label resolution reads branch immediates
-        if (x.info().mem != dsp::MemKind::None)
-            memImmDiffers = true; // defer to the alias-relation check
-    }
-    if (!memImmDiffers)
-        return true;
-
-    // Memory offsets differ (loop strides scale with the reduction
-    // depth). The packer reads memory immediates through exactly one
-    // lens: AliasAnalysis::mayAlias, and classifyDependency consults
-    // that bit only for mem/mem pairs where at least one side is a
-    // store. If that relation is identical across the two programs,
-    // they build identical dependency graphs, and the deterministic
-    // packer emits bit-identical packets.
-    std::vector<size_t> mems;
-    std::vector<size_t> stores;
-    for (size_t i = 0; i < a.code.size(); ++i) {
-        const dsp::MemKind kind = a.code[i].info().mem;
-        if (kind == dsp::MemKind::None)
-            continue;
-        mems.push_back(i);
-        if (kind == dsp::MemKind::Store)
-            stores.push_back(i);
-    }
-    const dsp::AliasAnalysis aliasA(a);
-    const dsp::AliasAnalysis aliasB(b);
-    for (const size_t s : stores)
-        for (const size_t m : mems)
-            if (m != s && aliasA.mayAlias(s, m) != aliasB.mayAlias(s, m))
-                return false;
-    return true;
+    return sameFrame(a, b) && packingKeys(a, {}) == packingKeys(b, {});
 }
 
 struct TieredCoster::TileClass
@@ -163,6 +153,9 @@ struct TieredCoster::TileClass
     bool certified = false;
     /** Program at the low anchor; the structural template of the class. */
     dsp::Program canonical;
+    /** packingKeys of canonical, so a member check analyses the member
+     *  alone. */
+    std::vector<vliw::BlockPackingKey> canonicalKeys;
     /** The one real pack of the class (low anchor, via the PackCache). */
     std::shared_ptr<const dsp::PackedProgram> anchorPack;
     NodeExecStats base;            ///< affine fit: f(iters) = base +
@@ -173,6 +166,14 @@ struct TieredCoster::TileClass
     std::map<int64_t, std::shared_ptr<const dsp::PackedProgram>> packs;
     /** Tier-1 analytic bounds by trip count. */
     std::map<int64_t, AnalyticBounds> bounds;
+
+    /** transplantCompatible(canonical, @p prog) under @p opts. */
+    bool admits(const dsp::Program &prog,
+                const vliw::PackOptions &opts) const
+    {
+        return sameFrame(canonical, prog) &&
+               packingKeys(prog, opts) == canonicalKeys;
+    }
 };
 
 TieredCoster::TieredCoster(const vliw::PackOptions &packOptions)
@@ -205,28 +206,22 @@ TieredCoster::certify(TileClass &cls, const MatMulShape &tile,
                                            config);
         if (a == 0) {
             cls.canonical = kernel.program();
+            cls.canonicalKeys = packingKeys(cls.canonical, packOptions_);
             cls.anchorPack = vliw::PackCache::global().lookupOrPack(
                 cls.canonical, packOptions_);
             cls.packs[kAnchors[0]] = cls.anchorPack;
-        } else if (!transplantCompatible(cls.canonical,
-                                         kernel.program())) {
+        } else if (cls.admits(kernel.program(), packOptions_)) {
+            cls.packs[kAnchors[a]] =
+                transplant(*cls.anchorPack, kernel.program());
+        } else {
             uncertifiedClasses_.fetch_add(1, std::memory_order_relaxed);
             certifyMicros_.fetch_add(
                 static_cast<uint64_t>(timer.seconds() * 1e6),
                 std::memory_order_relaxed);
             return;
         }
-        std::shared_ptr<const dsp::PackedProgram> packed =
-            cls.anchorPack;
-        if (a != 0) {
-            packed = std::make_shared<const dsp::PackedProgram>(
-                dsp::PackedProgram{kernel.program(),
-                                   cls.anchorPack->packets,
-                                   cls.anchorPack->labelPacket});
-            cls.packs[kAnchors[a]] = packed;
-        }
         const kernels::KernelRunResult run = kernels::runPackedKernel(
-            packed, kernel.buffers(), {}, {});
+            cls.packs[kAnchors[a]], kernel.buffers(), {}, {});
         anchorSims_.fetch_add(1, std::memory_order_relaxed);
         stats[a] = fromRun(run);
         cls.anchorStats[a] = stats[a];
@@ -278,8 +273,7 @@ TieredCoster::tileStats(const MatMulShape &tile, const MatMulConfig &config)
         certify(cls, tile, config);
 
     const kernels::MatMulKernel kernel(tile, config);
-    if (cls.certified &&
-        transplantCompatible(cls.canonical, kernel.program())) {
+    if (cls.certified && cls.admits(kernel.program(), packOptions_)) {
         if (iters >= kAnchors[0]) {
             plansDerived_.fetch_add(1, std::memory_order_relaxed);
             return affineAt(cls.base, cls.slope, iters);
@@ -287,18 +281,10 @@ TieredCoster::tileStats(const MatMulShape &tile, const MatMulConfig &config)
         // Shallow reductions sit below the certified anchor range;
         // simulate them on the transplanted schedule (still one pack
         // for the whole class).
-        std::shared_ptr<const dsp::PackedProgram> &packed =
-            cls.packs[iters];
-        if (!packed) {
-            packed = std::make_shared<const dsp::PackedProgram>(
-                dsp::PackedProgram{kernel.program(),
-                                   cls.anchorPack->packets,
-                                   cls.anchorPack->labelPacket});
-            transplantedPacks_.fetch_add(1, std::memory_order_relaxed);
-        }
         plansSimulated_.fetch_add(1, std::memory_order_relaxed);
-        return fromRun(
-            kernels::runPackedKernel(packed, kernel.buffers(), {}, {}));
+        return fromRun(kernels::runPackedKernel(
+            transplanted(cls, iters, kernel.program()), kernel.buffers(),
+            {}, {}));
     }
 
     if (cls.certified)
@@ -329,20 +315,24 @@ TieredCoster::tileSchedule(const MatMulShape &tile,
     }
 
     const kernels::MatMulKernel kernel(tile, config);
-    if (cls.certified &&
-        transplantCompatible(cls.canonical, kernel.program())) {
-        std::shared_ptr<const dsp::PackedProgram> &packed =
-            cls.packs[iters];
-        packed = std::make_shared<const dsp::PackedProgram>(
-            dsp::PackedProgram{kernel.program(), cls.anchorPack->packets,
-                               cls.anchorPack->labelPacket});
-        transplantedPacks_.fetch_add(1, std::memory_order_relaxed);
-        return packed;
-    }
+    if (cls.certified && cls.admits(kernel.program(), packOptions_))
+        return transplanted(cls, iters, kernel.program());
     if (cls.certified)
         structuralFallbacks_.fetch_add(1, std::memory_order_relaxed);
     return vliw::PackCache::global().lookupOrPack(kernel.program(),
                                                   packOptions_);
+}
+
+std::shared_ptr<const dsp::PackedProgram>
+TieredCoster::transplanted(TileClass &cls, int64_t iters,
+                           const dsp::Program &prog)
+{
+    std::shared_ptr<const dsp::PackedProgram> &packed = cls.packs[iters];
+    if (!packed) {
+        packed = transplant(*cls.anchorPack, prog);
+        transplantedPacks_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return packed;
 }
 
 uint64_t

@@ -8,19 +8,16 @@
  * Cold compiles are dominated by costing candidate plans: every matmul
  * tile is generated, VLIW-packed, and simulated at its full reduction
  * depth. But tiles of one (scheme, unroll choice, tile geometry) *class*
- * differ only in reduction depth K, and the generated loop nests encode K
- * purely in immediates of non-memory instructions (trip-count MOVIs and
- * pointer-step ADDIs -- pointer increments create fresh register
- * versions, so the alias analysis never compares offsets across them).
- * The packer reads immediates only through the alias analysis of memory
- * instructions, so two class members have bit-identical dependence
- * graphs and therefore bit-identical packet structure:
+ * differ only in reduction depth K, which the generated loop nests encode
+ * purely in immediates, and packing reads immediates only through the
+ * in-block alias bits of vliw::blockPackingKey (DESIGN.md section 11).
+ * So class members whose keys match have the same packet structure:
  *
  *  - *packet transplantation*: pack one class member, reuse its packet
  *    index lists (and label->packet map) verbatim on every other member.
  *    This is not an approximation -- it is the same schedule the packer
- *    would produce, checked structurally before every reuse and
- *    re-verified against direct packs in tests;
+ *    would produce, checked by transplantCompatible before every reuse
+ *    and re-verified against direct packs in tests;
  *  - *affine derivation*: the timing simulator charges cycles as a pure
  *    function of packet structure, static alias relations, and trip
  *    counts, so each stat field is affine in the inner-loop trip count.
@@ -136,6 +133,10 @@ class TieredCoster
                         const kernels::MatMulConfig &config);
     void certify(TileClass &cls, const kernels::MatMulShape &tile,
                  const kernels::MatMulConfig &config);
+    /** The class's transplant onto @p prog, its member at @p iters
+     *  (memoized in the class). */
+    std::shared_ptr<const dsp::PackedProgram>
+    transplanted(TileClass &cls, int64_t iters, const dsp::Program &prog);
 
     vliw::PackOptions packOptions_;
 
@@ -171,15 +172,11 @@ size_t tileClassProgramSize(const kernels::MatMulShape &tile,
                             const kernels::MatMulConfig &config);
 
 /**
- * Two programs are transplant-compatible when the deterministic packer
- * provably emits bit-identical packet structures for both: same opcodes,
- * operands, labels, and noalias declarations, equal branch immediates,
- * and -- where memory-access immediates differ (strides scale with the
- * reduction depth) -- an identical AliasAnalysis::mayAlias relation on
- * every store/mem pair. Those are the only lenses through which the
- * packer's dependence analysis reads immediates (dsp/alias.cc,
- * dsp/deps.cc), so equal relations force identical dependency graphs
- * and therefore identical packs.
+ * Whether @p b may be served @p a's packets and label map: equal code
+ * size, labels, noalias declarations and branch immediates, and an equal
+ * vliw::blockPackingKey on every block of vliw::buildCfg. The keys hold
+ * all that packing reads, so vliw::pack gives both programs the same
+ * packets and labelPacket.
  */
 bool transplantCompatible(const dsp::Program &a, const dsp::Program &b);
 

@@ -4,24 +4,6 @@
 
 namespace gcd2::tensor {
 
-const char *
-dtypeName(DType t)
-{
-    switch (t) {
-      case DType::Int8:
-        return "int8";
-      case DType::UInt8:
-        return "uint8";
-      case DType::Int16:
-        return "int16";
-      case DType::Int32:
-        return "int32";
-      case DType::Float:
-        return "float";
-    }
-    return "?";
-}
-
 std::string
 Shape::toString() const
 {

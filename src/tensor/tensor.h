@@ -40,8 +40,6 @@ dtypeSize(DType t)
     return 0;
 }
 
-const char *dtypeName(DType t);
-
 /** A tensor shape (row-major logical ordering). */
 class Shape
 {

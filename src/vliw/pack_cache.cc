@@ -75,17 +75,11 @@ PackCache::lookupOrPack(const dsp::Program &prog, const PackOptions &opts)
     });
 }
 
-std::vector<dsp::Packet>
-PackCache::packBlock(const dsp::Program &prog, const BasicBlock &block,
-                     const dsp::AliasAnalysis &alias,
-                     const PackOptions &opts)
+BlockPackingKey
+blockPackingKey(const dsp::Program &prog, const BasicBlock &block,
+                const dsp::AliasAnalysis &alias, const PackOptions &opts)
 {
-    // The key holds every input of detail::packBlock: the options, each
-    // instruction's opcode and register operands, and the mayAlias bit
-    // of every store-involving memory pair (ascending later member, then
-    // earlier member), the only pairs whose bit the packer reads. The
-    // opcodes fix which pairs those are, so the bit string is unambiguous.
-    BlockKey key;
+    BlockPackingKey key;
     std::vector<uint8_t> &bytes = key.bytes;
     bytes.reserve(32 + 7 * block.size());
     put(bytes, static_cast<uint8_t>(opts.policy));
@@ -125,9 +119,16 @@ PackCache::packBlock(const dsp::Program &prog, const BasicBlock &block,
     common::Fnv fnv;
     fnv.bytes(bytes.data(), bytes.size());
     key.hash = fnv.digest();
+    return key;
+}
 
-    const std::shared_ptr<const BlockPackets> cached =
-        blocks_.lookupOrCompute(key, [&] {
+std::vector<dsp::Packet>
+PackCache::packBlock(const dsp::Program &prog, const BasicBlock &block,
+                     const dsp::AliasAnalysis &alias,
+                     const PackOptions &opts)
+{
+    const std::shared_ptr<const BlockPackets> cached = blocks_.lookupOrCompute(
+        blockPackingKey(prog, block, alias, opts), [&] {
             auto out = std::make_shared<BlockPackets>();
             for (const dsp::Packet &packet :
                  detail::packBlock(prog, block, alias, opts)) {

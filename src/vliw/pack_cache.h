@@ -22,14 +22,13 @@
  * the old wholesale epoch clear.
  *
  * Below the program tier sits a block-schedule tier. Packing is
- * block-local: a block's packets are a function of its opcodes and
- * register operands, of the mayAlias bit of each in-block memory pair
- * that involves a store, and of the options -- never of an immediate
- * (DESIGN.md section 11). Programs that differ only in trip counts or
- * strides therefore share most blocks, so a program miss packs block by
- * block and looks each block up first, keyed on exactly those inputs as
- * bytes. Keys are compared byte for byte on a hit (the hash only picks a
- * bucket), so a hit returns what packing the block would return.
+ * block-local and reads immediates only through in-block alias bits
+ * (DESIGN.md section 11), so programs that differ only in trip counts or
+ * strides share most blocks. A
+ * program miss packs block by block and looks each block up first, keyed
+ * on blockPackingKey. Keys are compared byte for byte on a hit (the hash
+ * only picks a bucket), so a hit returns what packing the block would
+ * return.
  */
 #ifndef GCD2_VLIW_PACK_CACHE_H
 #define GCD2_VLIW_PACK_CACHE_H
@@ -60,6 +59,32 @@ struct PackKey
 /** Fingerprint covering everything pack() depends on. */
 PackKey fingerprintForPacking(const dsp::Program &prog,
                               const PackOptions &opts);
+
+/** Every input of one block's packing, as bytes, plus their hash. */
+struct BlockPackingKey
+{
+    uint64_t hash = 0;
+    std::vector<uint8_t> bytes;
+
+    bool operator==(const BlockPackingKey &other) const
+    {
+        return hash == other.hash && bytes == other.bytes;
+    }
+};
+
+/**
+ * The one list of what packing @p block reads: the options (policy and
+ * the bit patterns of w and penaltyScale), each instruction's opcode and
+ * its dst and two src operands, and the @p alias mayAlias bit of every
+ * in-block memory pair that involves a store (ascending later member,
+ * then earlier member; the opcodes fix which pairs those are). Nothing
+ * else -- no immediate, nothing outside the block. Blocks with equal keys
+ * get the same packets, as offsets from their first instruction.
+ */
+BlockPackingKey blockPackingKey(const dsp::Program &prog,
+                                const BasicBlock &block,
+                                const dsp::AliasAnalysis &alias,
+                                const PackOptions &opts);
 
 /**
  * Thread-safe pack cache. Misses pack outside any lock, and both tiers
@@ -112,21 +137,9 @@ class PackCache
         }
     };
 
-    /** Every input of one block's packing, as bytes, plus their hash. */
-    struct BlockKey
-    {
-        uint64_t hash = 0;
-        std::vector<uint8_t> bytes;
-
-        bool operator==(const BlockKey &other) const
-        {
-            return hash == other.hash && bytes == other.bytes;
-        }
-    };
-
     struct BlockKeyHash
     {
-        size_t operator()(const BlockKey &key) const
+        size_t operator()(const BlockPackingKey &key) const
         {
             return static_cast<size_t>(key.hash);
         }
@@ -148,8 +161,8 @@ class PackCache
     common::ShardedLru<PackKey,
                        std::shared_ptr<const dsp::PackedProgram>, KeyHash>
         lru_;
-    common::ShardedLru<BlockKey, std::shared_ptr<const BlockPackets>,
-                       BlockKeyHash>
+    common::ShardedLru<BlockPackingKey,
+                       std::shared_ptr<const BlockPackets>, BlockKeyHash>
         blocks_{kBlockEntries};
     /** Nanoseconds spent packing on misses (atomic: misses race). */
     std::atomic<uint64_t> packNanos_{0};

@@ -30,9 +30,7 @@ inline constexpr size_t kNone = static_cast<size_t>(-1);
 
 /**
  * The packets pack() emits for @p block (absolute instruction indices).
- * Reads the block's opcodes and register operands, @p alias on the
- * block's store-involving memory pairs, and opts' policy, w and
- * penaltyScale -- nothing else (no immediate, nothing outside the block).
+ * Reads only what blockPackingKey (pack_cache.h) writes into its key.
  */
 std::vector<dsp::Packet> packBlock(const dsp::Program &prog,
                                    const BasicBlock &block,

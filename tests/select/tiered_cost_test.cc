@@ -2,11 +2,15 @@
  * @file
  * Tiered plan costing tests: the analytic model's bounds really bracket
  * simulation, transplanted schedules are bit-identical to direct packs,
- * and affine-derived stats equal direct simulation. The zoo-wide
+ * affine-derived stats equal direct simulation (also when four threads
+ * cost one class), and transplantCompatible compares exactly what packing
+ * reads. The zoo-wide
  * differential and deep-audit tests live in
  * tests/runtime/tiered_differential_test.cc.
  */
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "kernels/matmul.h"
 #include "kernels/runner.h"
@@ -188,6 +192,74 @@ TEST(TieredCosterTest, DerivedStatsEqualDirectSimulation)
     }
 }
 
+TEST(TieredCosterTest, ConcurrentCostingOfOneClassIsExact)
+{
+    // Four threads cost every depth of one class, each starting at a
+    // different depth, so certification, derivation, shallow simulation
+    // and transplant memoization all race on the one class.
+    const vliw::PackOptions packOptions;
+    const MatMulConfig config = configFor(MatMulScheme::Vrmpy, 1, 1, 1);
+    std::vector<MatMulShape> tiles;
+    for (int64_t k = 4; k <= 96; k += 4) // quantum 4: 1..24 iterations
+        tiles.push_back(MatMulShape{8, k, 8});
+
+    TieredCoster serial(packOptions);
+    std::vector<NodeExecStats> expectStats;
+    std::vector<std::shared_ptr<const dsp::PackedProgram>> expectPacks;
+    for (const MatMulShape &tile : tiles) {
+        expectStats.push_back(serial.tileStats(tile, config));
+        expectPacks.push_back(serial.tileSchedule(tile, config));
+    }
+
+    constexpr size_t kThreads = 4;
+    TieredCoster shared(packOptions);
+    std::vector<std::vector<NodeExecStats>> stats(
+        kThreads, std::vector<NodeExecStats>(tiles.size()));
+    std::vector<std::vector<std::shared_ptr<const dsp::PackedProgram>>>
+        packs(kThreads, std::vector<std::shared_ptr<const dsp::PackedProgram>>(
+                            tiles.size()));
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (size_t j = 0; j < tiles.size(); ++j) {
+                const size_t i = (j + t * tiles.size() / kThreads) %
+                                 tiles.size();
+                stats[t][i] = shared.tileStats(tiles[i], config);
+                packs[t][i] = shared.tileSchedule(tiles[i], config);
+            }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    const TieredCounters counters = shared.counters();
+    EXPECT_EQ(counters.certifiedClasses, 1u);
+    EXPECT_EQ(counters.uncertifiedClasses, 0u);
+    EXPECT_EQ(counters.anchorSims, 3u);
+    EXPECT_EQ(counters.structuralFallbacks, 0u);
+    for (size_t t = 0; t < kThreads; ++t)
+        for (size_t i = 0; i < tiles.size(); ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << "thread " << t << " k=" << tiles[i].k);
+            const NodeExecStats &got = stats[t][i];
+            EXPECT_EQ(got.cycles, expectStats[i].cycles);
+            EXPECT_EQ(got.instructions, expectStats[i].instructions);
+            EXPECT_EQ(got.packets, expectStats[i].packets);
+            EXPECT_EQ(got.bytesLoaded, expectStats[i].bytesLoaded);
+            EXPECT_EQ(got.bytesStored, expectStats[i].bytesStored);
+            ASSERT_NE(packs[t][i], nullptr);
+            // Every thread is served the class's one memoized schedule.
+            EXPECT_EQ(packs[t][i], packs[0][i]);
+            EXPECT_EQ(packs[t][i]->packets.size(),
+                      expectPacks[i]->packets.size());
+            for (size_t p = 0; p < expectPacks[i]->packets.size(); ++p)
+                EXPECT_EQ(packs[t][i]->packets[p].insts,
+                          expectPacks[i]->packets[p].insts);
+            EXPECT_EQ(packs[t][i]->labelPacket,
+                      expectPacks[i]->labelPacket);
+        }
+    EXPECT_TRUE(shared.audit().empty());
+}
+
 TEST(TieredCosterTest, ShallowReductionSimulatesOnTransplant)
 {
     // iters < 8 sits below the certified anchor range: the coster must
@@ -234,6 +306,55 @@ TEST(TransplantCompatibleTest, AcceptsScaledStridesRejectsStructure)
         if (inst.isBranch())
             inst.imm += 1;
     EXPECT_FALSE(transplantCompatible(a, branchTweak));
+}
+
+/**
+ * A store in one block and a load of the same base in a loop block after
+ * it; @p loadOffset decides whether the two accesses may alias. The
+ * loop block also holds a store that the in-block @p innerOffset load may
+ * or may not overlap.
+ */
+dsp::Program
+crossBlockProgram(int64_t loadOffset, int64_t innerOffset)
+{
+    dsp::Program prog;
+    prog.push(dsp::makeMovi(dsp::sreg(0), 4));
+    prog.push(dsp::makeVstore(dsp::sreg(1), dsp::vreg(2), 0));
+    const int loop = prog.newLabel();
+    prog.bindLabel(loop);
+    prog.push(dsp::makeVload(dsp::vreg(3), dsp::sreg(1), loadOffset));
+    prog.push(dsp::makeVstore(dsp::sreg(1), dsp::vreg(4),
+                              4 * dsp::kVectorBytes));
+    prog.push(dsp::makeVload(dsp::vreg(5), dsp::sreg(1), innerOffset));
+    prog.push(dsp::makeAddi(dsp::sreg(0), dsp::sreg(0), -1));
+    prog.push(dsp::makeJumpNz(dsp::sreg(0), loop));
+    return prog;
+}
+
+TEST(TransplantCompatibleTest, AcceptsAliasDifferenceAcrossBlocks)
+{
+    // The load aliases the earlier block's store in one program and not
+    // in the other. No block holds both accesses, so packing never reads
+    // that pair: both programs get the same packets and label map.
+    const dsp::Program disjoint = crossBlockProgram(dsp::kVectorBytes, 0);
+    const dsp::Program overlapping = crossBlockProgram(0, 0);
+    EXPECT_TRUE(transplantCompatible(disjoint, overlapping));
+
+    const dsp::PackedProgram a = vliw::pack(disjoint);
+    const dsp::PackedProgram b = vliw::pack(overlapping);
+    ASSERT_EQ(a.packets.size(), b.packets.size());
+    for (size_t p = 0; p < a.packets.size(); ++p)
+        EXPECT_EQ(a.packets[p].insts, b.packets[p].insts);
+    EXPECT_EQ(a.labelPacket, b.labelPacket);
+}
+
+TEST(TransplantCompatibleTest, RejectsAliasDifferenceWithinABlock)
+{
+    // The loop block's second load overlaps its store in one program only.
+    const dsp::Program disjoint = crossBlockProgram(0, 0);
+    const dsp::Program overlapping =
+        crossBlockProgram(0, 4 * dsp::kVectorBytes);
+    EXPECT_FALSE(transplantCompatible(disjoint, overlapping));
 }
 
 } // namespace
