@@ -18,9 +18,9 @@ over the whole evaluation zoo and fails CI when:
 
 Warning-severity findings (maybe-uninit, dead packets, redundant loads)
 are reported but do not fail the gate by themselves -- only drift from
-the pinned baseline does. Dead stores in particular are rewritten away
-by the pipeline's DCE pass before schedules are served; their absence is
-gated strictly by scripts/check_transforms.py.
+the pinned baseline does. Dead stores in particular must never appear:
+kernel generators emit none, and scripts/check_transforms.py gates
+their absence strictly.
 """
 import json
 import os

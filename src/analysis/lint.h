@@ -42,8 +42,8 @@
  *  - Redundant load (redundant_load.cc): a load whose symbolic address
  *    value-numbers equal to a prior same-block load or store with no
  *    possibly-clobbering store in between re-reads a value the program
- *    already holds: Warning LintRedundantLoad (fodder for the rewrite /
- *    DCE machinery, never a correctness claim).
+ *    already holds: Warning LintRedundantLoad (a code-quality signal,
+ *    never a correctness claim).
  *
  *  - Induction-range bounds (bounds_lint.cc): when control and trip
  *    counts are fully resolved, every access range off a declared
@@ -53,8 +53,9 @@
  *
  * Severity policy: only findings that prove a miscompile, a lying
  * oracle, or a certain out-of-bounds access are Errors;
- * maybe-uninitialized, dead and redundant code are Warnings so
- * conservatively generated kernels cannot fail CI on them.
+ * maybe-uninitialized, dead and redundant code are Warnings, which never
+ * fail the served-schedule gate. (CI separately requires zero dead
+ * stores in served schedules: kernel generators emit no dead code.)
  */
 #ifndef GCD2_ANALYSIS_LINT_H
 #define GCD2_ANALYSIS_LINT_H
@@ -148,14 +149,10 @@ size_t analyzeDeadStores(const BlockGraph &graph,
 /**
  * Backward-liveness dead mask: dead[i] = 1 iff instruction i writes only
  * registers no path ever reads afterwards (and has no memory/control
- * effect). Instructions flagged in @p removed (optional) are treated as
- * already deleted -- their reads keep nothing alive -- which is what
- * lets rewriteDeadCode iterate the mask to a fixpoint. The single source
- * of truth behind both analyzeDeadStores and the DCE rewrite.
+ * effect). The liveness behind analyzeDeadStores; kernel generators
+ * must leave it all zero.
  */
-std::vector<uint8_t>
-deadInstructionMask(const BlockGraph &graph,
-                    const std::vector<uint8_t> *removed = nullptr);
+std::vector<uint8_t> deadInstructionMask(const BlockGraph &graph);
 size_t analyzeHazards(const BlockGraph &graph,
                       std::vector<common::Diag> &diags);
 size_t analyzeNoalias(const BlockGraph &graph, const ValueFlow &flow,

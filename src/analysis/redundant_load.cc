@@ -7,8 +7,7 @@
  * width, and no possibly-clobbering store in between -- re-reads bytes
  * whose value the program already holds in a register. That is never a
  * correctness problem, so the finding is a Warning
- * (LintRedundantLoad): fodder for the rewrite / DCE machinery and a
- * code-quality signal for the kernel generators.
+ * (LintRedundantLoad): a code-quality signal for the kernel generators.
  *
  * Availability is deliberately block-local (a prior same-block access
  * dominates in scheduled order; no cross-block dominance machinery

@@ -2,7 +2,7 @@
  * @file
  * The served-schedule gate: the one check a packed program passes
  * before it is served, whether it comes from a fresh compile (the audit
- * pass), from disk (ArtifactStore::load) or from the dead-code rewrite.
+ * pass) or from disk (ArtifactStore::load).
  *
  * A program passes when vliw::auditSchedule finds no structural
  * violation and lintPackedProgram, at the caller's LintDepth, finds no

@@ -124,22 +124,17 @@ analyzeUseBeforeDef(const BlockGraph &graph, const LintOptions &options,
 }
 
 std::vector<uint8_t>
-deadInstructionMask(const BlockGraph &graph,
-                    const std::vector<uint8_t> *removed)
+deadInstructionMask(const BlockGraph &graph)
 {
     const dsp::Program &prog = *graph.program;
     std::vector<uint8_t> dead(prog.code.size(), 0);
     if (prog.code.empty())
         return dead;
-    const auto skip = [&](size_t i) {
-        return removed != nullptr && (*removed)[i] != 0;
-    };
 
     // Backward liveness. Per block (walking the scheduled order
     // backwards): gen = upward-exposed reads, kill = writes. Nothing is
     // live at program exit -- kernel results leave through stores, not
-    // registers (the buffer ABI). Instructions in @p removed are treated
-    // as already deleted: their reads keep nothing alive.
+    // registers (the buffer ABI).
     DataflowProblem problem;
     problem.direction = DataflowProblem::Direction::Backward;
     problem.meet = DataflowProblem::Meet::Union;
@@ -151,8 +146,6 @@ deadInstructionMask(const BlockGraph &graph,
         RegSet &kill = problem.kill[b];
         const std::vector<size_t> &order = graph.scheduled[b];
         for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            if (skip(*it))
-                continue;
             const dsp::Instruction &inst = prog.code[*it];
             const RegSet writes = writeMask(inst);
             gen &= ~writes;
@@ -167,8 +160,6 @@ deadInstructionMask(const BlockGraph &graph,
         const std::vector<size_t> &order = graph.scheduled[b];
         for (auto it = order.rbegin(); it != order.rend(); ++it) {
             const size_t i = *it;
-            if (skip(i))
-                continue;
             const dsp::Instruction &inst = prog.code[i];
             const RegSet writes = writeMask(inst);
             // A register-writing instruction with no other architectural
@@ -192,7 +183,7 @@ analyzeDeadStores(const BlockGraph &graph, std::vector<Diag> &diags)
     if (prog.code.empty())
         return 0;
 
-    const std::vector<uint8_t> dead = deadInstructionMask(graph, nullptr);
+    const std::vector<uint8_t> dead = deadInstructionMask(graph);
 
     size_t findings = 0;
     for (size_t b = 0; b < graph.numBlocks(); ++b) {

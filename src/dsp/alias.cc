@@ -1,6 +1,7 @@
 #include "dsp/alias.h"
 
 #include <array>
+#include <bit>
 
 #include "common/logging.h"
 #include "dsp/deps.h"
@@ -43,9 +44,12 @@ computeSegments(const Program &prog)
     // A declared register that the program overwrites loses its seed: the
     // seed only describes the entry value.
     for (const Instruction &inst : prog.code)
-        for (int uid : regWrites(inst))
-            if (uid < kNumScalarRegs && seg[uid] >= 0)
+        for (uint64_t w = regMasks(inst).writes & kScalarUidMask; w != 0;
+             w &= w - 1) {
+            const int uid = std::countr_zero(w);
+            if (seg[uid] >= 0)
                 seg[uid] = kSegUnknown;
+        }
 
     // Iterate to a fixpoint (the lattice is tiny, two rounds suffice for
     // loop-carried copies; cap generously).
@@ -111,10 +115,9 @@ AliasAnalysis::AliasAnalysis(const Program &prog)
             ref.size = bytes;
             ref.segment = segments[ref.baseReg];
         }
-        for (int uid : regWrites(inst)) {
-            if (uid < kNumScalarRegs)
-                ++version[uid];
-        }
+        for (uint64_t w = regMasks(inst).writes & kScalarUidMask; w != 0;
+             w &= w - 1)
+            ++version[std::countr_zero(w)];
     }
 }
 

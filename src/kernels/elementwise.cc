@@ -108,10 +108,15 @@ ElementwiseKernel::generateVector()
     buffers_.scratchBytes = 0;
     declareKernelNoalias(prog_, buffers_, /*scratch=*/false);
 
-    prog_.push(makeMovi(sreg(0), 0));
+    // Setup emits only what the loop reads (the dead-store lint holds
+    // every generator to this): r0 feeds Requant's zero splat, the
+    // second pointer only Add's operand and Lut's table.
+    if (config_.op == EwOp::Requant)
+        prog_.push(makeMovi(sreg(0), 0));
     prog_.push(makeMovi(sreg(kRegCtr), iters));
     prog_.push(makeMov(sreg(kRegIn), sreg(kRegInput)));
-    prog_.push(makeMov(sreg(kRegSecond), sreg(kRegWeights)));
+    if (config_.op == EwOp::Add || config_.op == EwOp::Lut)
+        prog_.push(makeMov(sreg(kRegSecond), sreg(kRegWeights)));
     prog_.push(makeMov(sreg(kRegOut), sreg(kRegOutput)));
 
     // Loop-invariant constant vectors.
@@ -211,13 +216,16 @@ ElementwiseKernel::generateScalarDiv()
     buffers_.scratchBytes = 0;
     declareKernelNoalias(prog_, buffers_, /*scratch=*/false);
 
-    prog_.push(makeMovi(sreg(0), 0));
+    const bool lut = config_.op == EwOp::DivLut;
     prog_.push(makeMovi(sreg(kRegCtr), iters));
     prog_.push(makeMov(sreg(kRegIn), sreg(kRegInput)));
-    prog_.push(makeMov(sreg(kRegSecond), sreg(kRegWeights))); // LUT base
+    if (lut)
+        prog_.push(makeMov(sreg(kRegSecond), sreg(kRegWeights))); // LUT base
     prog_.push(makeMov(sreg(kRegOut), sreg(kRegOutput)));
-    prog_.push(makeMovi(sreg(11), config_.denominator));
-    prog_.push(makeMovi(sreg(12), 0xff));
+    if (lut)
+        prog_.push(makeMovi(sreg(12), 0xff)); // byte zero-extension mask
+    else
+        prog_.push(makeMovi(sreg(11), config_.denominator));
 
     const int loop = prog_.newLabel();
     prog_.bindLabel(loop);
@@ -225,7 +233,7 @@ ElementwiseKernel::generateScalarDiv()
         // Rotate over four scalar temp banks.
         const int t = 13 + 4 * (u % 4);
         prog_.push(makeLoad(Opcode::LOADB, sreg(t), sreg(kRegIn), u));
-        if (config_.op == EwOp::Div) {
+        if (!lut) {
             prog_.push(makeBinary(Opcode::DIV, sreg(t + 1), sreg(t),
                                   sreg(11)));
             prog_.push(makeStore(Opcode::STOREB, sreg(kRegOut),

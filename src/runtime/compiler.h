@@ -152,14 +152,6 @@ struct CompileOptions
      */
     bool eliminateLayoutTransforms = true;
     /**
-     * Dead-code elimination over served schedules: delete instructions
-     * whose results the backward-liveness analysis proves no path ever
-     * reads, re-pack, and serve the compacted schedule -- but only if
-     * it passes the structural audit and re-lints clean (otherwise the
-     * original is served with a Warning). See analysis/rewrite.h.
-     */
-    bool deadCodeElimination = true;
-    /**
      * DSP-friendly extended operator fusion (the paper's future-work
      * extension): fold single-consumer LUT nonlinearities and residual
      * Adds into the producing matmul-family kernel's epilogue.

@@ -1,10 +1,8 @@
 #include "runtime/pipeline.h"
 
 #include <cstdlib>
-#include <map>
 #include <sstream>
 
-#include "analysis/rewrite.h"
 #include "analysis/schedule_check.h"
 #include "common/logging.h"
 #include "common/timer.h"
@@ -463,45 +461,8 @@ CompilationSession::passKernelGeneration(PassReport &pass,
                 model_->canonicalSchedule(graph_, node.id, plan);
         });
 
-    // Dead-code elimination rewrites each distinct source program once
-    // (nodes sharing a cached program share the rewrite), in parallel
-    // over the programs in first-occurrence node order; diagnostics and
-    // counters are then gathered in that order, so the report is
-    // thread-count-invariant.
-    uint64_t dceRemovedInsts = 0;
-    uint64_t dceRemovedPackets = 0;
-    uint64_t dceRewritten = 0;
-    if (options_.deadCodeElimination) {
-        std::map<const dsp::PackedProgram *, size_t> slotOf;
-        std::vector<std::shared_ptr<const dsp::PackedProgram>> sources;
-        for (const auto &program : retained)
-            if (program != nullptr &&
-                slotOf.emplace(program.get(), sources.size()).second)
-                sources.push_back(program);
-        std::vector<analysis::DceResult> rewrites(sources.size());
-        pool_.parallelFor(
-            static_cast<int64_t>(sources.size()), [&](int64_t k) {
-                rewrites[static_cast<size_t>(k)] = analysis::rewriteDeadCode(
-                    sources[static_cast<size_t>(k)],
-                    options_.cost.packOptions);
-            });
-        for (analysis::DceResult &dce : rewrites) {
-            for (Diag &diag : dce.diags)
-                diag_.add(std::move(diag));
-            if (dce.stats.rewritten) {
-                dceRemovedInsts += dce.stats.removedInstructions;
-                dceRemovedPackets += dce.stats.removedPackets;
-                ++dceRewritten;
-            }
-        }
-        for (auto &program : retained)
-            if (program != nullptr)
-                program = rewrites[slotOf.at(program.get())].program;
-    }
-
-    // Fault injection runs after DCE: the injected corruption targets
-    // the served artifact and the auditors must still catch it, not
-    // have DCE repair or mask it.
+    // Fault injection corrupts the served artifact, which the auditors
+    // must still catch.
     for (const graph::Node &node : nodes) {
         std::shared_ptr<const dsp::PackedProgram> &program =
             retained[static_cast<size_t>(node.id)];
@@ -526,9 +487,6 @@ CompilationSession::passKernelGeneration(PassReport &pass,
     pass.counters.emplace_back(
         "schedules-retained",
         static_cast<uint64_t>(result.schedules.size()));
-    pass.counters.emplace_back("dce-removed-insts", dceRemovedInsts);
-    pass.counters.emplace_back("dce-removed-packets", dceRemovedPackets);
-    pass.counters.emplace_back("dce-rewritten-programs", dceRewritten);
     packDelta.report(pass);
 }
 

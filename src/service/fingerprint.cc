@@ -68,7 +68,6 @@ hashRequest(const graph::Graph &graph,
     fnv.value(options.perOpOverheadCycles);
     fnv.value(options.libraryStyleBoundaries);
     fnv.value(options.eliminateLayoutTransforms);
-    fnv.value(options.deadCodeElimination);
     fnv.value(options.enableExtendedFusion);
 }
 

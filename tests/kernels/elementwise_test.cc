@@ -1,13 +1,18 @@
 /**
  * @file
- * Elementwise kernel correctness and the division-vs-LUT equivalence that
- * underpins the paper's "other optimizations" pass.
+ * Elementwise kernel correctness, the generators' no-dead-code
+ * invariant, and the division-vs-LUT equivalence that underpins the
+ * paper's "other optimizations" pass.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/lint.h"
 #include "common/rng.h"
 #include "kernels/elementwise.h"
 #include "kernels/runner.h"
+#include "vliw/packer.h"
 
 namespace gcd2::kernels {
 namespace {
@@ -57,6 +62,27 @@ TEST_P(ElementwiseOps, SimulatorMatchesReference)
     const auto expect =
         ElementwiseKernel::reference(a.data(), b.data(), config);
     EXPECT_EQ(got, expect);
+}
+
+TEST_P(ElementwiseOps, EmitsNoDeadCode)
+{
+    // The cost model simulates the generated program and the compile
+    // serves it as is, so every instruction must feed a store or branch.
+    const auto [op, length, unroll] = GetParam();
+    EwConfig config;
+    config.op = op;
+    config.length = length;
+    config.unroll = unroll;
+    const ElementwiseKernel kernel(config);
+
+    const std::vector<uint8_t> dead = analysis::deadInstructionMask(
+        analysis::buildBlockGraph(kernel.program()));
+    EXPECT_EQ(std::count(dead.begin(), dead.end(), 1), 0);
+
+    const dsp::PackedProgram packed = vliw::pack(kernel.program());
+    const analysis::LintResult lint = analysis::lintPackedProgram(packed);
+    EXPECT_EQ(lint.counts.deadStore, 0u);
+    EXPECT_EQ(lint.counts.errors, 0u);
 }
 
 std::string

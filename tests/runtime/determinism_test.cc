@@ -90,9 +90,8 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeCompilationResults)
     // The whole zoo: branchy CNNs, super-resolution (layout-diverse),
     // and transformers exercise every selector path (partitioned solve,
     // chunked polish windows, pinned boundaries) and every kernel family.
-    // Conformer and EfficientDet-d0 retain the most schedules and
-    // dead-code rewrites, which kernel generation and the audit spread
-    // over the pool.
+    // Conformer and EfficientDet-d0 retain the most schedules, which
+    // kernel generation and the audit spread over the pool.
     for (const models::ModelInfo &info : models::allModels()) {
         const ModelId id = info.id;
         const graph::Graph g = models::buildModel(id);

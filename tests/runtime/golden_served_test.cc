@@ -44,56 +44,56 @@ struct GoldenRow
 
 // clang-format off
 const std::vector<GoldenRow> kGolden = {
-    {"MobileNet-V3", "default", 0x46f37697451f9934ull, 7998658ull, 1560ull},
-    {"MobileNet-V3", "deep", 0x46f37697451f9934ull, 7998658ull, 1560ull},
-    {"MobileNet-V3", "fusion", 0xf6ab12ddfe2a3db9ull, 7983995ull, 1532ull},
-    {"MobileNet-V3", "no-lut", 0x6b9995285dc2d9f0ull, 8264460ull, 1494ull},
-    {"MobileNet-V3", "uniform", 0xd2db36b8abb58957ull, 8942322ull, 1548ull},
-    {"EfficientNet-b0", "default", 0xdcb4d90a6d138197ull, 13052715ull, 1699ull},
-    {"EfficientNet-b0", "deep", 0xdcb4d90a6d138197ull, 13052715ull, 1699ull},
-    {"EfficientNet-b0", "fusion", 0x7e4e4353c4c44a51ull, 13043923ull, 1657ull},
-    {"EfficientNet-b0", "no-lut", 0xbd0be472b0cd0ba5ull, 13598967ull, 1687ull},
-    {"EfficientNet-b0", "uniform", 0x3b4c1ddabecf0bc2ull, 13829662ull, 1662ull},
-    {"ResNet-50", "default", 0xc24c3ae672f2a428ull, 44249174ull, 882ull},
-    {"ResNet-50", "deep", 0xc24c3ae672f2a428ull, 44249174ull, 882ull},
-    {"ResNet-50", "fusion", 0x81c7d143bcf765feull, 44063814ull, 882ull},
-    {"ResNet-50", "no-lut", 0x124d60134dc3474eull, 44347478ull, 882ull},
-    {"ResNet-50", "uniform", 0xa19db71b4181f3b0ull, 52106013ull, 882ull},
-    {"FST", "default", 0xc627b7b534aac8bull, 2193049328ull, 195ull},
-    {"FST", "deep", 0xc627b7b534aac8bull, 2193049328ull, 195ull},
-    {"FST", "fusion", 0xc627b7b534aac8bull, 2193049328ull, 195ull},
-    {"FST", "no-lut", 0x4a8ae4ad48b960fcull, 2213496560ull, 195ull},
-    {"FST", "uniform", 0x670233cc2b91c8b8ull, 2193049328ull, 195ull},
-    {"CycleGAN", "default", 0x701c146be9a64df5ull, 2178458328ull, 202ull},
-    {"CycleGAN", "deep", 0x701c146be9a64df5ull, 2178458328ull, 202ull},
-    {"CycleGAN", "fusion", 0x27a9108996b2b7e1ull, 2178437750ull, 195ull},
-    {"CycleGAN", "no-lut", 0x3bac69e381b5c323ull, 2209072886ull, 201ull},
-    {"CycleGAN", "uniform", 0xed54b2b2d1269877ull, 2178458328ull, 202ull},
-    {"WDSR-b", "default", 0xe0a96f51543372d4ull, 142213168ull, 145ull},
-    {"WDSR-b", "deep", 0xe0a96f51543372d4ull, 142213168ull, 145ull},
+    {"MobileNet-V3", "default", 0x7fa45c7c2c605638ull, 7998451ull, 1560ull},
+    {"MobileNet-V3", "deep", 0x7fa45c7c2c605638ull, 7998451ull, 1560ull},
+    {"MobileNet-V3", "fusion", 0x3af9953fd4944973ull, 7983841ull, 1532ull},
+    {"MobileNet-V3", "no-lut", 0xbb78cbab023cfdbdull, 8264262ull, 1494ull},
+    {"MobileNet-V3", "uniform", 0x80a13386c49384aull, 8942125ull, 1548ull},
+    {"EfficientNet-b0", "default", 0xa8a3a581dc4cd543ull, 13052101ull, 1699ull},
+    {"EfficientNet-b0", "deep", 0xa8a3a581dc4cd543ull, 13052101ull, 1699ull},
+    {"EfficientNet-b0", "fusion", 0x5a4765d5732eb88dull, 13043338ull, 1657ull},
+    {"EfficientNet-b0", "no-lut", 0xc307ef403a3f9d99ull, 13598370ull, 1687ull},
+    {"EfficientNet-b0", "uniform", 0xf46ed68432fe3bedull, 13829070ull, 1662ull},
+    {"ResNet-50", "default", 0x3f1c387f5071c484ull, 44248363ull, 882ull},
+    {"ResNet-50", "deep", 0x3f1c387f5071c484ull, 44248363ull, 882ull},
+    {"ResNet-50", "fusion", 0xe6208395ab4c0d09ull, 44063703ull, 882ull},
+    {"ResNet-50", "no-lut", 0x1a91c37a409c2102ull, 44346667ull, 882ull},
+    {"ResNet-50", "uniform", 0x3599f05bf7f96f10ull, 52105223ull, 882ull},
+    {"FST", "default", 0x7a0b303a29dce774ull, 2193009392ull, 195ull},
+    {"FST", "deep", 0x7a0b303a29dce774ull, 2193009392ull, 195ull},
+    {"FST", "fusion", 0x7a0b303a29dce774ull, 2193009392ull, 195ull},
+    {"FST", "no-lut", 0xc2b35bea5bf9e6f7ull, 2213456624ull, 195ull},
+    {"FST", "uniform", 0x4d930edca77cc143ull, 2193009392ull, 195ull},
+    {"CycleGAN", "default", 0x9534af277093327aull, 2178436019ull, 202ull},
+    {"CycleGAN", "deep", 0x9534af277093327aull, 2178436019ull, 202ull},
+    {"CycleGAN", "fusion", 0xd9439345b9e56d3full, 2178415441ull, 195ull},
+    {"CycleGAN", "no-lut", 0xc83db9df9048f45bull, 2209050577ull, 201ull},
+    {"CycleGAN", "uniform", 0xcd0dee9f845f964cull, 2178436019ull, 202ull},
+    {"WDSR-b", "default", 0xe6814c664300fef4ull, 142210664ull, 145ull},
+    {"WDSR-b", "deep", 0xe6814c664300fef4ull, 142210664ull, 145ull},
     {"WDSR-b", "fusion", 0xa5bc7cc04369d4bdull, 141562096ull, 140ull},
-    {"WDSR-b", "no-lut", 0xe0a96f51543372d4ull, 142213168ull, 145ull},
-    {"WDSR-b", "uniform", 0xf221f539abf5290cull, 190005616ull, 169ull},
-    {"EfficientDet-d0", "default", 0x783deabe3e44634aull, 62175154ull, 1754ull},
-    {"EfficientDet-d0", "deep", 0x783deabe3e44634aull, 62175154ull, 1754ull},
-    {"EfficientDet-d0", "fusion", 0x74c198249365ca23ull, 62318450ull, 1760ull},
-    {"EfficientDet-d0", "no-lut", 0x3ae8eadfb6bd665dull, 62665135ull, 1749ull},
-    {"EfficientDet-d0", "uniform", 0xc5208289f3664a58ull, 67502166ull, 1680ull},
-    {"PixOr", "default", 0xd57d804dca607285ull, 110755363ull, 818ull},
-    {"PixOr", "deep", 0xd57d804dca607285ull, 110755363ull, 818ull},
-    {"PixOr", "fusion", 0x8772564363c98dadull, 110152977ull, 818ull},
-    {"PixOr", "no-lut", 0xd57d804dca607285ull, 110755363ull, 818ull},
-    {"PixOr", "uniform", 0x427fea3f4cedededull, 138792867ull, 818ull},
-    {"TinyBERT", "default", 0x60894e0b1dd6c7cfull, 22453735ull, 337ull},
-    {"TinyBERT", "deep", 0x60894e0b1dd6c7cfull, 22453735ull, 337ull},
-    {"TinyBERT", "fusion", 0x2d3c18bcabf5225eull, 22412085ull, 337ull},
-    {"TinyBERT", "no-lut", 0xb8472f08a8233631ull, 119415241ull, 336ull},
-    {"TinyBERT", "uniform", 0xe0609af56646622cull, 24702599ull, 346ull},
-    {"Conformer", "default", 0x9af5ab6ce3705073ull, 124044501ull, 510ull},
-    {"Conformer", "deep", 0x9af5ab6ce3705073ull, 124044501ull, 510ull},
-    {"Conformer", "fusion", 0x476aa700719040beull, 123652533ull, 510ull},
-    {"Conformer", "no-lut", 0xa60810c75d7ece90ull, 255930197ull, 509ull},
-    {"Conformer", "uniform", 0x773eacd3fe8b1ad0ull, 134751093ull, 510ull},
+    {"WDSR-b", "no-lut", 0xe6814c664300fef4ull, 142210664ull, 145ull},
+    {"WDSR-b", "uniform", 0x824c8a9377ea083ull, 190003112ull, 169ull},
+    {"EfficientDet-d0", "default", 0x3516b1249276385ull, 62171741ull, 1754ull},
+    {"EfficientDet-d0", "deep", 0x3516b1249276385ull, 62171741ull, 1754ull},
+    {"EfficientDet-d0", "fusion", 0x9b3446f70f4ef336ull, 62315207ull, 1760ull},
+    {"EfficientDet-d0", "no-lut", 0xe3ffdf92a083ff4cull, 62661722ull, 1749ull},
+    {"EfficientDet-d0", "uniform", 0xfd1673e3e27073b2ull, 67498753ull, 1680ull},
+    {"PixOr", "default", 0x50b2aabc42510cc2ull, 110752907ull, 818ull},
+    {"PixOr", "deep", 0x50b2aabc42510cc2ull, 110752907ull, 818ull},
+    {"PixOr", "fusion", 0x76d9c5ea88685b4dull, 110152839ull, 818ull},
+    {"PixOr", "no-lut", 0x50b2aabc42510cc2ull, 110752907ull, 818ull},
+    {"PixOr", "uniform", 0xada336053a380603ull, 138790411ull, 818ull},
+    {"TinyBERT", "default", 0xe3751b8a18a53a29ull, 22452723ull, 337ull},
+    {"TinyBERT", "deep", 0xe3751b8a18a53a29ull, 22452723ull, 337ull},
+    {"TinyBERT", "fusion", 0x8f0ca6864389994dull, 22411169ull, 337ull},
+    {"TinyBERT", "no-lut", 0x22a226108859ea93ull, 119408829ull, 336ull},
+    {"TinyBERT", "uniform", 0xf207107e388c5350ull, 24701587ull, 346ull},
+    {"Conformer", "default", 0x9c64596ad355f94eull, 124042167ull, 510ull},
+    {"Conformer", "deep", 0x9c64596ad355f94eull, 124042167ull, 510ull},
+    {"Conformer", "fusion", 0x9f2c9998f6768a25ull, 123650535ull, 510ull},
+    {"Conformer", "no-lut", 0xc8a4f481fa4ed63eull, 255922855ull, 509ull},
+    {"Conformer", "uniform", 0x30152f26499e8bfdull, 134748775ull, 510ull},
 };
 // clang-format on
 

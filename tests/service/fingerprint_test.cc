@@ -85,8 +85,8 @@ TEST(FingerprintTest, ZooModelAndServedProgramKeysMatchRecording)
         std::to_string(programs) + "; pack " + hex(packDigest) +
         "; decode " + hex(decodeDigest);
 
-    EXPECT_EQ(request.h0, 0x8841c3183421c889ull) << actual;
-    EXPECT_EQ(request.h1, 0x96cd08ccb7452e36ull) << actual;
+    EXPECT_EQ(request.h0, 0xc776f91410991520ull) << actual;
+    EXPECT_EQ(request.h1, 0xadb567560b972543ull) << actual;
     EXPECT_EQ(request.nodes, 48u) << actual;
     EXPECT_EQ(programs, 5u) << actual;
     EXPECT_EQ(packDigest, 0x39da2eef2d12b6daull) << actual;

@@ -4,11 +4,13 @@
  * scripts/check_transforms.py).
  *
  * Compiles evaluation models with the default pipeline (layout-transform
- * elimination and packed-program DCE on) and prints, per model, the
- * transform-cycle bill before and after elimination, the elimination and
- * DCE counters, and the dead-store count a fresh lint of every distinct
- * served schedule reports. CI gates on "zero dead stores survive DCE"
- * and on the transform-cycles geomean against a committed baseline.
+ * elimination on) and prints, per model, the transform-cycle bill before
+ * and after elimination, the elimination counter, and the dead-store
+ * count a fresh lint of every distinct served schedule reports. Served
+ * schedules are the generated kernels as plan costing simulated them,
+ * so CI's "zero dead stores" gate checks the kernel generators directly;
+ * it also gates the transform-cycles geomean against a committed
+ * baseline.
  *
  * Exit code: 0 when every served schedule is dead-store-free, 1 when any
  * dead store survives, 2 on bad usage.
@@ -39,8 +41,6 @@ reportModel(const models::ModelInfo &info)
 
     const runtime::PassReport *graphPass =
         model.report.pass("graph-optimize");
-    const runtime::PassReport *kernelPass =
-        model.report.pass("kernel-generation");
     const runtime::PassReport *cyclePass =
         model.report.pass("cycle-accounting");
 
@@ -56,8 +56,8 @@ reportModel(const models::ModelInfo &info)
 
     std::printf(
         "transform model=%s transform-cycles=%llu "
-        "transform-cycles-pre=%llu eliminated=%llu dce-removed-insts=%llu "
-        "dce-rewritten-programs=%llu programs=%zu dead-store=%zu\n",
+        "transform-cycles-pre=%llu eliminated=%llu programs=%zu "
+        "dead-store=%zu\n",
         info.name,
         static_cast<unsigned long long>(
             cyclePass->counter("transform-cycles")),
@@ -65,10 +65,6 @@ reportModel(const models::ModelInfo &info)
             cyclePass->counter("transform-cycles-pre")),
         static_cast<unsigned long long>(
             graphPass->counter("transform-eliminated")),
-        static_cast<unsigned long long>(
-            kernelPass->counter("dce-removed-insts")),
-        static_cast<unsigned long long>(
-            kernelPass->counter("dce-rewritten-programs")),
         distinct.size(), deadStores);
     return deadStores;
 }
