@@ -11,8 +11,9 @@ its four modes and fails CI when:
     false-positive;
   - any of the ten zoo models compiles with Error diagnostics or off the
     requested selection rung -- the production pipeline is degraded --
-    under either the default gcd2 rung (clean-zoo) or the PBQP rung with
-    the Deep audit (pbqp-zoo).
+    under either the default options (clean-zoo: the PBQP rung, Cheap
+    audit) or the PBQP rung requested explicitly with the Deep audit
+    (pbqp-zoo).
 """
 import re
 import subprocess

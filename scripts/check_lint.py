@@ -5,10 +5,11 @@ Usage: check_lint.py [path/to/gcd2_lint] [--update-baseline]
 
 Runs the gcd2_lint tool (default ./build/tools/gcd2_lint) in --json mode
 over the whole evaluation zoo and fails CI when:
-  - any served packed program carries an Error-severity lint finding
-    (use-before-def, intra-packet hazard, dishonest delay claim, a
-    provably-overlapping noalias pair, or a provably out-of-bounds
-    access) -- a miscompile escaped the pipeline;
+  - any served packed program fails the Deep served-schedule gate: a
+    schedule check table finding (illegal packet, hard dependency inside
+    a packet, dishonest delay claim) or an Error-severity lint finding
+    (use-before-def, a provably-overlapping noalias pair, or a provably
+    out-of-bounds access) -- a miscompile escaped the pipeline;
   - the run covers fewer models/programs than expected -- the lint
     silently skipped kernels;
   - the per-model findings drift from scripts/lint_baseline.json, which

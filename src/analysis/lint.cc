@@ -11,7 +11,6 @@ LintCounts::operator+=(const LintCounts &other)
 {
     useBeforeDef += other.useBeforeDef;
     deadStore += other.deadStore;
-    hazards += other.hazards;
     noalias += other.noalias;
     redundantLoad += other.redundantLoad;
     bounds += other.bounds;
@@ -27,22 +26,17 @@ lintPackedProgram(const dsp::PackedProgram &packed,
     LintResult result;
     const BlockGraph graph = buildBlockGraph(packed);
 
-    if (options.depth == LintDepth::Full) {
-        result.counts.useBeforeDef =
-            analyzeUseBeforeDef(graph, options, result.diags);
-        result.counts.deadStore = analyzeDeadStores(graph, result.diags);
-    }
-    result.counts.hazards = analyzeHazards(graph, result.diags);
+    result.counts.useBeforeDef =
+        analyzeUseBeforeDef(graph, options, result.diags);
+    result.counts.deadStore = analyzeDeadStores(graph, result.diags);
 
     // The address-based analyzers share one value-flow solve.
-    if (options.depth == LintDepth::Full) {
-        const ValueFlow flow = computeValueFlow(graph);
-        result.counts.noalias =
-            analyzeNoalias(graph, flow, options, result.diags);
-        result.counts.redundantLoad =
-            analyzeRedundantLoads(graph, flow, result.diags);
-        result.counts.bounds = analyzeBounds(graph, flow, result.diags);
-    }
+    const ValueFlow flow = computeValueFlow(graph);
+    result.counts.noalias =
+        analyzeNoalias(graph, flow, options, result.diags);
+    result.counts.redundantLoad =
+        analyzeRedundantLoads(graph, flow, result.diags);
+    result.counts.bounds = analyzeBounds(graph, flow, result.diags);
 
     for (const common::Diag &diag : result.diags) {
         if (diag.severity == DiagSeverity::Error)

@@ -2,7 +2,7 @@
  * @file
  * Dataflow lint layer over packed DSP programs.
  *
- * Four analyzers, all reporting through common::Diag with stable
+ * Five analyzers, all reporting through common::Diag with stable
  * DiagCodes (pass name "lint"):
  *
  *  - Use-before-def (use_def.cc): two forward dataflow problems over the
@@ -20,15 +20,6 @@
  *    instruction none of whose written registers are live afterwards is a
  *    dead store (Warning LintDeadStore); a packet made up entirely of
  *    dead instructions is a dead packet (Warning LintDeadPacket).
- *
- *  - Intra-packet hazards (hazards.cc): per-packet pair scan. Write-write
- *    register conflicts (Error LintWriteConflict), resource overcommit
- *    beyond the slot/unit model (Error LintSlotOvercommit), and a
- *    differential check of the packer's mask-based co-pack delay claims
- *    (dsp::CopackModel::copackDelay, the tables FastIdg embeds) against
- *    the ground-truth dsp::deps classification (Error LintDelayClaim) --
- *    deliberately *not* checked against the pruned FastIdg edge set,
- *    which would be circular.
  *
  *  - Noalias audit (noalias_audit.cc): whole-program symbolic address
  *    comparison over the value-flow lattice (analysis/valueflow.h).
@@ -51,6 +42,11 @@
  *    exact; a range escaping the buffer is a provable out-of-bounds
  *    access on a realized iteration: Error LintOutOfBounds.
  *
+ * Packet legality (slots, hard dependencies inside a packet, the
+ * packer's co-pack delay claims) is not a lint: the schedule check
+ * table (dsp/schedule_checks.h) decides it, and the served-schedule
+ * gate (analysis/schedule_check.h) runs that table beside this lint.
+ *
  * Severity policy: only findings that prove a miscompile, a lying
  * oracle, or a certain out-of-bounds access are Errors;
  * maybe-uninitialized, dead and redundant code are Warnings, which never
@@ -72,24 +68,9 @@
 
 namespace gcd2::analysis {
 
-/**
- * How much of the lint runs. Cheap is the per-packet hazard scan alone
- * (linear in packet members): what every served schedule and every
- * loaded artifact must pass. Full adds the whole-program analyzers
- * (use-before-def, dead stores) and the value-flow family (noalias
- * claim audit, redundant loads, induction-range bounds).
- */
-enum class LintDepth : uint8_t
-{
-    Cheap,
-    Full,
-};
-
-/** Which analyzers to run and with what environment assumptions. */
+/** The environment the analyzers assume. */
 struct LintOptions
 {
-    LintDepth depth = LintDepth::Full;
-
     /**
      * Scalar registers holding valid values at program entry. When unset,
      * defaults to Program::noaliasRegs -- the kernel buffer ABI. Kernel
@@ -111,7 +92,6 @@ struct LintCounts
 {
     size_t useBeforeDef = 0;
     size_t deadStore = 0;
-    size_t hazards = 0;
     size_t noalias = 0;
     size_t redundantLoad = 0;
     size_t bounds = 0;
@@ -120,8 +100,8 @@ struct LintCounts
 
     size_t total() const
     {
-        return useBeforeDef + deadStore + hazards + noalias +
-               redundantLoad + bounds;
+        return useBeforeDef + deadStore + noalias + redundantLoad +
+               bounds;
     }
 
     LintCounts &operator+=(const LintCounts &other);
@@ -134,7 +114,7 @@ struct LintResult
     LintCounts counts;
 };
 
-/** Run the analyzers @p options.depth selects over @p packed. */
+/** Run every analyzer over @p packed. */
 LintResult lintPackedProgram(const dsp::PackedProgram &packed,
                              const LintOptions &options = {});
 
@@ -153,8 +133,6 @@ size_t analyzeDeadStores(const BlockGraph &graph,
  * must leave it all zero.
  */
 std::vector<uint8_t> deadInstructionMask(const BlockGraph &graph);
-size_t analyzeHazards(const BlockGraph &graph,
-                      std::vector<common::Diag> &diags);
 size_t analyzeNoalias(const BlockGraph &graph, const ValueFlow &flow,
                       const LintOptions &options,
                       std::vector<common::Diag> &diags);

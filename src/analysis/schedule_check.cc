@@ -4,7 +4,7 @@
 #include <set>
 
 #include "common/thread_pool.h"
-#include "vliw/audit.h"
+#include "dsp/schedule_checks.h"
 
 namespace gcd2::analysis {
 
@@ -23,13 +23,18 @@ ScheduleCheck
 checkSchedule(const dsp::PackedProgram &program, LintDepth depth)
 {
     ScheduleCheck check;
-    check.diags = vliw::auditSchedule(program);
-    check.auditFindings = check.diags.size();
-    LintOptions options;
-    options.depth = depth;
-    LintResult linted = lintPackedProgram(program, options);
-    check.lint = linted.counts;
-    appendDiags(check.diags, linted.diags);
+    check.scheduleFindings = dsp::runScheduleChecks(
+        program, dsp::CheckDepth::Full,
+        [&](common::DiagCode code, int64_t node, const std::string &msg) {
+            check.diags.push_back(common::Diag{
+                common::DiagSeverity::Error, "schedule-check", node, msg,
+                code});
+        });
+    if (depth == LintDepth::Full) {
+        LintResult linted = lintPackedProgram(program);
+        check.lint = linted.counts;
+        appendDiags(check.diags, linted.diags);
+    }
     check.programs = 1;
     return check;
 }
@@ -59,7 +64,7 @@ checkSchedules(const std::vector<const dsp::PackedProgram *> &programs,
     ScheduleCheck merged;
     for (ScheduleCheck &slot : slots) {
         appendDiags(merged.diags, slot.diags);
-        merged.auditFindings += slot.auditFindings;
+        merged.scheduleFindings += slot.scheduleFindings;
         merged.lint += slot.lint;
         merged.programs += slot.programs;
     }

@@ -4,9 +4,9 @@
  * before it is served, whether it comes from a fresh compile (the audit
  * pass) or from disk (ArtifactStore::load).
  *
- * A program passes when vliw::auditSchedule finds no structural
- * violation and lintPackedProgram, at the caller's LintDepth, finds no
- * Error. Lint Warnings never fail the gate.
+ * A program passes when the schedule check table (dsp/schedule_checks.h,
+ * at CheckDepth::Full) finds no violation and, at LintDepth::Full,
+ * lintPackedProgram finds no Error. Lint Warnings never fail the gate.
  */
 #ifndef GCD2_ANALYSIS_SCHEDULE_CHECK_H
 #define GCD2_ANALYSIS_SCHEDULE_CHECK_H
@@ -23,32 +23,44 @@ class ThreadPool;
 
 namespace gcd2::analysis {
 
+/**
+ * How much of the gate runs. Cheap is the schedule check table alone
+ * (structure, slots, hard dependencies, delay claims): what every
+ * served schedule and every loaded artifact must pass. Full adds every
+ * lint analyzer.
+ */
+enum class LintDepth : uint8_t
+{
+    Cheap,
+    Full,
+};
+
 /** Findings of the gate over one or more programs. */
 struct ScheduleCheck
 {
-    /** Per program, in first-occurrence order: its structural audit
+    /** Per program, in first-occurrence order: its schedule check
      *  findings, then its lint findings. */
     std::vector<common::Diag> diags;
-    /** vliw::auditSchedule findings (each one an Error). */
-    size_t auditFindings = 0;
+    /** Schedule check table findings (each one an Error). */
+    size_t scheduleFindings = 0;
     LintCounts lint;
     /** Distinct programs checked. */
     size_t programs = 0;
 
     /** Findings that fail the gate. */
-    size_t errors() const { return auditFindings + lint.errors; }
+    size_t errors() const { return scheduleFindings + lint.errors; }
 };
 
-/** Audit and lint one program. */
+/** Check one program. */
 ScheduleCheck checkSchedule(const dsp::PackedProgram &program,
                             LintDepth depth);
 
 /**
- * Audit and lint each distinct program of @p programs (a schedule
- * list's programs; repeats are checked once). With a @p pool the
- * programs are checked in parallel, one result slot each; the merge
- * runs in first-occurrence order, so the result does not depend on the
- * thread count.
+ * Check each distinct program of @p programs (a schedule list's
+ * programs; repeats are checked once). With a @p pool the programs are
+ * checked in parallel, one result slot each; the merge runs in
+ * first-occurrence order, so the result does not depend on the thread
+ * count.
  */
 ScheduleCheck
 checkSchedules(const std::vector<const dsp::PackedProgram *> &programs,

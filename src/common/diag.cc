@@ -44,6 +44,8 @@ diagCodeName(DiagCode code)
         return "sched-label-past-end";
       case DiagCode::SchedLabelBoundary:
         return "sched-label-boundary";
+      case DiagCode::SchedDelayClaim:
+        return "sched-delay-claim";
       case DiagCode::LintUseBeforeDef:
         return "lint-use-before-def";
       case DiagCode::LintMaybeUninit:
@@ -52,12 +54,6 @@ diagCodeName(DiagCode code)
         return "lint-dead-store";
       case DiagCode::LintDeadPacket:
         return "lint-dead-packet";
-      case DiagCode::LintWriteConflict:
-        return "lint-write-conflict";
-      case DiagCode::LintSlotOvercommit:
-        return "lint-slot-overcommit";
-      case DiagCode::LintDelayClaim:
-        return "lint-delay-claim";
       case DiagCode::LintNoaliasOverlap:
         return "lint-noalias-overlap";
       case DiagCode::LintNoaliasDupBase:

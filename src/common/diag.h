@@ -41,7 +41,7 @@ const char *diagSeverityName(DiagSeverity severity);
  * Machine-readable classification of a diagnostic. Codes are stable
  * identifiers (golden tests and CI scripts match on them, not on message
  * text): `Sched*` codes come from the shared packed-schedule check table
- * (dsp/schedule_checks.h) and always mean a violated structural
+ * (dsp/schedule_checks.h) and always mean a violated schedule
  * invariant; `Lint*` codes come from the static dataflow analyzers
  * (analysis/lint.h). None marks diagnostics that predate the code
  * taxonomy (fallback decisions, audit summaries).
@@ -50,7 +50,7 @@ enum class DiagCode : uint16_t
 {
     None = 0,
 
-    // Packed-schedule structural invariants (shared check table).
+    // Packed-schedule invariants (shared check table).
     SchedEmptyPacket,
     SchedOversizedPacket,
     SchedBadInstIndex,
@@ -61,15 +61,13 @@ enum class DiagCode : uint16_t
     SchedLabelMapSize,
     SchedLabelPastEnd,
     SchedLabelBoundary,
+    SchedDelayClaim, ///< packer delay claim contradicts dsp::deps
 
     // Dataflow lint analyzers.
     LintUseBeforeDef,   ///< read with no prior write on any path (Error)
     LintMaybeUninit,    ///< read with no prior write on some path (Warning)
     LintDeadStore,      ///< register write never observed (Warning)
     LintDeadPacket,     ///< every write in the packet is dead (Warning)
-    LintWriteConflict,  ///< two same-packet writes of one register
-    LintSlotOvercommit, ///< packet oversubscribes mult/branch resources
-    LintDelayClaim,     ///< packer delay claim contradicts dsp::deps
     LintNoaliasOverlap, ///< claimed-noalias pair provably overlaps
     LintNoaliasDupBase, ///< one register declared as two disjoint buffers
     LintRedundantLoad,  ///< load of a value provably already in a register

@@ -8,13 +8,13 @@
  * only four per-instruction facts -- read mask, write mask, memory class,
  * forwarding penalty -- plus one alias probe; none of the scheduling
  * graph. This model is those tables, built in one O(n) pass, so
- * consumers that only classify pairs (the hazard lint's differential
- * delay check, the IDG builders' edge classification) don't pay for
- * chain construction, CSR packing, or critical-path state.
+ * consumers that only classify pairs (the schedule check table's
+ * delay-claim check, the IDG builders' edge classification) don't pay
+ * for chain construction, CSR packing, or critical-path state.
  *
  * vliw::FastIdg embeds a CopackModel and forwards its copackDelay(), so
- * the delay the lint re-derives here is *the* delay the packer charges,
- * not a reimplementation that could drift.
+ * the delay the schedule check table verifies here is *the* delay the
+ * packer charges, not a reimplementation that could drift.
  */
 #ifndef GCD2_DSP_COPACK_H
 #define GCD2_DSP_COPACK_H

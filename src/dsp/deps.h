@@ -102,7 +102,7 @@ struct RegMasks
 /**
  * Mask form of regReads/regWrites, computed in a handful of shifts --
  * the hot-path representation (classifyDependency, the IDG builders,
- * the hazard lint, and the decoder all work on these masks).
+ * the co-pack model, and the decoder all work on these masks).
  */
 inline RegMasks
 regMasks(const Instruction &inst)

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "dsp/alias.h"
+#include "dsp/copack.h"
 #include "dsp/deps.h"
 
 namespace gcd2::dsp {
@@ -134,44 +135,83 @@ checkLabels(CheckCtx &ctx)
     }
 }
 
-void
-checkSlots(CheckCtx &ctx)
+/** Why @p insts (at most kPacketSlots of them) fail slotsFeasible. */
+std::string
+slotFailure(const Program &prog, const std::vector<size_t> &insts)
 {
-    const PackedProgram &packed = ctx.packed;
-    for (size_t p = 0; p < packed.packets.size(); ++p) {
-        if (!ctx.packetValid[p] || packed.packets[p].insts.empty())
-            continue;
-        if (!slotsFeasible(packed.program, packed.packets[p].insts))
-            ctx.fail(DiagCode::SchedSlotInfeasible, -1,
-                     "packet " + std::to_string(p) +
-                         " violates slot constraints");
+    int branches = 0;
+    int multUnits = 0;
+    for (size_t idx : insts) {
+        const SlotNeed need = slotNeed(prog.code[idx]);
+        branches += need.branch ? 1 : 0;
+        multUnits += need.multUnits;
     }
+    if (branches > 1)
+        return "holds " + std::to_string(branches) +
+               " branches (the branch unit takes one)";
+    if (multUnits > 2)
+        return "needs " + std::to_string(multUnits) +
+               " multiply pipelines (the DSP has 2)";
+    return "has no feasible slot assignment";
 }
 
+/**
+ * The packet-legality scan, one pass over each valid packet: its slot
+ * feasibility, then every member pair. A hard dependency may not share
+ * a packet; for any other pair, the stall the packer's mask model
+ * charges (CopackModel::copackDelay, the tables vliw::FastIdg embeds)
+ * must equal the soft penalty classifyDependency derives. The delay
+ * check is against the classifier, not the packer's IDG edge set:
+ * checking the packer against what it already believes would verify
+ * nothing.
+ */
 void
-checkHardDeps(CheckCtx &ctx)
+checkPackets(CheckCtx &ctx)
 {
     const PackedProgram &packed = ctx.packed;
     const Program &prog = packed.program;
     const AliasAnalysis alias(prog);
+    const CopackModel copack(prog, alias);
     for (size_t p = 0; p < packed.packets.size(); ++p) {
-        if (!ctx.packetValid[p])
+        const std::vector<size_t> &insts = packed.packets[p].insts;
+        if (!ctx.packetValid[p] || insts.empty())
             continue;
-        const Packet &packet = packed.packets[p];
-        for (size_t k = 0; k < packet.insts.size(); ++k) {
-            const size_t idx = packet.insts[k];
+        // Oversized packets are the shape row's finding.
+        if (insts.size() <= static_cast<size_t>(kPacketSlots) &&
+            !slotsFeasible(prog, insts))
+            ctx.fail(DiagCode::SchedSlotInfeasible,
+                     static_cast<int64_t>(insts.front()),
+                     "packet " + std::to_string(p) + " " +
+                         slotFailure(prog, insts));
+        for (size_t k = 0; k < insts.size(); ++k) {
+            const size_t late = insts[k];
             for (size_t m = 0; m < k; ++m) {
-                const size_t earlier = packet.insts[m];
+                const size_t early = insts[m];
                 const Dependency dep = classifyDependency(
-                    prog.code[earlier], prog.code[idx],
-                    alias.mayAlias(earlier, idx));
+                    prog.code[early], prog.code[late],
+                    alias.mayAlias(early, late));
                 if (dep.kind == DepKind::Hard) {
                     std::ostringstream msg;
                     msg << "hard dependency inside packet " << p << ": "
-                        << prog.code[earlier].toString() << " -> "
-                        << prog.code[idx].toString();
+                        << prog.code[early].toString() << " -> "
+                        << prog.code[late].toString();
                     ctx.fail(DiagCode::SchedHardDepInPacket,
-                             static_cast<int64_t>(idx), msg.str());
+                             static_cast<int64_t>(late), msg.str());
+                    continue;
+                }
+                const int expected =
+                    dep.kind == DepKind::Soft ? dep.penalty : 0;
+                const int claimed = copack.copackDelay(early, late);
+                if (claimed != expected) {
+                    std::ostringstream msg;
+                    msg << "packet " << p << ": packer claims " << claimed
+                        << " stall cycle(s) for '"
+                        << prog.code[early].toString() << "' -> '"
+                        << prog.code[late].toString()
+                        << "' but the dependency classifier says "
+                        << expected;
+                    ctx.fail(DiagCode::SchedDelayClaim,
+                             static_cast<int64_t>(late), msg.str());
                 }
             }
         }
@@ -186,18 +226,17 @@ struct CheckRow
 
 /**
  * The one invariant table. Add new invariants HERE (and only here): all
- * three consumers -- validatePackedProgram, vliw::auditSchedule, and the
- * decode-time guard -- pick the row up automatically. Evaluation order
- * matters: checkPacketShape fills packetValid, which gates every later
- * row's packet access.
+ * three consumers -- validatePackedProgram, analysis::checkSchedule, and
+ * the decode-time guard -- pick the row up automatically. Evaluation
+ * order matters: checkPacketShape fills packetValid, which gates every
+ * later row's packet access.
  */
 const CheckRow kChecks[] = {
     {CheckDepth::Structure, checkPacketShape},
     {CheckDepth::Structure, checkCoverage},
     {CheckDepth::Structure, checkPacketOrder},
     {CheckDepth::Structure, checkLabels},
-    {CheckDepth::Full, checkSlots},
-    {CheckDepth::Full, checkHardDeps},
+    {CheckDepth::Full, checkPackets},
 };
 
 } // namespace

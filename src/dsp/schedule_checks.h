@@ -2,19 +2,20 @@
  * @file
  * The single source of truth for packed-program invariants.
  *
- * Three consumers used to re-implement the same checks independently --
- * dsp::validatePackedProgram (panicking, tests and debug simulator
- * paths), vliw::auditSchedule (diagnostic-collecting, the pipeline audit
- * pass), and the decode-time guards in dsp/decoded.cc -- so a new
- * invariant could be added to one and silently missed by the others.
- * They now all run the one check table below through a sink that decides
- * policy (panic on first violation vs. collect structured diagnostics).
+ * Three consumers run the one check table below through a sink that
+ * decides policy (panic on first violation vs. collect structured
+ * diagnostics): dsp::validatePackedProgram (panicking, tests and debug
+ * simulator paths), analysis::checkSchedule (collecting, the
+ * served-schedule gate), and the decode-time guards in dsp/decoded.cc.
+ * A new invariant added to the table reaches all three.
  *
  * Checks are split by depth: Structure checks are linear scans safe (and
  * necessary) before any code indexes packets -- every instruction in
  * exactly one packet, indices in range, packet sizes, label mapping.
- * Full adds the quadratic-per-packet legality checks: slot/resource
- * feasibility and intra-packet hard-dependency freedom.
+ * Full adds the one packet-legality scan, quadratic per packet: slot
+ * feasibility, no hard dependency inside a packet, and every co-packed
+ * pair's stall claim (dsp::CopackModel, what the packer charges) equal
+ * to the soft penalty dsp::classifyDependency derives.
  */
 #ifndef GCD2_DSP_SCHEDULE_CHECKS_H
 #define GCD2_DSP_SCHEDULE_CHECKS_H
@@ -31,7 +32,7 @@ namespace gcd2::dsp {
 enum class CheckDepth : uint8_t
 {
     Structure, ///< linear shape checks (safe before decoding/indexing)
-    Full,      ///< Structure plus slot feasibility and dependence legality
+    Full,      ///< Structure plus the packet-legality scan
 };
 
 /**

@@ -108,8 +108,8 @@ const char *selectionModeName(SelectionMode mode);
 enum class AuditMode : uint8_t
 {
     Off,   ///< no audit pass (trusted caller, fastest compile)
-    Cheap, ///< structural + cost-honesty checks and the per-packet
-           ///< hazard lint, always affordable
+    Cheap, ///< structural + cost-honesty checks and the schedule check
+           ///< table (packet legality, delay claims), always affordable
     Deep,  ///< Cheap plus exact re-solves and the whole-program dataflow
            ///< lint (use-before-def, dead stores, noalias audit); the
            ///< audit pass reports per-analyzer "lint-*-findings" counters
@@ -187,11 +187,11 @@ struct CompileOptions
     std::function<void(dsp::PackedProgram &)> testScheduleFault;
 };
 
-/** A compiled model with its aggregated execution statistics. */
 /** Peak multiply-accumulates per cycle of the simulated DSP (two
  *  multiply pipes x 128 MACs). */
 inline constexpr double kPeakMacsPerCycle = 256.0;
 
+/** A compiled model with its aggregated execution statistics. */
 struct CompiledModel
 {
     /** A schedule the compile serves for one live operator: the packed

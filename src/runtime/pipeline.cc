@@ -641,9 +641,9 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     // the same source program would vacuously re-verify the packer and
     // miss any corruption of the served artifact. The served-schedule
     // gate checks each distinct program once, on the pool. Cheap runs
-    // only the per-packet hazard lint; Deep runs every analyzer. Lint
-    // Warnings never block a compile -- only Errors count as failures
-    // alongside the structural audits.
+    // the schedule check table alone; Deep adds every lint analyzer.
+    // Lint Warnings never block a compile -- only Errors count as
+    // failures alongside the schedule findings.
     //
     // Packs inside the schedule audit, counted apart from the deep
     // re-cost's: the audit reads the retained schedules, so this stays 0.
@@ -667,7 +667,7 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
                       " audit passed (" + std::to_string(check.programs) +
                       " schedules checked)");
     pass.counters.emplace_back("selection-findings", selectionFailures);
-    pass.counters.emplace_back("schedule-findings", check.auditFindings);
+    pass.counters.emplace_back("schedule-findings", check.scheduleFindings);
     pass.counters.emplace_back("tiered-findings", tieredFailures);
     pass.counters.emplace_back("tier-audit-classes", tieredClassesChecked);
     pass.counters.emplace_back("tier-deep-audited", tieredDeep ? 1 : 0);
@@ -675,7 +675,6 @@ CompilationSession::passAudit(PassReport &pass, CompiledModel &result)
     pass.counters.emplace_back("schedule-pack-misses", schedulePackMisses);
     pass.counters.emplace_back("lint-use-def-findings", lint.useBeforeDef);
     pass.counters.emplace_back("lint-dead-store-findings", lint.deadStore);
-    pass.counters.emplace_back("lint-hazard-findings", lint.hazards);
     pass.counters.emplace_back("lint-noalias-findings", lint.noalias);
     pass.counters.emplace_back("lint-redundant-load-findings",
                                lint.redundantLoad);

@@ -670,7 +670,7 @@ ArtifactStore::load(const ModelKey &key, const graph::Graph &graph,
                             std::to_string(sched.node));
 
     // Gate 5: the served-schedule gate at Cheap depth -- the same
-    // structural + hazard check a fresh Cheap-audit compile passes. An
+    // schedule check table a fresh Cheap-audit compile passes. An
     // artifact that fails here parsed fine but would serve an illegal
     // schedule (the corruption the checksum cannot catch: a valid file
     // containing wrong bits).

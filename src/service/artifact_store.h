@@ -21,10 +21,10 @@
  *     never crashes);
  *  4. shape: planIndex / nodeCycles sized to the request graph and
  *     schedule node ids in range;
- *  5. re-audit + re-lint: every distinct served program is run back
- *     through vliw::auditSchedule (the structural invariants) and the
- *     per-packet hazard lint -- the same Cheap-audit gate a fresh
- *     compile passes -- before the artifact may be served.
+ *  5. re-audit: every distinct served program is run back through the
+ *     schedule check table (structure, packet legality, delay claims)
+ *     -- the same Cheap-audit gate a fresh compile passes -- before the
+ *     artifact may be served.
  *
  * Any failed stage rejects the artifact (structured Diag explaining
  * why); the compile service then falls back to a clean compile and

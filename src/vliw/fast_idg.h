@@ -140,8 +140,8 @@ class FastIdg
     /**
      * Stall cycles instruction @p b pays when co-packed after @p a
      * (a < b, node ids). Forwards to the embedded dsp::CopackModel, so
-     * the delay the hazard lint re-derives from that model is the very
-     * value the packer's cost functions charge.
+     * the delay the schedule check table verifies from that model is
+     * the very value the packer's cost functions charge.
      */
     int copackDelay(size_t a, size_t b) const
     {

@@ -4,15 +4,17 @@
  *
  * The golden cases hand-craft broken packed programs -- an
  * uninitialized read, a maybe-uninitialized read, a dead store, a dead
- * packet, an overcommitted packet, a same-packet write conflict, a
- * lying noalias claim, a duplicated noalias base -- and assert the
- * exact DiagCode and node/packet anchor each analyzer reports. The
- * fuzz case packs seeded random (def-before-use) kernels under all
- * five packing policies and requires zero Error-severity findings:
- * every policy must produce hazard-free, claim-honest schedules.
+ * packet, a lying noalias claim, a duplicated noalias base -- and assert
+ * the exact DiagCode and node/packet anchor each analyzer reports. Two
+ * more -- an overcommitted packet, a same-packet write conflict -- are
+ * packet-legality faults: the served-schedule gate must report each as
+ * exactly one schedule check Error, with its code and anchor. The fuzz
+ * case packs seeded random (def-before-use) kernels under all five
+ * packing policies and requires the Deep served-schedule gate to find
+ * no Error: every policy must produce legal, claim-honest schedules.
  * Seeded-mutation cases corrupt a real compile's served schedule
  * through CompileOptions::testScheduleFault and assert the deep audit
- * pass surfaces the expected lint code.
+ * pass surfaces the expected code.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 
 #include "analysis/dataflow.h"
 #include "analysis/lint.h"
+#include "analysis/schedule_check.h"
 #include "common/rng.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
@@ -210,13 +213,19 @@ TEST(LintGoldenTest, OvercommittedPacketIsAnError)
     packed.packets.push_back(Packet{{6}});
     packed.packets.push_back(Packet{{7}});
     packed.program = std::move(prog);
-    const LintResult result = lintPackedProgram(packed);
 
-    const auto hits = withCode(result.diags, DiagCode::LintSlotOvercommit);
-    ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0]->severity, DiagSeverity::Error);
-    EXPECT_EQ(hits[0]->node, 2); // packet 1's first member
-    EXPECT_NE(hits[0]->message.find("packet 1"), std::string::npos);
+    for (LintDepth depth : {LintDepth::Cheap, LintDepth::Full}) {
+        const ScheduleCheck check = checkSchedule(packed, depth);
+        ASSERT_EQ(check.errors(), 1u);
+        const auto hits =
+            withCode(check.diags, DiagCode::SchedSlotInfeasible);
+        ASSERT_EQ(hits.size(), 1u);
+        EXPECT_EQ(hits[0]->severity, DiagSeverity::Error);
+        EXPECT_EQ(hits[0]->node, 2); // packet 1's first member
+        EXPECT_NE(hits[0]->message.find("packet 1"), std::string::npos);
+        EXPECT_NE(hits[0]->message.find("3 multiply pipelines"),
+                  std::string::npos);
+    }
 }
 
 TEST(LintGoldenTest, SamePacketWriteConflictIsAnError)
@@ -230,13 +239,17 @@ TEST(LintGoldenTest, SamePacketWriteConflictIsAnError)
     packed.packets.push_back(Packet{{0, 1}});
     packed.packets.push_back(Packet{{2}});
     packed.program = std::move(prog);
-    const LintResult result = lintPackedProgram(packed);
 
-    const auto hits = withCode(result.diags, DiagCode::LintWriteConflict);
-    ASSERT_EQ(hits.size(), 1u);
-    EXPECT_EQ(hits[0]->severity, DiagSeverity::Error);
-    EXPECT_EQ(hits[0]->node, 1); // the second writer
-    EXPECT_NE(hits[0]->message.find("r1"), std::string::npos);
+    for (LintDepth depth : {LintDepth::Cheap, LintDepth::Full}) {
+        const ScheduleCheck check = checkSchedule(packed, depth);
+        ASSERT_EQ(check.errors(), 1u);
+        const auto hits =
+            withCode(check.diags, DiagCode::SchedHardDepInPacket);
+        ASSERT_EQ(hits.size(), 1u);
+        EXPECT_EQ(hits[0]->severity, DiagSeverity::Error);
+        EXPECT_EQ(hits[0]->node, 1); // the second writer
+        EXPECT_NE(hits[0]->message.find("r1"), std::string::npos);
+    }
 }
 
 TEST(LintGoldenTest, LyingNoaliasClaimIsAnError)
@@ -365,8 +378,9 @@ TEST(LintFuzzTest, AllPackPoliciesProduceErrorFreeSchedules)
             vliw::PackOptions opts;
             opts.policy = policy;
             const PackedProgram packed = vliw::pack(prog, opts);
-            const LintResult result = lintPackedProgram(packed);
-            EXPECT_EQ(result.counts.errors, 0u)
+            const ScheduleCheck result =
+                checkSchedule(packed, LintDepth::Full);
+            EXPECT_EQ(result.errors(), 0u)
                 << "round " << round << " policy "
                 << vliw::packPolicyName(policy) << ": "
                 << (result.diags.empty()
@@ -409,7 +423,8 @@ hasCode(const runtime::CompiledModel &model, DiagCode code)
 TEST(LintMutationTest, DuplicatedWriterIsCaughtAsWriteConflict)
 {
     // Re-listing a register-writing instruction inside its packet makes
-    // that packet write the register twice.
+    // that packet write the register twice: a hard dependency (WAW)
+    // inside one packet.
     const runtime::CompiledModel model =
         compileWithFault([](PackedProgram &packed) {
             for (auto &packet : packed.packets)
@@ -422,11 +437,10 @@ TEST(LintMutationTest, DuplicatedWriterIsCaughtAsWriteConflict)
                         return;
                     }
         });
-    EXPECT_TRUE(hasCode(model, DiagCode::LintWriteConflict));
+    EXPECT_TRUE(hasCode(model, DiagCode::SchedHardDepInPacket));
     const runtime::PassReport *audit = model.report.pass("audit");
     ASSERT_NE(audit, nullptr);
-    EXPECT_GE(audit->counter("lint-hazard-findings"), 1u);
-    EXPECT_GE(audit->counter("lint-errors"), 1u);
+    EXPECT_GE(audit->counter("schedule-findings"), 1u);
 }
 
 TEST(LintMutationTest, RetargetedReadIsCaughtAsUseBeforeDef)
@@ -485,7 +499,7 @@ TEST(LintMutationTest, CleanDeepCompileHasZeroLintErrors)
     const runtime::PassReport *audit = model.report.pass("audit");
     ASSERT_NE(audit, nullptr);
     EXPECT_EQ(audit->counter("lint-errors"), 0u);
-    EXPECT_EQ(audit->counter("lint-hazard-findings"), 0u);
+    EXPECT_EQ(audit->counter("schedule-findings"), 0u);
     EXPECT_EQ(audit->counter("lint-use-def-findings"), 0u);
     EXPECT_EQ(audit->counter("lint-noalias-findings"), 0u);
     EXPECT_EQ(

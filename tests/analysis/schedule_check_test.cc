@@ -1,12 +1,13 @@
 /**
  * @file
- * Schedule-auditor tests: every packing policy's output audits clean, and
- * seeded corruptions (duplicated, dropped, or illegally co-packed
- * instructions, broken label maps) surface as structured findings.
+ * Served-schedule gate tests at Cheap depth (the schedule check table):
+ * every packing policy's output checks clean, and seeded corruptions
+ * (duplicated, dropped, or illegally co-packed instructions, broken
+ * label maps) surface as structured findings.
  */
 #include <gtest/gtest.h>
 
-#include "vliw/audit.h"
+#include "analysis/schedule_check.h"
 #include "vliw/packer.h"
 
 namespace gcd2::vliw {
@@ -46,12 +47,20 @@ loopProgram()
     return prog;
 }
 
+/** The Cheap served-schedule gate's findings on @p packed. */
+std::vector<common::Diag>
+gateFindings(const PackedProgram &packed)
+{
+    return analysis::checkSchedule(packed, analysis::LintDepth::Cheap)
+        .diags;
+}
+
 size_t
 errorCount(const std::vector<common::Diag> &findings)
 {
     size_t n = 0;
     for (const common::Diag &d : findings) {
-        EXPECT_EQ(d.pass, "vliw-audit");
+        EXPECT_EQ(d.pass, "schedule-check");
         if (d.severity == common::DiagSeverity::Error)
             ++n;
     }
@@ -67,7 +76,7 @@ TEST(ScheduleAuditTest, EveryPolicyAuditsClean)
         PackOptions opts;
         opts.policy = policy;
         const PackedProgram packed = pack(prog, opts);
-        EXPECT_TRUE(auditSchedule(packed).empty())
+        EXPECT_TRUE(gateFindings(packed).empty())
             << "policy " << packPolicyName(policy);
     }
 }
@@ -77,7 +86,7 @@ TEST(ScheduleAuditTest, DuplicatedInstructionIsFlagged)
     PackedProgram packed = pack(loopProgram());
     const size_t dup = packed.packets.front().insts.front();
     packed.packets.back().insts.push_back(dup);
-    const auto findings = auditSchedule(packed);
+    const auto findings = gateFindings(packed);
     ASSERT_GE(errorCount(findings), 1u);
     bool mentioned = false;
     for (const common::Diag &d : findings)
@@ -93,7 +102,7 @@ TEST(ScheduleAuditTest, DroppedInstructionIsFlagged)
             packet.insts.pop_back();
             break;
         }
-    const auto findings = auditSchedule(packed);
+    const auto findings = gateFindings(packed);
     ASSERT_GE(errorCount(findings), 1u);
     bool mentioned = false;
     for (const common::Diag &d : findings)
@@ -134,7 +143,7 @@ TEST(ScheduleAuditTest, CoPackedHardDependencyIsFlagged)
     packed.packets.erase(packed.packets.begin() +
                          static_cast<long>(usePacket));
 
-    const auto findings = auditSchedule(packed);
+    const auto findings = gateFindings(packed);
     ASSERT_GE(errorCount(findings), 1u);
     bool mentioned = false;
     for (const common::Diag &d : findings)
@@ -151,7 +160,7 @@ TEST(ScheduleAuditTest, CorruptLabelMapIsFlagged)
     PackedProgram pastEnd = packed;
     pastEnd.labelPacket[0] = pastEnd.packets.size() + 5;
     bool mentioned = false;
-    for (const common::Diag &d : auditSchedule(pastEnd))
+    for (const common::Diag &d : gateFindings(pastEnd))
         mentioned |= d.message.find("past the last packet") !=
                      std::string::npos;
     EXPECT_TRUE(mentioned);
@@ -161,13 +170,13 @@ TEST(ScheduleAuditTest, CorruptLabelMapIsFlagged)
     PackedProgram late = packed;
     late.labelPacket[0] = late.packets.size();
     mentioned = false;
-    for (const common::Diag &d : auditSchedule(late))
+    for (const common::Diag &d : gateFindings(late))
         mentioned |= d.message.find("before label") != std::string::npos;
     EXPECT_TRUE(mentioned);
 
     PackedProgram wrongSize = packed;
     wrongSize.labelPacket.clear();
-    const auto findings = auditSchedule(wrongSize);
+    const auto findings = gateFindings(wrongSize);
     ASSERT_GE(errorCount(findings), 1u);
     EXPECT_NE(findings.back().message.find("label count"),
               std::string::npos);

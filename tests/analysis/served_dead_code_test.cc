@@ -4,8 +4,9 @@
  * a dead-code rewrite of any served program would be the identity and
  * the bytes served are the bytes plan costing simulated. Every distinct
  * program served by every zoo model, with and without layout-transform
- * elimination, has an all-zero dead-instruction mask and lints free of
- * dead stores and errors; elimination never raises the transform bill.
+ * elimination, has an all-zero dead-instruction mask and passes the
+ * Deep served-schedule gate with no dead stores and no Errors;
+ * elimination never raises the transform bill.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <set>
 
 #include "analysis/lint.h"
+#include "analysis/schedule_check.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
 
@@ -30,10 +32,11 @@ expectNoDeadCode(const runtime::CompiledModel &model, const char *modelName,
             deadInstructionMask(buildBlockGraph(sched.program->program));
         EXPECT_EQ(std::count(dead.begin(), dead.end(), 1), 0)
             << modelName << " node " << sched.node;
-        const LintResult lint = lintPackedProgram(*sched.program);
-        EXPECT_EQ(lint.counts.deadStore, 0u)
+        const ScheduleCheck check =
+            checkSchedule(*sched.program, LintDepth::Full);
+        EXPECT_EQ(check.lint.deadStore, 0u)
             << modelName << " node " << sched.node;
-        EXPECT_EQ(lint.counts.errors, 0u)
+        EXPECT_EQ(check.errors(), 0u)
             << modelName << " node " << sched.node;
     }
 }

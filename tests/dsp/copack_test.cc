@@ -3,9 +3,10 @@
  * Differential tests for the mask-based register footprints and the
  * CopackModel pair tables (dsp/copack.h).
  *
- * The hazard lint verifies the packer's co-pack delay claims by querying
- * CopackModel, and FastIdg forwards its copackDelay to the same tables --
- * so these tests pin the two equivalences everything rests on:
+ * The schedule check table verifies the packer's co-pack delay claims
+ * by querying CopackModel, and FastIdg forwards its copackDelay to the
+ * same tables -- so these tests pin the two equivalences everything
+ * rests on:
  *
  *  - regMasks(inst) is exactly the bit-mask form of the regReads /
  *    regWrites uid lists, for every instruction shape;

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "analysis/lint.h"
+#include "analysis/schedule_check.h"
 #include "common/rng.h"
 #include "kernels/elementwise.h"
 #include "kernels/runner.h"
@@ -80,9 +81,10 @@ TEST_P(ElementwiseOps, EmitsNoDeadCode)
     EXPECT_EQ(std::count(dead.begin(), dead.end(), 1), 0);
 
     const dsp::PackedProgram packed = vliw::pack(kernel.program());
-    const analysis::LintResult lint = analysis::lintPackedProgram(packed);
-    EXPECT_EQ(lint.counts.deadStore, 0u);
-    EXPECT_EQ(lint.counts.errors, 0u);
+    const analysis::ScheduleCheck check =
+        analysis::checkSchedule(packed, analysis::LintDepth::Full);
+    EXPECT_EQ(check.lint.deadStore, 0u);
+    EXPECT_EQ(check.errors(), 0u);
 }
 
 std::string

@@ -3,7 +3,7 @@
  * Mutation smoke check for the compilation auditors (CI: driven by
  * scripts/check_audit.py).
  *
- * Three modes, each printing machine-parseable lines on stdout:
+ * Four modes, each printing machine-parseable lines on stdout:
  *
  *   corrupt-selection  seed selection-level corruptions (out-of-range
  *                      plan, dead-node plan, dishonest totalCost,
@@ -11,7 +11,9 @@
  *                      findings select::auditSelection raises for each;
  *   corrupt-schedule   seed schedule-level corruptions (duplicated /
  *                      dropped instructions, co-packed hard dependency,
- *                      broken label map) against vliw::auditSchedule;
+ *                      overcommitted packet, same-packet write conflict,
+ *                      broken label map) and report how many Errors the
+ *                      Cheap served-schedule gate raises for each;
  *   clean-zoo          compile all ten evaluation models with the audit
  *                      pass enabled and report per-model Error/Warning
  *                      diagnostic counts (all must be zero);
@@ -28,11 +30,12 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "analysis/schedule_check.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
 #include "select/audit.h"
-#include "vliw/audit.h"
 #include "vliw/packer.h"
 
 namespace {
@@ -99,10 +102,26 @@ runCorruptSelection()
     return 0;
 }
 
+/** Run @p packed through the Cheap served-schedule gate and print its
+ *  Error count. */
 void
-reportSchedule(const char *label, size_t findings)
+reportSchedule(const char *label, const dsp::PackedProgram &packed)
 {
+    const size_t findings =
+        analysis::checkSchedule(packed, analysis::LintDepth::Cheap)
+            .errors();
     std::printf("corrupt-schedule %s findings=%zu\n", label, findings);
+}
+
+/** A hand-packed program: each inner list is one packet. */
+dsp::PackedProgram
+packAs(dsp::Program prog, std::vector<std::vector<size_t>> packets)
+{
+    dsp::PackedProgram packed;
+    for (std::vector<size_t> &insts : packets)
+        packed.packets.push_back(dsp::Packet{std::move(insts)});
+    packed.program = std::move(prog);
+    return packed;
 }
 
 int
@@ -120,13 +139,12 @@ runCorruptSchedule()
     prog.push(dsp::makeJumpNz(dsp::sreg(5), loop));
     const dsp::PackedProgram clean = vliw::pack(prog);
 
-    reportSchedule("control-clean", vliw::auditSchedule(clean).size());
+    reportSchedule("control-clean", clean);
 
     dsp::PackedProgram duplicated = clean;
     duplicated.packets.back().insts.push_back(
         duplicated.packets.front().insts.front());
-    reportSchedule("duplicated-instruction",
-                   vliw::auditSchedule(duplicated).size());
+    reportSchedule("duplicated-instruction", duplicated);
 
     dsp::PackedProgram dropped = clean;
     for (auto &packet : dropped.packets)
@@ -134,8 +152,7 @@ runCorruptSchedule()
             packet.insts.pop_back();
             break;
         }
-    reportSchedule("dropped-instruction",
-                   vliw::auditSchedule(dropped).size());
+    reportSchedule("dropped-instruction", dropped);
 
     // Co-pack the vload with the vaddb that consumes v1: vector RAW is
     // a hard dependency and may never share a packet.
@@ -159,13 +176,27 @@ runCorruptSchedule()
         merged.packets.erase(merged.packets.begin() +
                              static_cast<long>(consumerPacket));
     }
-    reportSchedule("co-packed-hard-dep",
-                   vliw::auditSchedule(merged).size());
+    reportSchedule("co-packed-hard-dep", merged);
 
     dsp::PackedProgram badLabel = clean;
     badLabel.labelPacket[0] = badLabel.packets.size() + 7;
-    reportSchedule("label-past-end",
-                   vliw::auditSchedule(badLabel).size());
+    reportSchedule("label-past-end", badLabel);
+
+    // Three multiplies in one packet: the DSP has two multiply pipes.
+    dsp::Program mults;
+    mults.push(dsp::makeMovi(dsp::sreg(1), 2));
+    mults.push(dsp::makeMovi(dsp::sreg(2), 3));
+    for (int dst = 3; dst <= 5; ++dst)
+        mults.push(dsp::makeBinary(dsp::Opcode::MUL, dsp::sreg(dst),
+                                   dsp::sreg(1), dsp::sreg(2)));
+    reportSchedule("overcommitted-packet",
+                   packAs(std::move(mults), {{0, 1}, {2, 3, 4}}));
+
+    // Two writes of r1 in one packet race in the write stage.
+    dsp::Program writes;
+    writes.push(dsp::makeMovi(dsp::sreg(1), 5));
+    writes.push(dsp::makeMovi(dsp::sreg(1), 6));
+    reportSchedule("write-conflict", packAs(std::move(writes), {{0, 1}}));
     return 0;
 }
 

@@ -3,11 +3,13 @@
  * Dataflow lint CLI (CI: driven by scripts/check_lint.py).
  *
  * Compiles evaluation models (audit off -- this tool IS the audit) and
- * runs every analysis/lint.h analyzer over each distinct packed program
- * the compile serves. Prints machine-parseable per-program counts, every
- * finding verbatim, and a summary line; the exit code is the maximum
- * severity seen (0 = clean/info, 1 = warnings only, 2 = errors), so CI
- * can gate on "no Error-severity diagnostics on any served kernel".
+ * runs the Deep served-schedule gate (analysis/schedule_check.h: the
+ * schedule check table plus every analysis/lint.h analyzer) over each
+ * distinct packed program the compile serves. Prints machine-parseable
+ * per-program counts, every finding verbatim, and a summary line; the
+ * exit code is the maximum severity seen (0 = clean/info, 1 = warnings
+ * only, 2 = errors), so CI can gate on "no Error-severity diagnostics
+ * on any served kernel".
  *
  * With --json the tool instead emits one JSON document keyed on the
  * *stable* fields of each finding -- diagnostic code, severity, node
@@ -23,7 +25,7 @@
 #include <vector>
 
 #include "analysis/dataflow.h"
-#include "analysis/lint.h"
+#include "analysis/schedule_check.h"
 #include "common/diag.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
@@ -44,6 +46,8 @@ struct ModelReport
     std::string name;
     size_t programs = 0;
     analysis::LintCounts counts;
+    /** Findings that fail the gate: schedule check and lint Errors. */
+    size_t errors = 0;
     std::vector<Finding> findings;
 };
 
@@ -63,16 +67,17 @@ lintModel(const models::ModelInfo &info)
          model.schedules) {
         if (!sched.program || !distinct.insert(sched.program.get()).second)
             continue;
-        const analysis::LintResult result =
-            analysis::lintPackedProgram(*sched.program);
-        report.counts += result.counts;
+        const analysis::ScheduleCheck check = analysis::checkSchedule(
+            *sched.program, analysis::LintDepth::Full);
+        report.counts += check.lint;
+        report.errors += check.errors();
 
         // Resolve each finding's anchor instruction to its basic block
         // so JSON consumers get a position that is stable under message
         // rewording (codes + positions are the golden-baseline key).
         const analysis::BlockGraph graph =
             analysis::buildBlockGraph(*sched.program);
-        for (const common::Diag &diag : result.diags) {
+        for (const common::Diag &diag : check.diags) {
             Finding finding;
             finding.diag = diag;
             if (diag.node >= 0 && graph.program &&
@@ -91,13 +96,13 @@ void
 printText(const ModelReport &report)
 {
     std::printf("lint model=%s programs=%zu use-def=%zu dead-store=%zu "
-                "hazards=%zu noalias=%zu redundant-load=%zu bounds=%zu "
-                "errors=%zu warnings=%zu\n",
+                "noalias=%zu redundant-load=%zu bounds=%zu errors=%zu "
+                "warnings=%zu\n",
                 report.name.c_str(), report.programs,
                 report.counts.useBeforeDef, report.counts.deadStore,
-                report.counts.hazards, report.counts.noalias,
-                report.counts.redundantLoad, report.counts.bounds,
-                report.counts.errors, report.counts.warnings);
+                report.counts.noalias, report.counts.redundantLoad,
+                report.counts.bounds, report.errors,
+                report.counts.warnings);
     for (const Finding &finding : report.findings)
         std::printf("diag model=%s %s\n", report.name.c_str(),
                     finding.diag.toString().c_str());
@@ -117,9 +122,9 @@ printJson(const std::vector<ModelReport> &reports, size_t programs,
         for (size_t f = 0; f < report.findings.size(); ++f) {
             const Finding &finding = report.findings[f];
             const common::Diag &diag = finding.diag;
-            // node == instruction for lint diags (they anchor on
-            // instruction indexes); both are emitted so consumers need
-            // not know that convention.
+            // node == instruction (findings anchor on instruction
+            // indexes, or -1 for the whole program); both are emitted
+            // so consumers need not know that convention.
             std::printf("%s\n        {\"code\": \"%s\", "
                         "\"severity\": \"%s\", \"node\": %lld, "
                         "\"block\": %d, \"instruction\": %lld}",
@@ -179,7 +184,7 @@ main(int argc, char **argv)
             continue;
         reports.push_back(lintModel(info));
         programs += reports.back().programs;
-        errors += reports.back().counts.errors;
+        errors += reports.back().errors;
         warnings += reports.back().counts.warnings;
     }
 
