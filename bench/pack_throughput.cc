@@ -31,7 +31,6 @@
  * checked-in baseline (bench/pack_baseline.json).
  */
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -42,12 +41,10 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/timer.h"
-#include "kernels/matmul.h"
-#include "kernels/unroll.h"
-#include "tensor/layout.h"
 #include "vliw/cfg.h"
 #include "vliw/pack_cache.h"
 #include "vliw/packer.h"
+#include "zoo_tiles.h"
 
 using namespace gcd2;
 
@@ -225,47 +222,21 @@ buildCases()
 }
 
 /**
- * One case per matmul scheme: its tile kernel at the tiered coster's low
- * anchor (8 inner-loop iterations) for every unroll choice the default
- * (adaptive) strategy makes on a grid of layer shapes, with the cost
- * model's tile geometry (one layout panel of rows and one output unit of
- * columns per unroll step).
+ * One case per matmul scheme: its zoo-block tiles (zoo_tiles.h) at the
+ * tiered coster's low anchor (8 inner-loop iterations).
  */
 std::vector<BenchCase>
 buildZooCases()
 {
-    using kernels::MatMulScheme;
     std::vector<BenchCase> cases;
-    for (const MatMulScheme scheme :
-         {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
-        const int64_t panelRows =
-            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
-        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
-                                    : scheme == MatMulScheme::Vmpa ? 2
-                                                                   : 4;
-        BenchCase c;
-        c.name = std::string("zoo_") + kernels::schemeName(scheme);
-        std::vector<std::array<int, 3>> seen;
-        for (const int64_t m : {4, 16, 64, 256, 1024}) {
-            for (const int64_t n : {4, 16, 64, 256, 1024}) {
-                const kernels::UnrollChoice choice =
-                    kernels::adaptiveUnroll({m, 1024, n}, scheme);
-                const std::array<int, 3> key{choice.outer, choice.cols,
-                                             choice.k};
-                if (std::find(seen.begin(), seen.end(), key) != seen.end())
-                    continue;
-                seen.push_back(key);
-                const kernels::MatMulShape tile{
-                    panelRows * choice.outer,
-                    kernels::kQuantum(scheme, choice.k) * 8,
-                    colsPerUnit * choice.cols};
-                c.progs.push_back(
-                    kernels::MatMulKernel(
-                        tile, kernels::withUnroll({.scheme = scheme}, choice))
-                        .program());
-            }
+    for (const bench::ZooTile &tile : bench::zooTiles()) {
+        const std::string name =
+            std::string("zoo_") + kernels::schemeName(tile.scheme);
+        if (cases.empty() || cases.back().name != name) {
+            cases.emplace_back();
+            cases.back().name = name;
         }
-        cases.push_back(std::move(c));
+        cases.back().progs.push_back(tile.kernel(8).program());
     }
     return cases;
 }

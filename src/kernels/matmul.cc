@@ -12,7 +12,6 @@ namespace {
 using dsp::Opcode;
 using dsp::Program;
 using dsp::makeAddi;
-using dsp::makeCombine4;
 using dsp::makeJumpNz;
 using dsp::makeLoad;
 using dsp::makeMov;
@@ -39,12 +38,12 @@ constexpr int kRegCPanel = 10;
 constexpr int kRegCCol = 11;
 constexpr int kRegAK = 12;
 constexpr int kRegWK = 13;
-constexpr int kRegWTemp = 14; // r14..r21: four (load, combine) pairs
+constexpr int kRegWTemp = 14; // r14..r21: weight-word rotation (stageWeight)
 constexpr int kRegKTrip = 22; // inner trip count, hoisted out of the nest
 
-// Vector register allocation: v0/v1 (and v30/v31) stage inputs, v2..v17
-// hold accumulators, v18/v19 stage spilled accumulators, v20..v29 are
-// epilogue temporaries.
+// Vector register allocation: v0, v1, v30 and v31 stage inputs (the
+// rotation in LoopNestBuilder::stageInput), v2..v17 hold accumulators,
+// v18/v19 stage spilled accumulators, v20..v29 are epilogue temporaries.
 constexpr int kFirstAccReg = 2;
 constexpr int kAccRegCount = 16;
 constexpr int kSpillStage = 18;
@@ -151,7 +150,8 @@ namespace {
 /**
  * Shared loop-nest emitter. The three schemes differ only in the panel
  * height, k step, columns per tile, the inner multiply sequence, and the
- * requantization epilogue; this driver owns the loop/pointer scaffolding.
+ * requantization epilogue; this builder owns the loop/pointer scaffolding
+ * and every register the multiplies read or accumulate into.
  */
 class LoopNestBuilder
 {
@@ -168,6 +168,8 @@ class LoopNestBuilder
         int64_t cTileStride;  ///< bytes per column tile of packed C
         int64_t aKStep;       ///< A pointer bytes per inner iteration
         int64_t wKStep;       ///< W pointer bytes per inner iteration
+        int accCols;          ///< column accumulators per tile
+        int accWidth;         ///< vectors per column accumulator (1 or 2)
     };
 
     LoopNestBuilder(Program &prog, const Params &params)
@@ -176,13 +178,13 @@ class LoopNestBuilder
     }
 
     /**
-     * Emit the full nest. @p zeroAccs, @p body and @p epilogue are invoked
-     * per unrollOut replica with the replica index o; the body is also
-     * given the inner unroll step u.
+     * Emit the full nest. @p body and @p epilogue are invoked per
+     * unrollOut replica with the replica index o; the body is also given
+     * the inner unroll step u.
      */
-    template <typename ZeroFn, typename BodyFn, typename EpilogueFn>
+    template <typename BodyFn, typename EpilogueFn>
     void
-    emit(int unrollK, ZeroFn zeroAccs, BodyFn body, EpilogueFn epilogue)
+    emit(int unrollK, BodyFn body, EpilogueFn epilogue)
     {
         prog_.push(makeMovi(sreg(0), 0));
         prog_.push(makeMovi(sreg(kRegPanelCtr), p_.panels));
@@ -204,7 +206,7 @@ class LoopNestBuilder
         const int tileLabel = prog_.newLabel();
         prog_.bindLabel(tileLabel);
         for (int o = 0; o < p_.unrollOut; ++o) {
-            zeroAccs(o);
+            zeroAccs();
             prog_.push(makeMov(sreg(kRegKCtr), sreg(kRegKTrip)));
             prog_.push(makeMov(sreg(kRegAK), sreg(kRegAPanel)));
             prog_.push(makeMov(sreg(kRegWK), sreg(kRegWTile)));
@@ -236,23 +238,114 @@ class LoopNestBuilder
         prog_.push(makeJumpNz(sreg(kRegPanelCtr), panelLabel));
     }
 
+    /*
+     * Operand staging, one rotation policy for every scheme. A load has a
+     * latency of 3, so the packer can hoist it ahead of the multiplies
+     * before it only if each operand in flight has its own register:
+     * weight word t rotates through the eight scalars r14..r21, the u-th
+     * input vector through v0, v1, v30, v31 and vmpa's u-th input pair
+     * through v0:v1, v30:v31. The rotation is sized to the load latency,
+     * not to every free register. Each returns the staged register.
+     */
+    int
+    stageWeight(int t, int64_t offset)
+    {
+        const int reg = kRegWTemp + t % 8;
+        prog_.push(makeLoad(Opcode::LOADW, sreg(reg), sreg(kRegWK), offset));
+        return reg;
+    }
+
+    int
+    stageInput(int u, int64_t offset)
+    {
+        const int reg = u % 4 < 2 ? u % 4 : 28 + u % 4;
+        prog_.push(makeVload(vreg(reg), sreg(kRegAK), offset));
+        return reg;
+    }
+
+    int
+    stageInputPair(int u, int64_t offset)
+    {
+        const int reg = u % 2 == 0 ? 0 : 30;
+        prog_.push(makeVload(vreg(reg), sreg(kRegAK), offset));
+        prog_.push(makeVload(vreg(reg + 1), sreg(kRegAK), offset + 128));
+        return reg;
+    }
+
+    /*
+     * The accumulator bank: column c accumulates in accWidth vectors from
+     * v2 on while they fit in v2..v17, and in scratch beyond that, staged
+     * through v18(:v19) around every update.
+     */
+    bool spilled(int c) const { return c >= kAccRegCount / p_.accWidth; }
+
+    int64_t
+    spillOff(int c) const
+    {
+        return static_cast<int64_t>(c - kAccRegCount / p_.accWidth) * 128 *
+               p_.accWidth;
+    }
+
+    int64_t
+    scratchBytes() const
+    {
+        return std::max<int64_t>(0, spillOff(p_.accCols));
+    }
+
+    /** Push mul(reg), reg holding column @p c's accumulator; a spilled
+     *  accumulator is reloaded before and stored back after. */
+    template <typename MulFn>
+    void
+    accumulate(int c, MulFn mul)
+    {
+        prog_.push(mul(reloadAcc(c)));
+        if (spilled(c))
+            storeSpill(c);
+    }
+
+    /** The register holding column @p c's accumulator; a spilled one is
+     *  reloaded into the stage first. */
+    int
+    reloadAcc(int c)
+    {
+        if (spilled(c))
+            for (int i = 0; i < p_.accWidth; ++i)
+                prog_.push(makeVload(vreg(kSpillStage + i),
+                                     sreg(kRegScratch),
+                                     spillOff(c) + 128 * i));
+        return accReg(c);
+    }
+
   private:
+    int
+    accReg(int c) const
+    {
+        return spilled(c) ? kSpillStage : kFirstAccReg + p_.accWidth * c;
+    }
+
+    void
+    zeroAccs()
+    {
+        for (int c = 0; c < p_.accCols; ++c) {
+            const int reg = accReg(c);
+            for (int i = 0; i < p_.accWidth; ++i)
+                prog_.push(makeVsplatw(vreg(reg + i), sreg(0)));
+            if (spilled(c))
+                storeSpill(c);
+        }
+    }
+
+    void
+    storeSpill(int c)
+    {
+        for (int i = 0; i < p_.accWidth; ++i)
+            prog_.push(makeVstore(sreg(kRegScratch), vreg(kSpillStage + i),
+                                  spillOff(c) + 128 * i));
+    }
+
     Program &prog_;
     Params p_;
 };
-
-/** Weight-staging scalar register pair for the t-th rotation slot. */
-struct WTemp
-{
-    int loadReg;
-    int packedReg;
-};
-
-WTemp
-wtemp(int t)
-{
-    return WTemp{kRegWTemp + 2 * (t % 4), kRegWTemp + 2 * (t % 4) + 1};
-}
 
 } // namespace
 
@@ -267,12 +360,20 @@ MatMulKernel::generateVmpy()
     kp_ = roundUp(shape_.k, uk);
     np_ = roundUp(shape_.n, un);
 
-    const int64_t panels = mp_ / (128 * uo);
-    const int64_t colTiles = np_ / un;
-    const int64_t kIters = kp_ / uk;
-
-    const int maxAccPairs = kAccRegCount / 2; // 8 live column accumulators
-    const int spillCols = std::max(0, un - maxAccPairs);
+    LoopNestBuilder::Params params;
+    params.panels = mp_ / (128 * uo);
+    params.colTiles = np_ / un;
+    params.kIters = kp_ / uk;
+    params.unrollOut = uo;
+    params.aPanelStride = 128 * kp_;
+    params.cPanelStride = 128 * np_;
+    params.wTileStride = static_cast<int64_t>(un) * kp_ * 4;
+    params.cTileStride = static_cast<int64_t>(un) * 128;
+    params.aKStep = 128;
+    params.wKStep = 4;
+    params.accCols = un;
+    params.accWidth = 2; // 16-bit product pairs: 8 live columns
+    LoopNestBuilder nest(prog_, params);
 
     buffers_.inputBytes = mp_ * kp_;
     // vmpy splats one weight across a whole vector; the compile-time
@@ -281,76 +382,22 @@ MatMulKernel::generateVmpy()
     // load + splat pair (the "pre-designed" layouts of Section III).
     buffers_.weightBytes = np_ * kp_ * 4;
     buffers_.outputBytes = mp_ * np_;
-    buffers_.scratchBytes = static_cast<int64_t>(spillCols) * 256;
+    buffers_.scratchBytes = nest.scratchBytes();
     declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
 
-    LoopNestBuilder::Params params;
-    params.panels = panels;
-    params.colTiles = colTiles;
-    params.kIters = kIters;
-    params.unrollOut = uo;
-    params.aPanelStride = 128 * kp_;
-    params.cPanelStride = 128 * np_;
-    params.wTileStride = static_cast<int64_t>(un) * kp_ * 4;
-    params.cTileStride = static_cast<int64_t>(un) * 128;
-    params.aKStep = 128;
-    params.wKStep = 4;
-
-    auto accPair = [&](int j) { return kFirstAccReg + 2 * j; };
-    auto spilled = [&](int j) { return j >= maxAccPairs; };
-    auto spillOff = [&](int j) {
-        return static_cast<int64_t>(j - maxAccPairs) * 256;
-    };
-
-    LoopNestBuilder nest(prog_, params);
     nest.emit(
         uk,
-        // Zero the accumulators (spilled columns live in scratch).
-        [&](int) {
-            for (int j = 0; j < un; ++j) {
-                if (!spilled(j)) {
-                    prog_.push(makeVsplatw(vreg(accPair(j)), sreg(0)));
-                    prog_.push(makeVsplatw(vreg(accPair(j) + 1), sreg(0)));
-                } else {
-                    prog_.push(makeVsplatw(vreg(kSpillStage), sreg(0)));
-                    prog_.push(makeVsplatw(vreg(kSpillStage + 1), sreg(0)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage), spillOff(j)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage + 1),
-                                          spillOff(j) + 128));
-                }
-            }
-        },
         // Inner body: one activation column vector feeds all tile columns.
         [&](int o, int u) {
-            const int in = u % 2; // v0 / v1 rotation
-            prog_.push(makeVload(vreg(in), sreg(kRegAK),
-                                 u * 128 + static_cast<int64_t>(o) * 128 *
-                                               kp_));
+            const int in = nest.stageInput(
+                u, u * 128 + static_cast<int64_t>(o) * 128 * kp_);
             for (int j = 0; j < un; ++j) {
-                const WTemp w = wtemp(u * un + j);
-                prog_.push(makeLoad(Opcode::LOADW, sreg(w.packedReg),
-                                    sreg(kRegWK),
-                                    (static_cast<int64_t>(j) * kp_ + u) *
-                                        4));
-                if (!spilled(j)) {
-                    prog_.push(makeVmpy(Opcode::VMPYACC, vreg(accPair(j)),
-                                        vreg(in), sreg(w.packedReg)));
-                } else {
-                    prog_.push(makeVload(vreg(kSpillStage),
-                                         sreg(kRegScratch), spillOff(j)));
-                    prog_.push(makeVload(vreg(kSpillStage + 1),
-                                         sreg(kRegScratch),
-                                         spillOff(j) + 128));
-                    prog_.push(makeVmpy(Opcode::VMPYACC, vreg(kSpillStage),
-                                        vreg(in), sreg(w.packedReg)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage), spillOff(j)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage + 1),
-                                          spillOff(j) + 128));
-                }
+                const int w = nest.stageWeight(
+                    u * un + j, (static_cast<int64_t>(j) * kp_ + u) * 4);
+                nest.accumulate(j, [&](int acc) {
+                    return makeVmpy(Opcode::VMPYACC, vreg(acc), vreg(in),
+                                    sreg(w));
+                });
             }
         },
         // Epilogue: reorder even/odd products, requantize, store.
@@ -358,15 +405,7 @@ MatMulKernel::generateVmpy()
             for (int j = 0; j < un; ++j) {
                 const int shuffBase = (j % 2 == 0) ? 20 : 24;
                 const int asrDst = (j % 2 == 0) ? 22 : 26;
-                int src = accPair(j);
-                if (spilled(j)) {
-                    prog_.push(makeVload(vreg(kSpillStage),
-                                         sreg(kRegScratch), spillOff(j)));
-                    prog_.push(makeVload(vreg(kSpillStage + 1),
-                                         sreg(kRegScratch),
-                                         spillOff(j) + 128));
-                    src = kSpillStage;
-                }
+                const int src = nest.reloadAcc(j);
                 prog_.push(makeVshuff(Opcode::VSHUFF, vreg(shuffBase),
                                       vreg(src), vreg(src + 1),
                                       /*laneLog2=*/1));
@@ -386,29 +425,16 @@ MatMulKernel::generateVmpa()
     const int uo = config_.unrollOut;
     const int un = config_.unrollCols; // column *pairs* per tile
     const int uk = config_.unrollK;   // k-groups of 4 per iteration
+    const int cols = 2 * un;
 
     mp_ = roundUp(shape_.m, 64 * uo);
     kp_ = roundUp(shape_.k, 4 * uk);
-    np_ = roundUp(shape_.n, 2 * un);
-
-    const int64_t panels = mp_ / (64 * uo);
-    const int64_t colTiles = np_ / (2 * un);
-    const int64_t kIters = kp_ / (4 * uk);
-
-    const int cols = 2 * un;
-    const int maxAccPairs = kAccRegCount / 2;
-    const int spillCols = std::max(0, cols - maxAccPairs);
-
-    buffers_.inputBytes = mp_ * kp_;
-    buffers_.weightBytes = np_ * kp_;
-    buffers_.outputBytes = mp_ * np_;
-    buffers_.scratchBytes = static_cast<int64_t>(spillCols) * 256;
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
+    np_ = roundUp(shape_.n, cols);
 
     LoopNestBuilder::Params params;
-    params.panels = panels;
-    params.colTiles = colTiles;
-    params.kIters = kIters;
+    params.panels = mp_ / (64 * uo);
+    params.colTiles = np_ / cols;
+    params.kIters = kp_ / (4 * uk);
     params.unrollOut = uo;
     params.aPanelStride = 64 * kp_;
     params.cPanelStride = 64 * np_;
@@ -416,60 +442,29 @@ MatMulKernel::generateVmpa()
     params.cTileStride = static_cast<int64_t>(un) * 128;
     params.aKStep = 256; // four columns = two 128-byte blocks
     params.wKStep = 4;
-
-    auto accPair = [&](int c) { return kFirstAccReg + 2 * c; };
-    auto spilled = [&](int c) { return c >= maxAccPairs; };
-    auto spillOff = [&](int c) {
-        return static_cast<int64_t>(c - maxAccPairs) * 256;
-    };
-
+    params.accCols = cols;
+    params.accWidth = 2; // k-low / k-high halves, folded in the epilogue
     LoopNestBuilder nest(prog_, params);
+
+    buffers_.inputBytes = mp_ * kp_;
+    buffers_.weightBytes = np_ * kp_;
+    buffers_.outputBytes = mp_ * np_;
+    buffers_.scratchBytes = nest.scratchBytes();
+    declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
+
     nest.emit(
         uk,
-        [&](int) {
-            for (int c = 0; c < cols; ++c) {
-                if (!spilled(c)) {
-                    prog_.push(makeVsplatw(vreg(accPair(c)), sreg(0)));
-                    prog_.push(makeVsplatw(vreg(accPair(c) + 1), sreg(0)));
-                } else {
-                    prog_.push(makeVsplatw(vreg(kSpillStage), sreg(0)));
-                    prog_.push(makeVsplatw(vreg(kSpillStage + 1), sreg(0)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage), spillOff(c)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage + 1),
-                                          spillOff(c) + 128));
-                }
-            }
-        },
         [&](int o, int u) {
-            const int in = (u % 2 == 0) ? 0 : 30; // v0:v1 / v30:v31
-            const int64_t aOff = static_cast<int64_t>(u) * 256 +
-                                 static_cast<int64_t>(o) * 64 * kp_;
-            prog_.push(makeVload(vreg(in), sreg(kRegAK), aOff));
-            prog_.push(makeVload(vreg(in + 1), sreg(kRegAK), aOff + 128));
+            const int in = nest.stageInputPair(
+                u, static_cast<int64_t>(u) * 256 +
+                       static_cast<int64_t>(o) * 64 * kp_);
             for (int c = 0; c < cols; ++c) {
-                const WTemp w = wtemp(u * cols + c);
-                prog_.push(makeLoad(Opcode::LOADW, sreg(w.packedReg),
-                                    sreg(kRegWK),
-                                    static_cast<int64_t>(c) * kp_ + 4 * u));
-                if (!spilled(c)) {
-                    prog_.push(makeVmpa(Opcode::VMPA, vreg(accPair(c)),
-                                        vreg(in), sreg(w.packedReg)));
-                } else {
-                    prog_.push(makeVload(vreg(kSpillStage),
-                                         sreg(kRegScratch), spillOff(c)));
-                    prog_.push(makeVload(vreg(kSpillStage + 1),
-                                         sreg(kRegScratch),
-                                         spillOff(c) + 128));
-                    prog_.push(makeVmpa(Opcode::VMPA, vreg(kSpillStage),
-                                        vreg(in), sreg(w.packedReg)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage), spillOff(c)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage + 1),
-                                          spillOff(c) + 128));
-                }
+                const int w = nest.stageWeight(
+                    u * cols + c, static_cast<int64_t>(c) * kp_ + 4 * u);
+                nest.accumulate(c, [&](int acc) {
+                    return makeVmpa(Opcode::VMPA, vreg(acc), vreg(in),
+                                    sreg(w));
+                });
             }
         },
         [&](int o) {
@@ -480,19 +475,10 @@ MatMulKernel::generateVmpa()
                 const int shuffBase = alt ? 28 : 24;
                 const int asrDst = alt ? 27 : 26;
 
+                // Fold the k-high half into the k-low half (paper: the
+                // two output vectors "need to be further added").
                 auto foldInto = [&](int c, int dst) {
-                    int src = accPair(c);
-                    if (spilled(c)) {
-                        prog_.push(makeVload(vreg(kSpillStage),
-                                             sreg(kRegScratch),
-                                             spillOff(c)));
-                        prog_.push(makeVload(vreg(kSpillStage + 1),
-                                             sreg(kRegScratch),
-                                             spillOff(c) + 128));
-                        src = kSpillStage;
-                    }
-                    // Fold the k-high half into the k-low half (paper: the
-                    // two output vectors "need to be further added").
+                    const int src = nest.reloadAcc(c);
                     prog_.push(makeVecBinary(Opcode::VADDH, vreg(dst),
                                              vreg(src), vreg(src + 1)));
                 };
@@ -517,29 +503,16 @@ MatMulKernel::generateVrmpy()
     const int uo = config_.unrollOut;
     const int un = config_.unrollCols; // column *quads* per tile
     const int uk = config_.unrollK;    // k-groups of 4 per iteration
+    const int cols = 4 * un;
 
     mp_ = roundUp(shape_.m, 32 * uo);
     kp_ = roundUp(shape_.k, 4 * uk);
-    np_ = roundUp(shape_.n, 4 * un);
-
-    const int64_t panels = mp_ / (32 * uo);
-    const int64_t colTiles = np_ / (4 * un);
-    const int64_t kIters = kp_ / (4 * uk);
-
-    const int cols = 4 * un;
-    const int maxAccRegs = kAccRegCount; // one vector per column
-    const int spillCols = std::max(0, cols - maxAccRegs);
-
-    buffers_.inputBytes = mp_ * kp_;
-    buffers_.weightBytes = np_ * kp_;
-    buffers_.outputBytes = mp_ * np_;
-    buffers_.scratchBytes = static_cast<int64_t>(spillCols) * 128;
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
+    np_ = roundUp(shape_.n, cols);
 
     LoopNestBuilder::Params params;
-    params.panels = panels;
-    params.colTiles = colTiles;
-    params.kIters = kIters;
+    params.panels = mp_ / (32 * uo);
+    params.colTiles = np_ / cols;
+    params.kIters = kp_ / (4 * uk);
     params.unrollOut = uo;
     params.aPanelStride = 32 * kp_;
     params.cPanelStride = 32 * np_;
@@ -547,48 +520,28 @@ MatMulKernel::generateVrmpy()
     params.cTileStride = static_cast<int64_t>(un) * 128;
     params.aKStep = 128;
     params.wKStep = 4;
-
-    auto accReg = [&](int c) { return kFirstAccReg + c; };
-    auto spilled = [&](int c) { return c >= maxAccRegs; };
-    auto spillOff = [&](int c) {
-        return static_cast<int64_t>(c - maxAccRegs) * 128;
-    };
-
+    params.accCols = cols;
+    params.accWidth = 1; // 32-bit lanes: one vector per column
     LoopNestBuilder nest(prog_, params);
+
+    buffers_.inputBytes = mp_ * kp_;
+    buffers_.weightBytes = np_ * kp_;
+    buffers_.outputBytes = mp_ * np_;
+    buffers_.scratchBytes = nest.scratchBytes();
+    declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
+
     nest.emit(
         uk,
-        [&](int) {
-            for (int c = 0; c < cols; ++c) {
-                if (!spilled(c)) {
-                    prog_.push(makeVsplatw(vreg(accReg(c)), sreg(0)));
-                } else {
-                    prog_.push(makeVsplatw(vreg(kSpillStage), sreg(0)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage), spillOff(c)));
-                }
-            }
-        },
         [&](int o, int u) {
-            const int in = u % 2;
-            prog_.push(makeVload(vreg(in), sreg(kRegAK),
-                                 static_cast<int64_t>(u) * 128 +
-                                     static_cast<int64_t>(o) * 32 * kp_));
+            const int in = nest.stageInput(
+                u, static_cast<int64_t>(u) * 128 +
+                       static_cast<int64_t>(o) * 32 * kp_);
             for (int c = 0; c < cols; ++c) {
-                const WTemp w = wtemp(u * cols + c);
-                prog_.push(makeLoad(Opcode::LOADW, sreg(w.packedReg),
-                                    sreg(kRegWK),
-                                    static_cast<int64_t>(c) * kp_ + 4 * u));
-                if (!spilled(c)) {
-                    prog_.push(makeVrmpy(vreg(accReg(c)), vreg(in),
-                                         sreg(w.packedReg)));
-                } else {
-                    prog_.push(makeVload(vreg(kSpillStage),
-                                         sreg(kRegScratch), spillOff(c)));
-                    prog_.push(makeVrmpy(vreg(kSpillStage), vreg(in),
-                                         sreg(w.packedReg)));
-                    prog_.push(makeVstore(sreg(kRegScratch),
-                                          vreg(kSpillStage), spillOff(c)));
-                }
+                const int w = nest.stageWeight(
+                    u * cols + c, static_cast<int64_t>(c) * kp_ + 4 * u);
+                nest.accumulate(c, [&](int acc) {
+                    return makeVrmpy(vreg(acc), vreg(in), sreg(w));
+                });
             }
         },
         [&](int o) {
@@ -597,20 +550,18 @@ MatMulKernel::generateVrmpy()
                 int src[4];
                 for (int i = 0; i < 4; ++i) {
                     const int c = 4 * q + i;
-                    if (spilled(c)) {
-                        const int stage = kSpillStage + (i % 2);
-                        prog_.push(makeVload(vreg(stage),
-                                             sreg(kRegScratch),
-                                             spillOff(c)));
-                        // Immediately interleave to free the stage pair:
-                        // handled by using distinct temporaries below.
-                        prog_.push(makeVecBinary(Opcode::VMOV,
-                                                 vreg(20 + i), vreg(stage),
-                                                 vreg(stage)));
-                        src[i] = 20 + i;
-                    } else {
-                        src[i] = accReg(c);
+                    if (!nest.spilled(c)) {
+                        src[i] = nest.reloadAcc(c);
+                        continue;
                     }
+                    const int stage = kSpillStage + (i % 2);
+                    prog_.push(makeVload(vreg(stage), sreg(kRegScratch),
+                                         nest.spillOff(c)));
+                    // Immediately interleave to free the stage pair:
+                    // handled by using distinct temporaries below.
+                    prog_.push(makeVecBinary(Opcode::VMOV, vreg(20 + i),
+                                             vreg(stage), vreg(stage)));
+                    src[i] = 20 + i;
                 }
                 // Word-interleave column pairs, narrow to halfwords.
                 prog_.push(makeVshuff(Opcode::VSHUFF, vreg(24),

@@ -5,8 +5,8 @@
  * One generator per SIMD multiply instruction, each demanding its layout:
  *
  *  - Vmpy / 1-column: per output column, walk K one column-vector at a
- *    time; each weight byte is splatted (LOADB + COMBINE4) and multiplied
- *    against 128 rows at once. Products are 16-bit pairs, shuffled back to
+ *    time; each weight byte, replicated into a word at pack time, is
+ *    loaded with one LOADW and multiplied against 128 rows at once. Products are 16-bit pairs, shuffled back to
  *    row order and requantized with VASRHUB.
  *  - Vmpa / 2-column: k advances four columns per step using a vector pair
  *    (two interleaved column pairs); each vmpa retires 256 MACs. The two

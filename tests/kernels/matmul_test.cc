@@ -3,12 +3,14 @@
  * MatMul kernel correctness: simulated execution must match the exact
  * host reference for every scheme, across shapes (including non-multiples
  * of the panel sizes, exercising the padding paths), unroll factors
- * (including register-spilling ones), and packing policies.
+ * (including register-spilling ones), and packing policies; and the
+ * adaptive vrmpy tile must hide its load latency at steady state.
  */
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "kernels/runner.h"
+#include "kernels/unroll.h"
 
 namespace gcd2::kernels {
 namespace {
@@ -142,23 +144,65 @@ TEST_P(MatMulUnroll, UnrolledKernelsStayCorrect)
     config.unrollOut = uo;
     config.unrollCols = un;
     config.unrollK = uk;
-    const MatMulShape shape{64, 24, 20};
-    expectMatchesReference(shape, config, /*fullRange=*/true,
-                           static_cast<uint64_t>(uo * 100 + un * 10 + uk));
+    // Ragged in every dimension for every scheme's padding, with at
+    // least two k-iterations so the operand rotations cross the loop's
+    // back edge.
+    const MatMulShape shape{150, 37, 29};
+    expectMatchesReference(
+        shape, config, /*fullRange=*/true,
+        static_cast<uint64_t>(static_cast<int>(scheme) * 1000 + uo * 100 +
+                              un * 10 + uk));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Factors, MatMulUnroll,
-    ::testing::Values(
-        std::make_tuple(MatMulScheme::Vmpy, 1, 2, 2),
-        std::make_tuple(MatMulScheme::Vmpy, 2, 4, 1),
-        std::make_tuple(MatMulScheme::Vmpy, 1, 12, 1), // spills (8 max)
-        std::make_tuple(MatMulScheme::Vmpa, 1, 2, 2),
-        std::make_tuple(MatMulScheme::Vmpa, 2, 4, 1),
-        std::make_tuple(MatMulScheme::Vmpa, 1, 6, 1), // 12 cols: spills
-        std::make_tuple(MatMulScheme::Vrmpy, 1, 2, 2),
-        std::make_tuple(MatMulScheme::Vrmpy, 2, 2, 4),
-        std::make_tuple(MatMulScheme::Vrmpy, 1, 5, 1))); // 20 cols: spills
+/** Every scheme x unrollCandidates(), plus off-grid column tiles that
+ *  spill past the accumulator budget. */
+std::vector<std::tuple<MatMulScheme, int, int, int>>
+unrollGrid()
+{
+    std::vector<std::tuple<MatMulScheme, int, int, int>> grid;
+    for (MatMulScheme scheme :
+         {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy})
+        for (const UnrollChoice &choice : unrollCandidates())
+            grid.emplace_back(scheme, choice.outer, choice.cols, choice.k);
+    grid.emplace_back(MatMulScheme::Vmpy, 1, 12, 1); // 12 pairs, 8 fit
+    grid.emplace_back(MatMulScheme::Vmpa, 1, 6, 1);  // 12 columns
+    grid.emplace_back(MatMulScheme::Vrmpy, 1, 5, 1); // 20 columns
+    return grid;
+}
+
+INSTANTIATE_TEST_SUITE_P(Factors, MatMulUnroll,
+                         ::testing::ValuesIn(unrollGrid()));
+
+TEST(MatMulLatency, AdaptiveVrmpyTileHidesItsLoads)
+{
+    // The adaptive vrmpy tile for near-square outputs (4 column quads,
+    // k-unroll 4) runs 64 vrmpys per k-iteration, so the two multiply
+    // pipes bound its steady state at 32 cycles. Loads take 3 cycles:
+    // unless every operand in flight has its own register, the packer
+    // cannot hide them and the tile runs far above that bound.
+    const MatMulConfig config =
+        withUnroll({.scheme = MatMulScheme::Vrmpy}, UnrollChoice{1, 4, 4});
+    auto cyclesAt = [&](int64_t iters) {
+        const MatMulKernel kernel(
+            {32, kQuantum(config.scheme, config.unrollK) * iters, 16},
+            config);
+        EXPECT_EQ(kernel.kIters(), iters);
+        return static_cast<double>(
+            runKernel(kernel.program(), kernel.buffers(), {}, {})
+                .stats.cycles);
+    };
+    const double perIter = (cyclesAt(24) - cyclesAt(8)) / 16.0;
+
+    // Every multiply of the tile sits in its one k loop.
+    const MatMulKernel tile({32, 128, 16}, config);
+    int multUnits = 0;
+    for (const dsp::Instruction &inst : tile.program().code)
+        multUnits += inst.info().multUnits;
+    const double pipeBound = multUnits / 2.0;
+    EXPECT_EQ(pipeBound, 32.0);
+    EXPECT_LE(perIter, 1.45 * pipeBound)
+        << perIter << " cycles per k-iteration";
+}
 
 TEST(MatMulUnrollPerf, SpillingSlowsKernelsDown)
 {

@@ -44,56 +44,56 @@ struct GoldenRow
 
 // clang-format off
 const std::vector<GoldenRow> kGolden = {
-    {"MobileNet-V3", "default", 0x7fa45c7c2c605638ull, 7998451ull, 1560ull},
-    {"MobileNet-V3", "deep", 0x7fa45c7c2c605638ull, 7998451ull, 1560ull},
-    {"MobileNet-V3", "fusion", 0x3af9953fd4944973ull, 7983841ull, 1532ull},
-    {"MobileNet-V3", "no-lut", 0xbb78cbab023cfdbdull, 8264262ull, 1494ull},
-    {"MobileNet-V3", "uniform", 0x80a13386c49384aull, 8942125ull, 1548ull},
-    {"EfficientNet-b0", "default", 0xa8a3a581dc4cd543ull, 13052101ull, 1699ull},
-    {"EfficientNet-b0", "deep", 0xa8a3a581dc4cd543ull, 13052101ull, 1699ull},
-    {"EfficientNet-b0", "fusion", 0x5a4765d5732eb88dull, 13043338ull, 1657ull},
-    {"EfficientNet-b0", "no-lut", 0xc307ef403a3f9d99ull, 13598370ull, 1687ull},
-    {"EfficientNet-b0", "uniform", 0xf46ed68432fe3bedull, 13829070ull, 1662ull},
-    {"ResNet-50", "default", 0x3f1c387f5071c484ull, 44248363ull, 882ull},
-    {"ResNet-50", "deep", 0x3f1c387f5071c484ull, 44248363ull, 882ull},
-    {"ResNet-50", "fusion", 0xe6208395ab4c0d09ull, 44063703ull, 882ull},
-    {"ResNet-50", "no-lut", 0x1a91c37a409c2102ull, 44346667ull, 882ull},
-    {"ResNet-50", "uniform", 0x3599f05bf7f96f10ull, 52105223ull, 882ull},
-    {"FST", "default", 0x7a0b303a29dce774ull, 2193009392ull, 195ull},
-    {"FST", "deep", 0x7a0b303a29dce774ull, 2193009392ull, 195ull},
-    {"FST", "fusion", 0x7a0b303a29dce774ull, 2193009392ull, 195ull},
-    {"FST", "no-lut", 0xc2b35bea5bf9e6f7ull, 2213456624ull, 195ull},
-    {"FST", "uniform", 0x4d930edca77cc143ull, 2193009392ull, 195ull},
-    {"CycleGAN", "default", 0x9534af277093327aull, 2178436019ull, 202ull},
-    {"CycleGAN", "deep", 0x9534af277093327aull, 2178436019ull, 202ull},
-    {"CycleGAN", "fusion", 0xd9439345b9e56d3full, 2178415441ull, 195ull},
-    {"CycleGAN", "no-lut", 0xc83db9df9048f45bull, 2209050577ull, 201ull},
-    {"CycleGAN", "uniform", 0xcd0dee9f845f964cull, 2178436019ull, 202ull},
-    {"WDSR-b", "default", 0xe6814c664300fef4ull, 142210664ull, 145ull},
-    {"WDSR-b", "deep", 0xe6814c664300fef4ull, 142210664ull, 145ull},
-    {"WDSR-b", "fusion", 0xa5bc7cc04369d4bdull, 141562096ull, 140ull},
-    {"WDSR-b", "no-lut", 0xe6814c664300fef4ull, 142210664ull, 145ull},
-    {"WDSR-b", "uniform", 0x824c8a9377ea083ull, 190003112ull, 169ull},
-    {"EfficientDet-d0", "default", 0x3516b1249276385ull, 62171741ull, 1754ull},
-    {"EfficientDet-d0", "deep", 0x3516b1249276385ull, 62171741ull, 1754ull},
-    {"EfficientDet-d0", "fusion", 0x9b3446f70f4ef336ull, 62315207ull, 1760ull},
-    {"EfficientDet-d0", "no-lut", 0xe3ffdf92a083ff4cull, 62661722ull, 1749ull},
-    {"EfficientDet-d0", "uniform", 0xfd1673e3e27073b2ull, 67498753ull, 1680ull},
-    {"PixOr", "default", 0x50b2aabc42510cc2ull, 110752907ull, 818ull},
-    {"PixOr", "deep", 0x50b2aabc42510cc2ull, 110752907ull, 818ull},
-    {"PixOr", "fusion", 0x76d9c5ea88685b4dull, 110152839ull, 818ull},
-    {"PixOr", "no-lut", 0x50b2aabc42510cc2ull, 110752907ull, 818ull},
-    {"PixOr", "uniform", 0xada336053a380603ull, 138790411ull, 818ull},
-    {"TinyBERT", "default", 0xe3751b8a18a53a29ull, 22452723ull, 337ull},
-    {"TinyBERT", "deep", 0xe3751b8a18a53a29ull, 22452723ull, 337ull},
-    {"TinyBERT", "fusion", 0x8f0ca6864389994dull, 22411169ull, 337ull},
-    {"TinyBERT", "no-lut", 0x22a226108859ea93ull, 119408829ull, 336ull},
-    {"TinyBERT", "uniform", 0xf207107e388c5350ull, 24701587ull, 346ull},
-    {"Conformer", "default", 0x9c64596ad355f94eull, 124042167ull, 510ull},
-    {"Conformer", "deep", 0x9c64596ad355f94eull, 124042167ull, 510ull},
-    {"Conformer", "fusion", 0x9f2c9998f6768a25ull, 123650535ull, 510ull},
-    {"Conformer", "no-lut", 0xc8a4f481fa4ed63eull, 255922855ull, 509ull},
-    {"Conformer", "uniform", 0x30152f26499e8bfdull, 134748775ull, 510ull},
+    {"MobileNet-V3", "default", 0xe3a6ee38d6ef7e4bull, 7412833ull, 1560ull},
+    {"MobileNet-V3", "deep", 0xe3a6ee38d6ef7e4bull, 7412833ull, 1560ull},
+    {"MobileNet-V3", "fusion", 0xfbeffcfa4874025ull, 7398223ull, 1532ull},
+    {"MobileNet-V3", "no-lut", 0x32d267ee1b8b30b2ull, 7678865ull, 1556ull},
+    {"MobileNet-V3", "uniform", 0xe8b01f0f6d799a9aull, 8216563ull, 1548ull},
+    {"EfficientNet-b0", "default", 0xaf10054b7b755b7bull, 12155720ull, 1693ull},
+    {"EfficientNet-b0", "deep", 0xaf10054b7b755b7bull, 12155720ull, 1693ull},
+    {"EfficientNet-b0", "fusion", 0x8c002ac16b77e02dull, 12146957ull, 1651ull},
+    {"EfficientNet-b0", "no-lut", 0x2d690d4bc95d3c4eull, 12701979ull, 1687ull},
+    {"EfficientNet-b0", "uniform", 0xfad627c12aa9a5e4ull, 12682191ull, 1662ull},
+    {"ResNet-50", "default", 0xcf648f9c31e95344ull, 33789227ull, 882ull},
+    {"ResNet-50", "deep", 0xcf648f9c31e95344ull, 33789227ull, 882ull},
+    {"ResNet-50", "fusion", 0xc5a3380ed77563faull, 33604567ull, 882ull},
+    {"ResNet-50", "no-lut", 0x68c1159a41c090dfull, 33887531ull, 882ull},
+    {"ResNet-50", "uniform", 0xeb19e505a3d592d1ull, 41646087ull, 882ull},
+    {"FST", "default", 0x4f2799076fd4b1c9ull, 1721969392ull, 195ull},
+    {"FST", "deep", 0x4f2799076fd4b1c9ull, 1721969392ull, 195ull},
+    {"FST", "fusion", 0x4f2799076fd4b1c9ull, 1721969392ull, 195ull},
+    {"FST", "no-lut", 0x2a4b0ebd5e23b15eull, 1742416624ull, 195ull},
+    {"FST", "uniform", 0xcef482ac50dc2160ull, 1721969392ull, 195ull},
+    {"CycleGAN", "default", 0xf2a85037ed2e26bfull, 1631402363ull, 202ull},
+    {"CycleGAN", "deep", 0xf2a85037ed2e26bfull, 1631402363ull, 202ull},
+    {"CycleGAN", "fusion", 0x1ae265577c87c5deull, 1631381785ull, 195ull},
+    {"CycleGAN", "no-lut", 0x641fadebfd9ca5b2ull, 1662016921ull, 201ull},
+    {"CycleGAN", "uniform", 0x6cc21882648ad923ull, 1631402363ull, 202ull},
+    {"WDSR-b", "default", 0x98f0d0ce2e226ec8ull, 128863304ull, 169ull},
+    {"WDSR-b", "deep", 0x98f0d0ce2e226ec8ull, 128863304ull, 169ull},
+    {"WDSR-b", "fusion", 0xbe176466edcd62a5ull, 128214736ull, 164ull},
+    {"WDSR-b", "no-lut", 0x98f0d0ce2e226ec8ull, 128863304ull, 169ull},
+    {"WDSR-b", "uniform", 0xe6a92b64dfad7d6ull, 152802728ull, 169ull},
+    {"EfficientDet-d0", "default", 0xf3fcae336a4de00ull, 58256853ull, 1711ull},
+    {"EfficientDet-d0", "deep", 0xf3fcae336a4de00ull, 58256853ull, 1711ull},
+    {"EfficientDet-d0", "fusion", 0x8a82f365aabcb9cdull, 58364749ull, 1669ull},
+    {"EfficientDet-d0", "no-lut", 0x6664246e9d07450eull, 58747418ull, 1705ull},
+    {"EfficientDet-d0", "uniform", 0x41f644efac31274dull, 61102781ull, 1680ull},
+    {"PixOr", "default", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
+    {"PixOr", "deep", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
+    {"PixOr", "fusion", 0xd1fcbf28105f04e3ull, 83797123ull, 818ull},
+    {"PixOr", "no-lut", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
+    {"PixOr", "uniform", 0x5bef8a9578d2ad72ull, 112434695ull, 818ull},
+    {"TinyBERT", "default", 0x28788fb7ac582c69ull, 18544474ull, 337ull},
+    {"TinyBERT", "deep", 0x28788fb7ac582c69ull, 18544474ull, 337ull},
+    {"TinyBERT", "fusion", 0xa96d129c0b45eebaull, 18502920ull, 337ull},
+    {"TinyBERT", "no-lut", 0x61e1a9bafc486b1eull, 115500580ull, 336ull},
+    {"TinyBERT", "uniform", 0x91dd8768bc2865c0ull, 20470346ull, 346ull},
+    {"Conformer", "default", 0x7c2c283c8e63bc4bull, 108535655ull, 510ull},
+    {"Conformer", "deep", 0x7c2c283c8e63bc4bull, 108535655ull, 510ull},
+    {"Conformer", "fusion", 0xb3f561f5a5077a2cull, 108144023ull, 510ull},
+    {"Conformer", "no-lut", 0x4c3e28ade9e8cb26ull, 240416343ull, 509ull},
+    {"Conformer", "uniform", 0xb8d20b9079a21f3dull, 119242263ull, 510ull},
 };
 // clang-format on
 

@@ -89,8 +89,8 @@ TEST(FingerprintTest, ZooModelAndServedProgramKeysMatchRecording)
     EXPECT_EQ(request.h1, 0xadb567560b972543ull) << actual;
     EXPECT_EQ(request.nodes, 48u) << actual;
     EXPECT_EQ(programs, 5u) << actual;
-    EXPECT_EQ(packDigest, 0x39da2eef2d12b6daull) << actual;
-    EXPECT_EQ(decodeDigest, 0x1cfe2aa43fde14b9ull) << actual;
+    EXPECT_EQ(packDigest, 0x2f80cae5efb31076ull) << actual;
+    EXPECT_EQ(decodeDigest, 0x2e6d8891587a60c3ull) << actual;
 }
 
 } // namespace
