@@ -6,7 +6,9 @@
  * A second table shows where utilization is lost inside the matmul
  * tiles: for every tile of pack_throughput's zoo-block grid, its
  * steady-state simulated cycles per k-iteration against the
- * multiply-pipe bound and the certified tier-1 lower bound.
+ * multiply-pipe bound and the certified tier-1 lower bound. A third
+ * gives the depthwise models' depthwise cycle share and the
+ * cycle-weighted share of vtmpy output lanes that hold outputs.
  */
 #include <iostream>
 #include <string>
@@ -14,6 +16,8 @@
 #include "baselines/frameworks.h"
 #include "common/table.h"
 #include "kernels/runner.h"
+#include "models/zoo.h"
+#include "runtime/compiler.h"
 #include "select/analytic.h"
 #include "zoo_tiles.h"
 
@@ -63,6 +67,24 @@ printTileTable()
     table.print(std::cout);
 }
 
+/** Depthwise cycle share and lane fill of the four depthwise models. */
+void
+printDepthwiseTable()
+{
+    Table table({"Model", "depthwise cycles %", "lane fill %"});
+    for (models::ModelId id :
+         {models::ModelId::MobileNetV3, models::ModelId::EfficientNetB0,
+          models::ModelId::EfficientDetD0, models::ModelId::Conformer}) {
+        const graph::Graph g = models::buildModel(id);
+        const runtime::DepthwiseProfile profile =
+            runtime::depthwiseProfile(g, runtime::compile(g));
+        table.addRow({models::modelInfo(id).name,
+                      fmtDouble(100.0 * profile.cycleShare, 1),
+                      fmtDouble(100.0 * profile.laneFill, 1)});
+    }
+    table.print(std::cout);
+}
+
 } // namespace
 
 int
@@ -102,5 +124,11 @@ main()
     std::cout << "\nAdaptive matmul tiles, steady state per k-iteration "
                  "(zoo-block grid, slope over 8 -> 24 iterations)\n\n";
     printTileTable();
+
+    std::cout << "\nDepthwise layers (GCD2): share of model cycles and "
+                 "cycle-weighted vtmpy lane fill\n\n";
+    printDepthwiseTable();
+    std::cout << "Expected shape: lane fill >= 50% on every model "
+                 "(short rows share a row tile).\n";
     return 0;
 }

@@ -149,72 +149,172 @@ ConvKernel::reference(const uint8_t *nchw, const int8_t *oihw,
 
 namespace {
 
-/** Row buffer stride: 256 data bytes + 128 zero bytes so the odd-phase
- *  (+1 shifted) vector loads stay in bounds. */
-constexpr int64_t kDwRowBytes = 384;
+/** Row buffer stride, at least: a 256-byte row tile + 128 zero bytes
+ *  so the odd-phase and tap-group (shifted) vector loads stay in
+ *  bounds. */
+constexpr int64_t kDwMinRowBytes = 384;
+
+/** Bytes one vtmpy pair filters. */
+constexpr int64_t kDwTileBytes = 256;
+
+/** Scalars s12..s31 hold filter coefficient words. */
+constexpr int64_t kDwFilterRegs = 20;
+
+int64_t
+ceilDiv(int64_t a, int64_t b)
+{
+    return (a + b - 1) / b;
+}
 
 } // namespace
 
+DepthwiseConfig
+DepthwiseConfig::rowView() const
+{
+    if (inW != 1 || kW != 1 || padW != 0 || inH == 1)
+        return *this;
+    DepthwiseConfig view = *this;
+    view.inH = 1;
+    view.inW = inH;
+    view.kH = 1;
+    view.kW = kH;
+    view.padH = 0;
+    view.padW = padH;
+    return view;
+}
+
+DepthwiseTiling
+DepthwiseConfig::tiling() const
+{
+    DepthwiseTiling t;
+    const int64_t oh = outH();
+    const int64_t ow = outW();
+    int64_t maxBands = 1;
+    if (padW + inW <= kDwTileBytes && ow <= tileLanes()) {
+        // Every input byte a row's outputs read lies in one window;
+        // reads past it see zero padding.
+        t.tileOut = ow;
+        t.bandBytes = inW + 2 * padW;
+        if (stride == 2)
+            t.bandBytes += t.bandBytes % 2; // bands start on an output lane
+        maxBands = std::max<int64_t>(1, kDwTileBytes / t.bandBytes);
+    } else {
+        // vtmpy reads byte 256 of each tap group's window as zero, so a
+        // tile stops short of the last output lane that would read it.
+        t.tileOut = (kDwTileBytes - 3) / stride + 1;
+        t.colTiles = ceilDiv(ow, t.tileOut);
+        t.bandBytes = (t.tileOut - 1) * stride + kW;
+    }
+    t.bandRows = ceilDiv(oh, std::min(maxBands, oh));
+    t.bandRows = ceilDiv(t.bandRows, unrollRows) * unrollRows;
+    t.bands = ceilDiv(oh, t.bandRows);
+    return t;
+}
+
+int64_t
+DepthwiseConfig::rowTiles() const
+{
+    const DepthwiseTiling t = tiling();
+    return channels * t.colTiles * t.bandRows;
+}
+
+double
+DepthwiseConfig::laneFill() const
+{
+    return static_cast<double>(channels * outH() * outW()) /
+           static_cast<double>(rowTiles() * tileLanes());
+}
+
 DepthwiseKernel::DepthwiseKernel(const DepthwiseConfig &config)
-    : config_(config)
+    : config_(config.rowView())
 {
     GCD2_REQUIRE(config.channels > 0, "depthwise needs channels");
-    GCD2_REQUIRE(config.inH >= 3, "depthwise needs >= 3 input rows");
-    GCD2_REQUIRE(config.inW > 0 && config.inW <= 256 &&
-                     config.inW % 2 == 0,
-                 "depthwise row tile must be even and <= 256");
+    GCD2_REQUIRE(config.kH >= 1 && config.kW >= 1,
+                 "depthwise filter must be positive");
+    GCD2_REQUIRE(config.padH >= 0 && config.padW >= 0,
+                 "depthwise padding must be non-negative");
     GCD2_REQUIRE(config.stride == 1 || config.stride == 2,
                  "depthwise stride must be 1 or 2");
+    GCD2_REQUIRE(config.inH + 2 * config.padH >= config.kH &&
+                     config.inW + 2 * config.padW >= config.kW,
+                 "depthwise produces an empty output");
+    GCD2_REQUIRE(config.inH > 0 && config.inW > 0,
+                 "depthwise plane must be non-empty");
     GCD2_REQUIRE(config.unrollRows >= 1 &&
                      config.outH() % config.unrollRows == 0,
                  "unrollRows must divide outH");
     GCD2_REQUIRE(config.stride == 2 || config.unrollRows == 1,
                  "stride-1 depthwise supports unrollRows == 1");
+    tiling_ = config_.tiling();
 
-
-    const int64_t outRowBytes = config.stride == 2 ? 128 : 256;
-    buffers_.inputBytes = config.channels * config.inH * kDwRowBytes;
-    buffers_.weightBytes = config.channels * 3 * 4;
-    buffers_.outputBytes = config.channels * config.outH() * outRowBytes;
+    const int64_t stride = config_.stride;
+    const int64_t groups = config_.tapGroups();
+    const int64_t words = config_.kH * groups;
+    const int64_t outRowBytes = stride == 2 ? 128 : 256;
+    const int64_t rowStride = rowBytes();
+    buffers_.inputBytes = kernelChannels() * bufferRows() * rowStride;
+    buffers_.weightBytes = kernelChannels() * words * 4;
+    buffers_.outputBytes = kernelChannels() * tiling_.bandRows * outRowBytes;
     buffers_.scratchBytes = 0;
     declareKernelNoalias(prog_, buffers_, /*scratch=*/false);
 
-    const int ur = config.unrollRows;
+    // Filter row dy, tap group g: coefficient word dy * groups + g and an
+    // input offset of dy rows and 3g bytes. A channel hoists its words
+    // into s12 on when they fit there; a larger filter loads each word
+    // ahead of its vtmpy, rotating through the same scalars.
+    const bool hoistWords = words <= kDwFilterRegs;
+    auto coeff = [&](int64_t dy, int64_t g) {
+        const int64_t w = dy * groups + g;
+        const auto reg = sreg(12 + static_cast<int>(w % kDwFilterRegs));
+        if (!hoistWords)
+            prog_.push(makeLoad(Opcode::LOADW, reg, sreg(11), 4 * w));
+        return reg;
+    };
+    auto tapOffset = [&](int64_t dy, int64_t g) {
+        return dy * rowStride + 3 * g;
+    };
+
+    const int ur = config_.unrollRows;
     prog_.push(makeMovi(sreg(0), 0));
-    prog_.push(makeMovi(sreg(5), config.channels)); // channel counter
+    prog_.push(makeMovi(sreg(5), kernelChannels())); // channel counter
     prog_.push(makeMov(sreg(9), sreg(kRegInput)));  // channel input base
     prog_.push(makeMov(sreg(10), sreg(kRegOutput))); // channel output base
     prog_.push(makeMov(sreg(11), sreg(kRegWeights))); // weight pointer
 
     const int chanLoop = prog_.newLabel();
     prog_.bindLabel(chanLoop);
-    // Hoist the three filter-row coefficient words for this channel.
-    prog_.push(makeLoad(Opcode::LOADW, sreg(12), sreg(11), 0));
-    prog_.push(makeLoad(Opcode::LOADW, sreg(13), sreg(11), 4));
-    prog_.push(makeLoad(Opcode::LOADW, sreg(14), sreg(11), 8));
-    prog_.push(makeMovi(sreg(6), config.outH() / ur)); // row counter
+    // Hoist the channel's filter coefficient words.
+    for (int64_t w = 0; hoistWords && w < words; ++w)
+        prog_.push(makeLoad(Opcode::LOADW, sreg(12 + static_cast<int>(w)),
+                            sreg(11), 4 * w));
+    prog_.push(makeMovi(sreg(6), tiling_.bandRows / ur)); // row counter
     prog_.push(makeMov(sreg(7), sreg(9)));             // row input ptr
     prog_.push(makeMov(sreg(8), sreg(10)));            // row output ptr
 
     const int rowLoop = prog_.newLabel();
     prog_.bindLabel(rowLoop);
-    if (config.stride == 2) {
+    if (stride == 2) {
         for (int u = 0; u < ur; ++u) {
             const int accBase = (u % 2 == 0) ? 2 : 6; // pairs v2:3 / v6:7
             const int inBase = (u % 2 == 0) ? 0 : 8;  // v0,v1 / v8,v9
             const int outReg = (u % 2 == 0) ? 4 : 10;
             prog_.push(makeVsplatw(vreg(accBase), sreg(0)));
             prog_.push(makeVsplatw(vreg(accBase + 1), sreg(0)));
-            for (int dy = 0; dy < 3; ++dy) {
-                const int64_t off =
-                    (static_cast<int64_t>(u) * 2 + dy) * kDwRowBytes;
-                prog_.push(makeVload(vreg(inBase), sreg(7), off));
-                prog_.push(makeVload(vreg(inBase + 1), sreg(7), off + 128));
-                prog_.push(makeVmpa(Opcode::VTMPY, vreg(accBase),
-                                    vreg(inBase), sreg(12 + dy)));
+            for (int64_t dy = 0; dy < config_.kH; ++dy) {
+                for (int64_t g = 0; g < groups; ++g) {
+                    const auto w = coeff(dy, g);
+                    const int64_t off =
+                        static_cast<int64_t>(u) * 2 * rowStride +
+                        tapOffset(dy, g);
+                    prog_.push(makeVload(vreg(inBase), sreg(7), off));
+                    prog_.push(
+                        makeVload(vreg(inBase + 1), sreg(7), off + 128));
+                    prog_.push(makeVmpa(Opcode::VTMPY, vreg(accBase),
+                                        vreg(inBase), w));
+                }
             }
             prog_.push(makeVasr(Opcode::VASRHUB, vreg(outReg),
-                                vreg(accBase), config.shift16));
+                                vreg(accBase), config_.shift16));
             prog_.push(makeVstore(sreg(8), vreg(outReg),
                                   static_cast<int64_t>(u) * 128));
         }
@@ -226,64 +326,127 @@ DepthwiseKernel::DepthwiseKernel(const DepthwiseConfig &config)
         prog_.push(makeVsplatw(vreg(3), sreg(0)));
         prog_.push(makeVsplatw(vreg(6), sreg(0)));  // odd acc pair v6:7
         prog_.push(makeVsplatw(vreg(7), sreg(0)));
-        for (int dy = 0; dy < 3; ++dy) {
-            const int64_t off = static_cast<int64_t>(dy) * kDwRowBytes;
-            const int evenIn = (dy % 2 == 0) ? 0 : 14;  // v0:1 / v14:15
-            const int oddIn = (dy % 2 == 0) ? 8 : 16;   // v8:9 / v16:17
-            prog_.push(makeVload(vreg(evenIn), sreg(7), off));
-            prog_.push(makeVload(vreg(evenIn + 1), sreg(7), off + 128));
-            prog_.push(makeVmpa(Opcode::VTMPY, vreg(2), vreg(evenIn),
-                                sreg(12 + dy)));
-            prog_.push(makeVload(vreg(oddIn), sreg(7), off + 1));
-            prog_.push(makeVload(vreg(oddIn + 1), sreg(7), off + 129));
-            prog_.push(makeVmpa(Opcode::VTMPY, vreg(6), vreg(oddIn),
-                                sreg(12 + dy)));
+        int step = 0;
+        for (int64_t dy = 0; dy < config_.kH; ++dy) {
+            for (int64_t g = 0; g < groups; ++g, ++step) {
+                const auto w = coeff(dy, g);
+                const int64_t off = tapOffset(dy, g);
+                const int evenIn = (step % 2 == 0) ? 0 : 14; // v0:1 / v14:15
+                const int oddIn = (step % 2 == 0) ? 8 : 16;  // v8:9 / v16:17
+                prog_.push(makeVload(vreg(evenIn), sreg(7), off));
+                prog_.push(
+                    makeVload(vreg(evenIn + 1), sreg(7), off + 128));
+                prog_.push(
+                    makeVmpa(Opcode::VTMPY, vreg(2), vreg(evenIn), w));
+                prog_.push(makeVload(vreg(oddIn), sreg(7), off + 1));
+                prog_.push(makeVload(vreg(oddIn + 1), sreg(7), off + 129));
+                prog_.push(
+                    makeVmpa(Opcode::VTMPY, vreg(6), vreg(oddIn), w));
+            }
         }
         prog_.push(makeVasr(Opcode::VASRHUB, vreg(4), vreg(2),
-                            config.shift16)); // even bytes e0..e127
+                            config_.shift16)); // even bytes e0..e127
         prog_.push(makeVasr(Opcode::VASRHUB, vreg(10), vreg(6),
-                            config.shift16)); // odd bytes o0..o127
+                            config_.shift16)); // odd bytes o0..o127
         prog_.push(makeVshuff(Opcode::VSHUFF, vreg(12), vreg(4), vreg(10),
                               /*laneLog2=*/0)); // pixel order, pair v12:13
         prog_.push(makeVstore(sreg(8), vreg(12), 0));
         prog_.push(makeVstore(sreg(8), vreg(13), 128));
     }
-    prog_.push(makeAddi(sreg(7), sreg(7),
-                        config.stride * kDwRowBytes * ur));
+    prog_.push(makeAddi(sreg(7), sreg(7), stride * rowStride * ur));
     prog_.push(makeAddi(sreg(8), sreg(8), outRowBytes * ur));
     prog_.push(makeAddi(sreg(6), sreg(6), -1));
     prog_.push(makeJumpNz(sreg(6), rowLoop));
 
-    prog_.push(makeAddi(sreg(9), sreg(9), config.inH * kDwRowBytes));
-    prog_.push(makeAddi(sreg(10), sreg(10),
-                        config.outH() * outRowBytes));
-    prog_.push(makeAddi(sreg(11), sreg(11), 12));
+    prog_.push(makeAddi(sreg(9), sreg(9), bufferRows() * rowStride));
+    prog_.push(makeAddi(sreg(10), sreg(10), tiling_.bandRows * outRowBytes));
+    prog_.push(makeAddi(sreg(11), sreg(11), words * 4));
     prog_.push(makeAddi(sreg(5), sreg(5), -1));
     prog_.push(makeJumpNz(sreg(5), chanLoop));
+}
+
+int64_t
+DepthwiseKernel::kernelChannels() const
+{
+    return config_.channels * tiling_.colTiles;
+}
+
+int64_t
+DepthwiseKernel::rowBytes() const
+{
+    // The last tap group's odd-phase loads end at byte
+    // 3 (groups - 1) + 256.
+    const int64_t reach = 3 * (config_.tapGroups() - 1) + kDwTileBytes + 1;
+    return std::max(kDwMinRowBytes,
+                    ceilDiv(reach, dsp::kVectorBytes) * dsp::kVectorBytes);
+}
+
+int64_t
+DepthwiseKernel::bufferRows() const
+{
+    return (tiling_.bandRows - 1) * config_.stride + config_.kH;
+}
+
+int64_t
+DepthwiseKernel::outputOffset(int64_t c, int64_t y, int64_t x) const
+{
+    const DepthwiseTiling &t = tiling_;
+    const int64_t channel = c * t.colTiles + x / t.tileOut;
+    const int64_t band = y / t.bandRows;
+    const int64_t lane = band * t.bandBytes / config_.stride + x % t.tileOut;
+    const int64_t outRowBytes = config_.stride == 2 ? 128 : 256;
+    return (channel * t.bandRows + y % t.bandRows) * outRowBytes + lane;
 }
 
 std::vector<uint8_t>
 DepthwiseKernel::packInput(const uint8_t *chw) const
 {
+    const DepthwiseConfig &c = config_;
+    const DepthwiseTiling &t = tiling_;
+    const int64_t rows = bufferRows();
+    // A band holds at most one buffer row.
+    const int64_t rowStride = rowBytes();
+    const int64_t span = std::min(t.bandBytes, rowStride);
     std::vector<uint8_t> out(static_cast<size_t>(buffers_.inputBytes), 0);
-    for (int64_t c = 0; c < config_.channels; ++c)
-        for (int64_t y = 0; y < config_.inH; ++y)
-            for (int64_t x = 0; x < config_.inW; ++x)
-                out[static_cast<size_t>(
-                    (c * config_.inH + y) * kDwRowBytes + x)] =
-                    chw[(c * config_.inH + y) * config_.inW + x];
+    for (int64_t ch = 0; ch < c.channels; ++ch)
+        for (int64_t tile = 0; tile < t.colTiles; ++tile) {
+            const int64_t rowBase = (ch * t.colTiles + tile) * rows;
+            const int64_t x0 = tile * t.tileOut * c.stride - c.padW;
+            for (int64_t band = 0; band < t.bands; ++band)
+                for (int64_t r = 0; r < rows; ++r) {
+                    const int64_t y =
+                        band * t.bandRows * c.stride + r - c.padH;
+                    if (y < 0 || y >= c.inH)
+                        continue;
+                    for (int64_t q = 0; q < span; ++q) {
+                        const int64_t x = x0 + q;
+                        if (x < 0 || x >= c.inW)
+                            continue;
+                        out[static_cast<size_t>(
+                            (rowBase + r) * rowStride +
+                            band * t.bandBytes + q)] =
+                            chw[(ch * c.inH + y) * c.inW + x];
+                    }
+                }
+        }
     return out;
 }
 
 std::vector<uint8_t>
-DepthwiseKernel::packWeights(const int8_t *c33) const
+DepthwiseKernel::packWeights(const int8_t *filters) const
 {
+    const DepthwiseConfig &c = config_;
+    const int64_t groups = c.tapGroups();
     std::vector<uint8_t> out(static_cast<size_t>(buffers_.weightBytes), 0);
-    for (int64_t c = 0; c < config_.channels; ++c)
-        for (int64_t dy = 0; dy < 3; ++dy)
-            for (int64_t j = 0; j < 3; ++j)
-                out[static_cast<size_t>((c * 3 + dy) * 4 + j)] =
-                    static_cast<uint8_t>(c33[(c * 3 + dy) * 3 + j]);
+    for (int64_t k = 0; k < kernelChannels(); ++k) {
+        const int64_t ch = k / tiling_.colTiles;
+        for (int64_t dy = 0; dy < c.kH; ++dy)
+            for (int64_t tap = 0; tap < c.kW; ++tap)
+                out[static_cast<size_t>(
+                    ((k * c.kH + dy) * groups + tap / 3) * 4 + tap % 3)] =
+                    static_cast<uint8_t>(filters[(ch * c.kH + dy) * c.kW +
+                                                 tap]);
+    }
     return out;
 }
 
@@ -292,19 +455,18 @@ DepthwiseKernel::unpackOutput(const uint8_t *packed) const
 {
     const int64_t outH = config_.outH();
     const int64_t outW = config_.outW();
-    const int64_t outRowBytes = config_.stride == 2 ? 128 : 256;
     std::vector<uint8_t> out(
         static_cast<size_t>(config_.channels * outH * outW));
     for (int64_t c = 0; c < config_.channels; ++c)
         for (int64_t y = 0; y < outH; ++y)
             for (int64_t x = 0; x < outW; ++x)
                 out[static_cast<size_t>((c * outH + y) * outW + x)] =
-                    packed[(c * outH + y) * outRowBytes + x];
+                    packed[outputOffset(c, y, x)];
     return out;
 }
 
 std::vector<uint8_t>
-DepthwiseKernel::reference(const uint8_t *chw, const int8_t *c33,
+DepthwiseKernel::reference(const uint8_t *chw, const int8_t *filters,
                            const DepthwiseConfig &config)
 {
     const int64_t outH = config.outH();
@@ -312,22 +474,28 @@ DepthwiseKernel::reference(const uint8_t *chw, const int8_t *c33,
     std::vector<uint8_t> out(
         static_cast<size_t>(config.channels * outH * outW));
     auto inAt = [&](int64_t c, int64_t y, int64_t x) -> int32_t {
-        if (x >= config.inW || x >= 256)
-            return 0; // zero column padding of the row tile
+        if (y < 0 || y >= config.inH || x < 0 || x >= config.inW)
+            return 0; // zero padding
         return chw[(c * config.inH + y) * config.inW + x];
     };
     for (int64_t c = 0; c < config.channels; ++c) {
         for (int64_t y = 0; y < outH; ++y) {
             for (int64_t x = 0; x < outW; ++x) {
-                // One 16-bit wraparound per filter row (one vtmpy each).
+                // One 16-bit wraparound per vtmpy: three taps of a row.
                 int16_t acc = 0;
-                for (int64_t dy = 0; dy < 3; ++dy) {
-                    int32_t rowSum = 0;
-                    for (int64_t j = 0; j < 3; ++j)
-                        rowSum += inAt(c, config.stride * y + dy,
-                                       config.stride * x + j) *
-                                  c33[(c * 3 + dy) * 3 + j];
-                    acc = static_cast<int16_t>(acc + rowSum);
+                for (int64_t dy = 0; dy < config.kH; ++dy) {
+                    const int64_t iy = config.stride * y + dy - config.padH;
+                    for (int64_t g = 0; g < config.kW; g += 3) {
+                        int32_t groupSum = 0;
+                        for (int64_t tap = g;
+                             tap < std::min(g + 3, config.kW); ++tap)
+                            groupSum +=
+                                inAt(c, iy,
+                                     config.stride * x + tap - config.padW) *
+                                filters[(c * config.kH + dy) * config.kW +
+                                        tap];
+                        acc = static_cast<int16_t>(acc + groupSum);
+                    }
                 }
                 out[static_cast<size_t>((c * outH + y) * outW + x)] =
                     static_cast<uint8_t>(std::clamp<int64_t>(

@@ -554,13 +554,10 @@ MatMulKernel::generateVrmpy()
                         src[i] = nest.reloadAcc(c);
                         continue;
                     }
-                    const int stage = kSpillStage + (i % 2);
-                    prog_.push(makeVload(vreg(stage), sreg(kRegScratch),
+                    // A spilled column loads straight into its own
+                    // epilogue temporary.
+                    prog_.push(makeVload(vreg(20 + i), sreg(kRegScratch),
                                          nest.spillOff(c)));
-                    // Immediately interleave to free the stage pair:
-                    // handled by using distinct temporaries below.
-                    prog_.push(makeVecBinary(Opcode::VMOV, vreg(20 + i),
-                                             vreg(stage), vreg(stage)));
                     src[i] = 20 + i;
                 }
                 // Word-interleave column pairs, narrow to halfwords.

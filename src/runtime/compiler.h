@@ -280,6 +280,20 @@ struct CompiledModel
     }
 };
 
+/** Where a compiled model's depthwise layers stand. */
+struct DepthwiseProfile
+{
+    /** Depthwise kernel cycles over the model's total cycles. */
+    double cycleShare = 0.0;
+    /** kernels::DepthwiseConfig::laneFill of each depthwise node,
+     *  weighted by its cycles (0 without depthwise layers). */
+    double laneFill = 0.0;
+};
+
+/** The depthwise profile of @p model, compiled from @p graph. */
+DepthwiseProfile depthwiseProfile(const graph::Graph &graph,
+                                  const CompiledModel &model);
+
 /** Compile a graph under the given options. */
 CompiledModel compile(const graph::Graph &graph,
                       const CompileOptions &options = {});

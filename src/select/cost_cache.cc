@@ -31,6 +31,8 @@ CostKeyHash::operator()(const CostKey &key) const noexcept
     hash = mix(hash, static_cast<uint64_t>(key.policy));
     hash = mix(hash, std::bit_cast<uint64_t>(key.packW));
     hash = mix(hash, std::bit_cast<uint64_t>(key.packPenaltyScale));
+    hash = mix(hash, static_cast<uint64_t>(key.filterH));
+    hash = mix(hash, static_cast<uint64_t>(key.filterW));
     return static_cast<size_t>(hash);
 }
 

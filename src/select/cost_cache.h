@@ -41,7 +41,7 @@ namespace gcd2::select {
 enum class CostKind : uint8_t
 {
     MatMulTile,   ///< one row-panel x column-tile, full reduction depth
-    DepthwiseRow, ///< one canonical depthwise output-row pass
+    DepthwiseRow, ///< one depthwise channel of one or two row tiles
     Elementwise,  ///< one canonical elementwise run
 };
 
@@ -55,12 +55,16 @@ struct CostKey
     int32_t unrollOut = 0;
     int32_t unrollCols = 0;
     int32_t unrollK = 0;
-    /** Reduction depth (matmul) or simulated length (elementwise). */
+    /** Reduction depth (matmul), simulated length (elementwise) or
+     *  output rows (depthwise). */
     int64_t extent = 0;
     /** Full packing configuration (policy and Eq. 4 tunables). */
     vliw::PackPolicy policy = vliw::PackPolicy::Sda;
     double packW = 0.0;
     double packPenaltyScale = 0.0;
+    /** Filter rows and columns (depthwise); unused otherwise. */
+    int32_t filterH = 0;
+    int32_t filterW = 0;
 
     friend bool operator==(const CostKey &, const CostKey &) = default;
 };

@@ -125,9 +125,10 @@ drainSteps(const CostKey &key)
 }
 
 /**
- * Run @p fn on the generated kernel a cost key names: a matmul tile, the
- * canonical depthwise tile (one channel, two output rows of 256
- * columns), or an elementwise run of key.extent elements.
+ * Run @p fn on the generated kernel a cost key names: a matmul tile, a
+ * canonical depthwise channel (key.extent output rows of a 256-byte row,
+ * the key's stride and filter), or an elementwise run of key.extent
+ * elements.
  */
 template <typename Fn>
 auto
@@ -140,8 +141,12 @@ withCanonicalKernel(const CostKey &key, Fn &&fn)
       }
       case CostKind::DepthwiseRow: // key.tag is the stride
         return fn(kernels::DepthwiseKernel({.channels = 1,
-                                            .inH = key.tag == 2 ? 5 : 4,
+                                            .inH = (key.extent - 1) *
+                                                       key.tag +
+                                                   key.filterH,
                                             .inW = 256,
+                                            .kH = key.filterH,
+                                            .kW = key.filterW,
                                             .stride = key.tag}));
       case CostKind::Elementwise: {
         kernels::EwConfig config;
@@ -151,6 +156,28 @@ withCanonicalKernel(const CostKey &key, Fn &&fn)
       }
     }
     GCD2_PANIC("unknown cost kind");
+}
+
+/**
+ * A depthwise channel of @p rows output rows: the one-row kernel, then
+ * every further row at the two-row kernel's increment over it (twice
+ * its per-row entry @p perRow, less the one-row kernel).
+ */
+NodeExecStats
+channelRows(const NodeExecStats &oneRow, const NodeExecStats &perRow,
+            int64_t rows)
+{
+    const auto extra = static_cast<double>(rows - 1);
+    auto field = [extra](uint64_t one, uint64_t half) {
+        const uint64_t twoRows = addSaturating(half, half);
+        return addSaturating(
+            one, scaleSaturating(twoRows > one ? twoRows - one : 0, extra));
+    };
+    return {field(oneRow.cycles, perRow.cycles),
+            field(oneRow.instructions, perRow.instructions),
+            field(oneRow.packets, perRow.packets),
+            field(oneRow.bytesLoaded, perRow.bytesLoaded),
+            field(oneRow.bytesStored, perRow.bytesStored)};
 }
 
 } // namespace
@@ -175,14 +202,15 @@ CostModel::kernelKey(const KernelTerm &term) const
     }
     // Elementwise runs are simulated at a canonical length and scaled:
     // 512 elements for the scalar-loop ops, 8192 for the vector ones.
+    // Depthwise serves its two-row kernel.
     const auto op = static_cast<EwOp>(term.tag);
     const bool scalarOp = op == EwOp::Div || op == EwOp::DivLut;
     return {term.kind, term.tag, 0, 0, 0,
             term.kind == CostKind::Elementwise
                 ? std::min<int64_t>(term.length, scalarOp ? 512 : 8192)
-                : 0,
+                : 2,
             options_.packOptions.policy, options_.packOptions.w,
-            options_.packOptions.penaltyScale};
+            options_.packOptions.penaltyScale, term.filterH, term.filterW};
 }
 
 NodeExecStats
@@ -207,8 +235,8 @@ CostModel::kernelStats(const CostKey &key) const
             });
         }
 
-        if (key.kind == CostKind::DepthwiseRow)
-            return entry.scaled(0.5); // per output row tile
+        if (key.kind == CostKind::DepthwiseRow) // per simulated row
+            return entry.scaled(1.0 / static_cast<double>(key.extent));
         if (key.kind == CostKind::MatMulTile) {
             // 16-bit accumulator drain: vmpy/vmpa accumulate 8-bit
             // products into halfword lanes, which is only overflow-safe
@@ -240,6 +268,10 @@ CostModel::termStats(const KernelTerm &term) const
         // other tile of the kernel does identical work, so scaling is
         // exact.
         stats = stats.scaled(tileTrips(term.product, tileOf(key).tile));
+    } else if (term.kind == CostKind::DepthwiseRow) {
+        CostKey oneRow = key;
+        oneRow.extent = 1;
+        stats = channelRows(kernelStats(oneRow), stats, term.length);
     } else if (term.kind == CostKind::Elementwise) {
         const double factor = static_cast<double>(term.length) /
                               static_cast<double>(key.extent);

@@ -173,26 +173,28 @@ matmul(const PlanContext &c)
 }
 
 /**
- * The canonical 3x3 row tile once per output-row tile: stride-2 tiles
- * yield 128 outputs per pass, stride-1 tiles 256; other kernel extents
- * scale by taps. Loop extents come from the natural shape (a fused
- * transform only changes the stored view).
+ * One depthwise kernel channel per plane and column tile, each running
+ * the rows of one band: the host packer stacks R = floor(256 / S) bands
+ * of a plane side by side in each row tile (S the padded row), so a
+ * channel runs ceil(oh / R) row tiles; a row too wide for one tile runs
+ * as column tiles instead (kernels::DepthwiseTiling). A width-1 plane
+ * runs as one row (DepthwiseConfig::rowView). The cost model prices a
+ * channel from the simulated one- and two-row kernels of the node's
+ * (stride, kH, kW). A fused transform only changes the stored view.
  */
 PlanRecipe
 depthwise(const PlanContext &c)
 {
-    const graph::NodeAttrs &a = c.node.attrs;
-    const tensor::Shape natural = graph::naturalNodeShape(c.graph, c.node);
-    const int stride = a.strideW == 1 ? 1 : 2;
-    const int64_t tileOut = stride == 2 ? 128 : 256;
-    double rowTiles =
-        static_cast<double>(natural.dim(0)) *
-        static_cast<double>(natural.dim(1)) *
-        static_cast<double>((natural.dim(2) + tileOut - 1) / tileOut);
-    rowTiles *= static_cast<double>(a.kH * a.kW) / 9.0;
+    const kernels::DepthwiseConfig plane =
+        depthwisePlane(c.graph, c.node.id).rowView();
+    const kernels::DepthwiseTiling tiling = plane.tiling();
     return {.kernels = {{.kind = CostKind::DepthwiseRow,
-                         .tag = stride,
-                         .scale = rowTiles}},
+                         .tag = static_cast<int32_t>(plane.stride),
+                         .length = tiling.bandRows,
+                         .filterH = static_cast<int32_t>(plane.kH),
+                         .filterW = static_cast<int32_t>(plane.kW),
+                         .scale = static_cast<double>(plane.channels *
+                                                      tiling.colTiles)}},
             .outer = fusedTransformEpilogue(c)};
 }
 
@@ -346,6 +348,22 @@ uniformPlanIndex(OpType op, MatMulScheme scheme)
 {
     return opFamily(op).plans == PlanSet::PerScheme ? static_cast<int>(scheme)
                                                      : 0;
+}
+
+kernels::DepthwiseConfig
+depthwisePlane(const graph::Graph &graph, graph::NodeId id)
+{
+    const graph::Node &node = graph.node(id);
+    const graph::NodeAttrs &a = node.attrs;
+    const tensor::Shape &in = graph.node(node.inputs[0]).shape;
+    return {.channels = in.dim(0),
+            .inH = in.dim(1),
+            .inW = in.dim(2),
+            .kH = a.kH,
+            .kW = a.kW,
+            .stride = a.strideW == 1 ? 1 : 2,
+            .padH = a.padH,
+            .padW = a.padW};
 }
 
 MatrixView

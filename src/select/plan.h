@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "kernels/matmul.h"
+#include "kernels/conv.h"
 #include "select/cost_cache.h"
 #include "select/exec_stats.h"
 #include "tensor/layout.h"
@@ -65,8 +65,12 @@ struct KernelTerm
      *  and scales the tile by the product's panel x tile trips. */
     kernels::MatMulShape product{};
     /** Elementwise: elements covered. The simulated run is clamped to a
-     *  canonical length and scaled by length / simulated length. */
+     *  canonical length and scaled by length / simulated length.
+     *  DepthwiseRow: output rows of one kernel channel. */
     int64_t length = 0;
+    /** DepthwiseRow: the filter rows and columns of the kernel. */
+    int32_t filterH = 0;
+    int32_t filterW = 0;
     /** Applied after the kernel's own scaling, unless exactly 1.0. */
     double scale = 1.0;
 };
@@ -125,6 +129,14 @@ std::vector<ExecutionPlan> enumeratePlans(const graph::Graph &graph,
  * the uniform per-op-type implementations of TFLite/SNPE.
  */
 int uniformPlanIndex(graph::OpType op, kernels::MatMulScheme scheme);
+
+/**
+ * The planes depthwise node @p id filters, with the graph's semantics:
+ * its input's (C, H, W), the filter, the stride and the padding. Its
+ * rowView() is what the kernel runs and the recipe prices.
+ */
+kernels::DepthwiseConfig depthwisePlane(const graph::Graph &graph,
+                                        graph::NodeId id);
 
 /**
  * Matrix view of a tensor for layout packing/transform costing:

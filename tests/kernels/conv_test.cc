@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 #include "common/rng.h"
 #include "kernels/conv.h"
 #include "kernels/runner.h"
@@ -241,6 +244,141 @@ TEST(DepthwiseTest, UnrolledRowsStayCorrect)
     EXPECT_EQ(kernel.unpackOutput(raw.output.data()),
               DepthwiseKernel::reference(input.data(), filters.data(),
                                          config));
+}
+
+/** Run a depthwise kernel on seeded planes; returns (got, expected). */
+std::pair<std::vector<uint8_t>, std::vector<uint8_t>>
+runDepthwise(const DepthwiseConfig &config, uint64_t seed)
+{
+    Rng rng(seed);
+    const auto input = rng.uint8Vector(
+        static_cast<size_t>(config.channels * config.inH * config.inW));
+    const auto filters = rng.int8Vector(
+        static_cast<size_t>(config.channels * config.kH * config.kW));
+    const DepthwiseKernel kernel(config);
+    const auto raw = runKernel(kernel.program(), kernel.buffers(),
+                               kernel.packInput(input.data()),
+                               kernel.packWeights(filters.data()), {},
+                               /*validate=*/true);
+    return {kernel.unpackOutput(raw.output.data()),
+            DepthwiseKernel::reference(input.data(), filters.data(),
+                                       config)};
+}
+
+/** (stride, (kH, kW)), with the graph's "same" padding of (k - 1) / 2. */
+class DepthwiseGrid
+    : public ::testing::TestWithParam<std::tuple<int, std::tuple<int, int>>>
+{
+};
+
+TEST_P(DepthwiseGrid, BandedPlanesMatchReferenceAtEveryWidth)
+{
+    const int stride = std::get<0>(GetParam());
+    const auto [kH, kW] = std::get<1>(GetParam());
+    for (int64_t inW = 1; inW <= 256; ++inW) {
+        DepthwiseConfig config;
+        config.channels = 2;
+        config.inH = 7;
+        config.inW = inW;
+        config.kH = kH;
+        config.kW = kW;
+        config.stride = stride;
+        config.padH = (kH - 1) / 2;
+        config.padW = (kW - 1) / 2;
+        config.shift16 = 6;
+        const auto [got, expect] = runDepthwise(
+            config, static_cast<uint64_t>(inW * 100 + kW * 10 + stride));
+        ASSERT_EQ(got, expect) << "width " << inW;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Filters, DepthwiseGrid,
+    ::testing::Combine(::testing::Values(1, 2),
+                       ::testing::Values(std::make_tuple(3, 3),
+                                         std::make_tuple(1, 1),
+                                         std::make_tuple(1, 3),
+                                         std::make_tuple(1, 5),
+                                         std::make_tuple(1, 15))),
+    [](const auto &info) {
+        const auto &filter = std::get<1>(info.param);
+        return "stride" + std::to_string(std::get<0>(info.param)) + "_" +
+               std::to_string(std::get<0>(filter)) + "x" +
+               std::to_string(std::get<1>(filter));
+    });
+
+TEST(DepthwiseTest, WidthOnePlanesRunAsOneRow)
+{
+    for (int64_t stride : {1, 2}) {
+        for (int64_t k : {3, 5, 15}) {
+            for (int64_t inH = 1; inH <= 256; inH += 3) {
+                DepthwiseConfig config;
+                config.channels = 3;
+                config.inH = inH;
+                config.inW = 1;
+                config.kH = k;
+                config.kW = 1;
+                config.stride = stride;
+                config.padH = (k - 1) / 2;
+                EXPECT_EQ(DepthwiseKernel(config).config().inH, 1);
+                const auto [got, expect] =
+                    runDepthwise(config, static_cast<uint64_t>(inH * k));
+                ASSERT_EQ(got, expect)
+                    << "stride " << stride << " k " << k << " height "
+                    << inH;
+            }
+        }
+    }
+}
+
+TEST(DepthwiseTest, LargeFiltersRunNatively)
+{
+    // 7x7 needs 21 coefficient words, one more than a channel hoists;
+    // 1x133's last tap group reads past a 384-byte buffer row.
+    for (const auto &[kH, kW] : {std::pair{7, 7}, std::pair{1, 133}}) {
+        for (int64_t stride : {1, 2}) {
+            for (int64_t inW : {5, 30, 100, 256}) {
+                DepthwiseConfig config;
+                config.channels = 2;
+                config.inH = 9;
+                config.inW = inW;
+                config.kH = kH;
+                config.kW = kW;
+                config.stride = stride;
+                config.padH = (kH - 1) / 2;
+                config.padW = (kW - 1) / 2;
+                const auto [got, expect] = runDepthwise(
+                    config, static_cast<uint64_t>(inW * 10 + stride));
+                ASSERT_EQ(got, expect) << kH << "x" << kW << " stride "
+                                       << stride << " width " << inW;
+            }
+        }
+    }
+}
+
+TEST(DepthwiseTest, ShortRowsShareOneRowTile)
+{
+    // 14x14, 3x3, pad 1: 16-byte rows, so all 14 output rows sit side by
+    // side in one row tile per channel.
+    DepthwiseConfig small;
+    small.channels = 4;
+    small.inH = small.inW = 14;
+    small.stride = 1;
+    small.padH = small.padW = 1;
+    const DepthwiseTiling banded = small.tiling();
+    EXPECT_EQ(banded.bands, 14);
+    EXPECT_EQ(banded.bandRows, 1);
+    EXPECT_EQ(small.rowTiles(), 4);
+    EXPECT_NEAR(small.laneFill(), 14.0 * 14.0 / 256.0, 1e-12);
+
+    // A 256-wide row with its padding outgrows the 256-byte window: two
+    // column tiles, one band each.
+    DepthwiseConfig wide = small;
+    wide.inH = wide.inW = 256;
+    const DepthwiseTiling tiled = wide.tiling();
+    EXPECT_EQ(tiled.colTiles, 2);
+    EXPECT_EQ(tiled.bands, 1);
+    EXPECT_EQ(wide.rowTiles(), 4 * 2 * 256);
 }
 
 TEST(UnrollTest, ShapeClassification)

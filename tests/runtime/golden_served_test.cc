@@ -44,16 +44,16 @@ struct GoldenRow
 
 // clang-format off
 const std::vector<GoldenRow> kGolden = {
-    {"MobileNet-V3", "default", 0xe3a6ee38d6ef7e4bull, 7412833ull, 1560ull},
-    {"MobileNet-V3", "deep", 0xe3a6ee38d6ef7e4bull, 7412833ull, 1560ull},
-    {"MobileNet-V3", "fusion", 0xfbeffcfa4874025ull, 7398223ull, 1532ull},
-    {"MobileNet-V3", "no-lut", 0x32d267ee1b8b30b2ull, 7678865ull, 1556ull},
-    {"MobileNet-V3", "uniform", 0xe8b01f0f6d799a9aull, 8216563ull, 1548ull},
-    {"EfficientNet-b0", "default", 0xaf10054b7b755b7bull, 12155720ull, 1693ull},
-    {"EfficientNet-b0", "deep", 0xaf10054b7b755b7bull, 12155720ull, 1693ull},
-    {"EfficientNet-b0", "fusion", 0x8c002ac16b77e02dull, 12146957ull, 1651ull},
-    {"EfficientNet-b0", "no-lut", 0x2d690d4bc95d3c4eull, 12701979ull, 1687ull},
-    {"EfficientNet-b0", "uniform", 0xfad627c12aa9a5e4ull, 12682191ull, 1662ull},
+    {"MobileNet-V3", "default", 0xb95347d27fb6f59full, 5493769ull, 1560ull},
+    {"MobileNet-V3", "deep", 0xb95347d27fb6f59full, 5493769ull, 1560ull},
+    {"MobileNet-V3", "fusion", 0x7e79eaf380471404ull, 5479159ull, 1532ull},
+    {"MobileNet-V3", "no-lut", 0x9a58120223d7b521ull, 5759801ull, 1556ull},
+    {"MobileNet-V3", "uniform", 0x9a536b8bc7a050beull, 6297499ull, 1548ull},
+    {"EfficientNet-b0", "default", 0x73a07286e34af167ull, 8892792ull, 1693ull},
+    {"EfficientNet-b0", "deep", 0x73a07286e34af167ull, 8892792ull, 1693ull},
+    {"EfficientNet-b0", "fusion", 0xc474c5789a1192afull, 8884029ull, 1651ull},
+    {"EfficientNet-b0", "no-lut", 0x931933235b22ffb6ull, 9439051ull, 1687ull},
+    {"EfficientNet-b0", "uniform", 0xd6a70a853955198cull, 9419263ull, 1662ull},
     {"ResNet-50", "default", 0xcf648f9c31e95344ull, 33789227ull, 882ull},
     {"ResNet-50", "deep", 0xcf648f9c31e95344ull, 33789227ull, 882ull},
     {"ResNet-50", "fusion", 0xc5a3380ed77563faull, 33604567ull, 882ull},
@@ -74,11 +74,11 @@ const std::vector<GoldenRow> kGolden = {
     {"WDSR-b", "fusion", 0xbe176466edcd62a5ull, 128214736ull, 164ull},
     {"WDSR-b", "no-lut", 0x98f0d0ce2e226ec8ull, 128863304ull, 169ull},
     {"WDSR-b", "uniform", 0xe6a92b64dfad7d6ull, 152802728ull, 169ull},
-    {"EfficientDet-d0", "default", 0xf3fcae336a4de00ull, 58256853ull, 1711ull},
-    {"EfficientDet-d0", "deep", 0xf3fcae336a4de00ull, 58256853ull, 1711ull},
-    {"EfficientDet-d0", "fusion", 0x8a82f365aabcb9cdull, 58364749ull, 1669ull},
-    {"EfficientDet-d0", "no-lut", 0x6664246e9d07450eull, 58747418ull, 1705ull},
-    {"EfficientDet-d0", "uniform", 0x41f644efac31274dull, 61102781ull, 1680ull},
+    {"EfficientDet-d0", "default", 0x48402b9e2322361dull, 49912837ull, 1711ull},
+    {"EfficientDet-d0", "deep", 0x48402b9e2322361dull, 49912837ull, 1711ull},
+    {"EfficientDet-d0", "fusion", 0xbe797f8488e453eeull, 50020733ull, 1669ull},
+    {"EfficientDet-d0", "no-lut", 0xa9d0c96212362d30ull, 50403402ull, 1705ull},
+    {"EfficientDet-d0", "uniform", 0x53c4443493c72e53ull, 52758765ull, 1680ull},
     {"PixOr", "default", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
     {"PixOr", "deep", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
     {"PixOr", "fusion", 0xd1fcbf28105f04e3ull, 83797123ull, 818ull},
@@ -89,11 +89,11 @@ const std::vector<GoldenRow> kGolden = {
     {"TinyBERT", "fusion", 0xa96d129c0b45eebaull, 18502920ull, 337ull},
     {"TinyBERT", "no-lut", 0x61e1a9bafc486b1eull, 115500580ull, 336ull},
     {"TinyBERT", "uniform", 0x91dd8768bc2865c0ull, 20470346ull, 346ull},
-    {"Conformer", "default", 0x7c2c283c8e63bc4bull, 108535655ull, 510ull},
-    {"Conformer", "deep", 0x7c2c283c8e63bc4bull, 108535655ull, 510ull},
-    {"Conformer", "fusion", 0xb3f561f5a5077a2cull, 108144023ull, 510ull},
-    {"Conformer", "no-lut", 0x4c3e28ade9e8cb26ull, 240416343ull, 509ull},
-    {"Conformer", "uniform", 0xb8d20b9079a21f3dull, 119242263ull, 510ull},
+    {"Conformer", "default", 0x70a3100db894ab94ull, 56870087ull, 515ull},
+    {"Conformer", "deep", 0x70a3100db894ab94ull, 56870087ull, 515ull},
+    {"Conformer", "fusion", 0x6c81d955da5b9e66ull, 56478455ull, 515ull},
+    {"Conformer", "no-lut", 0x93e5934ca2d6ab67ull, 188750775ull, 514ull},
+    {"Conformer", "uniform", 0x226439550d375519ull, 67576695ull, 515ull},
 };
 // clang-format on
 
