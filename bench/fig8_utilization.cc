@@ -6,10 +6,12 @@
  * A second table shows where utilization is lost inside the matmul
  * tiles: for every tile of pack_throughput's zoo-block grid, its
  * steady-state simulated cycles per k-iteration against the
- * multiply-pipe bound and the certified tier-1 lower bound. A third
+ * multiply-pipe bound, the certified tier-1 lower bound (ResMII) and the
+ * accumulator recurrence (RecMII). A third
  * gives the depthwise models' depthwise cycle share and the
  * cycle-weighted share of vtmpy output lanes that hold outputs.
  */
+#include <algorithm>
 #include <iostream>
 #include <string>
 
@@ -29,13 +31,15 @@ namespace {
 /**
  * One row per zoo-block tile (zoo_tiles.h). Steady-state figures are
  * slopes between 8 and 24 inner-loop iterations: simulated cycles, the
- * two multiply pipes' bound, and the certified tier-1 lower bound.
+ * two multiply pipes' bound, the certified tier-1 lower bound, and
+ * RecMII: each column accumulator takes unrollK dependent multiplies per
+ * iteration, each waiting out the multiply latency.
  */
 void
 printTileTable()
 {
     Table table({"Scheme", "Unroll o-c-k", "cyc/k-iter", "mpy bound",
-                 "tier-1 bound", "x mpy", "x tier-1"});
+                 "tier-1 bound", "RecMII", "x mpy", "x max(tier-1, RecMII)"});
     for (const bench::ZooTile &tile : bench::zooTiles()) {
         const kernels::MatMulKernel lo = tile.kernel(8);
         const kernels::MatMulKernel hi = tile.kernel(24);
@@ -50,19 +54,25 @@ printTileTable()
         };
         // Every multiply of a tile sits in its k loops.
         int multUnits = 0;
-        for (const dsp::Instruction &inst : lo.program().code)
+        int mulLatency = 0;
+        for (const dsp::Instruction &inst : lo.program().code) {
             multUnits += inst.info().multUnits;
+            if (inst.info().multUnits > 0)
+                mulLatency = std::max(mulLatency, inst.info().latency);
+        }
         const double perIter = (cycles(hi) - cycles(lo)) / 16.0;
         const double pipeBound = (multUnits + 1) / 2;
         const double tier1 = (lower(hi) - lower(lo)) / 16.0;
         const kernels::UnrollChoice &c = tile.choice;
+        const double recMII = c.k * mulLatency;
         table.addRow({kernels::schemeName(tile.scheme),
                       std::to_string(c.outer) + "-" +
                           std::to_string(c.cols) + "-" +
                           std::to_string(c.k),
                       fmtDouble(perIter, 1), fmtDouble(pipeBound, 0),
-                      fmtDouble(tier1, 1), fmtDouble(perIter / pipeBound, 2),
-                      fmtDouble(perIter / tier1, 2)});
+                      fmtDouble(tier1, 1), fmtDouble(recMII, 0),
+                      fmtDouble(perIter / pipeBound, 2),
+                      fmtDouble(perIter / std::max(tier1, recMII), 2)});
     }
     table.print(std::cout);
 }
@@ -124,6 +134,8 @@ main()
     std::cout << "\nAdaptive matmul tiles, steady state per k-iteration "
                  "(zoo-block grid, slope over 8 -> 24 iterations)\n\n";
     printTileTable();
+    std::cout << "Expected shape: every tile within 1.3x of max(tier-1, "
+                 "RecMII) (MatMulLatency.EveryAdaptiveTileMeetsItsII).\n";
 
     std::cout << "\nDepthwise layers (GCD2): share of model cycles and "
                  "cycle-weighted vtmpy lane fill\n\n";

@@ -4,10 +4,13 @@
  *
  * A load whose symbolic address value-numbers equal to an earlier load
  * or store in the same block -- same value-flow address, same access
- * width, and no possibly-clobbering store in between -- re-reads bytes
- * whose value the program already holds in a register. That is never a
- * correctness problem, so the finding is a Warning
- * (LintRedundantLoad): a code-quality signal for the kernel generators.
+ * width, no possibly-clobbering store in between, and the earlier
+ * access's register (the load's destination, the store's data) not
+ * written since -- re-reads bytes whose value the program still holds in
+ * that register. That is never a correctness problem, so the finding is
+ * a Warning (LintRedundantLoad): a code-quality signal for the kernel
+ * generators. A reload after the register was reused (a spill stage
+ * cycling through several spilled values) is not one.
  *
  * Availability is deliberately block-local (a prior same-block access
  * dominates in scheduled order; no cross-block dominance machinery
@@ -16,6 +19,7 @@
  * means same affine root with statically disjoint constant-distance
  * intervals. Stores with top addresses kill everything.
  */
+#include <array>
 #include <string>
 #include <vector>
 
@@ -37,6 +41,8 @@ struct AvailSlot
     size_t inst = 0;
     VfValue addr;
     int64_t bytes = 0;
+    int holder = -1;       ///< register uid holding the bytes
+    uint32_t written = 0;  ///< writes of holder when the bytes arrived
 };
 
 /** Constant-distance disjointness: only same-root, same-term-shape
@@ -66,19 +72,28 @@ analyzeRedundantLoads(const BlockGraph &graph, const ValueFlow &flow,
             continue;
         VfWalker walker(graph, flow, static_cast<int>(b));
         std::vector<AvailSlot> avail;
+        // Writes per register uid so far: a slot still holds its bytes
+        // while its holder's count is unchanged.
+        std::array<uint32_t, dsp::kNumScalarRegs + dsp::kNumVectorRegs>
+            writes{};
+        const auto held = [&writes](const AvailSlot &slot) {
+            return slot.holder < 0 ||
+                   writes[static_cast<size_t>(slot.holder)] == slot.written;
+        };
 
         for (size_t i : graph.scheduled[b]) {
             const dsp::Instruction &inst = prog.code[i];
             const int bytes = dsp::memAccessBytes(inst);
-            if (bytes > 0 && inst.src[0].cls == dsp::RegClass::Scalar) {
-                const VfValue addr =
-                    walker.eval(inst.src[0]).plus(inst.imm);
-                const bool isStore =
-                    inst.info().mem == dsp::MemKind::Store;
-
+            const bool access =
+                bytes > 0 && inst.src[0].cls == dsp::RegClass::Scalar;
+            const bool isStore = inst.info().mem == dsp::MemKind::Store;
+            VfValue addr;
+            if (access) {
+                addr = walker.eval(inst.src[0]).plus(inst.imm);
                 if (!isStore && addr.isAffine()) {
                     for (const AvailSlot &slot : avail) {
-                        if (slot.addr == addr && slot.bytes == bytes) {
+                        if (slot.addr == addr && slot.bytes == bytes &&
+                            held(slot)) {
                             ++findings;
                             diags.push_back(Diag{
                                 DiagSeverity::Warning, "lint",
@@ -106,8 +121,18 @@ analyzeRedundantLoads(const BlockGraph &graph, const ValueFlow &flow,
                         avail = std::move(kept);
                     }
                 }
-                if (addr.isAffine())
-                    avail.push_back(AvailSlot{i, addr, bytes});
+            }
+            // A register written here no longer holds its bytes.
+            const dsp::RegList written = dsp::regWrites(inst);
+            for (const int uid : written)
+                ++writes[static_cast<size_t>(uid)];
+            if (access && addr.isAffine()) {
+                const int holder = isStore ? dsp::regUid(inst.src[1])
+                                   : written.empty() ? -1
+                                                     : written[0];
+                avail.push_back(AvailSlot{
+                    i, addr, bytes, holder,
+                    holder < 0 ? 0 : writes[static_cast<size_t>(holder)]});
             }
             walker.step(i);
         }

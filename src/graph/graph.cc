@@ -181,6 +181,13 @@ naturalNodeShape(const Node &node, const std::vector<Shape> &inputs)
         const Shape &x = in(0);
         GCD2_REQUIRE(x.rank() == 3,
                      "DepthwiseConv2D input must be (C, H, W)");
+        // The depthwise kernel (kernels/conv.h) runs one stride, 1 or 2,
+        // over both dimensions.
+        GCD2_REQUIRE(a.strideH == a.strideW &&
+                         (a.strideW == 1 || a.strideW == 2),
+                     "DepthwiseConv2D stride must be 1 or 2 in both "
+                     "dimensions, got "
+                         << a.strideH << "x" << a.strideW);
         const int64_t oh =
             (x.dim(1) + 2 * a.padH - a.kH) / a.strideH + 1;
         const int64_t ow =

@@ -1,6 +1,7 @@
 #include "kernels/matmul.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 #include "tensor/quant.h"
@@ -38,12 +39,16 @@ constexpr int kRegCPanel = 10;
 constexpr int kRegCCol = 11;
 constexpr int kRegAK = 12;
 constexpr int kRegWK = 13;
-constexpr int kRegWTemp = 14; // r14..r21: weight-word rotation (stageWeight)
-constexpr int kRegKTrip = 22; // inner trip count, hoisted out of the nest
+constexpr int kRegKTrip = 22; // inner trip count, set once per panel
 
-// Vector register allocation: v0, v1, v30 and v31 stage inputs (the
-// rotation in LoopNestBuilder::stageInput), v2..v17 hold accumulators,
-// v18/v19 stage spilled accumulators, v20..v29 are epilogue temporaries.
+// The weight-word ring of LoopNestBuilder.
+constexpr int kWeightRing[] = {14, 15, 16, 17, 18, 19, 20, 21,
+                               23, 24, 25, 26, 27, 28, 29, 30};
+
+// Vector register allocation: v0(:v1) and v30(:v31) are the input ring,
+// v2..v17 hold accumulators, v18/v19 stage spilled accumulators and
+// v20..v29 are epilogue temporaries.
+constexpr int kInputRing[] = {0, 30};
 constexpr int kFirstAccReg = 2;
 constexpr int kAccRegCount = 16;
 constexpr int kSpillStage = 18;
@@ -52,6 +57,16 @@ int64_t
 roundUp(int64_t v, int64_t unit)
 {
     return (v + unit - 1) / unit * unit;
+}
+
+/** The largest ring of at most @p limit registers that divides @p items. */
+int
+ringDividing(int items, int limit)
+{
+    int ring = std::min(items, limit);
+    while (items % ring != 0)
+        --ring;
+    return ring;
 }
 
 } // namespace
@@ -149,9 +164,29 @@ namespace {
 
 /**
  * Shared loop-nest emitter. The three schemes differ only in the panel
- * height, k step, columns per tile, the inner multiply sequence, and the
- * requantization epilogue; this builder owns the loop/pointer scaffolding
- * and every register the multiplies read or accumulate into.
+ * height, k step, columns per tile, the multiply, and the requantization
+ * epilogue; this builder owns the loop/pointer scaffolding and every
+ * register the multiplies read or accumulate into.
+ *
+ * The k loop is software-pipelined by one lookahead ring per operand: a
+ * two-stage modulo schedule whose modulo variable expansion is the ring.
+ * A load has a latency of 3 and the packer schedules one basic block, so
+ * a load placed just before its multiply stalls it, and the first loads
+ * of an iteration cannot move into the previous one. Instead, the W
+ * weight words of an iteration (word t = u * accCols + c, at byte 4t of
+ * the iteration's words: a tile's weights are packed k-major) rotate
+ * through R scalars, the largest ring of at most 16 that divides W, and
+ * the LOADW of word t is issued R - 1 words ahead of the multiply that
+ * reads it. Each input vector (vmpa: pair) is loaded one step ahead:
+ * into the other of v0 / v30 when unrollK is even, else into v0 right
+ * after the multiplies that read it. A prologue in the tile head loads
+ * the first window, and the last steps of each iteration load the next
+ * iteration's first operands, so the packer overlaps iteration i + 1's
+ * loads with iteration i's multiplies; as the rings divide W and
+ * unrollK, every iteration runs the same code. The last iteration's
+ * lookahead reads the next tile's first words, or the pad past the last
+ * tile and panel: addresses no load of its block reads, so even a
+ * one-iteration reduction runs the same program as a deep one.
  */
 class LoopNestBuilder
 {
@@ -162,70 +197,103 @@ class LoopNestBuilder
         int64_t colTiles;     ///< mid trip count
         int64_t kIters;       ///< inner trip count (already / unrollK)
         int unrollOut;
+        int unrollK;          ///< reduction steps per inner iteration
         int64_t aPanelStride; ///< bytes per panel of packed A
         int64_t cPanelStride; ///< bytes per panel of packed C
-        int64_t wTileStride;  ///< bytes per column tile of packed W
         int64_t cTileStride;  ///< bytes per column tile of packed C
-        int64_t aKStep;       ///< A pointer bytes per inner iteration
-        int64_t wKStep;       ///< W pointer bytes per inner iteration
+        int64_t aKStep;       ///< A pointer bytes per reduction step
+        int inputVectors;     ///< vectors per input operand (1 or 2)
         int accCols;          ///< column accumulators per tile
         int accWidth;         ///< vectors per column accumulator (1 or 2)
     };
 
     LoopNestBuilder(Program &prog, const Params &params)
-        : prog_(prog), p_(params)
+        : prog_(prog), p_(params), words_(params.unrollK * params.accCols),
+          weightRing_(
+              ringDividing(words_, static_cast<int>(std::size(kWeightRing)))),
+          inputRing_(ringDividing(params.unrollK, 2))
     {
     }
 
     /**
-     * Emit the full nest. @p body and @p epilogue are invoked per
-     * unrollOut replica with the replica index o; the body is also given
-     * the inner unroll step u.
+     * Bytes the last iteration's lookahead reads past the packed input
+     * and weights; the generator adds them to its buffers so the
+     * runner's segments and the noalias extents cover them.
      */
-    template <typename BodyFn, typename EpilogueFn>
+    int64_t
+    inputPad() const
+    {
+        return p_.aKStep;
+    }
+
+    int64_t
+    weightPad() const
+    {
+        return 4 * static_cast<int64_t>(weightRing_ - 1);
+    }
+
+    /**
+     * Emit the full nest. @p mul(acc, in, w) is the multiply of one
+     * weight word into accumulator register acc; @p epilogue is invoked
+     * per unrollOut replica o.
+     */
+    template <typename MulFn, typename EpilogueFn>
     void
-    emit(int unrollK, BodyFn body, EpilogueFn epilogue)
+    emit(MulFn mul, EpilogueFn epilogue)
     {
         prog_.push(makeMovi(sreg(0), 0));
         prog_.push(makeMovi(sreg(kRegPanelCtr), p_.panels));
-        // The inner trip count is loop-invariant: materialize it once and
-        // reload the counter from the register inside the nest. The
-        // value-flow analysis still certifies the trip count (the MOV
-        // copies an absolute constant), and the idiom exercises the
-        // register-trip path end to end.
-        prog_.push(makeMovi(sreg(kRegKTrip), p_.kIters));
         prog_.push(makeMov(sreg(kRegAPanel), sreg(kRegInput)));
         prog_.push(makeMov(sreg(kRegCPanel), sreg(kRegOutput)));
 
         const int panelLabel = prog_.newLabel();
         prog_.bindLabel(panelLabel);
         prog_.push(makeMovi(sreg(kRegTileCtr), p_.colTiles));
+        // The inner trip count is loop-invariant: materialize it once per
+        // panel (in the panel head's free slot) and reload the counter
+        // from the register inside the nest. The value-flow analysis
+        // still certifies the trip count (the MOV copies an absolute
+        // constant), and the idiom exercises the register-trip path end
+        // to end.
+        prog_.push(makeMovi(sreg(kRegKTrip), p_.kIters));
         prog_.push(makeMov(sreg(kRegWTile), sreg(kRegWeights)));
         prog_.push(makeMov(sreg(kRegCCol), sreg(kRegCPanel)));
 
         const int tileLabel = prog_.newLabel();
         prog_.bindLabel(tileLabel);
         for (int o = 0; o < p_.unrollOut; ++o) {
-            zeroAccs();
             prog_.push(makeMov(sreg(kRegKCtr), sreg(kRegKTrip)));
             prog_.push(makeMov(sreg(kRegAK), sreg(kRegAPanel)));
             prog_.push(makeMov(sreg(kRegWK), sreg(kRegWTile)));
+            loadInput(o, 0, kRegAPanel);
+            loadWeightWindow(kRegWTile);
+            zeroAccs();
 
             const int kLabel = prog_.newLabel();
             prog_.bindLabel(kLabel);
-            for (int u = 0; u < unrollK; ++u)
-                body(o, u);
+            for (int u = 0; u < p_.unrollK; ++u) {
+                const int in = kInputRing[u % inputRing_];
+                if (inputRing_ > 1)
+                    loadInput(o, u + 1, kRegAK);
+                for (int c = 0; c < p_.accCols; ++c) {
+                    const int t = u * p_.accCols + c;
+                    loadWeight(t + weightRing_ - 1, kRegWK);
+                    const int w = kWeightRing[t % weightRing_];
+                    accumulate(c, [&](int acc) { return mul(acc, in, w); });
+                }
+                if (inputRing_ == 1)
+                    loadInput(o, u + 1, kRegAK);
+            }
             prog_.push(makeAddi(sreg(kRegAK), sreg(kRegAK),
-                                p_.aKStep * unrollK));
-            prog_.push(makeAddi(sreg(kRegWK), sreg(kRegWK),
-                                p_.wKStep * unrollK));
+                                p_.aKStep * p_.unrollK));
+            prog_.push(makeAddi(sreg(kRegWK), sreg(kRegWK), 4 * words_));
             prog_.push(makeAddi(sreg(kRegKCtr), sreg(kRegKCtr), -1));
             prog_.push(makeJumpNz(sreg(kRegKCtr), kLabel));
 
             epilogue(o);
         }
         prog_.push(makeAddi(sreg(kRegWTile), sreg(kRegWTile),
-                            p_.wTileStride));
+                            4 * words_ * p_.kIters));
         prog_.push(makeAddi(sreg(kRegCCol), sreg(kRegCCol), p_.cTileStride));
         prog_.push(makeAddi(sreg(kRegTileCtr), sreg(kRegTileCtr), -1));
         prog_.push(makeJumpNz(sreg(kRegTileCtr), tileLabel));
@@ -236,40 +304,6 @@ class LoopNestBuilder
                             p_.cPanelStride * p_.unrollOut));
         prog_.push(makeAddi(sreg(kRegPanelCtr), sreg(kRegPanelCtr), -1));
         prog_.push(makeJumpNz(sreg(kRegPanelCtr), panelLabel));
-    }
-
-    /*
-     * Operand staging, one rotation policy for every scheme. A load has a
-     * latency of 3, so the packer can hoist it ahead of the multiplies
-     * before it only if each operand in flight has its own register:
-     * weight word t rotates through the eight scalars r14..r21, the u-th
-     * input vector through v0, v1, v30, v31 and vmpa's u-th input pair
-     * through v0:v1, v30:v31. The rotation is sized to the load latency,
-     * not to every free register. Each returns the staged register.
-     */
-    int
-    stageWeight(int t, int64_t offset)
-    {
-        const int reg = kRegWTemp + t % 8;
-        prog_.push(makeLoad(Opcode::LOADW, sreg(reg), sreg(kRegWK), offset));
-        return reg;
-    }
-
-    int
-    stageInput(int u, int64_t offset)
-    {
-        const int reg = u % 4 < 2 ? u % 4 : 28 + u % 4;
-        prog_.push(makeVload(vreg(reg), sreg(kRegAK), offset));
-        return reg;
-    }
-
-    int
-    stageInputPair(int u, int64_t offset)
-    {
-        const int reg = u % 2 == 0 ? 0 : 30;
-        prog_.push(makeVload(vreg(reg), sreg(kRegAK), offset));
-        prog_.push(makeVload(vreg(reg + 1), sreg(kRegAK), offset + 128));
-        return reg;
     }
 
     /*
@@ -317,6 +351,35 @@ class LoopNestBuilder
     }
 
   private:
+    /** Load input step @p s of replica @p o off @p base (s = unrollK:
+     *  the next iteration's step 0) into its ring register. */
+    void
+    loadInput(int o, int s, int base)
+    {
+        const int64_t offset = o * p_.aPanelStride + s * p_.aKStep;
+        for (int i = 0; i < p_.inputVectors; ++i)
+            prog_.push(makeVload(vreg(kInputRing[s % inputRing_] + i),
+                                 sreg(base), offset + 128 * i));
+    }
+
+    /** Load weight word @p t off @p base (t >= W: the next iteration's
+     *  word t - W) into its ring register. */
+    void
+    loadWeight(int t, int base)
+    {
+        prog_.push(makeLoad(Opcode::LOADW,
+                            sreg(kWeightRing[t % weightRing_]), sreg(base),
+                            4 * static_cast<int64_t>(t)));
+    }
+
+    /** The first R - 1 weight words of the tile at @p base. */
+    void
+    loadWeightWindow(int base)
+    {
+        for (int t = 0; t + 1 < weightRing_; ++t)
+            loadWeight(t, base);
+    }
+
     int
     accReg(int c) const
     {
@@ -345,6 +408,9 @@ class LoopNestBuilder
 
     Program &prog_;
     Params p_;
+    int words_;      ///< W: weight words per k-iteration
+    int weightRing_; ///< R
+    int inputRing_;  ///< 2 when unrollK is even, else 1
 };
 
 } // namespace
@@ -365,40 +431,30 @@ MatMulKernel::generateVmpy()
     params.colTiles = np_ / un;
     params.kIters = kp_ / uk;
     params.unrollOut = uo;
+    params.unrollK = uk;
     params.aPanelStride = 128 * kp_;
     params.cPanelStride = 128 * np_;
-    params.wTileStride = static_cast<int64_t>(un) * kp_ * 4;
     params.cTileStride = static_cast<int64_t>(un) * 128;
     params.aKStep = 128;
-    params.wKStep = 4;
+    params.inputVectors = 1;
     params.accCols = un;
     params.accWidth = 2; // 16-bit product pairs: 8 live columns
     LoopNestBuilder nest(prog_, params);
 
-    buffers_.inputBytes = mp_ * kp_;
+    buffers_.inputBytes = mp_ * kp_ + nest.inputPad();
     // vmpy splats one weight across a whole vector; the compile-time
     // weight packer pre-replicates every weight byte into a 4-byte word so
     // the kernel needs a single LOADW per (column, k) instead of a
     // load + splat pair (the "pre-designed" layouts of Section III).
-    buffers_.weightBytes = np_ * kp_ * 4;
+    buffers_.weightBytes = np_ * kp_ * 4 + nest.weightPad();
     buffers_.outputBytes = mp_ * np_;
     buffers_.scratchBytes = nest.scratchBytes();
     declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
 
     nest.emit(
-        uk,
-        // Inner body: one activation column vector feeds all tile columns.
-        [&](int o, int u) {
-            const int in = nest.stageInput(
-                u, u * 128 + static_cast<int64_t>(o) * 128 * kp_);
-            for (int j = 0; j < un; ++j) {
-                const int w = nest.stageWeight(
-                    u * un + j, (static_cast<int64_t>(j) * kp_ + u) * 4);
-                nest.accumulate(j, [&](int acc) {
-                    return makeVmpy(Opcode::VMPYACC, vreg(acc), vreg(in),
-                                    sreg(w));
-                });
-            }
+        // One activation column vector feeds all tile columns.
+        [](int acc, int in, int w) {
+            return makeVmpy(Opcode::VMPYACC, vreg(acc), vreg(in), sreg(w));
         },
         // Epilogue: reorder even/odd products, requantize, store.
         [&](int o) {
@@ -436,36 +492,25 @@ MatMulKernel::generateVmpa()
     params.colTiles = np_ / cols;
     params.kIters = kp_ / (4 * uk);
     params.unrollOut = uo;
+    params.unrollK = uk;
     params.aPanelStride = 64 * kp_;
     params.cPanelStride = 64 * np_;
-    params.wTileStride = static_cast<int64_t>(cols) * kp_;
     params.cTileStride = static_cast<int64_t>(un) * 128;
     params.aKStep = 256; // four columns = two 128-byte blocks
-    params.wKStep = 4;
+    params.inputVectors = 2;
     params.accCols = cols;
     params.accWidth = 2; // k-low / k-high halves, folded in the epilogue
     LoopNestBuilder nest(prog_, params);
 
-    buffers_.inputBytes = mp_ * kp_;
-    buffers_.weightBytes = np_ * kp_;
+    buffers_.inputBytes = mp_ * kp_ + nest.inputPad();
+    buffers_.weightBytes = np_ * kp_ + nest.weightPad();
     buffers_.outputBytes = mp_ * np_;
     buffers_.scratchBytes = nest.scratchBytes();
     declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
 
     nest.emit(
-        uk,
-        [&](int o, int u) {
-            const int in = nest.stageInputPair(
-                u, static_cast<int64_t>(u) * 256 +
-                       static_cast<int64_t>(o) * 64 * kp_);
-            for (int c = 0; c < cols; ++c) {
-                const int w = nest.stageWeight(
-                    u * cols + c, static_cast<int64_t>(c) * kp_ + 4 * u);
-                nest.accumulate(c, [&](int acc) {
-                    return makeVmpa(Opcode::VMPA, vreg(acc), vreg(in),
-                                    sreg(w));
-                });
-            }
+        [](int acc, int in, int w) {
+            return makeVmpa(Opcode::VMPA, vreg(acc), vreg(in), sreg(w));
         },
         [&](int o) {
             for (int cp = 0; cp < un; ++cp) {
@@ -514,35 +559,25 @@ MatMulKernel::generateVrmpy()
     params.colTiles = np_ / cols;
     params.kIters = kp_ / (4 * uk);
     params.unrollOut = uo;
+    params.unrollK = uk;
     params.aPanelStride = 32 * kp_;
     params.cPanelStride = 32 * np_;
-    params.wTileStride = static_cast<int64_t>(cols) * kp_;
     params.cTileStride = static_cast<int64_t>(un) * 128;
     params.aKStep = 128;
-    params.wKStep = 4;
+    params.inputVectors = 1;
     params.accCols = cols;
     params.accWidth = 1; // 32-bit lanes: one vector per column
     LoopNestBuilder nest(prog_, params);
 
-    buffers_.inputBytes = mp_ * kp_;
-    buffers_.weightBytes = np_ * kp_;
+    buffers_.inputBytes = mp_ * kp_ + nest.inputPad();
+    buffers_.weightBytes = np_ * kp_ + nest.weightPad();
     buffers_.outputBytes = mp_ * np_;
     buffers_.scratchBytes = nest.scratchBytes();
     declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
 
     nest.emit(
-        uk,
-        [&](int o, int u) {
-            const int in = nest.stageInput(
-                u, static_cast<int64_t>(u) * 128 +
-                       static_cast<int64_t>(o) * 32 * kp_);
-            for (int c = 0; c < cols; ++c) {
-                const int w = nest.stageWeight(
-                    u * cols + c, static_cast<int64_t>(c) * kp_ + 4 * u);
-                nest.accumulate(c, [&](int acc) {
-                    return makeVrmpy(vreg(acc), vreg(in), sreg(w));
-                });
-            }
+        [](int acc, int in, int w) {
+            return makeVrmpy(vreg(acc), vreg(in), sreg(w));
         },
         [&](int o) {
             for (int q = 0; q < un; ++q) {
@@ -609,23 +644,30 @@ MatMulKernel::packInput(const uint8_t *rowMajor) const
 std::vector<uint8_t>
 MatMulKernel::packWeights(const int8_t *rowMajor) const
 {
+    // Column tiles of `cols` columns, each k-major in 4-byte words: the
+    // word of (k-step g, column c) sits at word g * cols + c of its tile,
+    // so the kernel walks a tile's words in order and the next tile's
+    // follow. vmpy's k-step is one k, its byte replicated into the word
+    // (the 4-splat operand of one LOADW); vmpa/vrmpy pack four k.
     std::vector<uint8_t> out(static_cast<size_t>(buffers_.weightBytes), 0);
-    if (config_.scheme == MatMulScheme::Vmpy) {
-        // Column-major with each weight byte replicated into a word, so
-        // the kernel's LOADW directly yields the 4-splat vmpy operand.
-        for (int64_t k = 0; k < shape_.k; ++k)
-            for (int64_t n = 0; n < shape_.n; ++n)
-                for (int64_t r = 0; r < 4; ++r)
-                    out[static_cast<size_t>((n * kp_ + k) * 4 + r)] =
-                        static_cast<uint8_t>(rowMajor[k * shape_.n + n]);
-        return out;
-    }
-    // Column-major np x kp with zero padding; vmpa/vrmpy read the weight
-    // word for column n, group k at byte offset n * kp + k.
-    for (int64_t k = 0; k < shape_.k; ++k)
-        for (int64_t n = 0; n < shape_.n; ++n)
-            out[static_cast<size_t>(n * kp_ + k)] =
+    const int64_t cols =
+        config_.unrollCols * (config_.scheme == MatMulScheme::Vmpy   ? 1
+                              : config_.scheme == MatMulScheme::Vmpa ? 2
+                                                                     : 4);
+    for (int64_t k = 0; k < shape_.k; ++k) {
+        for (int64_t n = 0; n < shape_.n; ++n) {
+            const auto value =
                 static_cast<uint8_t>(rowMajor[k * shape_.n + n]);
+            const int64_t tile = n / cols * cols * kp_; // words before it
+            if (config_.scheme == MatMulScheme::Vmpy) {
+                const int64_t word = tile + k * cols + n % cols;
+                std::fill_n(out.begin() + word * 4, 4, value);
+            } else {
+                const int64_t word = tile / 4 + k / 4 * cols + n % cols;
+                out[static_cast<size_t>(word * 4 + k % 4)] = value;
+            }
+        }
+    }
     return out;
 }
 

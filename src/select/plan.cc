@@ -361,7 +361,7 @@ depthwisePlane(const graph::Graph &graph, graph::NodeId id)
             .inW = in.dim(2),
             .kH = a.kH,
             .kW = a.kW,
-            .stride = a.strideW == 1 ? 1 : 2,
+            .stride = a.strideW, // shape inference admits 1 or 2 only
             .padH = a.padH,
             .padW = a.padW};
 }

@@ -166,6 +166,10 @@ struct TieredCoster::TileClass
     std::map<int64_t, std::shared_ptr<const dsp::PackedProgram>> packs;
     /** Tier-1 analytic bounds by trip count. */
     std::map<int64_t, AnalyticBounds> bounds;
+    /** admits() of the member at each trip count: a member's program
+     *  depends only on the class key and its depth, so each depth is
+     *  generated and checked once. */
+    std::map<int64_t, bool> admitted;
 
     /** transplantCompatible(canonical, @p prog) under @p opts. */
     bool admits(const dsp::Program &prog,
@@ -272,8 +276,7 @@ TieredCoster::tileStats(const MatMulShape &tile, const MatMulConfig &config)
     if (!cls.tried)
         certify(cls, tile, config);
 
-    const kernels::MatMulKernel kernel(tile, config);
-    if (cls.certified && cls.admits(kernel.program(), packOptions_)) {
+    if (cls.certified && admitsDepth(cls, tile, config, iters)) {
         if (iters >= kAnchors[0]) {
             plansDerived_.fetch_add(1, std::memory_order_relaxed);
             return affineAt(cls.base, cls.slope, iters);
@@ -282,6 +285,7 @@ TieredCoster::tileStats(const MatMulShape &tile, const MatMulConfig &config)
         // simulate them on the transplanted schedule (still one pack
         // for the whole class).
         plansSimulated_.fetch_add(1, std::memory_order_relaxed);
+        const kernels::MatMulKernel kernel(tile, config);
         return fromRun(kernels::runPackedKernel(
             transplanted(cls, iters, kernel.program()), kernel.buffers(),
             {}, {}));
@@ -290,6 +294,7 @@ TieredCoster::tileStats(const MatMulShape &tile, const MatMulConfig &config)
     if (cls.certified)
         structuralFallbacks_.fetch_add(1, std::memory_order_relaxed);
     plansSimulated_.fetch_add(1, std::memory_order_relaxed);
+    const kernels::MatMulKernel kernel(tile, config);
     return fromRun(kernels::runKernel(kernel.program(), kernel.buffers(),
                                       {}, {}, packOptions_));
 }
@@ -315,12 +320,23 @@ TieredCoster::tileSchedule(const MatMulShape &tile,
     }
 
     const kernels::MatMulKernel kernel(tile, config);
-    if (cls.certified && cls.admits(kernel.program(), packOptions_))
+    if (cls.certified && admitsDepth(cls, tile, config, iters))
         return transplanted(cls, iters, kernel.program());
     if (cls.certified)
         structuralFallbacks_.fetch_add(1, std::memory_order_relaxed);
     return vliw::PackCache::global().lookupOrPack(kernel.program(),
                                                   packOptions_);
+}
+
+bool
+TieredCoster::admitsDepth(TileClass &cls, const MatMulShape &tile,
+                          const MatMulConfig &config, int64_t iters) const
+{
+    const auto [it, inserted] = cls.admitted.try_emplace(iters, false);
+    if (inserted)
+        it->second = cls.admits(
+            kernels::MatMulKernel(tile, config).program(), packOptions_);
+    return it->second;
 }
 
 std::shared_ptr<const dsp::PackedProgram>

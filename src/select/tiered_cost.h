@@ -133,6 +133,11 @@ class TieredCoster
                         const kernels::MatMulConfig &config);
     void certify(TileClass &cls, const kernels::MatMulShape &tile,
                  const kernels::MatMulConfig &config);
+    /** transplantCompatible(the class's canonical program, its member
+     *  (@p tile, @p config) at @p iters), memoized in the class. */
+    bool admitsDepth(TileClass &cls, const kernels::MatMulShape &tile,
+                     const kernels::MatMulConfig &config,
+                     int64_t iters) const;
     /** The class's transplant onto @p prog, its member at @p iters
      *  (memoized in the class). */
     std::shared_ptr<const dsp::PackedProgram>

@@ -425,6 +425,7 @@ RepairScorer::rescan(size_t from)
     cost_ = static_cast<uint64_t>(completion_[count]);
     trialP_ = kNone;
     cachedP_ = kNone;
+    prefixP_ = kNone;
 }
 
 std::optional<uint64_t>
@@ -448,6 +449,38 @@ RepairScorer::tryMove(const NodeSchedule &packets, size_t p, size_t slot,
         cachedP_ = p;
         cachedSlot_ = slot;
     }
+
+    // The repair rule accepts cost < cost_, or cost <= cost_ when the move
+    // erases a packet: every trial completion >= limit is a reject.
+    const int64_t limit = static_cast<int64_t>(cost_) + (erased ? 1 : 0);
+
+    // A later target q > p scans packet p without the node, then the
+    // adopted packets up to q: the same prefix for every such q the
+    // repair pass tries for this node, in ascending order. Keep the scan
+    // state before the furthest packet reached, and whether the prefix
+    // already reached the limit (then every further q is a reject).
+    if (q > p) {
+        if (prefixP_ != p || prefixSlot_ != slot || prefixNext_ > q) {
+            prefixP_ = p;
+            prefixSlot_ = slot;
+            prefixIssue_ = issue_[p];
+            prefixCompletion_ = completion_[p];
+            prefixReady_.assign(ready_.begin() +
+                                    static_cast<ptrdiff_t>(p * regs_),
+                                ready_.begin() +
+                                    static_cast<ptrdiff_t>((p + 1) * regs_));
+            if (!erased)
+                step(outOfP_, prefixIssue_, prefixCompletion_,
+                     prefixReady_.data());
+            prefixNext_ = p + 1;
+        }
+        for (; prefixNext_ < q && prefixCompletion_ < limit; ++prefixNext_)
+            step(summaries_[prefixNext_], prefixIssue_, prefixCompletion_,
+                 prefixReady_.data());
+        if (prefixCompletion_ >= limit)
+            return std::nullopt;
+    }
+
     std::copy(into.begin(), into.end(), nodes.begin());
     nodes[into.size()] = from[slot];
     intoQ_ = summarize(nodes.data(), into.size() + 1);
@@ -455,22 +488,22 @@ RepairScorer::tryMove(const NodeSchedule &packets, size_t p, size_t slot,
     trialQ_ = q;
     trialErased_ = erased;
 
-    // The repair rule accepts cost < cost_, or cost <= cost_ when the move
-    // erases a packet: every trial completion >= limit is a reject.
-    const int64_t limit = static_cast<int64_t>(cost_) + (erased ? 1 : 0);
     auto verdict = [limit](int64_t cost) -> std::optional<uint64_t> {
         if (cost < limit)
             return static_cast<uint64_t>(cost);
         return std::nullopt;
     };
 
-    const size_t first = std::min(p, q);
+    const size_t first = q; // a later q resumes from the shared prefix
     const size_t last = std::max(p, q);
-    int64_t issue = issue_[first];
-    int64_t completion = completion_[first];
-    std::array<int64_t, dsp::kNumRegUids> ready{};
-    std::copy_n(ready_.begin() + static_cast<ptrdiff_t>(first * regs_),
-                regs_, ready.begin());
+    int64_t issue = q > p ? prefixIssue_ : issue_[first];
+    int64_t completion = q > p ? prefixCompletion_ : completion_[first];
+    std::array<int64_t, dsp::kNumRegUids> ready; // first regs_ used
+    if (q > p)
+        std::copy_n(prefixReady_.begin(), regs_, ready.begin());
+    else
+        std::copy_n(ready_.begin() + static_cast<ptrdiff_t>(first * regs_),
+                    regs_, ready.begin());
     for (size_t j = first; j < count; ++j) {
         const Summary &adopted = summaries_[j];
         const Summary *trial = j == q   ? &intoQ_

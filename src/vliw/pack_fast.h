@@ -154,6 +154,15 @@ class RepairScorer
     Summary outOfP_;
     size_t cachedP_ = kNone;
     size_t cachedSlot_ = 0;
+    /** The scan of a later-target trial up to packet prefixNext_ (packet
+     *  prefixP_ without its node prefixSlot_, then adopted packets),
+     *  shared by the targets tried for that node in ascending order. */
+    size_t prefixP_ = kNone;
+    size_t prefixSlot_ = 0;
+    size_t prefixNext_ = 0;
+    int64_t prefixIssue_ = 0;
+    int64_t prefixCompletion_ = 0;
+    std::vector<int64_t> prefixReady_;
 };
 
 } // namespace gcd2::vliw::detail

@@ -378,6 +378,26 @@ TEST(ValueFlowLintTest, RedundantLoadIsAWarning)
     EXPECT_EQ(result.counts.errors, 0u);
 }
 
+TEST(ValueFlowLintTest, ReloadAfterRegisterReuseIsNotRedundant)
+{
+    // A spill stage: r2 is stored to +0, reused for the value at +64,
+    // then reloaded from +0. No register holds the bytes at +0 any more,
+    // so the reload is needed.
+    Program prog;
+    prog.push(makeLoad(Opcode::LOADW, sreg(2), sreg(1), 256));
+    prog.push(makeStore(Opcode::STOREW, sreg(1), sreg(2), 0));
+    prog.push(makeLoad(Opcode::LOADW, sreg(2), sreg(1), 64));
+    prog.push(makeStore(Opcode::STOREW, sreg(1), sreg(2), 128));
+    prog.push(makeLoad(Opcode::LOADW, sreg(2), sreg(1), 0));
+    prog.push(makeStore(Opcode::STOREW, sreg(1), sreg(2), 192));
+    prog.declareNoalias(1);
+    const LintResult result = lintPackedProgram(packSerial(prog));
+    EXPECT_TRUE(
+        withCode(result.diags, DiagCode::LintRedundantLoad).empty());
+    EXPECT_EQ(result.counts.redundantLoad, 0u);
+    EXPECT_EQ(result.counts.errors, 0u);
+}
+
 TEST(ValueFlowLintTest, OverlappingStoreKillsAvailability)
 {
     Program prog;

@@ -3,11 +3,13 @@
  * End-to-end framework baseline tests beyond the support matrix: every
  * supported model must reproduce the Table IV ordering and land in the
  * paper's speedup regime; utilization and bandwidth must order as Fig. 8.
+ * The latency and power calibrations are pinned to the paper's ResNet-50.
  */
 #include <gtest/gtest.h>
 
 #include "baselines/frameworks.h"
 #include "common/table.h"
+#include "runtime/power_model.h"
 
 namespace gcd2::baselines {
 namespace {
@@ -92,6 +94,15 @@ TEST(FrameworksGeomeanTest, CalibrationPinsResnetLatency)
     // paper's 7.1 ms (guards accidental recalibration drift).
     const auto gcd2 = runFramework(Framework::Gcd2, ModelId::ResNet50);
     EXPECT_NEAR(gcd2->latencyMs(), 7.1, 0.4);
+}
+
+TEST(FrameworksGeomeanTest, PowerCalibrationPinsResnetWatts)
+{
+    // The power model's dynamic terms are fit so GCD2's ResNet-50 draws
+    // the paper's 2.6 W (Table V); a kernel change that moves its
+    // utilization must re-fit them in the open.
+    const auto gcd2 = runFramework(Framework::Gcd2, ModelId::ResNet50);
+    EXPECT_NEAR(runtime::DspPowerModel{}.watts(*gcd2), 2.6, 0.15);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include "baselines/frameworks.h"
 #include "dsp/decoded.h"
 #include "graph/passes.h"
+#include "models/builders.h"
 #include "runtime/power_model.h"
 #include "vliw/pack_cache.h"
 
@@ -106,6 +107,38 @@ TEST(CompilerTest, ExtendedFusionCompilesTinyBertClean)
     EXPECT_EQ(extended.report.diagnosticCount(
                   common::DiagSeverity::Error),
               0u);
+}
+
+TEST(CompilerTest, DepthwiseStrideIsOneOrTwoInBothDimensions)
+{
+    // The depthwise kernel runs one stride, 1 or 2, in both dimensions:
+    // those compile clean, and any other stride is rejected by shape
+    // inference rather than served with the wrong output plane.
+    auto depthwise = [](int64_t strideH, int64_t strideW) {
+        graph::Graph g;
+        const graph::NodeId x = models::input(g, {8, 20, 20});
+        const graph::NodeId y = models::dwConv(g, x, 3, 1, 1, false);
+        g.node(y).attrs.strideH = strideH;
+        g.node(y).attrs.strideW = strideW;
+        g.add(graph::OpType::Output, {y});
+        return g;
+    };
+    for (const int64_t stride : {1, 2}) {
+        graph::Graph g = depthwise(stride, stride);
+        EXPECT_NO_THROW(graph::inferShapes(g)) << "stride " << stride;
+        const CompiledModel compiled = compile(g);
+        EXPECT_GT(compiled.totals.cycles, 0u) << "stride " << stride;
+        EXPECT_EQ(compiled.report.diagnosticCount(
+                      common::DiagSeverity::Error),
+                  0u)
+            << "stride " << stride;
+    }
+    for (const auto &[strideH, strideW] :
+         {std::pair<int64_t, int64_t>{3, 3}, {1, 2}, {2, 1}}) {
+        graph::Graph g = depthwise(strideH, strideW);
+        EXPECT_THROW(graph::inferShapes(g), FatalError)
+            << strideH << "x" << strideW;
+    }
 }
 
 TEST(CompilerTest, SelectionModesRankAsExpected)

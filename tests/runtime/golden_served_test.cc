@@ -44,56 +44,56 @@ struct GoldenRow
 
 // clang-format off
 const std::vector<GoldenRow> kGolden = {
-    {"MobileNet-V3", "default", 0xb95347d27fb6f59full, 5493769ull, 1560ull},
-    {"MobileNet-V3", "deep", 0xb95347d27fb6f59full, 5493769ull, 1560ull},
-    {"MobileNet-V3", "fusion", 0x7e79eaf380471404ull, 5479159ull, 1532ull},
-    {"MobileNet-V3", "no-lut", 0x9a58120223d7b521ull, 5759801ull, 1556ull},
-    {"MobileNet-V3", "uniform", 0x9a536b8bc7a050beull, 6297499ull, 1548ull},
-    {"EfficientNet-b0", "default", 0x73a07286e34af167ull, 8892792ull, 1693ull},
-    {"EfficientNet-b0", "deep", 0x73a07286e34af167ull, 8892792ull, 1693ull},
-    {"EfficientNet-b0", "fusion", 0xc474c5789a1192afull, 8884029ull, 1651ull},
-    {"EfficientNet-b0", "no-lut", 0x931933235b22ffb6ull, 9439051ull, 1687ull},
-    {"EfficientNet-b0", "uniform", 0xd6a70a853955198cull, 9419263ull, 1662ull},
-    {"ResNet-50", "default", 0xcf648f9c31e95344ull, 33789227ull, 882ull},
-    {"ResNet-50", "deep", 0xcf648f9c31e95344ull, 33789227ull, 882ull},
-    {"ResNet-50", "fusion", 0xc5a3380ed77563faull, 33604567ull, 882ull},
-    {"ResNet-50", "no-lut", 0x68c1159a41c090dfull, 33887531ull, 882ull},
-    {"ResNet-50", "uniform", 0xeb19e505a3d592d1ull, 41646087ull, 882ull},
-    {"FST", "default", 0x4f2799076fd4b1c9ull, 1721969392ull, 195ull},
-    {"FST", "deep", 0x4f2799076fd4b1c9ull, 1721969392ull, 195ull},
-    {"FST", "fusion", 0x4f2799076fd4b1c9ull, 1721969392ull, 195ull},
-    {"FST", "no-lut", 0x2a4b0ebd5e23b15eull, 1742416624ull, 195ull},
-    {"FST", "uniform", 0xcef482ac50dc2160ull, 1721969392ull, 195ull},
-    {"CycleGAN", "default", 0xf2a85037ed2e26bfull, 1631402363ull, 202ull},
-    {"CycleGAN", "deep", 0xf2a85037ed2e26bfull, 1631402363ull, 202ull},
-    {"CycleGAN", "fusion", 0x1ae265577c87c5deull, 1631381785ull, 195ull},
-    {"CycleGAN", "no-lut", 0x641fadebfd9ca5b2ull, 1662016921ull, 201ull},
-    {"CycleGAN", "uniform", 0x6cc21882648ad923ull, 1631402363ull, 202ull},
-    {"WDSR-b", "default", 0x98f0d0ce2e226ec8ull, 128863304ull, 169ull},
-    {"WDSR-b", "deep", 0x98f0d0ce2e226ec8ull, 128863304ull, 169ull},
-    {"WDSR-b", "fusion", 0xbe176466edcd62a5ull, 128214736ull, 164ull},
-    {"WDSR-b", "no-lut", 0x98f0d0ce2e226ec8ull, 128863304ull, 169ull},
-    {"WDSR-b", "uniform", 0xe6a92b64dfad7d6ull, 152802728ull, 169ull},
-    {"EfficientDet-d0", "default", 0x48402b9e2322361dull, 49912837ull, 1711ull},
-    {"EfficientDet-d0", "deep", 0x48402b9e2322361dull, 49912837ull, 1711ull},
-    {"EfficientDet-d0", "fusion", 0xbe797f8488e453eeull, 50020733ull, 1669ull},
-    {"EfficientDet-d0", "no-lut", 0xa9d0c96212362d30ull, 50403402ull, 1705ull},
-    {"EfficientDet-d0", "uniform", 0x53c4443493c72e53ull, 52758765ull, 1680ull},
-    {"PixOr", "default", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
-    {"PixOr", "deep", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
-    {"PixOr", "fusion", 0xd1fcbf28105f04e3ull, 83797123ull, 818ull},
-    {"PixOr", "no-lut", 0xd7e3c388438a7cb4ull, 84397191ull, 818ull},
-    {"PixOr", "uniform", 0x5bef8a9578d2ad72ull, 112434695ull, 818ull},
-    {"TinyBERT", "default", 0x28788fb7ac582c69ull, 18544474ull, 337ull},
-    {"TinyBERT", "deep", 0x28788fb7ac582c69ull, 18544474ull, 337ull},
-    {"TinyBERT", "fusion", 0xa96d129c0b45eebaull, 18502920ull, 337ull},
-    {"TinyBERT", "no-lut", 0x61e1a9bafc486b1eull, 115500580ull, 336ull},
-    {"TinyBERT", "uniform", 0x91dd8768bc2865c0ull, 20470346ull, 346ull},
-    {"Conformer", "default", 0x70a3100db894ab94ull, 56870087ull, 515ull},
-    {"Conformer", "deep", 0x70a3100db894ab94ull, 56870087ull, 515ull},
-    {"Conformer", "fusion", 0x6c81d955da5b9e66ull, 56478455ull, 515ull},
-    {"Conformer", "no-lut", 0x93e5934ca2d6ab67ull, 188750775ull, 514ull},
-    {"Conformer", "uniform", 0x226439550d375519ull, 67576695ull, 515ull},
+    {"MobileNet-V3", "default", 0xcc5605df5dbf8f77ull, 4926344ull, 1518ull},
+    {"MobileNet-V3", "deep", 0xcc5605df5dbf8f77ull, 4926344ull, 1518ull},
+    {"MobileNet-V3", "fusion", 0xa762df1a1258ea37ull, 4911734ull, 1490ull},
+    {"MobileNet-V3", "no-lut", 0x5261a3c957e8f300ull, 5192376ull, 1514ull},
+    {"MobileNet-V3", "uniform", 0x3aee0a47b2e07569ull, 5674508ull, 1496ull},
+    {"EfficientNet-b0", "default", 0xf562f4dd2b1579e7ull, 7980716ull, 1652ull},
+    {"EfficientNet-b0", "deep", 0xf562f4dd2b1579e7ull, 7980716ull, 1652ull},
+    {"EfficientNet-b0", "fusion", 0x6c66847484ab21c4ull, 7971923ull, 1603ull},
+    {"EfficientNet-b0", "no-lut", 0xb68e5922969489eaull, 8527373ull, 1639ull},
+    {"EfficientNet-b0", "uniform", 0x56ba8b726cb3f70full, 8416739ull, 1604ull},
+    {"ResNet-50", "default", 0x302d380728d1bae5ull, 25093261ull, 850ull},
+    {"ResNet-50", "deep", 0x302d380728d1bae5ull, 25093261ull, 850ull},
+    {"ResNet-50", "fusion", 0x20433efa33a36732ull, 24908601ull, 850ull},
+    {"ResNet-50", "no-lut", 0xaa4256579aa1e30eull, 25191565ull, 850ull},
+    {"ResNet-50", "uniform", 0x3be75cc3edc77136ull, 32950121ull, 850ull},
+    {"FST", "default", 0xc73dde0abbd4ca7cull, 1279339248ull, 189ull},
+    {"FST", "deep", 0xc73dde0abbd4ca7cull, 1279339248ull, 189ull},
+    {"FST", "fusion", 0xc73dde0abbd4ca7cull, 1279339248ull, 189ull},
+    {"FST", "no-lut", 0xe47cb99a286067full, 1299786480ull, 189ull},
+    {"FST", "uniform", 0x543173b5fcfada3full, 1279339248ull, 189ull},
+    {"CycleGAN", "default", 0xe822130a57ee69daull, 1127720075ull, 196ull},
+    {"CycleGAN", "deep", 0xe822130a57ee69daull, 1127720075ull, 196ull},
+    {"CycleGAN", "fusion", 0xb7950f0f4f2217d2ull, 1127699497ull, 189ull},
+    {"CycleGAN", "no-lut", 0x16fc8f69bbd94d72ull, 1158334633ull, 195ull},
+    {"CycleGAN", "uniform", 0x661f044422dfae16ull, 1127720075ull, 196ull},
+    {"WDSR-b", "default", 0x347c47874b86f733ull, 96025928ull, 161ull},
+    {"WDSR-b", "deep", 0x347c47874b86f733ull, 96025928ull, 161ull},
+    {"WDSR-b", "fusion", 0x8a919657c13a7e2ull, 95377360ull, 156ull},
+    {"WDSR-b", "no-lut", 0x347c47874b86f733ull, 96025928ull, 161ull},
+    {"WDSR-b", "uniform", 0xd919d029915b7a3eull, 119965352ull, 161ull},
+    {"EfficientDet-d0", "default", 0xf81eb3b6abf18ee3ull, 45395990ull, 1666ull},
+    {"EfficientDet-d0", "deep", 0xf81eb3b6abf18ee3ull, 45395990ull, 1666ull},
+    {"EfficientDet-d0", "fusion", 0x5e066067e9c9c4b1ull, 45503856ull, 1617ull},
+    {"EfficientDet-d0", "no-lut", 0x2c2e6225d1bee676ull, 45886953ull, 1653ull},
+    {"EfficientDet-d0", "uniform", 0x393197b5b2238e44ull, 47767692ull, 1618ull},
+    {"PixOr", "default", 0xa61f1c305eae7447ull, 60748583ull, 786ull},
+    {"PixOr", "deep", 0xa61f1c305eae7447ull, 60748583ull, 786ull},
+    {"PixOr", "fusion", 0xb087c98bf42b9b16ull, 60148515ull, 786ull},
+    {"PixOr", "no-lut", 0xa61f1c305eae7447ull, 60748583ull, 786ull},
+    {"PixOr", "uniform", 0xff5d988aa1965573ull, 88786087ull, 786ull},
+    {"TinyBERT", "default", 0xdcc7e72a9c93b912ull, 15954492ull, 328ull},
+    {"TinyBERT", "deep", 0xdcc7e72a9c93b912ull, 15954492ull, 328ull},
+    {"TinyBERT", "fusion", 0xc431fc7ec9871744ull, 15912938ull, 328ull},
+    {"TinyBERT", "no-lut", 0xbefaa32316f067ccull, 112910598ull, 327ull},
+    {"TinyBERT", "uniform", 0x1361dfbe4541d7bcull, 17856028ull, 338ull},
+    {"Conformer", "default", 0x57f0d94361cf066full, 47728535ull, 501ull},
+    {"Conformer", "deep", 0x57f0d94361cf066full, 47728535ull, 501ull},
+    {"Conformer", "fusion", 0x7e00a2006fc86dbull, 47336903ull, 501ull},
+    {"Conformer", "no-lut", 0xe07f7af7f2bc6637ull, 179609223ull, 500ull},
+    {"Conformer", "uniform", 0x305df4e01a7b45daull, 58435143ull, 501ull},
 };
 // clang-format on
 

@@ -89,8 +89,8 @@ TEST(FingerprintTest, ZooModelAndServedProgramKeysMatchRecording)
     EXPECT_EQ(request.h1, 0xadb567560b972543ull) << actual;
     EXPECT_EQ(request.nodes, 48u) << actual;
     EXPECT_EQ(programs, 5u) << actual;
-    EXPECT_EQ(packDigest, 0x2f80cae5efb31076ull) << actual;
-    EXPECT_EQ(decodeDigest, 0x2e6d8891587a60c3ull) << actual;
+    EXPECT_EQ(packDigest, 0x7cc1e7291a90bd2eull) << actual;
+    EXPECT_EQ(decodeDigest, 0x6446d963ac085aa4ull) << actual;
 }
 
 } // namespace
