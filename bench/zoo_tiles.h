@@ -3,8 +3,7 @@
  * The zoo-block tile grid that pack_throughput packs and fig8_utilization
  * measures: for each matmul scheme, one tile per distinct unroll choice
  * the default (adaptive) strategy makes on a grid of layer shapes, with
- * the cost model's tile geometry (one layout panel of rows and one
- * output unit of columns per unroll step).
+ * the cost model's tile geometry (kernels::unrollTile).
  */
 #ifndef GCD2_BENCH_ZOO_TILES_H
 #define GCD2_BENCH_ZOO_TILES_H
@@ -15,7 +14,6 @@
 
 #include "kernels/matmul.h"
 #include "kernels/unroll.h"
-#include "tensor/layout.h"
 
 namespace gcd2::bench {
 
@@ -28,15 +26,9 @@ struct ZooTile
     kernels::MatMulKernel
     kernel(int64_t iters) const
     {
-        using kernels::MatMulScheme;
-        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
-                                    : scheme == MatMulScheme::Vmpa ? 2
-                                                                   : 4;
         return kernels::MatMulKernel(
-            {tensor::layoutPanelRows(kernels::schemeLayout(scheme)) *
-                 choice.outer,
-             kernels::kQuantum(scheme, choice.k) * iters,
-             colsPerUnit * choice.cols},
+            kernels::unrollTile(scheme, choice,
+                                kernels::kQuantum(scheme, choice.k) * iters),
             kernels::withUnroll({.scheme = scheme}, choice));
     }
 };

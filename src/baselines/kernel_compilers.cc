@@ -128,15 +128,8 @@ compileConv(const ConvShape &shape, KernelCompiler compiler)
         choice = kernels::adaptiveUnroll(mm, best.scheme);
         break;
     }
-    const int panel =
-        tensor::layoutPanelRows(kernels::schemeLayout(best.scheme));
-    const int unit = best.scheme == MatMulScheme::Vmpy  ? 1
-                     : best.scheme == MatMulScheme::Vmpa ? 2
-                                                         : 4;
-    kernels::MatMulShape tile;
-    tile.m = static_cast<int64_t>(panel) * choice.outer;
-    tile.k = mm.k;
-    tile.n = static_cast<int64_t>(unit) * choice.cols;
+    const kernels::MatMulShape tile =
+        kernels::unrollTile(best.scheme, choice, mm.k);
     best.staticPackets =
         staticPacketsOf(tile, best.scheme, choice, profile.packing);
 

@@ -3,17 +3,16 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/round.h"
 #include "tensor/quant.h"
 
 namespace gcd2::kernels {
 
 namespace {
 
+using common::ceilDiv;
 using dsp::Opcode;
-using dsp::makeAddi;
-using dsp::makeJumpNz;
 using dsp::makeLoad;
-using dsp::makeMov;
 using dsp::makeMovi;
 using dsp::makeVasr;
 using dsp::makeVload;
@@ -69,6 +68,19 @@ filtersToMatrix(const int8_t *oihw, const ConvShape &s)
     return out;
 }
 
+/** The (outH*outW) x outC row-major matmul output as NCHW planes. */
+std::vector<uint8_t>
+toPlanes(const std::vector<uint8_t> &hwc, const ConvShape &s)
+{
+    const int64_t m = s.outH() * s.outW();
+    std::vector<uint8_t> out(static_cast<size_t>(m * s.outC));
+    for (int64_t row = 0; row < m; ++row)
+        for (int64_t n = 0; n < s.outC; ++n)
+            out[static_cast<size_t>(n * m + row)] =
+                hwc[static_cast<size_t>(row * s.outC + n)];
+    return out;
+}
+
 } // namespace
 
 ConvKernel::ConvKernel(const ConvShape &shape, const MatMulConfig &config)
@@ -104,16 +116,7 @@ ConvKernel::packWeights(const int8_t *oihw) const
 std::vector<uint8_t>
 ConvKernel::unpackOutput(const uint8_t *packed) const
 {
-    // The matmul output is (outH*outW) x outC row-major; NCHW output wants
-    // channel-major planes.
-    const auto hwc = matmul_.unpackOutput(packed);
-    const int64_t m = shape_.outH() * shape_.outW();
-    std::vector<uint8_t> out(static_cast<size_t>(m * shape_.outC));
-    for (int64_t row = 0; row < m; ++row)
-        for (int64_t n = 0; n < shape_.outC; ++n)
-            out[static_cast<size_t>(n * m + row)] =
-                hwc[static_cast<size_t>(row * shape_.outC + n)];
-    return out;
+    return toPlanes(matmul_.unpackOutput(packed), shape_);
 }
 
 uint64_t
@@ -134,15 +137,9 @@ ConvKernel::reference(const uint8_t *nchw, const int8_t *oihw,
 {
     const auto patches = im2colHost(nchw, shape);
     const auto weights = filtersToMatrix(oihw, shape);
-    const auto hwc = MatMulKernel::reference(
-        patches.data(), weights.data(), shape.matmulShape(), config);
-    const int64_t m = shape.outH() * shape.outW();
-    std::vector<uint8_t> out(static_cast<size_t>(m * shape.outC));
-    for (int64_t row = 0; row < m; ++row)
-        for (int64_t n = 0; n < shape.outC; ++n)
-            out[static_cast<size_t>(n * m + row)] =
-                hwc[static_cast<size_t>(row * shape.outC + n)];
-    return out;
+    return toPlanes(MatMulKernel::reference(patches.data(), weights.data(),
+                                            shape.matmulShape(), config),
+                    shape);
 }
 
 // Depthwise -------------------------------------------------------------
@@ -159,12 +156,6 @@ constexpr int64_t kDwTileBytes = 256;
 
 /** Scalars s12..s31 hold filter coefficient words. */
 constexpr int64_t kDwFilterRegs = 20;
-
-int64_t
-ceilDiv(int64_t a, int64_t b)
-{
-    return (a + b - 1) / b;
-}
 
 } // namespace
 
@@ -250,13 +241,12 @@ DepthwiseKernel::DepthwiseKernel(const DepthwiseConfig &config)
     const int64_t stride = config_.stride;
     const int64_t groups = config_.tapGroups();
     const int64_t words = config_.kH * groups;
-    const int64_t outRowBytes = stride == 2 ? 128 : 256;
+    const int64_t outRowBytes = config_.tileLanes();
     const int64_t rowStride = rowBytes();
     buffers_.inputBytes = kernelChannels() * bufferRows() * rowStride;
     buffers_.weightBytes = kernelChannels() * words * 4;
     buffers_.outputBytes = kernelChannels() * tiling_.bandRows * outRowBytes;
-    buffers_.scratchBytes = 0;
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/false);
+    LoopBuilder loops(prog_, buffers_, /*scratch=*/false);
 
     // Filter row dy, tap group g: coefficient word dy * groups + g and an
     // input offset of dy rows and 3g bytes. A channel hoists its words
@@ -274,57 +264,44 @@ DepthwiseKernel::DepthwiseKernel(const DepthwiseConfig &config)
         return dy * rowStride + 3 * g;
     };
 
+    // One iteration of the row loop: unrollRows output rows of a tile,
+    // read off the row input pointer r7 and stored at the row output
+    // pointer r8.
     const int ur = config_.unrollRows;
-    prog_.push(makeMovi(sreg(0), 0));
-    prog_.push(makeMovi(sreg(5), kernelChannels())); // channel counter
-    prog_.push(makeMov(sreg(9), sreg(kRegInput)));  // channel input base
-    prog_.push(makeMov(sreg(10), sreg(kRegOutput))); // channel output base
-    prog_.push(makeMov(sreg(11), sreg(kRegWeights))); // weight pointer
-
-    const int chanLoop = prog_.newLabel();
-    prog_.bindLabel(chanLoop);
-    // Hoist the channel's filter coefficient words.
-    for (int64_t w = 0; hoistWords && w < words; ++w)
-        prog_.push(makeLoad(Opcode::LOADW, sreg(12 + static_cast<int>(w)),
-                            sreg(11), 4 * w));
-    prog_.push(makeMovi(sreg(6), tiling_.bandRows / ur)); // row counter
-    prog_.push(makeMov(sreg(7), sreg(9)));             // row input ptr
-    prog_.push(makeMov(sreg(8), sreg(10)));            // row output ptr
-
-    const int rowLoop = prog_.newLabel();
-    prog_.bindLabel(rowLoop);
-    if (stride == 2) {
-        for (int u = 0; u < ur; ++u) {
-            const int accBase = (u % 2 == 0) ? 2 : 6; // pairs v2:3 / v6:7
-            const int inBase = (u % 2 == 0) ? 0 : 8;  // v0,v1 / v8,v9
-            const int outReg = (u % 2 == 0) ? 4 : 10;
-            prog_.push(makeVsplatw(vreg(accBase), sreg(0)));
-            prog_.push(makeVsplatw(vreg(accBase + 1), sreg(0)));
-            for (int64_t dy = 0; dy < config_.kH; ++dy) {
-                for (int64_t g = 0; g < groups; ++g) {
-                    const auto w = coeff(dy, g);
-                    const int64_t off =
-                        static_cast<int64_t>(u) * 2 * rowStride +
-                        tapOffset(dy, g);
-                    prog_.push(makeVload(vreg(inBase), sreg(7), off));
-                    prog_.push(
-                        makeVload(vreg(inBase + 1), sreg(7), off + 128));
-                    prog_.push(makeVmpa(Opcode::VTMPY, vreg(accBase),
-                                        vreg(inBase), w));
+    auto rows = [&] {
+        if (stride == 2) {
+            for (int u = 0; u < ur; ++u) {
+                const int accBase = (u % 2 == 0) ? 2 : 6; // pairs v2:3 / v6:7
+                const int inBase = (u % 2 == 0) ? 0 : 8;  // v0,v1 / v8,v9
+                const int outReg = (u % 2 == 0) ? 4 : 10;
+                prog_.push(makeVsplatw(vreg(accBase), sreg(0)));
+                prog_.push(makeVsplatw(vreg(accBase + 1), sreg(0)));
+                for (int64_t dy = 0; dy < config_.kH; ++dy) {
+                    for (int64_t g = 0; g < groups; ++g) {
+                        const auto w = coeff(dy, g);
+                        const int64_t off =
+                            static_cast<int64_t>(u) * 2 * rowStride +
+                            tapOffset(dy, g);
+                        prog_.push(makeVload(vreg(inBase), sreg(7), off));
+                        prog_.push(
+                            makeVload(vreg(inBase + 1), sreg(7), off + 128));
+                        prog_.push(makeVmpa(Opcode::VTMPY, vreg(accBase),
+                                            vreg(inBase), w));
+                    }
                 }
+                prog_.push(makeVasr(Opcode::VASRHUB, vreg(outReg),
+                                    vreg(accBase), config_.shift16));
+                prog_.push(makeVstore(sreg(8), vreg(outReg),
+                                      static_cast<int64_t>(u) * 128));
             }
-            prog_.push(makeVasr(Opcode::VASRHUB, vreg(outReg),
-                                vreg(accBase), config_.shift16));
-            prog_.push(makeVstore(sreg(8), vreg(outReg),
-                                  static_cast<int64_t>(u) * 128));
+            return;
         }
-    } else {
         // Stride 1: even-phase outputs from the aligned rows, odd-phase
         // outputs from the rows shifted one byte; byte-interleave both
         // requantized streams back into pixel order.
-        prog_.push(makeVsplatw(vreg(2), sreg(0)));  // even acc pair v2:3
+        prog_.push(makeVsplatw(vreg(2), sreg(0))); // even acc pair v2:3
         prog_.push(makeVsplatw(vreg(3), sreg(0)));
-        prog_.push(makeVsplatw(vreg(6), sreg(0)));  // odd acc pair v6:7
+        prog_.push(makeVsplatw(vreg(6), sreg(0))); // odd acc pair v6:7
         prog_.push(makeVsplatw(vreg(7), sreg(0)));
         int step = 0;
         for (int64_t dy = 0; dy < config_.kH; ++dy) {
@@ -334,14 +311,12 @@ DepthwiseKernel::DepthwiseKernel(const DepthwiseConfig &config)
                 const int evenIn = (step % 2 == 0) ? 0 : 14; // v0:1 / v14:15
                 const int oddIn = (step % 2 == 0) ? 8 : 16;  // v8:9 / v16:17
                 prog_.push(makeVload(vreg(evenIn), sreg(7), off));
-                prog_.push(
-                    makeVload(vreg(evenIn + 1), sreg(7), off + 128));
+                prog_.push(makeVload(vreg(evenIn + 1), sreg(7), off + 128));
                 prog_.push(
                     makeVmpa(Opcode::VTMPY, vreg(2), vreg(evenIn), w));
                 prog_.push(makeVload(vreg(oddIn), sreg(7), off + 1));
                 prog_.push(makeVload(vreg(oddIn + 1), sreg(7), off + 129));
-                prog_.push(
-                    makeVmpa(Opcode::VTMPY, vreg(6), vreg(oddIn), w));
+                prog_.push(makeVmpa(Opcode::VTMPY, vreg(6), vreg(oddIn), w));
             }
         }
         prog_.push(makeVasr(Opcode::VASRHUB, vreg(4), vreg(2),
@@ -352,17 +327,27 @@ DepthwiseKernel::DepthwiseKernel(const DepthwiseConfig &config)
                               /*laneLog2=*/0)); // pixel order, pair v12:13
         prog_.push(makeVstore(sreg(8), vreg(12), 0));
         prog_.push(makeVstore(sreg(8), vreg(13), 128));
-    }
-    prog_.push(makeAddi(sreg(7), sreg(7), stride * rowStride * ur));
-    prog_.push(makeAddi(sreg(8), sreg(8), outRowBytes * ur));
-    prog_.push(makeAddi(sreg(6), sreg(6), -1));
-    prog_.push(makeJumpNz(sreg(6), rowLoop));
+    };
 
-    prog_.push(makeAddi(sreg(9), sreg(9), bufferRows() * rowStride));
-    prog_.push(makeAddi(sreg(10), sreg(10), tiling_.bandRows * outRowBytes));
-    prog_.push(makeAddi(sreg(11), sreg(11), words * 4));
-    prog_.push(makeAddi(sreg(5), sreg(5), -1));
-    prog_.push(makeJumpNz(sreg(5), chanLoop));
+    // Channel loop (r5) over the channel input base r9, output base r10
+    // and weight pointer r11; row loop (r6) over r7 / r8.
+    prog_.push(makeMovi(sreg(0), 0));
+    loops.loop(
+        LoopInit::imm(kernelChannels()),
+        {{9, LoopInit::reg(kRegInput), bufferRows() * rowStride},
+         {10, LoopInit::reg(kRegOutput), tiling_.bandRows * outRowBytes},
+         {11, LoopInit::reg(kRegWeights), words * 4}},
+        [&] {
+            // Hoist the channel's filter coefficient words.
+            for (int64_t w = 0; hoistWords && w < words; ++w)
+                prog_.push(makeLoad(Opcode::LOADW,
+                                    sreg(12 + static_cast<int>(w)), sreg(11),
+                                    4 * w));
+            loops.loop(LoopInit::imm(tiling_.bandRows / ur),
+                       {{7, LoopInit::reg(9), stride * rowStride * ur},
+                        {8, LoopInit::reg(10), outRowBytes * ur}},
+                       rows);
+        });
 }
 
 int64_t
@@ -378,7 +363,7 @@ DepthwiseKernel::rowBytes() const
     // 3 (groups - 1) + 256.
     const int64_t reach = 3 * (config_.tapGroups() - 1) + kDwTileBytes + 1;
     return std::max(kDwMinRowBytes,
-                    ceilDiv(reach, dsp::kVectorBytes) * dsp::kVectorBytes);
+                    common::roundUp(reach, dsp::kVectorBytes));
 }
 
 int64_t
@@ -394,8 +379,8 @@ DepthwiseKernel::outputOffset(int64_t c, int64_t y, int64_t x) const
     const int64_t channel = c * t.colTiles + x / t.tileOut;
     const int64_t band = y / t.bandRows;
     const int64_t lane = band * t.bandBytes / config_.stride + x % t.tileOut;
-    const int64_t outRowBytes = config_.stride == 2 ? 128 : 256;
-    return (channel * t.bandRows + y % t.bandRows) * outRowBytes + lane;
+    return (channel * t.bandRows + y % t.bandRows) * config_.tileLanes() +
+           lane;
 }
 
 std::vector<uint8_t>

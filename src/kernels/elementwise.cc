@@ -3,17 +3,16 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/round.h"
 
 namespace gcd2::kernels {
 
 namespace {
 
+using common::roundUp;
 using dsp::Opcode;
-using dsp::makeAddi;
 using dsp::makeBinary;
-using dsp::makeJumpNz;
 using dsp::makeLoad;
-using dsp::makeMov;
 using dsp::makeMovi;
 using dsp::makeStore;
 using dsp::makeVecBinary;
@@ -25,16 +24,10 @@ using dsp::makeVstore;
 using dsp::sreg;
 using dsp::vreg;
 
-constexpr int kRegCtr = 5;
+// The loop counter is r5; the pointer inductions follow it.
 constexpr int kRegIn = 6;
 constexpr int kRegSecond = 7;
 constexpr int kRegOut = 8;
-
-int64_t
-roundUp(int64_t v, int64_t unit)
-{
-    return (v + unit - 1) / unit * unit;
-}
 
 uint32_t
 byteSplat(int v)
@@ -76,10 +69,7 @@ ElementwiseKernel::ElementwiseKernel(const EwConfig &config)
     GCD2_REQUIRE(config.unroll >= 1, "unroll must be >= 1");
     GCD2_REQUIRE(config.denominator > 0, "denominator must be positive");
 
-    if (config_.op == EwOp::Div || config_.op == EwOp::DivLut)
-        generateScalarDiv();
-    else
-        generateVector();
+    generate();
 }
 
 int64_t
@@ -91,63 +81,74 @@ ElementwiseKernel::outputLength() const
 }
 
 void
-ElementwiseKernel::generateVector()
+ElementwiseKernel::generate()
 {
-    const bool pooling =
-        config_.op == EwOp::MaxPool || config_.op == EwOp::AvgPool;
-    const int64_t bytesPerIterIn =
-        (pooling ? 256 : 128) * config_.unroll;
-    paddedLen_ = roundUp(config_.length, bytesPerIterIn);
-    const int64_t iters = paddedLen_ / bytesPerIterIn;
+    const EwOp op = config_.op;
+    const int unroll = config_.unroll;
+    const bool scalar = op == EwOp::Div || op == EwOp::DivLut;
+    const bool pooling = op == EwOp::MaxPool || op == EwOp::AvgPool;
+    // Each unrolled step reads one byte (scalar ops), one vector, or a
+    // vector pair (pooling), and writes one byte or one vector.
+    const int64_t inStep =
+        static_cast<int64_t>(unroll) * (scalar ? 1 : pooling ? 256 : 128);
+    const int64_t outStep = static_cast<int64_t>(unroll) * (scalar ? 1 : 128);
+    paddedLen_ = roundUp(config_.length, inStep);
 
     buffers_.inputBytes = paddedLen_;
-    buffers_.weightBytes = config_.op == EwOp::Add
-                               ? paddedLen_
-                               : (config_.op == EwOp::Lut ? 256 : 0);
+    buffers_.weightBytes =
+        op == EwOp::Add ? paddedLen_
+                        : (op == EwOp::Lut || op == EwOp::DivLut ? 256 : 0);
     buffers_.outputBytes = pooling ? paddedLen_ / 2 : paddedLen_;
-    buffers_.scratchBytes = 0;
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/false);
+    LoopBuilder loops(prog_, buffers_, /*scratch=*/false);
 
     // Setup emits only what the loop reads (the dead-store lint holds
     // every generator to this): r0 feeds Requant's zero splat, the
-    // second pointer only Add's operand and Lut's table.
-    if (config_.op == EwOp::Requant)
+    // second pointer only Add's operand and the lookup tables.
+    if (op == EwOp::Requant)
         prog_.push(makeMovi(sreg(0), 0));
-    prog_.push(makeMovi(sreg(kRegCtr), iters));
-    prog_.push(makeMov(sreg(kRegIn), sreg(kRegInput)));
-    if (config_.op == EwOp::Add || config_.op == EwOp::Lut)
-        prog_.push(makeMov(sreg(kRegSecond), sreg(kRegWeights)));
-    prog_.push(makeMov(sreg(kRegOut), sreg(kRegOutput)));
 
-    // Loop-invariant constant vectors.
-    if (config_.op == EwOp::Lut) {
-        // The 256-byte lookup table lives in the pair v30:v31.
-        prog_.push(makeVload(vreg(30), sreg(kRegSecond), 0));
-        prog_.push(makeVload(vreg(31), sreg(kRegSecond), 128));
-    } else if (config_.op == EwOp::Clamp) {
-        prog_.push(makeMovi(sreg(9),
-                            static_cast<int64_t>(byteSplat(config_.clampLo))));
-        prog_.push(makeVsplatw(vreg(30), sreg(9)));
-        prog_.push(makeMovi(sreg(10),
-                            static_cast<int64_t>(byteSplat(config_.clampHi))));
-        prog_.push(makeVsplatw(vreg(31), sreg(10)));
-    } else if (config_.op == EwOp::Requant) {
-        prog_.push(makeVsplatw(vreg(29), sreg(0)));
-    }
+    // Loop-invariant constants.
+    auto constants = [&] {
+        switch (op) {
+          case EwOp::Lut:
+            // The 256-byte lookup table lives in the pair v30:v31.
+            prog_.push(makeVload(vreg(30), sreg(kRegSecond), 0));
+            prog_.push(makeVload(vreg(31), sreg(kRegSecond), 128));
+            break;
+          case EwOp::Clamp:
+            prog_.push(makeMovi(
+                sreg(9), static_cast<int64_t>(byteSplat(config_.clampLo))));
+            prog_.push(makeVsplatw(vreg(30), sreg(9)));
+            prog_.push(makeMovi(
+                sreg(10), static_cast<int64_t>(byteSplat(config_.clampHi))));
+            prog_.push(makeVsplatw(vreg(31), sreg(10)));
+            break;
+          case EwOp::Requant:
+            prog_.push(makeVsplatw(vreg(29), sreg(0)));
+            break;
+          case EwOp::Div:
+            prog_.push(makeMovi(sreg(11), config_.denominator));
+            break;
+          case EwOp::DivLut:
+            prog_.push(makeMovi(sreg(12), 0xff)); // byte zero-extension mask
+            break;
+          case EwOp::Add:
+          case EwOp::MaxPool:
+          case EwOp::AvgPool:
+            break;
+        }
+    };
 
-    const int loop = prog_.newLabel();
-    prog_.bindLabel(loop);
-    for (int u = 0; u < config_.unroll; ++u) {
-        // Rotate temp banks so unrolled iterations are independent: eight
-        // 3-register banks for the 1-in-1-out ops, four 6-register banks
-        // (pair-aligned) for pooling.
-        const bool pooling2 =
-            config_.op == EwOp::MaxPool || config_.op == EwOp::AvgPool;
-        const int base = pooling2 ? (u % 4) * 6 : (u % 8) * 3;
-        const int64_t inOff =
-            static_cast<int64_t>(u) * (pooling ? 256 : 128);
-        const int64_t outOff = static_cast<int64_t>(u) * 128;
-        switch (config_.op) {
+    // Unrolled step u. Rotate temp banks so unrolled steps are
+    // independent: eight 3-register banks for the 1-in-1-out vector ops,
+    // four 6-register banks (pair-aligned) for pooling, four 4-register
+    // scalar banks from s13 for the divisions.
+    auto step = [&](int u) {
+        const int base = pooling ? (u % 4) * 6 : (u % 8) * 3;
+        const int t = 13 + 4 * (u % 4);
+        const int64_t inOff = u * (inStep / unroll);
+        const int64_t outOff = u * (outStep / unroll);
+        switch (op) {
           case EwOp::Add:
             prog_.push(makeVload(vreg(base), sreg(kRegIn), inOff));
             prog_.push(makeVload(vreg(base + 1), sreg(kRegSecond), inOff));
@@ -162,9 +163,8 @@ ElementwiseKernel::generateVector()
                                  inOff + 128));
             prog_.push(makeVshuff(Opcode::VDEAL, vreg(base + 2),
                                   vreg(base), vreg(base + 1), 0));
-            const Opcode combine = config_.op == EwOp::MaxPool
-                                       ? Opcode::VMAXUB
-                                       : Opcode::VAVGB;
+            const Opcode combine = op == EwOp::MaxPool ? Opcode::VMAXUB
+                                                       : Opcode::VAVGB;
             prog_.push(makeVecBinary(combine, vreg(base + 4),
                                      vreg(base + 2), vreg(base + 3)));
             prog_.push(makeVstore(sreg(kRegOut), vreg(base + 4), outOff));
@@ -190,70 +190,43 @@ ElementwiseKernel::generateVector()
             prog_.push(makeVstore(sreg(kRegOut), vreg(base + 1), outOff));
             break;
           case EwOp::Div:
-          case EwOp::DivLut:
-            GCD2_PANIC("scalar ops use generateScalarDiv");
-        }
-    }
-    prog_.push(makeAddi(sreg(kRegIn), sreg(kRegIn), bytesPerIterIn));
-    if (config_.op == EwOp::Add)
-        prog_.push(makeAddi(sreg(kRegSecond), sreg(kRegSecond),
-                            bytesPerIterIn));
-    prog_.push(makeAddi(sreg(kRegOut), sreg(kRegOut),
-                        static_cast<int64_t>(config_.unroll) * 128));
-    prog_.push(makeAddi(sreg(kRegCtr), sreg(kRegCtr), -1));
-    prog_.push(makeJumpNz(sreg(kRegCtr), loop));
-}
-
-void
-ElementwiseKernel::generateScalarDiv()
-{
-    paddedLen_ = roundUp(config_.length, config_.unroll);
-    const int64_t iters = paddedLen_ / config_.unroll;
-
-    buffers_.inputBytes = paddedLen_;
-    buffers_.weightBytes = config_.op == EwOp::DivLut ? 256 : 0;
-    buffers_.outputBytes = paddedLen_;
-    buffers_.scratchBytes = 0;
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/false);
-
-    const bool lut = config_.op == EwOp::DivLut;
-    prog_.push(makeMovi(sreg(kRegCtr), iters));
-    prog_.push(makeMov(sreg(kRegIn), sreg(kRegInput)));
-    if (lut)
-        prog_.push(makeMov(sreg(kRegSecond), sreg(kRegWeights))); // LUT base
-    prog_.push(makeMov(sreg(kRegOut), sreg(kRegOutput)));
-    if (lut)
-        prog_.push(makeMovi(sreg(12), 0xff)); // byte zero-extension mask
-    else
-        prog_.push(makeMovi(sreg(11), config_.denominator));
-
-    const int loop = prog_.newLabel();
-    prog_.bindLabel(loop);
-    for (int u = 0; u < config_.unroll; ++u) {
-        // Rotate over four scalar temp banks.
-        const int t = 13 + 4 * (u % 4);
-        prog_.push(makeLoad(Opcode::LOADB, sreg(t), sreg(kRegIn), u));
-        if (!lut) {
+            prog_.push(makeLoad(Opcode::LOADB, sreg(t), sreg(kRegIn), u));
             prog_.push(makeBinary(Opcode::DIV, sreg(t + 1), sreg(t),
                                   sreg(11)));
-            prog_.push(makeStore(Opcode::STOREB, sreg(kRegOut),
-                                 sreg(t + 1), u));
-        } else {
+            prog_.push(makeStore(Opcode::STOREB, sreg(kRegOut), sreg(t + 1),
+                                 u));
+            break;
+          case EwOp::DivLut:
             // Zero-extend the byte, index the 256-entry lookup table.
+            prog_.push(makeLoad(Opcode::LOADB, sreg(t), sreg(kRegIn), u));
             prog_.push(makeBinary(Opcode::AND, sreg(t + 1), sreg(t),
                                   sreg(12)));
-            prog_.push(makeBinary(Opcode::ADD, sreg(t + 2),
-                                  sreg(kRegSecond), sreg(t + 1)));
-            prog_.push(makeLoad(Opcode::LOADB, sreg(t + 3), sreg(t + 2),
-                                0));
-            prog_.push(makeStore(Opcode::STOREB, sreg(kRegOut),
-                                 sreg(t + 3), u));
+            prog_.push(makeBinary(Opcode::ADD, sreg(t + 2), sreg(kRegSecond),
+                                  sreg(t + 1)));
+            prog_.push(makeLoad(Opcode::LOADB, sreg(t + 3), sreg(t + 2), 0));
+            prog_.push(makeStore(Opcode::STOREB, sreg(kRegOut), sreg(t + 3),
+                                 u));
+            break;
         }
-    }
-    prog_.push(makeAddi(sreg(kRegIn), sreg(kRegIn), config_.unroll));
-    prog_.push(makeAddi(sreg(kRegOut), sreg(kRegOut), config_.unroll));
-    prog_.push(makeAddi(sreg(kRegCtr), sreg(kRegCtr), -1));
-    prog_.push(makeJumpNz(sreg(kRegCtr), loop));
+    };
+    auto body = [&] {
+        for (int u = 0; u < unroll; ++u)
+            step(u);
+    };
+
+    // The second pointer walks Add's operand and stays on a table.
+    const LoopInit trips = LoopInit::imm(paddedLen_ / inStep);
+    const Induction in{kRegIn, LoopInit::reg(kRegInput), inStep};
+    const Induction out{kRegOut, LoopInit::reg(kRegOutput), outStep};
+    if (op == EwOp::Add || op == EwOp::Lut || op == EwOp::DivLut)
+        loops.loop(trips,
+                   {in,
+                    {kRegSecond, LoopInit::reg(kRegWeights),
+                     op == EwOp::Add ? inStep : 0},
+                    out},
+                   constants, body);
+    else
+        loops.loop(trips, {in, out}, constants, body);
 }
 
 std::vector<uint8_t>

@@ -91,8 +91,7 @@ class ElementwiseKernel
                                           const EwConfig &config);
 
   private:
-    void generateVector();
-    void generateScalarDiv();
+    void generate();
 
     EwConfig config_;
     int64_t paddedLen_ = 0;

@@ -4,18 +4,17 @@
 #include <iterator>
 
 #include "common/logging.h"
+#include "common/round.h"
 #include "tensor/quant.h"
 
 namespace gcd2::kernels {
 
 namespace {
 
+using common::roundUp;
 using dsp::Opcode;
 using dsp::Program;
-using dsp::makeAddi;
-using dsp::makeJumpNz;
 using dsp::makeLoad;
-using dsp::makeMov;
 using dsp::makeMovi;
 using dsp::makeVasr;
 using dsp::makeVecBinary;
@@ -29,10 +28,8 @@ using dsp::makeVstore;
 using dsp::sreg;
 using dsp::vreg;
 
-// Scalar register allocation (beyond the ABI registers r1-r4; r0 is zero).
-constexpr int kRegPanelCtr = 5;
-constexpr int kRegTileCtr = 6;
-constexpr int kRegKCtr = 7;
+// Scalar register allocation (beyond the ABI registers r1-r4 and the
+// panel / tile / k loop counters r5-r7; r0 is zero).
 constexpr int kRegAPanel = 8;
 constexpr int kRegWTile = 9;
 constexpr int kRegCPanel = 10;
@@ -50,14 +47,7 @@ constexpr int kWeightRing[] = {14, 15, 16, 17, 18, 19, 20, 21,
 // v20..v29 are epilogue temporaries.
 constexpr int kInputRing[] = {0, 30};
 constexpr int kFirstAccReg = 2;
-constexpr int kAccRegCount = 16;
 constexpr int kSpillStage = 18;
-
-int64_t
-roundUp(int64_t v, int64_t unit)
-{
-    return (v + unit - 1) / unit * unit;
-}
 
 /** The largest ring of at most @p limit registers that divides @p items. */
 int
@@ -69,104 +59,11 @@ ringDividing(int items, int limit)
     return ring;
 }
 
-} // namespace
-
-void
-declareKernelNoalias(Program &prog, const KernelBuffers &buffers,
-                     bool scratch)
-{
-    // Extents mirror the runner's segment layout (runner.cc):
-    // | guard | input | weights | output | scratch |, every base aligned
-    // up to the vector width with one trailing guard vector after
-    // scratch -- so each base register may address up to the next
-    // segment's base. A zero extent means "size unknown" to the lint.
-    prog.declareNoalias(kRegInput,
-                        roundUp(buffers.inputBytes, dsp::kVectorBytes));
-    prog.declareNoalias(kRegWeights,
-                        roundUp(buffers.weightBytes, dsp::kVectorBytes));
-    prog.declareNoalias(kRegOutput,
-                        roundUp(buffers.outputBytes, dsp::kVectorBytes));
-    if (scratch)
-        prog.declareNoalias(kRegScratch,
-                            roundUp(buffers.scratchBytes +
-                                        dsp::kVectorBytes,
-                                    dsp::kVectorBytes));
-}
-
-const char *
-schemeName(MatMulScheme scheme)
-{
-    switch (scheme) {
-      case MatMulScheme::Vmpy:
-        return "vmpy";
-      case MatMulScheme::Vmpa:
-        return "vmpa";
-      case MatMulScheme::Vrmpy:
-        return "vrmpy";
-    }
-    return "?";
-}
-
-int64_t
-kQuantum(MatMulScheme scheme, int unrollK)
-{
-    // Mirrors the padding in generateVmpy / generateVmpa / generateVrmpy:
-    // kp_ = roundUp(k, quantum) and the inner loop runs kp_ / quantum
-    // times (vmpy steps one K column, vmpa/vrmpy step four).
-    switch (scheme) {
-      case MatMulScheme::Vmpy:
-        return unrollK;
-      case MatMulScheme::Vmpa:
-      case MatMulScheme::Vrmpy:
-        return 4 * static_cast<int64_t>(unrollK);
-    }
-    return unrollK;
-}
-
-tensor::Layout
-schemeLayout(MatMulScheme scheme)
-{
-    switch (scheme) {
-      case MatMulScheme::Vmpy:
-        return tensor::Layout::OneColumn;
-      case MatMulScheme::Vmpa:
-        return tensor::Layout::TwoColumn;
-      case MatMulScheme::Vrmpy:
-        return tensor::Layout::FourColumn;
-    }
-    return tensor::Layout::RowMajor;
-}
-
-MatMulKernel::MatMulKernel(const MatMulShape &shape,
-                           const MatMulConfig &config)
-    : shape_(shape), config_(config)
-{
-    GCD2_REQUIRE(shape.m > 0 && shape.k > 0 && shape.n > 0,
-                 "matmul shape must be positive");
-    GCD2_REQUIRE(config.unrollOut >= 1 && config.unrollCols >= 1 &&
-                     config.unrollK >= 1,
-                 "unroll factors must be >= 1");
-
-    switch (config_.scheme) {
-      case MatMulScheme::Vmpy:
-        generateVmpy();
-        break;
-      case MatMulScheme::Vmpa:
-        generateVmpa();
-        break;
-      case MatMulScheme::Vrmpy:
-        generateVrmpy();
-        break;
-    }
-}
-
-namespace {
-
 /**
- * Shared loop-nest emitter. The three schemes differ only in the panel
- * height, k step, columns per tile, the multiply, and the requantization
- * epilogue; this builder owns the loop/pointer scaffolding and every
- * register the multiplies read or accumulate into.
+ * Shared loop-nest emitter. The three schemes differ only in their
+ * scheme-table row, the multiply, and the requantization epilogue; this
+ * builder owns the panel, tile and k loops (emitted through LoopBuilder)
+ * and every register the multiplies read or accumulate into.
  *
  * The k loop is software-pipelined by one lookahead ring per operand: a
  * two-stage modulo schedule whose modulo variable expansion is the ring.
@@ -179,14 +76,14 @@ namespace {
  * the LOADW of word t is issued R - 1 words ahead of the multiply that
  * reads it. Each input vector (vmpa: pair) is loaded one step ahead:
  * into the other of v0 / v30 when unrollK is even, else into v0 right
- * after the multiplies that read it. A prologue in the tile head loads
- * the first window, and the last steps of each iteration load the next
- * iteration's first operands, so the packer overlaps iteration i + 1's
- * loads with iteration i's multiplies; as the rings divide W and
- * unrollK, every iteration runs the same code. The last iteration's
- * lookahead reads the next tile's first words, or the pad past the last
- * tile and panel: addresses no load of its block reads, so even a
- * one-iteration reduction runs the same program as a deep one.
+ * after the multiplies that read it. A prologue in the k loop's
+ * preheader loads the first window, and the last steps of each iteration
+ * load the next iteration's first operands, so the packer overlaps
+ * iteration i + 1's loads with iteration i's multiplies; as the rings
+ * divide W and unrollK, every iteration runs the same code. The last
+ * iteration's lookahead reads the next tile's first words, or the pad
+ * past the last tile and panel: addresses no load of its block reads, so
+ * even a one-iteration reduction runs the same program as a deep one.
  */
 class LoopNestBuilder
 {
@@ -200,7 +97,7 @@ class LoopNestBuilder
         int unrollK;          ///< reduction steps per inner iteration
         int64_t aPanelStride; ///< bytes per panel of packed A
         int64_t cPanelStride; ///< bytes per panel of packed C
-        int64_t cTileStride;  ///< bytes per column tile of packed C
+        int units;            ///< output column units per tile
         int64_t aKStep;       ///< A pointer bytes per reduction step
         int inputVectors;     ///< vectors per input operand (1 or 2)
         int accCols;          ///< column accumulators per tile
@@ -216,94 +113,63 @@ class LoopNestBuilder
     }
 
     /**
-     * Bytes the last iteration's lookahead reads past the packed input
-     * and weights; the generator adds them to its buffers so the
-     * runner's segments and the noalias extents cover them.
+     * The kernel's buffers for packed operands of @p input, @p weights
+     * and @p output bytes: the input and weights grow by the bytes the
+     * last iteration's lookahead reads past them, so the runner's
+     * segments and the noalias extents cover those reads, and scratch
+     * holds the spilled accumulators.
      */
-    int64_t
-    inputPad() const
+    KernelBuffers
+    buffers(int64_t input, int64_t weights, int64_t output) const
     {
-        return p_.aKStep;
-    }
-
-    int64_t
-    weightPad() const
-    {
-        return 4 * static_cast<int64_t>(weightRing_ - 1);
+        return {input + p_.aKStep,
+                weights + 4 * static_cast<int64_t>(weightRing_ - 1), output,
+                std::max<int64_t>(0, spillOff(p_.accCols))};
     }
 
     /**
-     * Emit the full nest. @p mul(acc, in, w) is the multiply of one
-     * weight word into accumulator register acc; @p epilogue is invoked
-     * per unrollOut replica o.
+     * Emit the full nest through @p loops. @p mul(acc, in, w) is the
+     * multiply of one weight word into accumulator register acc;
+     * @p epilogue(unit) requantizes output column unit `unit` of the
+     * tile into a vector register and returns it, and the nest stores it
+     * (one vector per unit and panel).
      */
     template <typename MulFn, typename EpilogueFn>
     void
-    emit(MulFn mul, EpilogueFn epilogue)
+    emit(LoopBuilder &loops, MulFn mul, EpilogueFn epilogue)
     {
         prog_.push(makeMovi(sreg(0), 0));
-        prog_.push(makeMovi(sreg(kRegPanelCtr), p_.panels));
-        prog_.push(makeMov(sreg(kRegAPanel), sreg(kRegInput)));
-        prog_.push(makeMov(sreg(kRegCPanel), sreg(kRegOutput)));
-
-        const int panelLabel = prog_.newLabel();
-        prog_.bindLabel(panelLabel);
-        prog_.push(makeMovi(sreg(kRegTileCtr), p_.colTiles));
-        // The inner trip count is loop-invariant: materialize it once per
-        // panel (in the panel head's free slot) and reload the counter
-        // from the register inside the nest. The value-flow analysis
-        // still certifies the trip count (the MOV copies an absolute
-        // constant), and the idiom exercises the register-trip path end
-        // to end.
-        prog_.push(makeMovi(sreg(kRegKTrip), p_.kIters));
-        prog_.push(makeMov(sreg(kRegWTile), sreg(kRegWeights)));
-        prog_.push(makeMov(sreg(kRegCCol), sreg(kRegCPanel)));
-
-        const int tileLabel = prog_.newLabel();
-        prog_.bindLabel(tileLabel);
-        for (int o = 0; o < p_.unrollOut; ++o) {
-            prog_.push(makeMov(sreg(kRegKCtr), sreg(kRegKTrip)));
-            prog_.push(makeMov(sreg(kRegAK), sreg(kRegAPanel)));
-            prog_.push(makeMov(sreg(kRegWK), sreg(kRegWTile)));
-            loadInput(o, 0, kRegAPanel);
-            loadWeightWindow(kRegWTile);
-            zeroAccs();
-
-            const int kLabel = prog_.newLabel();
-            prog_.bindLabel(kLabel);
-            for (int u = 0; u < p_.unrollK; ++u) {
-                const int in = kInputRing[u % inputRing_];
-                if (inputRing_ > 1)
-                    loadInput(o, u + 1, kRegAK);
-                for (int c = 0; c < p_.accCols; ++c) {
-                    const int t = u * p_.accCols + c;
-                    loadWeight(t + weightRing_ - 1, kRegWK);
-                    const int w = kWeightRing[t % weightRing_];
-                    accumulate(c, [&](int acc) { return mul(acc, in, w); });
-                }
-                if (inputRing_ == 1)
-                    loadInput(o, u + 1, kRegAK);
-            }
-            prog_.push(makeAddi(sreg(kRegAK), sreg(kRegAK),
-                                p_.aKStep * p_.unrollK));
-            prog_.push(makeAddi(sreg(kRegWK), sreg(kRegWK), 4 * words_));
-            prog_.push(makeAddi(sreg(kRegKCtr), sreg(kRegKCtr), -1));
-            prog_.push(makeJumpNz(sreg(kRegKCtr), kLabel));
-
-            epilogue(o);
-        }
-        prog_.push(makeAddi(sreg(kRegWTile), sreg(kRegWTile),
-                            4 * words_ * p_.kIters));
-        prog_.push(makeAddi(sreg(kRegCCol), sreg(kRegCCol), p_.cTileStride));
-        prog_.push(makeAddi(sreg(kRegTileCtr), sreg(kRegTileCtr), -1));
-        prog_.push(makeJumpNz(sreg(kRegTileCtr), tileLabel));
-
-        prog_.push(makeAddi(sreg(kRegAPanel), sreg(kRegAPanel),
-                            p_.aPanelStride * p_.unrollOut));
-        prog_.push(makeAddi(sreg(kRegCPanel), sreg(kRegCPanel),
-                            p_.cPanelStride * p_.unrollOut));
-        prog_.push(makeAddi(sreg(kRegPanelCtr), sreg(kRegPanelCtr), -1));
-        prog_.push(makeJumpNz(sreg(kRegPanelCtr), panelLabel));
+        loops.loop(
+            LoopInit::imm(p_.panels),
+            {{kRegAPanel, LoopInit::reg(kRegInput),
+              p_.aPanelStride * p_.unrollOut},
+             {kRegCPanel, LoopInit::reg(kRegOutput),
+              p_.cPanelStride * p_.unrollOut}},
+            [&] {
+                // The inner trip count is loop-invariant: materialize it
+                // once per panel (in the panel head's free slot) and
+                // reload the counter from the register inside the nest.
+                // The value-flow analysis still certifies the trip count
+                // (the MOV copies an absolute constant), and the idiom
+                // exercises the register-trip path end to end.
+                loops.loop(
+                    LoopInit::imm(p_.colTiles),
+                    {{kRegKTrip, LoopInit::imm(p_.kIters)},
+                     {kRegWTile, LoopInit::reg(kRegWeights),
+                      4 * words_ * p_.kIters},
+                     {kRegCCol, LoopInit::reg(kRegCPanel),
+                      p_.units * dsp::kVectorBytes}},
+                    [&] {
+                        for (int o = 0; o < p_.unrollOut; ++o) {
+                            emitReduction(loops, o, mul);
+                            for (int unit = 0; unit < p_.units; ++unit)
+                                prog_.push(makeVstore(
+                                    sreg(kRegCCol), vreg(epilogue(unit)),
+                                    unit * dsp::kVectorBytes +
+                                        o * p_.cPanelStride));
+                        }
+                    });
+            });
     }
 
     /*
@@ -320,23 +186,6 @@ class LoopNestBuilder
                p_.accWidth;
     }
 
-    int64_t
-    scratchBytes() const
-    {
-        return std::max<int64_t>(0, spillOff(p_.accCols));
-    }
-
-    /** Push mul(reg), reg holding column @p c's accumulator; a spilled
-     *  accumulator is reloaded before and stored back after. */
-    template <typename MulFn>
-    void
-    accumulate(int c, MulFn mul)
-    {
-        prog_.push(mul(reloadAcc(c)));
-        if (spilled(c))
-            storeSpill(c);
-    }
-
     /** The register holding column @p c's accumulator; a spilled one is
      *  reloaded into the stage first. */
     int
@@ -351,6 +200,40 @@ class LoopNestBuilder
     }
 
   private:
+    /** The k loop of replica @p o: the operand window in the preheader,
+     *  then unrollK steps of multiplies and lookahead loads. */
+    template <typename MulFn>
+    void
+    emitReduction(LoopBuilder &loops, int o, MulFn mul)
+    {
+        loops.loop(
+            LoopInit::reg(kRegKTrip),
+            {{kRegAK, LoopInit::reg(kRegAPanel), p_.aKStep * p_.unrollK},
+             {kRegWK, LoopInit::reg(kRegWTile), 4 * words_}},
+            [&] {
+                loadInput(o, 0, kRegAPanel);
+                loadWeightWindow(kRegWTile);
+                zeroAccs();
+            },
+            [&] {
+                for (int u = 0; u < p_.unrollK; ++u) {
+                    const int in = kInputRing[u % inputRing_];
+                    if (inputRing_ > 1)
+                        loadInput(o, u + 1, kRegAK);
+                    for (int c = 0; c < p_.accCols; ++c) {
+                        const int t = u * p_.accCols + c;
+                        loadWeight(t + weightRing_ - 1, kRegWK);
+                        const int w = kWeightRing[t % weightRing_];
+                        prog_.push(mul(reloadAcc(c), in, w));
+                        if (spilled(c))
+                            storeSpill(c);
+                    }
+                    if (inputRing_ == 1)
+                        loadInput(o, u + 1, kRegAK);
+                }
+            });
+    }
+
     /** Load input step @p s of replica @p o off @p base (s = unrollK:
      *  the next iteration's step 0) into its ring register. */
     void
@@ -415,50 +298,57 @@ class LoopNestBuilder
 
 } // namespace
 
-void
-MatMulKernel::generateVmpy()
+MatMulKernel::MatMulKernel(const MatMulShape &shape,
+                           const MatMulConfig &config)
+    : shape_(shape), config_(config)
 {
-    const int uo = config_.unrollOut;
-    const int un = config_.unrollCols;
-    const int uk = config_.unrollK;
+    GCD2_REQUIRE(shape.m > 0 && shape.k > 0 && shape.n > 0,
+                 "matmul shape must be positive");
+    GCD2_REQUIRE(config.unrollOut >= 1 && config.unrollCols >= 1 &&
+                     config.unrollK >= 1,
+                 "unroll factors must be >= 1");
+    generate();
+}
 
-    mp_ = roundUp(shape_.m, 128 * uo);
-    kp_ = roundUp(shape_.k, uk);
-    np_ = roundUp(shape_.n, un);
+void
+MatMulKernel::generate()
+{
+    const MatMulSchemeInfo &info = schemeInfo(config_.scheme);
+    const int64_t panelRows = info.panelRows();
+    const int cols = info.colsPerUnit * config_.unrollCols;
+    const int64_t quantum = kQuantum(config_.scheme, config_.unrollK);
+    mp_ = roundUp(shape_.m, panelRows * config_.unrollOut);
+    kp_ = roundUp(shape_.k, quantum);
+    np_ = roundUp(shape_.n, cols);
 
-    LoopNestBuilder::Params params;
-    params.panels = mp_ / (128 * uo);
-    params.colTiles = np_ / un;
-    params.kIters = kp_ / uk;
-    params.unrollOut = uo;
-    params.unrollK = uk;
-    params.aPanelStride = 128 * kp_;
-    params.cPanelStride = 128 * np_;
-    params.cTileStride = static_cast<int64_t>(un) * 128;
-    params.aKStep = 128;
-    params.inputVectors = 1;
-    params.accCols = un;
-    params.accWidth = 2; // 16-bit product pairs: 8 live columns
-    LoopNestBuilder nest(prog_, params);
+    LoopNestBuilder nest(
+        prog_, {.panels = mp_ / (panelRows * config_.unrollOut),
+                .colTiles = np_ / cols,
+                .kIters = kp_ / quantum,
+                .unrollOut = config_.unrollOut,
+                .unrollK = config_.unrollK,
+                .aPanelStride = panelRows * kp_,
+                .cPanelStride = panelRows * np_,
+                .units = config_.unrollCols,
+                .aKStep = info.inputStepBytes,
+                .inputVectors = info.inputVectors,
+                .accCols = cols,
+                .accWidth = info.accWidth});
+    buffers_ =
+        nest.buffers(mp_ * kp_, np_ * kp_ * info.bytesPerWeight, mp_ * np_);
+    LoopBuilder loops(prog_, buffers_, /*scratch=*/true);
 
-    buffers_.inputBytes = mp_ * kp_ + nest.inputPad();
-    // vmpy splats one weight across a whole vector; the compile-time
-    // weight packer pre-replicates every weight byte into a 4-byte word so
-    // the kernel needs a single LOADW per (column, k) instead of a
-    // load + splat pair (the "pre-designed" layouts of Section III).
-    buffers_.weightBytes = np_ * kp_ * 4 + nest.weightPad();
-    buffers_.outputBytes = mp_ * np_;
-    buffers_.scratchBytes = nest.scratchBytes();
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
-
-    nest.emit(
-        // One activation column vector feeds all tile columns.
-        [](int acc, int in, int w) {
-            return makeVmpy(Opcode::VMPYACC, vreg(acc), vreg(in), sreg(w));
-        },
-        // Epilogue: reorder even/odd products, requantize, store.
-        [&](int o) {
-            for (int j = 0; j < un; ++j) {
+    switch (config_.scheme) {
+      case MatMulScheme::Vmpy:
+        nest.emit(
+            loops,
+            // One activation column vector feeds all tile columns.
+            [](int acc, int in, int w) {
+                return makeVmpy(Opcode::VMPYACC, vreg(acc), vreg(in),
+                                sreg(w));
+            },
+            // Epilogue: reorder even/odd products, requantize.
+            [&](int j) {
                 const int shuffBase = (j % 2 == 0) ? 20 : 24;
                 const int asrDst = (j % 2 == 0) ? 22 : 26;
                 const int src = nest.reloadAcc(j);
@@ -467,53 +357,16 @@ MatMulKernel::generateVmpy()
                                       /*laneLog2=*/1));
                 prog_.push(makeVasr(Opcode::VASRHUB, vreg(asrDst),
                                     vreg(shuffBase), config_.shift16));
-                prog_.push(makeVstore(sreg(kRegCCol), vreg(asrDst),
-                                      static_cast<int64_t>(j) * 128 +
-                                          static_cast<int64_t>(o) * 128 *
-                                              np_));
-            }
-        });
-}
-
-void
-MatMulKernel::generateVmpa()
-{
-    const int uo = config_.unrollOut;
-    const int un = config_.unrollCols; // column *pairs* per tile
-    const int uk = config_.unrollK;   // k-groups of 4 per iteration
-    const int cols = 2 * un;
-
-    mp_ = roundUp(shape_.m, 64 * uo);
-    kp_ = roundUp(shape_.k, 4 * uk);
-    np_ = roundUp(shape_.n, cols);
-
-    LoopNestBuilder::Params params;
-    params.panels = mp_ / (64 * uo);
-    params.colTiles = np_ / cols;
-    params.kIters = kp_ / (4 * uk);
-    params.unrollOut = uo;
-    params.unrollK = uk;
-    params.aPanelStride = 64 * kp_;
-    params.cPanelStride = 64 * np_;
-    params.cTileStride = static_cast<int64_t>(un) * 128;
-    params.aKStep = 256; // four columns = two 128-byte blocks
-    params.inputVectors = 2;
-    params.accCols = cols;
-    params.accWidth = 2; // k-low / k-high halves, folded in the epilogue
-    LoopNestBuilder nest(prog_, params);
-
-    buffers_.inputBytes = mp_ * kp_ + nest.inputPad();
-    buffers_.weightBytes = np_ * kp_ + nest.weightPad();
-    buffers_.outputBytes = mp_ * np_;
-    buffers_.scratchBytes = nest.scratchBytes();
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
-
-    nest.emit(
-        [](int acc, int in, int w) {
-            return makeVmpa(Opcode::VMPA, vreg(acc), vreg(in), sreg(w));
-        },
-        [&](int o) {
-            for (int cp = 0; cp < un; ++cp) {
+                return asrDst;
+            });
+        break;
+      case MatMulScheme::Vmpa:
+        nest.emit(
+            loops,
+            [](int acc, int in, int w) {
+                return makeVmpa(Opcode::VMPA, vreg(acc), vreg(in), sreg(w));
+            },
+            [&](int cp) {
                 const bool alt = (cp % 2 != 0);
                 const int fold0 = alt ? 22 : 20;
                 const int fold1 = alt ? 23 : 21;
@@ -534,53 +387,16 @@ MatMulKernel::generateVmpa()
                                       /*laneLog2=*/1));
                 prog_.push(makeVasr(Opcode::VASRHUB, vreg(asrDst),
                                     vreg(shuffBase), config_.shift16));
-                prog_.push(makeVstore(sreg(kRegCCol), vreg(asrDst),
-                                      static_cast<int64_t>(cp) * 128 +
-                                          static_cast<int64_t>(o) * 64 *
-                                              np_));
-            }
-        });
-}
-
-void
-MatMulKernel::generateVrmpy()
-{
-    const int uo = config_.unrollOut;
-    const int un = config_.unrollCols; // column *quads* per tile
-    const int uk = config_.unrollK;    // k-groups of 4 per iteration
-    const int cols = 4 * un;
-
-    mp_ = roundUp(shape_.m, 32 * uo);
-    kp_ = roundUp(shape_.k, 4 * uk);
-    np_ = roundUp(shape_.n, cols);
-
-    LoopNestBuilder::Params params;
-    params.panels = mp_ / (32 * uo);
-    params.colTiles = np_ / cols;
-    params.kIters = kp_ / (4 * uk);
-    params.unrollOut = uo;
-    params.unrollK = uk;
-    params.aPanelStride = 32 * kp_;
-    params.cPanelStride = 32 * np_;
-    params.cTileStride = static_cast<int64_t>(un) * 128;
-    params.aKStep = 128;
-    params.inputVectors = 1;
-    params.accCols = cols;
-    params.accWidth = 1; // 32-bit lanes: one vector per column
-    LoopNestBuilder nest(prog_, params);
-
-    buffers_.inputBytes = mp_ * kp_ + nest.inputPad();
-    buffers_.weightBytes = np_ * kp_ + nest.weightPad();
-    buffers_.outputBytes = mp_ * np_;
-    buffers_.scratchBytes = nest.scratchBytes();
-    declareKernelNoalias(prog_, buffers_, /*scratch=*/true);
-
-    nest.emit(
-        [](int acc, int in, int w) {
-            return makeVrmpy(vreg(acc), vreg(in), sreg(w));
-        },
-        [&](int o) {
-            for (int q = 0; q < un; ++q) {
+                return asrDst;
+            });
+        break;
+      case MatMulScheme::Vrmpy:
+        nest.emit(
+            loops,
+            [](int acc, int in, int w) {
+                return makeVrmpy(vreg(acc), vreg(in), sreg(w));
+            },
+            [&](int q) {
                 // Bring the four column accumulators into registers.
                 int src[4];
                 for (int i = 0; i < 4; ++i) {
@@ -596,12 +412,10 @@ MatMulKernel::generateVrmpy()
                     src[i] = 20 + i;
                 }
                 // Word-interleave column pairs, narrow to halfwords.
-                prog_.push(makeVshuff(Opcode::VSHUFF, vreg(24),
-                                      vreg(src[0]), vreg(src[1]),
-                                      /*laneLog2=*/2));
-                prog_.push(makeVshuff(Opcode::VSHUFF, vreg(26),
-                                      vreg(src[2]), vreg(src[3]),
-                                      /*laneLog2=*/2));
+                prog_.push(makeVshuff(Opcode::VSHUFF, vreg(24), vreg(src[0]),
+                                      vreg(src[1]), /*laneLog2=*/2));
+                prog_.push(makeVshuff(Opcode::VSHUFF, vreg(26), vreg(src[2]),
+                                      vreg(src[3]), /*laneLog2=*/2));
                 prog_.push(makeVasr(Opcode::VASRWH, vreg(28), vreg(24),
                                     config_.shiftWordHalf));
                 prog_.push(makeVasr(Opcode::VASRWH, vreg(29), vreg(26),
@@ -612,12 +426,10 @@ MatMulKernel::generateVrmpy()
                                       vreg(29), /*laneLog2=*/2));
                 prog_.push(makeVasr(Opcode::VASRHUB, vreg(22), vreg(24),
                                     config_.shiftHalfByte));
-                prog_.push(makeVstore(sreg(kRegCCol), vreg(22),
-                                      static_cast<int64_t>(q) * 128 +
-                                          static_cast<int64_t>(o) * 32 *
-                                              np_));
-            }
-        });
+                return 22;
+            });
+        break;
+    }
 }
 
 std::vector<uint8_t>
@@ -647,25 +459,22 @@ MatMulKernel::packWeights(const int8_t *rowMajor) const
     // Column tiles of `cols` columns, each k-major in 4-byte words: the
     // word of (k-step g, column c) sits at word g * cols + c of its tile,
     // so the kernel walks a tile's words in order and the next tile's
-    // follow. vmpy's k-step is one k, its byte replicated into the word
-    // (the 4-splat operand of one LOADW); vmpa/vrmpy pack four k.
+    // follow. A word holds kPerStep weights of bytesPerWeight bytes each
+    // (vmpy: one k, its byte replicated into the 4-splat operand of one
+    // LOADW; vmpa/vrmpy: four k).
+    const MatMulSchemeInfo &info = schemeInfo(config_.scheme);
     std::vector<uint8_t> out(static_cast<size_t>(buffers_.weightBytes), 0);
     const int64_t cols =
-        config_.unrollCols * (config_.scheme == MatMulScheme::Vmpy   ? 1
-                              : config_.scheme == MatMulScheme::Vmpa ? 2
-                                                                     : 4);
+        static_cast<int64_t>(info.colsPerUnit) * config_.unrollCols;
+    const int64_t steps = kp_ / info.kPerStep;
     for (int64_t k = 0; k < shape_.k; ++k) {
         for (int64_t n = 0; n < shape_.n; ++n) {
-            const auto value =
-                static_cast<uint8_t>(rowMajor[k * shape_.n + n]);
-            const int64_t tile = n / cols * cols * kp_; // words before it
-            if (config_.scheme == MatMulScheme::Vmpy) {
-                const int64_t word = tile + k * cols + n % cols;
-                std::fill_n(out.begin() + word * 4, 4, value);
-            } else {
-                const int64_t word = tile / 4 + k / 4 * cols + n % cols;
-                out[static_cast<size_t>(word * 4 + k % 4)] = value;
-            }
+            const int64_t word =
+                n / cols * cols * steps + k / info.kPerStep * cols + n % cols;
+            std::fill_n(out.begin() + word * 4 +
+                            k % info.kPerStep * info.bytesPerWeight,
+                        info.bytesPerWeight,
+                        static_cast<uint8_t>(rowMajor[k * shape_.n + n]));
         }
     }
     return out;
@@ -719,8 +528,7 @@ MatMulKernel::reference(const uint8_t *a, const int8_t *w,
                 // each wrapping once per instruction (two products), then
                 // folded with a wrapping VADDH.
                 int16_t lo = 0, hi = 0;
-                const int64_t kp = (shape.k + 3) / 4 * 4;
-                for (int64_t k = 0; k < kp; k += 4) {
+                for (int64_t k = 0; k < roundUp(shape.k, 4); k += 4) {
                     lo = static_cast<int16_t>(lo + aAt(k) * wAt(k) +
                                               aAt(k + 1) * wAt(k + 1));
                     hi = static_cast<int16_t>(hi + aAt(k + 2) * wAt(k + 2) +

@@ -2,7 +2,9 @@
  * @file
  * Matrix-multiplication kernel generators (Section III of the paper).
  *
- * One generator per SIMD multiply instruction, each demanding its layout:
+ * One generator for three SIMD multiply instructions, each demanding its
+ * layout; the scheme table (kMatMulSchemes) holds each scheme's geometry,
+ * and only the multiply and the requantization epilogue differ:
  *
  *  - Vmpy / 1-column: per output column, walk K one column-vector at a
  *    time; each weight byte, replicated into a word at pack time, is
@@ -31,10 +33,12 @@
 #ifndef GCD2_KERNELS_MATMUL_H
 #define GCD2_KERNELS_MATMUL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "dsp/isa.h"
+#include "kernels/loop_nest.h"
 #include "tensor/layout.h"
 
 namespace gcd2::kernels {
@@ -42,20 +46,80 @@ namespace gcd2::kernels {
 /** Which SIMD multiply implements the kernel. */
 enum class MatMulScheme : uint8_t { Vmpy, Vmpa, Vrmpy };
 
-const char *schemeName(MatMulScheme scheme);
+/** Vector registers of the accumulator bank (v2..v17). */
+inline constexpr int kAccRegCount = 16;
+
+/**
+ * The geometry of one multiply scheme: the one description the
+ * generator, the host packers, the unroll heuristic and the cost model
+ * read. A tile of unrollCols units covers colsPerUnit * unrollCols
+ * output columns; a reduction step consumes kPerStep K elements.
+ */
+struct MatMulSchemeInfo
+{
+    const char *name;
+    tensor::Layout layout;  ///< activation and output panel layout
+    int colsPerUnit;        ///< output columns per unit of unrollCols
+    int kPerStep;           ///< K elements per reduction step
+    int64_t inputStepBytes; ///< packed A bytes per reduction step
+    int inputVectors;       ///< vectors per input operand (vmpa: a pair)
+    int accWidth;           ///< vectors per column accumulator
+    int accLaneBits;        ///< accumulator lane width
+    /** Packed bytes per weight: vmpy replicates each into the 4-byte
+     *  splat operand of one LOADW, vmpa/vrmpy pack four k per word. */
+    int bytesPerWeight;
+
+    /** Rows per layout panel: tensor::layoutPanelRows(layout). */
+    int panelRows() const { return tensor::layoutPanelRows(layout); }
+
+    /** The most unrollCols whose accumulators fit the bank unspilled. */
+    constexpr int
+    noSpillUnits() const
+    {
+        return kAccRegCount / accWidth / colsPerUnit;
+    }
+};
+
+// clang-format off
+inline constexpr MatMulSchemeInfo kMatMulSchemes[] = {
+    // name    layout                      cols  k  A step  in  acc  lane  bytes/w
+    {"vmpy",  tensor::Layout::OneColumn,  1,    1, 128,    1,  2,   16,   4},
+    {"vmpa",  tensor::Layout::TwoColumn,  2,    4, 256,    2,  2,   16,   1},
+    {"vrmpy", tensor::Layout::FourColumn, 4,    4, 128,    1,  1,   32,   1},
+};
+// clang-format on
+
+constexpr const MatMulSchemeInfo &
+schemeInfo(MatMulScheme scheme)
+{
+    return kMatMulSchemes[static_cast<size_t>(scheme)];
+}
+
+inline const char *
+schemeName(MatMulScheme scheme)
+{
+    return schemeInfo(scheme).name;
+}
 
 /** Activation layout required / produced by a scheme. */
-tensor::Layout schemeLayout(MatMulScheme scheme);
+inline tensor::Layout
+schemeLayout(MatMulScheme scheme)
+{
+    return schemeInfo(scheme).layout;
+}
 
 /**
  * K elements consumed per inner-loop iteration of a scheme at a given
  * reduction unroll factor: the generator pads K up to a multiple of this
- * quantum and the inner loop runs padded K / quantum times. Vmpy walks
- * one K column per step; vmpa and vrmpy consume four interleaved columns
- * per step. The tiered cost model (select/tiered_cost.h) keys its
- * per-iteration affine fits on this quantum.
+ * quantum and the inner loop runs padded K / quantum times. The tiered
+ * cost model (select/tiered_cost.h) keys its per-iteration affine fits
+ * on this quantum.
  */
-int64_t kQuantum(MatMulScheme scheme, int unrollK);
+constexpr int64_t
+kQuantum(MatMulScheme scheme, int unrollK)
+{
+    return schemeInfo(scheme).kPerStep * static_cast<int64_t>(unrollK);
+}
 
 /** Problem shape: C(M x N) = A(M x K) x W(K x N). */
 struct MatMulShape
@@ -78,37 +142,6 @@ struct MatMulConfig
     int shiftWordHalf = 6;
     int shiftHalfByte = 4;
 };
-
-/**
- * Register conventions of every generated kernel: the harness sets
- *   r1 = packed activation base, r2 = packed weight base,
- *   r3 = packed output base, r4 = scratch base (spills),
- * then runs the program. All other registers are clobbered.
- */
-struct KernelBuffers
-{
-    int64_t inputBytes = 0;
-    int64_t weightBytes = 0;
-    int64_t outputBytes = 0;
-    int64_t scratchBytes = 0;
-};
-
-/** Scalar register numbers of the kernel ABI. */
-inline constexpr int kRegInput = 1;
-inline constexpr int kRegWeights = 2;
-inline constexpr int kRegOutput = 3;
-inline constexpr int kRegScratch = 4;
-
-/**
- * Declare the kernel ABI registers noalias on @p prog, carrying the
- * exact extent the runner backs each segment with (the distance from
- * the segment base to the next segment's base under runner.cc's
- * 128-byte-aligned layout). The bounds lint proves accesses against
- * these extents. @p scratch controls whether r4 is declared (matmul
- * spills; conv/elementwise never touch scratch).
- */
-void declareKernelNoalias(dsp::Program &prog, const KernelBuffers &buffers,
-                          bool scratch);
 
 /**
  * A generated MatMul kernel: the DSP program plus the host-side packing
@@ -152,14 +185,12 @@ class MatMulKernel
     int64_t macs() const { return shape_.m * shape_.k * shape_.n; }
 
   private:
-    void generateVmpy();
-    void generateVmpa();
-    void generateVrmpy();
+    void generate();
 
     MatMulShape shape_;
     MatMulConfig config_;
     int64_t mp_ = 0; ///< M padded to the scheme's panel height
-    int64_t kp_ = 0; ///< K padded to column group x unrollK
+    int64_t kp_ = 0; ///< K padded to kQuantum(scheme, unrollK)
     int64_t np_ = 0; ///< N padded to the output tile width
     dsp::Program prog_;
     KernelBuffers buffers_;

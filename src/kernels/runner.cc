@@ -7,16 +7,6 @@
 
 namespace gcd2::kernels {
 
-namespace {
-
-int64_t
-alignUp(int64_t v, int64_t unit)
-{
-    return (v + unit - 1) / unit * unit;
-}
-
-} // namespace
-
 void
 requireValidKernel(const dsp::Program &prog)
 {
@@ -55,37 +45,23 @@ runPackedKernel(std::shared_ptr<const dsp::PackedProgram> packed,
                 const std::vector<uint8_t> &input,
                 const std::vector<uint8_t> &weights, bool validate)
 {
-    // Segment layout: | guard | input | weights | output | scratch |.
-    const int64_t base = dsp::kVectorBytes;
-    const int64_t inputBase = base;
-    const int64_t weightBase =
-        alignUp(inputBase + buffers.inputBytes, dsp::kVectorBytes);
-    const int64_t outputBase =
-        alignUp(weightBase + buffers.weightBytes, dsp::kVectorBytes);
-    const int64_t scratchBase =
-        alignUp(outputBase + buffers.outputBytes, dsp::kVectorBytes);
-    const int64_t total =
-        alignUp(scratchBase + buffers.scratchBytes + dsp::kVectorBytes,
-                dsp::kVectorBytes);
-
-    dsp::Memory mem(static_cast<size_t>(total));
+    const auto base = buffers.segments();
+    dsp::Memory mem(static_cast<size_t>(base[kBufferSegments]));
     GCD2_REQUIRE(static_cast<int64_t>(input.size()) <= buffers.inputBytes,
                  "input larger than declared buffer");
     GCD2_REQUIRE(static_cast<int64_t>(weights.size()) <=
                      buffers.weightBytes,
                  "weights larger than declared buffer");
     if (!input.empty())
-        mem.writeBytes(static_cast<uint64_t>(inputBase), input.data(),
+        mem.writeBytes(static_cast<uint64_t>(base[0]), input.data(),
                        input.size());
     if (!weights.empty())
-        mem.writeBytes(static_cast<uint64_t>(weightBase), weights.data(),
+        mem.writeBytes(static_cast<uint64_t>(base[1]), weights.data(),
                        weights.size());
 
     dsp::TimingSimulator sim(mem);
-    sim.regs().scalar[kRegInput] = static_cast<uint32_t>(inputBase);
-    sim.regs().scalar[kRegWeights] = static_cast<uint32_t>(weightBase);
-    sim.regs().scalar[kRegOutput] = static_cast<uint32_t>(outputBase);
-    sim.regs().scalar[kRegScratch] = static_cast<uint32_t>(scratchBase);
+    for (int i = 0; i < kBufferSegments; ++i)
+        sim.regs().scalar[kRegInput + i] = static_cast<uint32_t>(base[i]);
 
     KernelRunResult result;
     result.stats = sim.run(*packed, validate);
@@ -94,7 +70,7 @@ runPackedKernel(std::shared_ptr<const dsp::PackedProgram> packed,
     result.packed = std::move(packed);
     result.output.resize(static_cast<size_t>(buffers.outputBytes));
     if (buffers.outputBytes > 0)
-        mem.readBytes(static_cast<uint64_t>(outputBase),
+        mem.readBytes(static_cast<uint64_t>(base[2]),
                       result.output.data(), result.output.size());
     return result;
 }

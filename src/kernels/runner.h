@@ -2,8 +2,8 @@
  * @file
  * Harness that executes generated kernels on the DSP simulator.
  *
- * Lays the kernel's buffers out in simulator memory (128-byte aligned
- * segments: input, weights, output, scratch), binds the kernel ABI
+ * Lays the kernel's buffers out in simulator memory (the 128-byte aligned
+ * segments of KernelBuffers::segments), binds the kernel ABI
  * registers (r1..r4), packs the program with a chosen VLIW policy, runs
  * the timing simulator, and returns the raw output bytes plus the timing
  * statistics. Used by correctness tests, the cost model, and the bench

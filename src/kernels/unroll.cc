@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/round.h"
+
 namespace gcd2::kernels {
 
 const char *
@@ -37,10 +39,7 @@ classifyOutputShape(int64_t m, int64_t n)
 UnrollChoice
 adaptiveUnroll(const MatMulShape &shape, MatMulScheme scheme)
 {
-    // Columns consumed per unit of the column-tile factor.
-    const int colsPerUnit = scheme == MatMulScheme::Vmpy  ? 1
-                            : scheme == MatMulScheme::Vmpa ? 2
-                                                           : 4;
+    const MatMulSchemeInfo &info = schemeInfo(scheme);
     UnrollChoice choice;
     switch (classifyOutputShape(shape.m, shape.n)) {
       case OutputShapeClass::Skinny:
@@ -61,17 +60,12 @@ adaptiveUnroll(const MatMulShape &shape, MatMulScheme scheme)
     // Never request more column tiles than the output provides, and stay
     // within the no-spill accumulator budget.
     const int maxTiles = static_cast<int>(
-        std::max<int64_t>(1, (shape.n + colsPerUnit - 1) / colsPerUnit));
-    choice.cols = std::min(choice.cols, maxTiles);
-    const int noSpillLimit = scheme == MatMulScheme::Vmpy  ? 8
-                             : scheme == MatMulScheme::Vmpa ? 4
-                                                            : 4;
-    choice.cols = std::min(choice.cols, noSpillLimit);
+        std::max<int64_t>(1, common::ceilDiv(shape.n, info.colsPerUnit)));
+    choice.cols = std::min({choice.cols, maxTiles, info.noSpillUnits()});
 
     // Keep k-unrolling within the reduction depth.
-    const int kStep = scheme == MatMulScheme::Vmpy ? 1 : 4;
     const int maxK = static_cast<int>(
-        std::max<int64_t>(1, (shape.k + kStep - 1) / kStep));
+        std::max<int64_t>(1, common::ceilDiv(shape.k, info.kPerStep)));
     choice.k = std::min(choice.k, maxK);
     return choice;
 }
@@ -85,6 +79,14 @@ unrollCandidates()
             for (int k : {1, 2, 4, 8})
                 grid.push_back(UnrollChoice{outer, cols, k});
     return grid;
+}
+
+MatMulShape
+unrollTile(MatMulScheme scheme, const UnrollChoice &choice, int64_t k)
+{
+    const MatMulSchemeInfo &info = schemeInfo(scheme);
+    return {static_cast<int64_t>(info.panelRows()) * choice.outer, k,
+            static_cast<int64_t>(info.colsPerUnit) * choice.cols};
 }
 
 MatMulConfig

@@ -55,6 +55,14 @@ UnrollChoice adaptiveUnroll(const MatMulShape &shape, MatMulScheme scheme);
 /** Candidate grid used by the Exhaustive strategy and Fig. 12 sweeps. */
 std::vector<UnrollChoice> unrollCandidates();
 
+/**
+ * The tile @p choice runs on @p scheme: one layout panel of rows and one
+ * column unit per unroll step, at reduction depth @p k. The cost model
+ * prices a kernel by this tile.
+ */
+MatMulShape unrollTile(MatMulScheme scheme, const UnrollChoice &choice,
+                       int64_t k);
+
 /** Apply a choice to a config. */
 MatMulConfig withUnroll(MatMulConfig config, const UnrollChoice &choice);
 

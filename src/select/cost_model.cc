@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/round.h"
 #include "kernels/conv.h"
 #include "kernels/runner.h"
 #include "vliw/pack_cache.h"
@@ -17,16 +18,6 @@ using kernels::MatMulShape;
 using kernels::UnrollChoice;
 using kernels::UnrollStrategy;
 using tensor::Layout;
-
-namespace {
-
-int64_t
-roundUp(int64_t v, int64_t unit)
-{
-    return (v + unit - 1) / unit * unit;
-}
-
-} // namespace
 
 uint64_t
 scaleSaturating(uint64_t value, double factor)
@@ -85,16 +76,10 @@ TileRequest
 tileOf(const CostKey &key)
 {
     const auto scheme = static_cast<MatMulScheme>(key.tag);
-    const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
-                                : scheme == MatMulScheme::Vmpa ? 2
-                                                               : 4;
-    kernels::MatMulConfig config;
-    config.scheme = scheme;
-    return {{tensor::layoutPanelRows(kernels::schemeLayout(scheme)) *
-                 static_cast<int64_t>(key.unrollOut),
-             key.extent, colsPerUnit * key.unrollCols},
-            kernels::withUnroll(
-                config, {key.unrollOut, key.unrollCols, key.unrollK})};
+    const kernels::UnrollChoice choice{key.unrollOut, key.unrollCols,
+                                       key.unrollK};
+    return {kernels::unrollTile(scheme, choice, key.extent),
+            kernels::withUnroll({.scheme = scheme}, choice)};
 }
 
 /** Row panels x column tiles of @p shape: the factor that scales one
@@ -102,11 +87,8 @@ tileOf(const CostKey &key)
 double
 tileTrips(const MatMulShape &shape, const MatMulShape &tile)
 {
-    const double panels =
-        static_cast<double>(roundUp(shape.m, tile.m) / tile.m);
-    const double tiles =
-        static_cast<double>(roundUp(shape.n, tile.n) / tile.n);
-    return panels * tiles;
+    return static_cast<double>(common::ceilDiv(shape.m, tile.m)) *
+           static_cast<double>(common::ceilDiv(shape.n, tile.n));
 }
 
 /** Accumulator drains a tile is charged for (see kernelStats): one per
@@ -115,12 +97,13 @@ tileTrips(const MatMulShape &shape, const MatMulShape &tile)
 uint64_t
 drainSteps(const CostKey &key)
 {
-    const auto scheme = static_cast<MatMulScheme>(key.tag);
-    if (scheme == MatMulScheme::Vrmpy)
+    const kernels::MatMulSchemeInfo &info =
+        kernels::schemeInfo(static_cast<MatMulScheme>(key.tag));
+    if (info.accLaneBits == 32)
         return 0;
-    const int accPairs =
-        key.unrollCols * (scheme == MatMulScheme::Vmpa ? 2 : 1);
-    const int64_t drains = std::max<int64_t>(0, (key.extent + 31) / 32 - 1);
+    const int accPairs = key.unrollCols * info.colsPerUnit;
+    const int64_t drains =
+        std::max<int64_t>(0, common::ceilDiv(key.extent, 32) - 1);
     return static_cast<uint64_t>(drains) * static_cast<uint64_t>(accPairs);
 }
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/round.h"
 #include "common/timer.h"
 #include "kernels/runner.h"
 #include "dsp/alias.h"
@@ -70,9 +71,8 @@ fitField(uint64_t f8, uint64_t f12, uint64_t f16, uint64_t *base,
 int64_t
 itersFor(const MatMulShape &tile, const MatMulConfig &config)
 {
-    const int64_t quantum = kernels::kQuantum(config.scheme,
-                                              config.unrollK);
-    return (tile.k + quantum - 1) / quantum;
+    return common::ceilDiv(tile.k,
+                           kernels::kQuantum(config.scheme, config.unrollK));
 }
 
 /** The class member at the @p anchor-th anchor depth. */

@@ -1,19 +1,12 @@
 #include "tensor/layout.h"
 
 #include "common/logging.h"
+#include "common/round.h"
 #include "dsp/isa.h"
 
 namespace gcd2::tensor {
 
-namespace {
-
-int64_t
-roundUp(int64_t v, int64_t unit)
-{
-    return (v + unit - 1) / unit * unit;
-}
-
-} // namespace
+using common::roundUp;
 
 const char *
 layoutName(Layout layout)
@@ -142,7 +135,7 @@ layoutTransformCycles(Layout from, Layout to, int64_t rows, int64_t cols)
     const int64_t inBytes = packedByteSize(from, rows, cols);
     const int64_t outBytes = packedByteSize(to, rows, cols);
     const int64_t vectors =
-        (inBytes + outBytes + dsp::kVectorBytes - 1) / dsp::kVectorBytes;
+        common::ceilDiv(inBytes + outBytes, dsp::kVectorBytes);
     return static_cast<uint64_t>(36 * vectors + 16);
 }
 

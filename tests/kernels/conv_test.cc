@@ -411,6 +411,26 @@ TEST(UnrollTest, AdaptiveChoiceRespectsBudgets)
     EXPECT_EQ(square.k, 4);
 }
 
+TEST(UnrollTest, AdaptiveChoiceNeverSpills)
+{
+    // Every scheme's adaptive tile keeps its accumulators in the bank:
+    // skinny, square and fat outputs, and tiny n and k.
+    const MatMulShape shapes[] = {{2048, 256, 64}, {256, 256, 256},
+                                  {32, 64, 2048},  {512, 512, 3},
+                                  {512, 2, 512},   {16, 4, 2}};
+    for (const MatMulScheme scheme :
+         {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy})
+        for (const MatMulShape &shape : shapes) {
+            const UnrollChoice choice = adaptiveUnroll(shape, scheme);
+            const MatMulKernel kernel(
+                shape, withUnroll({.scheme = scheme}, choice));
+            EXPECT_EQ(kernel.buffers().scratchBytes, 0)
+                << schemeName(scheme) << " " << shape.m << "x" << shape.k
+                << "x" << shape.n << " unroll " << choice.outer << "/"
+                << choice.cols << "/" << choice.k;
+        }
+}
+
 TEST(UnrollTest, AdaptiveBeatsNoUnrollOnNearSquare)
 {
     const MatMulShape shape{128, 64, 64};

@@ -78,7 +78,7 @@ addOp(Graph &g, OpType op)
 }
 
 /** The runner buffers a served kernel declares (its noalias extents
- *  mirror the runner's segment layout, see declareKernelNoalias). */
+ *  are the runner's segments, see KernelBuffers::segments). */
 kernels::KernelBuffers
 declaredBuffers(const dsp::Program &program)
 {

@@ -32,7 +32,6 @@
 #include "kernels/unroll.h"
 #include "models/zoo.h"
 #include "runtime/compiler.h"
-#include "tensor/layout.h"
 #include "vliw/cfg.h"
 #include "vliw/pack_cache.h"
 #include "vliw/packer.h"
@@ -166,20 +165,14 @@ TEST(PackDifferentialTest, DeepAuditTileKernelsBitIdentical)
     size_t programs = 0;
     for (const MatMulScheme scheme :
          {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
-        const int64_t panelRows =
-            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
-        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
-                                    : scheme == MatMulScheme::Vmpa ? 2
-                                                                   : 4;
-        const int noSpillCols = scheme == MatMulScheme::Vmpy ? 8 : 4;
         for (const kernels::UnrollChoice &choice :
              kernels::unrollCandidates()) {
-            if (choice.cols > noSpillCols)
+            if (choice.cols > kernels::schemeInfo(scheme).noSpillUnits())
                 continue;
             for (const int64_t k :
                  {kernels::kQuantum(scheme, choice.k) * 8, int64_t{1024}}) {
-                const kernels::MatMulShape tile{panelRows * choice.outer, k,
-                                                colsPerUnit * choice.cols};
+                const kernels::MatMulShape tile =
+                    kernels::unrollTile(scheme, choice, k);
                 const Program prog =
                     kernels::MatMulKernel(
                         tile,
@@ -214,14 +207,10 @@ TEST(PackDifferentialTest, DeepAuditSpillingTileKernelsBitIdentical)
     size_t largestBlock = 0;
     for (const MatMulScheme scheme :
          {MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
-        const int64_t panelRows =
-            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
-        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpa ? 2 : 4;
         for (const int k : {1, 2, 4, 8}) {
             const kernels::UnrollChoice choice{.outer = 1, .cols = 8, .k = k};
-            const kernels::MatMulShape tile{
-                panelRows, kernels::kQuantum(scheme, k) * 8,
-                colsPerUnit * choice.cols};
+            const kernels::MatMulShape tile = kernels::unrollTile(
+                scheme, choice, kernels::kQuantum(scheme, k) * 8);
             const Program prog =
                 kernels::MatMulKernel(
                     tile, kernels::withUnroll({.scheme = scheme}, choice))
@@ -364,11 +353,6 @@ TEST(PackDifferentialTest, BlockTierBitIdenticalOnTileDepthVariants)
     size_t programs = 0;
     for (const MatMulScheme scheme :
          {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
-        const int64_t panelRows =
-            tensor::layoutPanelRows(kernels::schemeLayout(scheme));
-        const int64_t colsPerUnit = scheme == MatMulScheme::Vmpy   ? 1
-                                    : scheme == MatMulScheme::Vmpa ? 2
-                                                                   : 4;
         for (const kernels::UnrollChoice &choice :
              kernels::unrollCandidates()) {
             const int64_t quantum = kernels::kQuantum(scheme, choice.k);
@@ -377,8 +361,8 @@ TEST(PackDifferentialTest, BlockTierBitIdenticalOnTileDepthVariants)
                 depths.push_back(quantum * iters);
             depths.push_back(1024);
             for (const int64_t k : depths) {
-                const kernels::MatMulShape tile{panelRows * choice.outer, k,
-                                                colsPerUnit * choice.cols};
+                const kernels::MatMulShape tile =
+                    kernels::unrollTile(scheme, choice, k);
                 const Program prog =
                     kernels::MatMulKernel(
                         tile,
