@@ -80,14 +80,18 @@ main()
     Table sweep({"Factor", "Out (outer only)", "Mid (columns only)"});
     for (int factor : {1, 2, 4, 8, 16}) {
         sweep.addRow({std::to_string(factor),
-                      fmtSpeedup(base / static_cast<double>(cyclesFor(
-                                            square, {factor, 1, 1})),
-                                 2),
+                      factor <= 8
+                          ? fmtSpeedup(base / static_cast<double>(cyclesFor(
+                                                  square, {factor, 1, 1})),
+                                       2)
+                          : "-",
                       fmtSpeedup(base / static_cast<double>(cyclesFor(
                                             square, {1, factor, 1})),
                                  2)});
     }
     sweep.print(std::cout);
+    std::cout << "Out 16: sixteen register-blocked row panels need more "
+                 "input registers than the kernel has free.\n";
 
     double searchSeconds = 0.0;
     const UnrollChoice best = exhaustiveBest(square, &searchSeconds);

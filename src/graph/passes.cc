@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "common/logging.h"
+#include "common/round.h"
 
 namespace gcd2::graph {
 
@@ -317,7 +318,7 @@ standingTransformCycles(const Graph &graph)
             continue;
         const int64_t elements =
             graph.node(node.inputs[0]).shape.elements();
-        cycles += 4 * ((elements + 127) / 128) + 8;
+        cycles += 4 * common::ceilDiv(elements, 128) + 8;
     }
     return cycles;
 }

@@ -42,12 +42,15 @@ constexpr int kRegKTrip = 22; // inner trip count, set once per panel
 constexpr int kWeightRing[] = {14, 15, 16, 17, 18, 19, 20, 21,
                                23, 24, 25, 26, 27, 28, 29, 30};
 
-// Vector register allocation: v0(:v1) and v30(:v31) are the input ring,
-// v2..v17 hold accumulators, v18/v19 stage spilled accumulators and
-// v20..v29 are epilogue temporaries.
+// Vector register allocation: v0(:v1) and v30(:v31) are the first row
+// panel's input ring, v2..v17 hold the accumulator bank, v18/v19 stage
+// spilled accumulators, and v20..v29 hold the further row panels' input
+// rings during the k loop and the epilogue's temporaries after it.
 constexpr int kInputRing[] = {0, 30};
 constexpr int kFirstAccReg = 2;
 constexpr int kSpillStage = 18;
+constexpr int kPanelRings = 20;    ///< input rings of row panels 1, 2, ...
+constexpr int kPanelRingsEnd = 30; ///< one past the last of them
 
 /** The largest ring of at most @p limit registers that divides @p items. */
 int
@@ -65,6 +68,12 @@ ringDividing(int items, int limit)
  * builder owns the panel, tile and k loops (emitted through LoopBuilder)
  * and every register the multiplies read or accumulate into.
  *
+ * A tile is register-blocked over unrollOut row panels: one k loop
+ * computes all of them. Each weight word is loaded once and feeds one
+ * multiply per panel, each panel has its own input ring, and the
+ * accumulator bank holds one column accumulator per (panel, column). The
+ * epilogue runs per panel after the loop.
+ *
  * The k loop is software-pipelined by one lookahead ring per operand: a
  * two-stage modulo schedule whose modulo variable expansion is the ring.
  * A load has a latency of 3 and the packer schedules one basic block, so
@@ -73,17 +82,18 @@ ringDividing(int items, int limit)
  * weight words of an iteration (word t = u * accCols + c, at byte 4t of
  * the iteration's words: a tile's weights are packed k-major) rotate
  * through R scalars, the largest ring of at most 16 that divides W, and
- * the LOADW of word t is issued R - 1 words ahead of the multiply that
- * reads it. Each input vector (vmpa: pair) is loaded one step ahead:
- * into the other of v0 / v30 when unrollK is even, else into v0 right
- * after the multiplies that read it. A prologue in the k loop's
- * preheader loads the first window, and the last steps of each iteration
- * load the next iteration's first operands, so the packer overlaps
- * iteration i + 1's loads with iteration i's multiplies; as the rings
- * divide W and unrollK, every iteration runs the same code. The last
- * iteration's lookahead reads the next tile's first words, or the pad
- * past the last tile and panel: addresses no load of its block reads, so
- * even a one-iteration reduction runs the same program as a deep one.
+ * the LOADW of word t is issued R - 1 words ahead of the multiplies that
+ * read it. Each input vector (vmpa: pair) is loaded one step ahead:
+ * into the other register of its panel's ring when unrollK is even, else
+ * into the same register right after the multiplies that read it. A
+ * prologue in the k loop's preheader loads the first window, and the
+ * last steps of each iteration load the next iteration's first operands,
+ * so the packer overlaps iteration i + 1's loads with iteration i's
+ * multiplies; as the rings divide W and unrollK, every iteration runs the
+ * same code. The last iteration's lookahead reads the next panel's or
+ * tile's first words, or the pad past the last tile and panel: addresses
+ * no load of its block reads, so even a one-iteration reduction runs the
+ * same program as a deep one.
  */
 class LoopNestBuilder
 {
@@ -93,14 +103,14 @@ class LoopNestBuilder
         int64_t panels;       ///< outer trip count (already / unrollOut)
         int64_t colTiles;     ///< mid trip count
         int64_t kIters;       ///< inner trip count (already / unrollK)
-        int unrollOut;
+        int unrollOut;        ///< row panels per tile
         int unrollK;          ///< reduction steps per inner iteration
         int64_t aPanelStride; ///< bytes per panel of packed A
         int64_t cPanelStride; ///< bytes per panel of packed C
         int units;            ///< output column units per tile
         int64_t aKStep;       ///< A pointer bytes per reduction step
         int inputVectors;     ///< vectors per input operand (1 or 2)
-        int accCols;          ///< column accumulators per tile
+        int accCols;          ///< column accumulators per panel
         int accWidth;         ///< vectors per column accumulator (1 or 2)
     };
 
@@ -110,6 +120,9 @@ class LoopNestBuilder
               ringDividing(words_, static_cast<int>(std::size(kWeightRing)))),
           inputRing_(ringDividing(params.unrollK, 2))
     {
+        GCD2_REQUIRE(inputReg(p_.unrollOut, 0) <= kPanelRingsEnd,
+                     "unrollOut " << p_.unrollOut
+                                  << ": more row panels than input rings");
     }
 
     /**
@@ -117,22 +130,23 @@ class LoopNestBuilder
      * and @p output bytes: the input and weights grow by the bytes the
      * last iteration's lookahead reads past them, so the runner's
      * segments and the noalias extents cover those reads, and scratch
-     * holds the spilled accumulators.
+     * holds the spilled accumulators (it ends where a panel past the
+     * last would start).
      */
     KernelBuffers
     buffers(int64_t input, int64_t weights, int64_t output) const
     {
         return {input + p_.aKStep,
                 weights + 4 * static_cast<int64_t>(weightRing_ - 1), output,
-                std::max<int64_t>(0, spillOff(p_.accCols))};
+                std::max<int64_t>(0, spillOff(p_.unrollOut, 0))};
     }
 
     /**
      * Emit the full nest through @p loops. @p mul(acc, in, w) is the
      * multiply of one weight word into accumulator register acc;
-     * @p epilogue(unit) requantizes output column unit `unit` of the
-     * tile into a vector register and returns it, and the nest stores it
-     * (one vector per unit and panel).
+     * @p epilogue(o, unit) requantizes output column unit `unit` of row
+     * panel o into a vector register and returns it, and the nest stores
+     * it (one vector per unit and panel).
      */
     template <typename MulFn, typename EpilogueFn>
     void
@@ -160,89 +174,107 @@ class LoopNestBuilder
                      {kRegCCol, LoopInit::reg(kRegCPanel),
                       p_.units * dsp::kVectorBytes}},
                     [&] {
-                        for (int o = 0; o < p_.unrollOut; ++o) {
-                            emitReduction(loops, o, mul);
+                        emitReduction(loops, mul);
+                        for (int o = 0; o < p_.unrollOut; ++o)
                             for (int unit = 0; unit < p_.units; ++unit)
                                 prog_.push(makeVstore(
-                                    sreg(kRegCCol), vreg(epilogue(unit)),
+                                    sreg(kRegCCol), vreg(epilogue(o, unit)),
                                     unit * dsp::kVectorBytes +
                                         o * p_.cPanelStride));
-                        }
                     });
             });
     }
 
     /*
-     * The accumulator bank: column c accumulates in accWidth vectors from
-     * v2 on while they fit in v2..v17, and in scratch beyond that, staged
-     * through v18(:v19) around every update.
+     * The accumulator bank: slot o * accCols + c, column c of panel o,
+     * accumulates in accWidth vectors from v2 on while they fit in
+     * v2..v17, and in scratch beyond that, staged through v18(:v19)
+     * around every update.
      */
-    bool spilled(int c) const { return c >= kAccRegCount / p_.accWidth; }
-
-    int64_t
-    spillOff(int c) const
+    bool
+    spilled(int o, int c) const
     {
-        return static_cast<int64_t>(c - kAccRegCount / p_.accWidth) * 128 *
-               p_.accWidth;
+        return slot(o, c) >= kAccRegCount / p_.accWidth;
     }
 
-    /** The register holding column @p c's accumulator; a spilled one is
-     *  reloaded into the stage first. */
-    int
-    reloadAcc(int c)
+    int64_t
+    spillOff(int o, int c) const
     {
-        if (spilled(c))
+        return static_cast<int64_t>(slot(o, c) -
+                                    kAccRegCount / p_.accWidth) *
+               128 * p_.accWidth;
+    }
+
+    /** The register holding panel @p o's column @p c accumulator; a
+     *  spilled one is reloaded into the stage first. */
+    int
+    reloadAcc(int o, int c)
+    {
+        if (spilled(o, c))
             for (int i = 0; i < p_.accWidth; ++i)
                 prog_.push(makeVload(vreg(kSpillStage + i),
                                      sreg(kRegScratch),
-                                     spillOff(c) + 128 * i));
-        return accReg(c);
+                                     spillOff(o, c) + 128 * i));
+        return accReg(o, c);
     }
 
   private:
-    /** The k loop of replica @p o: the operand window in the preheader,
-     *  then unrollK steps of multiplies and lookahead loads. */
+    /** The k loop: the operand window in the preheader, then unrollK
+     *  steps of multiplies and lookahead loads. */
     template <typename MulFn>
     void
-    emitReduction(LoopBuilder &loops, int o, MulFn mul)
+    emitReduction(LoopBuilder &loops, MulFn mul)
     {
         loops.loop(
             LoopInit::reg(kRegKTrip),
             {{kRegAK, LoopInit::reg(kRegAPanel), p_.aKStep * p_.unrollK},
              {kRegWK, LoopInit::reg(kRegWTile), 4 * words_}},
             [&] {
-                loadInput(o, 0, kRegAPanel);
+                loadInputs(0, kRegAPanel);
                 loadWeightWindow(kRegWTile);
                 zeroAccs();
             },
             [&] {
                 for (int u = 0; u < p_.unrollK; ++u) {
-                    const int in = kInputRing[u % inputRing_];
                     if (inputRing_ > 1)
-                        loadInput(o, u + 1, kRegAK);
+                        loadInputs(u + 1, kRegAK);
                     for (int c = 0; c < p_.accCols; ++c) {
                         const int t = u * p_.accCols + c;
                         loadWeight(t + weightRing_ - 1, kRegWK);
                         const int w = kWeightRing[t % weightRing_];
-                        prog_.push(mul(reloadAcc(c), in, w));
-                        if (spilled(c))
-                            storeSpill(c);
+                        for (int o = 0; o < p_.unrollOut; ++o) {
+                            prog_.push(
+                                mul(reloadAcc(o, c), inputReg(o, u), w));
+                            if (spilled(o, c))
+                                storeSpill(o, c);
+                        }
                     }
                     if (inputRing_ == 1)
-                        loadInput(o, u + 1, kRegAK);
+                        loadInputs(u + 1, kRegAK);
                 }
             });
     }
 
-    /** Load input step @p s of replica @p o off @p base (s = unrollK:
-     *  the next iteration's step 0) into its ring register. */
-    void
-    loadInput(int o, int s, int base)
+    /** Panel @p o's ring register for input step @p s. */
+    int
+    inputReg(int o, int s) const
     {
-        const int64_t offset = o * p_.aPanelStride + s * p_.aKStep;
-        for (int i = 0; i < p_.inputVectors; ++i)
-            prog_.push(makeVload(vreg(kInputRing[s % inputRing_] + i),
-                                 sreg(base), offset + 128 * i));
+        const int entry = s % inputRing_;
+        return o == 0 ? kInputRing[entry]
+                      : kPanelRings +
+                            ((o - 1) * inputRing_ + entry) * p_.inputVectors;
+    }
+
+    /** Load input step @p s of every panel off @p base (s = unrollK: the
+     *  next iteration's step 0) into the panels' ring registers. */
+    void
+    loadInputs(int s, int base)
+    {
+        for (int o = 0; o < p_.unrollOut; ++o)
+            for (int i = 0; i < p_.inputVectors; ++i)
+                prog_.push(makeVload(vreg(inputReg(o, s) + i), sreg(base),
+                                     o * p_.aPanelStride + s * p_.aKStep +
+                                         128 * i));
     }
 
     /** Load weight word @p t off @p base (t >= W: the next iteration's
@@ -263,37 +295,41 @@ class LoopNestBuilder
             loadWeight(t, base);
     }
 
+    int slot(int o, int c) const { return o * p_.accCols + c; }
+
     int
-    accReg(int c) const
+    accReg(int o, int c) const
     {
-        return spilled(c) ? kSpillStage : kFirstAccReg + p_.accWidth * c;
+        return spilled(o, c) ? kSpillStage
+                             : kFirstAccReg + p_.accWidth * slot(o, c);
     }
 
     void
     zeroAccs()
     {
-        for (int c = 0; c < p_.accCols; ++c) {
-            const int reg = accReg(c);
-            for (int i = 0; i < p_.accWidth; ++i)
-                prog_.push(makeVsplatw(vreg(reg + i), sreg(0)));
-            if (spilled(c))
-                storeSpill(c);
-        }
+        for (int o = 0; o < p_.unrollOut; ++o)
+            for (int c = 0; c < p_.accCols; ++c) {
+                const int reg = accReg(o, c);
+                for (int i = 0; i < p_.accWidth; ++i)
+                    prog_.push(makeVsplatw(vreg(reg + i), sreg(0)));
+                if (spilled(o, c))
+                    storeSpill(o, c);
+            }
     }
 
     void
-    storeSpill(int c)
+    storeSpill(int o, int c)
     {
         for (int i = 0; i < p_.accWidth; ++i)
             prog_.push(makeVstore(sreg(kRegScratch), vreg(kSpillStage + i),
-                                  spillOff(c) + 128 * i));
+                                  spillOff(o, c) + 128 * i));
     }
 
     Program &prog_;
     Params p_;
     int words_;      ///< W: weight words per k-iteration
     int weightRing_; ///< R
-    int inputRing_;  ///< 2 when unrollK is even, else 1
+    int inputRing_;  ///< per panel: 2 when unrollK is even, else 1
 };
 
 } // namespace
@@ -348,10 +384,10 @@ MatMulKernel::generate()
                                 sreg(w));
             },
             // Epilogue: reorder even/odd products, requantize.
-            [&](int j) {
+            [&](int o, int j) {
                 const int shuffBase = (j % 2 == 0) ? 20 : 24;
                 const int asrDst = (j % 2 == 0) ? 22 : 26;
-                const int src = nest.reloadAcc(j);
+                const int src = nest.reloadAcc(o, j);
                 prog_.push(makeVshuff(Opcode::VSHUFF, vreg(shuffBase),
                                       vreg(src), vreg(src + 1),
                                       /*laneLog2=*/1));
@@ -366,7 +402,7 @@ MatMulKernel::generate()
             [](int acc, int in, int w) {
                 return makeVmpa(Opcode::VMPA, vreg(acc), vreg(in), sreg(w));
             },
-            [&](int cp) {
+            [&](int o, int cp) {
                 const bool alt = (cp % 2 != 0);
                 const int fold0 = alt ? 22 : 20;
                 const int fold1 = alt ? 23 : 21;
@@ -376,7 +412,7 @@ MatMulKernel::generate()
                 // Fold the k-high half into the k-low half (paper: the
                 // two output vectors "need to be further added").
                 auto foldInto = [&](int c, int dst) {
-                    const int src = nest.reloadAcc(c);
+                    const int src = nest.reloadAcc(o, c);
                     prog_.push(makeVecBinary(Opcode::VADDH, vreg(dst),
                                              vreg(src), vreg(src + 1)));
                 };
@@ -396,19 +432,19 @@ MatMulKernel::generate()
             [](int acc, int in, int w) {
                 return makeVrmpy(vreg(acc), vreg(in), sreg(w));
             },
-            [&](int q) {
+            [&](int o, int q) {
                 // Bring the four column accumulators into registers.
                 int src[4];
                 for (int i = 0; i < 4; ++i) {
                     const int c = 4 * q + i;
-                    if (!nest.spilled(c)) {
-                        src[i] = nest.reloadAcc(c);
+                    if (!nest.spilled(o, c)) {
+                        src[i] = nest.reloadAcc(o, c);
                         continue;
                     }
                     // A spilled column loads straight into its own
                     // epilogue temporary.
                     prog_.push(makeVload(vreg(20 + i), sreg(kRegScratch),
-                                         nest.spillOff(c)));
+                                         nest.spillOff(o, c)));
                     src[i] = 20 + i;
                 }
                 // Word-interleave column pairs, narrow to halfwords.

@@ -23,11 +23,13 @@
  * weights, 16-bit (vmpy/vmpa) or 32-bit (vrmpy) accumulation, uint8
  * output. C = requantize(A x W).
  *
- * Unrolling (Section IV-C "Impact of Unrolling"): `unrollOut` replicates
- * the row-panel body (loop-overhead amortization only), `unrollCols`
- * widens the output-column tile (more live accumulators = more ILP, until
- * registers spill), `unrollK` replicates the reduction step. Columns
- * beyond the accumulator register budget are spilled to scratch memory,
+ * Unrolling (Section IV-C "Impact of Unrolling"): `unrollOut` register-
+ * blocks the tile over that many row panels (one k loop computes them
+ * all, and each loaded weight word feeds one multiply per panel),
+ * `unrollCols` widens the output-column tile (more live accumulators =
+ * more ILP, until registers spill), `unrollK` replicates the reduction
+ * step. The accumulators of every (panel, column) pair share one bank;
+ * those beyond its register budget are spilled to scratch memory,
  * reproducing the performance fall-off at large factors (Fig. 12).
  */
 #ifndef GCD2_KERNELS_MATMUL_H
@@ -72,11 +74,12 @@ struct MatMulSchemeInfo
     /** Rows per layout panel: tensor::layoutPanelRows(layout). */
     int panelRows() const { return tensor::layoutPanelRows(layout); }
 
-    /** The most unrollCols whose accumulators fit the bank unspilled. */
+    /** The most unrollCols whose accumulators fit the bank unspilled
+     *  in a tile of @p panels row panels (unrollOut). */
     constexpr int
-    noSpillUnits() const
+    noSpillUnits(int panels) const
     {
-        return kAccRegCount / accWidth / colsPerUnit;
+        return kAccRegCount / accWidth / colsPerUnit / panels;
     }
 };
 
@@ -133,7 +136,9 @@ struct MatMulShape
 struct MatMulConfig
 {
     MatMulScheme scheme = MatMulScheme::Vrmpy;
-    int unrollOut = 1;  ///< row panels per outer-loop iteration
+    /** Row panels per tile: one k loop computes them all, loading each
+     *  weight word once for every panel (register blocking). */
+    int unrollOut = 1;
     int unrollCols = 1; ///< output-column tiles per mid-loop iteration
     int unrollK = 1;    ///< reduction steps per inner-loop iteration
     /** Requantization shift, 16-bit accumulator path (vmpy/vmpa). */

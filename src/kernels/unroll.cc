@@ -57,11 +57,21 @@ adaptiveUnroll(const MatMulShape &shape, MatMulScheme scheme)
         break;
     }
 
+    // A vrmpy tile issues one LOADW per vrmpy, so its two memory slots,
+    // not its two multiply pipes, bound it. Blocking it over two row
+    // panels loads each weight word once for both. Only where the rows
+    // fill panel pairs: an odd panel count below 16 pads the kernel by a
+    // sixteenth of its rows or more.
+    const int64_t panels = common::ceilDiv(shape.m, info.panelRows());
+    if (scheme == MatMulScheme::Vrmpy && (panels % 2 == 0 || panels >= 16))
+        choice = UnrollChoice{2, 2, 2};
+
     // Never request more column tiles than the output provides, and stay
     // within the no-spill accumulator budget.
     const int maxTiles = static_cast<int>(
         std::max<int64_t>(1, common::ceilDiv(shape.n, info.colsPerUnit)));
-    choice.cols = std::min({choice.cols, maxTiles, info.noSpillUnits()});
+    choice.cols =
+        std::min({choice.cols, maxTiles, info.noSpillUnits(choice.outer)});
 
     // Keep k-unrolling within the reduction depth.
     const int maxK = static_cast<int>(

@@ -30,7 +30,7 @@ struct UnrollChoice
 enum class UnrollStrategy : uint8_t
 {
     None,       ///< factor 1 everywhere
-    Outer,      ///< unroll the outer-most (row panel) loop only
+    Outer,      ///< row panels only: tiles register-blocked over 4 panels
     Mid,        ///< unroll the mid (output column) loop only (factor 4)
     Mid2,       ///< fixed mid-loop factor 2 (library-default unrolling)
     Adaptive,   ///< GCD2: shape-adaptive selection
@@ -48,7 +48,9 @@ OutputShapeClass classifyOutputShape(int64_t m, int64_t n);
 /**
  * GCD2's shape-adaptive unroll choice for a matmul on @p scheme.
  * Skinny outputs (tall, few columns) lean on k-unrolling, fat outputs on
- * wide column tiles, near-square outputs on a balanced 4-4 setting.
+ * wide column tiles, near-square outputs on a balanced 4-4 setting. A
+ * vrmpy matmul whose row panels pair up (an even count, or 16 and more)
+ * runs a tile register-blocked over two panels instead (2-2-2).
  */
 UnrollChoice adaptiveUnroll(const MatMulShape &shape, MatMulScheme scheme);
 

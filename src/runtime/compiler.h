@@ -85,7 +85,7 @@ struct PipelineReport
  * applied uniformly to every configuration, so all relative results
  * (speedups, ablations, crossovers) are untouched by it.
  */
-inline constexpr double kEffectiveCyclesPerMs = 3.54e6;
+inline constexpr double kEffectiveCyclesPerMs = 3.26e6;
 
 /** How the per-operator plans are chosen. */
 enum class SelectionMode : uint8_t

@@ -92,8 +92,9 @@ tileTrips(const MatMulShape &shape, const MatMulShape &tile)
 }
 
 /** Accumulator drains a tile is charged for (see kernelStats): one per
- *  live 16-bit accumulator pair every 32 reduction steps; none for
- *  vrmpy, which accumulates in 32-bit lanes natively. */
+ *  live 16-bit accumulator pair (every column of every row panel) every
+ *  32 reduction steps; none for vrmpy, which accumulates in 32-bit lanes
+ *  natively. */
 uint64_t
 drainSteps(const CostKey &key)
 {
@@ -101,7 +102,7 @@ drainSteps(const CostKey &key)
         kernels::schemeInfo(static_cast<MatMulScheme>(key.tag));
     if (info.accLaneBits == 32)
         return 0;
-    const int accPairs = key.unrollCols * info.colsPerUnit;
+    const int accPairs = key.unrollOut * key.unrollCols * info.colsPerUnit;
     const int64_t drains =
         std::max<int64_t>(0, common::ceilDiv(key.extent, 32) - 1);
     return static_cast<uint64_t>(drains) * static_cast<uint64_t>(accPairs);

@@ -4,6 +4,7 @@
 #include <initializer_list>
 
 #include "common/logging.h"
+#include "common/round.h"
 #include "kernels/conv.h"
 #include "kernels/elementwise.h"
 
@@ -19,7 +20,7 @@ namespace {
 uint64_t
 vectorsOf(int64_t elements)
 {
-    return static_cast<uint64_t>((elements + 127) / 128);
+    return static_cast<uint64_t>(common::ceilDiv(elements, dsp::kVectorBytes));
 }
 
 /** Division cycles of @p rows row reductions: a reciprocal lookup with

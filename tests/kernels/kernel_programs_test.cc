@@ -57,22 +57,22 @@ const std::vector<ProgramRow> kRecorded = {
     {"vmpy 70x45x11 u1/8/2", 0xcce2ade0fa3b7ac5ull, 6016, 3004, 2048, 0},
     {"vmpy 70x45x11 u1/8/4", 0xad384f85215e3e91ull, 6272, 3132, 2048, 0},
     {"vmpy 70x45x11 u1/8/8", 0xdf623620b2a44991ull, 6272, 3132, 2048, 0},
-    {"vmpy 70x45x11 u2/1/1", 0xf3c5d8d16bf86008ull, 11648, 1980, 2816, 0},
-    {"vmpy 70x45x11 u2/1/2", 0xf61278e7aa7d0a50ull, 11904, 2028, 2816, 0},
-    {"vmpy 70x45x11 u2/1/4", 0x418c4b2f4da20cdeull, 12416, 2124, 2816, 0},
-    {"vmpy 70x45x11 u2/1/8", 0x9715f87c5733ab2cull, 12416, 2140, 2816, 0},
-    {"vmpy 70x45x11 u2/2/1", 0x16f972f6968ff5deull, 11648, 2164, 3072, 0},
-    {"vmpy 70x45x11 u2/2/2", 0x2a6f1450c16c3024ull, 11904, 2220, 3072, 0},
-    {"vmpy 70x45x11 u2/2/4", 0xce09d1c27f13ec76ull, 12416, 2332, 3072, 0},
-    {"vmpy 70x45x11 u2/2/8", 0xbae86c590dd90d6aull, 12416, 2364, 3072, 0},
-    {"vmpy 70x45x11 u2/4/1", 0xb02bc710a2016e97ull, 11648, 2172, 3072, 0},
-    {"vmpy 70x45x11 u2/4/2", 0x3e828c53fc0b9483ull, 11904, 2236, 3072, 0},
-    {"vmpy 70x45x11 u2/4/4", 0xcefd4406cf998c8eull, 12416, 2364, 3072, 0},
-    {"vmpy 70x45x11 u2/4/8", 0xc36a0cf462fe67c0ull, 12416, 2364, 3072, 0},
-    {"vmpy 70x45x11 u2/8/1", 0x81643d71e0a4a140ull, 11648, 2908, 4096, 0},
-    {"vmpy 70x45x11 u2/8/2", 0x81e8d58c87d47110ull, 11904, 3004, 4096, 0},
-    {"vmpy 70x45x11 u2/8/4", 0xf78c73262f3b9fe5ull, 12416, 3132, 4096, 0},
-    {"vmpy 70x45x11 u2/8/8", 0x597b984226582287ull, 12416, 3132, 4096, 0},
+    {"vmpy 70x45x11 u2/1/1", 0xdbaedc4a66794fefull, 11648, 1980, 2816, 0},
+    {"vmpy 70x45x11 u2/1/2", 0x310b7e303b2bd284ull, 11904, 2028, 2816, 0},
+    {"vmpy 70x45x11 u2/1/4", 0x173b1791ea2dac0bull, 12416, 2124, 2816, 0},
+    {"vmpy 70x45x11 u2/1/8", 0x61e827324cf64b7ull, 12416, 2140, 2816, 0},
+    {"vmpy 70x45x11 u2/2/1", 0xfcaa914604e72321ull, 11648, 2164, 3072, 0},
+    {"vmpy 70x45x11 u2/2/2", 0xf7a9c379dc6bbbeeull, 11904, 2220, 3072, 0},
+    {"vmpy 70x45x11 u2/2/4", 0x28cb24b208bd7c9aull, 12416, 2332, 3072, 0},
+    {"vmpy 70x45x11 u2/2/8", 0x224b3407a7bef965ull, 12416, 2364, 3072, 0},
+    {"vmpy 70x45x11 u2/4/1", 0x990cf98bb5486192ull, 11648, 2172, 3072, 0},
+    {"vmpy 70x45x11 u2/4/2", 0x37b85131b28482e1ull, 11904, 2236, 3072, 0},
+    {"vmpy 70x45x11 u2/4/4", 0x1d3fd2d3f8b3237dull, 12416, 2364, 3072, 0},
+    {"vmpy 70x45x11 u2/4/8", 0x9acb2935027cf971ull, 12416, 2364, 3072, 0},
+    {"vmpy 70x45x11 u2/8/1", 0xaad38149fdd57b19ull, 11648, 2908, 4096, 2048},
+    {"vmpy 70x45x11 u2/8/2", 0xc1fdd2f3cd1d0fdfull, 11904, 3004, 4096, 2048},
+    {"vmpy 70x45x11 u2/8/4", 0x5feba270f2fe0dbeull, 12416, 3132, 4096, 2048},
+    {"vmpy 70x45x11 u2/8/8", 0xd4675211bb95df08ull, 12416, 3132, 4096, 2048},
     {"vmpy 300x600x90 u1/1/1", 0x858314be6822e205ull, 230528, 216000, 34560, 0},
     {"vmpy 300x600x90 u1/1/2", 0xac894aacc7730e9dull, 230528, 216004, 34560, 0},
     {"vmpy 300x600x90 u1/1/4", 0x5a486981b7dda357ull, 230528, 216012, 34560, 0},
@@ -89,22 +89,22 @@ const std::vector<ProgramRow> kRecorded = {
     {"vmpy 300x600x90 u1/8/2", 0xf1f6299c71915056ull, 230528, 230460, 36864, 0},
     {"vmpy 300x600x90 u1/8/4", 0x93f3b170f496cdf5ull, 230528, 230460, 36864, 0},
     {"vmpy 300x600x90 u1/8/8", 0x655a3477296bdd98ull, 230528, 230460, 36864, 0},
-    {"vmpy 300x600x90 u2/1/1", 0x1deaf7867b879a18ull, 307328, 216000, 46080, 0},
-    {"vmpy 300x600x90 u2/1/2", 0x566a42d05ed885d4ull, 307328, 216004, 46080, 0},
-    {"vmpy 300x600x90 u2/1/4", 0xb14f85e4242568cfull, 307328, 216012, 46080, 0},
-    {"vmpy 300x600x90 u2/1/8", 0xfc508556b80e7852ull, 307328, 216028, 46080, 0},
-    {"vmpy 300x600x90 u2/2/1", 0x6d08ee73914d0464ull, 307328, 216004, 46080, 0},
-    {"vmpy 300x600x90 u2/2/2", 0x89178a0a096b6afdull, 307328, 216012, 46080, 0},
-    {"vmpy 300x600x90 u2/2/4", 0x12772db591542c58ull, 307328, 216028, 46080, 0},
-    {"vmpy 300x600x90 u2/2/8", 0xfe8c221669d1f24full, 307328, 216060, 46080, 0},
-    {"vmpy 300x600x90 u2/4/1", 0x737bcce276228779ull, 307328, 220812, 47104, 0},
-    {"vmpy 300x600x90 u2/4/2", 0xcd1d1c3775e61122ull, 307328, 220828, 47104, 0},
-    {"vmpy 300x600x90 u2/4/4", 0x846efed487736a35ull, 307328, 220860, 47104, 0},
-    {"vmpy 300x600x90 u2/4/8", 0xaa27a9f2d9c89448ull, 307328, 220860, 47104, 0},
-    {"vmpy 300x600x90 u2/8/1", 0xd494d2a8ef583399ull, 307328, 230428, 49152, 0},
-    {"vmpy 300x600x90 u2/8/2", 0xf4c1d4b65ca77a7cull, 307328, 230460, 49152, 0},
-    {"vmpy 300x600x90 u2/8/4", 0xd84064e501f5f1ull, 307328, 230460, 49152, 0},
-    {"vmpy 300x600x90 u2/8/8", 0x68194ba032cdf484ull, 307328, 230460, 49152, 0},
+    {"vmpy 300x600x90 u2/1/1", 0xdcb88cf5214d94a1ull, 307328, 216000, 46080, 0},
+    {"vmpy 300x600x90 u2/1/2", 0xd9bf7149e14f68b8ull, 307328, 216004, 46080, 0},
+    {"vmpy 300x600x90 u2/1/4", 0xa79bde03b1a8f5b4ull, 307328, 216012, 46080, 0},
+    {"vmpy 300x600x90 u2/1/8", 0xa6252a891035277full, 307328, 216028, 46080, 0},
+    {"vmpy 300x600x90 u2/2/1", 0xc0fed94197f92d35ull, 307328, 216004, 46080, 0},
+    {"vmpy 300x600x90 u2/2/2", 0xa5a5e39502e0617ull, 307328, 216012, 46080, 0},
+    {"vmpy 300x600x90 u2/2/4", 0x8c6e4d30a0bc54acull, 307328, 216028, 46080, 0},
+    {"vmpy 300x600x90 u2/2/8", 0xdbc00286898d84c4ull, 307328, 216060, 46080, 0},
+    {"vmpy 300x600x90 u2/4/1", 0xbf610a1a79357deeull, 307328, 220812, 47104, 0},
+    {"vmpy 300x600x90 u2/4/2", 0x173bd8f109188ea4ull, 307328, 220828, 47104, 0},
+    {"vmpy 300x600x90 u2/4/4", 0x8f170df35c65c7eeull, 307328, 220860, 47104, 0},
+    {"vmpy 300x600x90 u2/4/8", 0x30cfaaa279d5d991ull, 307328, 220860, 47104, 0},
+    {"vmpy 300x600x90 u2/8/1", 0xb0e9fb985812df6eull, 307328, 230428, 49152, 2048},
+    {"vmpy 300x600x90 u2/8/2", 0xe7c67a60dffe2a17ull, 307328, 230460, 49152, 2048},
+    {"vmpy 300x600x90 u2/8/4", 0x5945c14ab7c81846ull, 307328, 230460, 49152, 2048},
+    {"vmpy 300x600x90 u2/8/8", 0x1b8e5a799d5c983bull, 307328, 230460, 49152, 2048},
     {"vmpa 70x45x11 u1/1/1", 0x23f6d50b9558e327ull, 6400, 580, 1536, 0},
     {"vmpa 70x45x11 u1/1/2", 0x79c344e90337e384ull, 6400, 588, 1536, 0},
     {"vmpa 70x45x11 u1/1/4", 0x6d5473ed186e78efull, 6400, 604, 1536, 0},
@@ -121,22 +121,22 @@ const std::vector<ProgramRow> kRecorded = {
     {"vmpa 70x45x11 u1/8/2", 0x839c74e2ccdb4422ull, 6400, 828, 2048, 2048},
     {"vmpa 70x45x11 u1/8/4", 0xfd5716db7f67e35ull, 6400, 828, 2048, 2048},
     {"vmpa 70x45x11 u1/8/8", 0xc6e40a84b811b13cull, 8448, 1084, 2048, 2048},
-    {"vmpa 70x45x11 u2/1/1", 0x2f1f9281072d2489ull, 6400, 580, 1536, 0},
-    {"vmpa 70x45x11 u2/1/2", 0x2ac81b7d53ff4621ull, 6400, 588, 1536, 0},
-    {"vmpa 70x45x11 u2/1/4", 0x8004f9667799c610ull, 6400, 604, 1536, 0},
-    {"vmpa 70x45x11 u2/1/8", 0x37f2eb9f01fc7f8cull, 8448, 828, 1536, 0},
-    {"vmpa 70x45x11 u2/2/1", 0xe99b810d4017482bull, 6400, 588, 1536, 0},
-    {"vmpa 70x45x11 u2/2/2", 0xab220a83c74aa303ull, 6400, 604, 1536, 0},
-    {"vmpa 70x45x11 u2/2/4", 0x6fd8027514e5f962ull, 6400, 636, 1536, 0},
-    {"vmpa 70x45x11 u2/2/8", 0x2755e957f7f6075dull, 8448, 828, 1536, 0},
-    {"vmpa 70x45x11 u2/4/1", 0x7ad6f31fd7e5b957ull, 6400, 796, 2048, 0},
-    {"vmpa 70x45x11 u2/4/2", 0x78954924246cc00bull, 6400, 828, 2048, 0},
-    {"vmpa 70x45x11 u2/4/4", 0xba0b51fa754214f6ull, 6400, 828, 2048, 0},
-    {"vmpa 70x45x11 u2/4/8", 0x9dc0d27c21469fb5ull, 8448, 1084, 2048, 0},
-    {"vmpa 70x45x11 u2/8/1", 0x2c936ae61fc6acf9ull, 6400, 828, 2048, 2048},
-    {"vmpa 70x45x11 u2/8/2", 0x9a1fcdc4c9ab5c3dull, 6400, 828, 2048, 2048},
-    {"vmpa 70x45x11 u2/8/4", 0x857179e1adf2f4dcull, 6400, 828, 2048, 2048},
-    {"vmpa 70x45x11 u2/8/8", 0x64c103fcd1b3e4feull, 8448, 1084, 2048, 2048},
+    {"vmpa 70x45x11 u2/1/1", 0x36f353bcccdafa86ull, 6400, 580, 1536, 0},
+    {"vmpa 70x45x11 u2/1/2", 0xa2261ac96e052e69ull, 6400, 588, 1536, 0},
+    {"vmpa 70x45x11 u2/1/4", 0x8f43aab3be81f2a2ull, 6400, 604, 1536, 0},
+    {"vmpa 70x45x11 u2/1/8", 0x16c51103ff45483full, 8448, 828, 1536, 0},
+    {"vmpa 70x45x11 u2/2/1", 0x4678fb5700f7c4e9ull, 6400, 588, 1536, 0},
+    {"vmpa 70x45x11 u2/2/2", 0xcb4929b5db5249c0ull, 6400, 604, 1536, 0},
+    {"vmpa 70x45x11 u2/2/4", 0x8c7dab0729885e1cull, 6400, 636, 1536, 0},
+    {"vmpa 70x45x11 u2/2/8", 0xbf42c70c581463cfull, 8448, 828, 1536, 0},
+    {"vmpa 70x45x11 u2/4/1", 0x266f558b728ffbfbull, 6400, 796, 2048, 2048},
+    {"vmpa 70x45x11 u2/4/2", 0x714cf95710477fddull, 6400, 828, 2048, 2048},
+    {"vmpa 70x45x11 u2/4/4", 0xebfa177554d221eeull, 6400, 828, 2048, 2048},
+    {"vmpa 70x45x11 u2/4/8", 0x7187db42e3003557ull, 8448, 1084, 2048, 2048},
+    {"vmpa 70x45x11 u2/8/1", 0x23e9da9a6700c9e9ull, 6400, 828, 2048, 6144},
+    {"vmpa 70x45x11 u2/8/2", 0xa8380260995ff104ull, 6400, 828, 2048, 6144},
+    {"vmpa 70x45x11 u2/8/4", 0xea29ce5b7a4b59ddull, 6400, 828, 2048, 6144},
+    {"vmpa 70x45x11 u2/8/8", 0x3edbb41db05b2a60ull, 8448, 1084, 2048, 6144},
     {"vmpa 300x600x90 u1/1/1", 0x63d3ff88b14cc193ull, 192256, 54004, 28800, 0},
     {"vmpa 300x600x90 u1/1/2", 0xaff4b803ba2f959dull, 192256, 54012, 28800, 0},
     {"vmpa 300x600x90 u1/1/4", 0x43c9b60581cb73bdull, 194816, 54748, 28800, 0},
@@ -153,22 +153,22 @@ const std::vector<ProgramRow> kRecorded = {
     {"vmpa 300x600x90 u1/8/2", 0x3fc3d1ed64d0d23bull, 192256, 57660, 30720, 2048},
     {"vmpa 300x600x90 u1/8/4", 0x6e475a4b25f1e040ull, 194816, 58428, 30720, 2048},
     {"vmpa 300x600x90 u1/8/8", 0x1f14ca7eca8c3a67ull, 194816, 58428, 30720, 2048},
-    {"vmpa 300x600x90 u2/1/1", 0xf44222f1dc6ce956ull, 230656, 54004, 34560, 0},
-    {"vmpa 300x600x90 u2/1/2", 0x4a6056b6590a13e5ull, 230656, 54012, 34560, 0},
-    {"vmpa 300x600x90 u2/1/4", 0x50e2dddd314c5787ull, 233728, 54748, 34560, 0},
-    {"vmpa 300x600x90 u2/1/8", 0xca5a95efb391074ull, 233728, 54780, 34560, 0},
-    {"vmpa 300x600x90 u2/2/1", 0x2d74e70da429a5f0ull, 230656, 55212, 35328, 0},
-    {"vmpa 300x600x90 u2/2/2", 0xb77b05c0f97cf117ull, 230656, 55228, 35328, 0},
-    {"vmpa 300x600x90 u2/2/4", 0x75519114d6bf1c6bull, 233728, 55996, 35328, 0},
-    {"vmpa 300x600x90 u2/2/8", 0xe9dea232f36795aeull, 233728, 55996, 35328, 0},
-    {"vmpa 300x600x90 u2/4/1", 0x12c49120794d356cull, 230656, 57628, 36864, 0},
-    {"vmpa 300x600x90 u2/4/2", 0x4d197acd9b1498a3ull, 230656, 57660, 36864, 0},
-    {"vmpa 300x600x90 u2/4/4", 0xf69fd79d7c2bc730ull, 233728, 58428, 36864, 0},
-    {"vmpa 300x600x90 u2/4/8", 0x99463cf50770fdull, 233728, 58428, 36864, 0},
-    {"vmpa 300x600x90 u2/8/1", 0xbc5f8057178dddfcull, 230656, 57660, 36864, 2048},
-    {"vmpa 300x600x90 u2/8/2", 0x9177917ecb0cc67full, 230656, 57660, 36864, 2048},
-    {"vmpa 300x600x90 u2/8/4", 0x4f4590690ea02466ull, 233728, 58428, 36864, 2048},
-    {"vmpa 300x600x90 u2/8/8", 0xf2d764b149f700aaull, 233728, 58428, 36864, 2048},
+    {"vmpa 300x600x90 u2/1/1", 0xb5eb2df6820e1895ull, 230656, 54004, 34560, 0},
+    {"vmpa 300x600x90 u2/1/2", 0x5c9cd2c5a513c65ull, 230656, 54012, 34560, 0},
+    {"vmpa 300x600x90 u2/1/4", 0xd98da1282f858289ull, 233728, 54748, 34560, 0},
+    {"vmpa 300x600x90 u2/1/8", 0xabfb8a7861cb4733ull, 233728, 54780, 34560, 0},
+    {"vmpa 300x600x90 u2/2/1", 0x8c48667c2567556eull, 230656, 55212, 35328, 0},
+    {"vmpa 300x600x90 u2/2/2", 0x1bce292d43df210ull, 230656, 55228, 35328, 0},
+    {"vmpa 300x600x90 u2/2/4", 0x71543d3775916c19ull, 233728, 55996, 35328, 0},
+    {"vmpa 300x600x90 u2/2/8", 0xccfdd789c470d10cull, 233728, 55996, 35328, 0},
+    {"vmpa 300x600x90 u2/4/1", 0xc6aeaca2c101044cull, 230656, 57628, 36864, 2048},
+    {"vmpa 300x600x90 u2/4/2", 0x50b9a169800f64b1ull, 230656, 57660, 36864, 2048},
+    {"vmpa 300x600x90 u2/4/4", 0x9e6f537495ba7958ull, 233728, 58428, 36864, 2048},
+    {"vmpa 300x600x90 u2/4/8", 0x9aadc1e7070dcfcfull, 233728, 58428, 36864, 2048},
+    {"vmpa 300x600x90 u2/8/1", 0x636727080827f36cull, 230656, 57660, 36864, 6144},
+    {"vmpa 300x600x90 u2/8/2", 0x6b53a0387d512b02ull, 230656, 57660, 36864, 6144},
+    {"vmpa 300x600x90 u2/8/4", 0x9c3834b11a6331d3ull, 233728, 58428, 36864, 6144},
+    {"vmpa 300x600x90 u2/8/8", 0x40b3e675d7311064ull, 233728, 58428, 36864, 6144},
     {"vrmpy 70x45x11 u1/1/1", 0x1b064b58aa4800efull, 4736, 588, 1152, 0},
     {"vrmpy 70x45x11 u1/1/2", 0xbdd71ea71d32368full, 4736, 604, 1152, 0},
     {"vrmpy 70x45x11 u1/1/4", 0x34e3f8c3d2a8d4ddull, 4736, 636, 1152, 0},
@@ -185,22 +185,22 @@ const std::vector<ProgramRow> kRecorded = {
     {"vrmpy 70x45x11 u1/8/2", 0x7f6b98bed9968444ull, 4736, 1596, 3072, 2048},
     {"vrmpy 70x45x11 u1/8/4", 0x61ec27fabbc04943ull, 4736, 1596, 3072, 2048},
     {"vrmpy 70x45x11 u1/8/8", 0xbdf7f374b873b7baull, 6272, 2108, 3072, 2048},
-    {"vrmpy 70x45x11 u2/1/1", 0x147a04f0c4eed3efull, 6272, 588, 1536, 0},
-    {"vrmpy 70x45x11 u2/1/2", 0x135dee1f8bb708a8ull, 6272, 604, 1536, 0},
-    {"vrmpy 70x45x11 u2/1/4", 0x4def82abbdcac3abull, 6272, 636, 1536, 0},
-    {"vrmpy 70x45x11 u2/1/8", 0xe8104a90d789ed2aull, 8320, 828, 1536, 0},
-    {"vrmpy 70x45x11 u2/2/1", 0x317bf4e02761e92aull, 6272, 796, 2048, 0},
-    {"vrmpy 70x45x11 u2/2/2", 0x15008e5469ee9c63ull, 6272, 828, 2048, 0},
-    {"vrmpy 70x45x11 u2/2/4", 0x929b1d81dd3b9b10ull, 6272, 828, 2048, 0},
-    {"vrmpy 70x45x11 u2/2/8", 0xce8931967dc7509ull, 8320, 1084, 2048, 0},
-    {"vrmpy 70x45x11 u2/4/1", 0x1e9ec7cfc487fe42ull, 6272, 828, 2048, 0},
-    {"vrmpy 70x45x11 u2/4/2", 0x134992e68577896full, 6272, 828, 2048, 0},
-    {"vrmpy 70x45x11 u2/4/4", 0xcb2fb1445a55232cull, 6272, 828, 2048, 0},
-    {"vrmpy 70x45x11 u2/4/8", 0xbfd632b220ce029eull, 8320, 1084, 2048, 0},
-    {"vrmpy 70x45x11 u2/8/1", 0x86be7c9a933fadf5ull, 6272, 1596, 4096, 2048},
-    {"vrmpy 70x45x11 u2/8/2", 0xd7e2709144c47754ull, 6272, 1596, 4096, 2048},
-    {"vrmpy 70x45x11 u2/8/4", 0x2a1da4b646d8eee6ull, 6272, 1596, 4096, 2048},
-    {"vrmpy 70x45x11 u2/8/8", 0x2ef46acb829633ceull, 8320, 2108, 4096, 2048},
+    {"vrmpy 70x45x11 u2/1/1", 0x696c16a9b0e876d5ull, 6272, 588, 1536, 0},
+    {"vrmpy 70x45x11 u2/1/2", 0xdf2b8545d089f54bull, 6272, 604, 1536, 0},
+    {"vrmpy 70x45x11 u2/1/4", 0x1d4a4730291a9c0dull, 6272, 636, 1536, 0},
+    {"vrmpy 70x45x11 u2/1/8", 0x24362d3752103d62ull, 8320, 828, 1536, 0},
+    {"vrmpy 70x45x11 u2/2/1", 0x566f1e97ecf71dd9ull, 6272, 796, 2048, 0},
+    {"vrmpy 70x45x11 u2/2/2", 0xef817820477e49f0ull, 6272, 828, 2048, 0},
+    {"vrmpy 70x45x11 u2/2/4", 0xbab88743ecf8de79ull, 6272, 828, 2048, 0},
+    {"vrmpy 70x45x11 u2/2/8", 0x34a54a5e7cd0fa48ull, 8320, 1084, 2048, 0},
+    {"vrmpy 70x45x11 u2/4/1", 0xabd29a9ab69d414cull, 6272, 828, 2048, 2048},
+    {"vrmpy 70x45x11 u2/4/2", 0x8ce2c65492290962ull, 6272, 828, 2048, 2048},
+    {"vrmpy 70x45x11 u2/4/4", 0x70355d3b80a5c9c9ull, 6272, 828, 2048, 2048},
+    {"vrmpy 70x45x11 u2/4/8", 0x6dfe669500d01dfcull, 8320, 1084, 2048, 2048},
+    {"vrmpy 70x45x11 u2/8/1", 0xf7c6076ddf5a1994ull, 6272, 1596, 4096, 6144},
+    {"vrmpy 70x45x11 u2/8/2", 0x2e2b90a346407c0cull, 6272, 1596, 4096, 6144},
+    {"vrmpy 70x45x11 u2/8/4", 0x26e982e2faa1168full, 6272, 1596, 4096, 6144},
+    {"vrmpy 70x45x11 u2/8/8", 0xad296e0c0508bd0eull, 8320, 2108, 4096, 6144},
     {"vrmpy 300x600x90 u1/1/1", 0x22ff515f145cb265ull, 192128, 55212, 29440, 0},
     {"vrmpy 300x600x90 u1/1/2", 0xd8218f527ecc4404ull, 192128, 55228, 29440, 0},
     {"vrmpy 300x600x90 u1/1/4", 0x83d114a984fe1a9eull, 194688, 55996, 29440, 0},
@@ -217,26 +217,26 @@ const std::vector<ProgramRow> kRecorded = {
     {"vrmpy 300x600x90 u1/8/2", 0xbe9e504a085cb2e1ull, 192128, 57660, 30720, 2048},
     {"vrmpy 300x600x90 u1/8/4", 0x20dc6c447f5e6d8bull, 194688, 58428, 30720, 2048},
     {"vrmpy 300x600x90 u1/8/8", 0x5ba25f18328f394aull, 194688, 58428, 30720, 2048},
-    {"vrmpy 300x600x90 u2/1/1", 0x59002b830c98bed2ull, 192128, 55212, 29440, 0},
-    {"vrmpy 300x600x90 u2/1/2", 0x1d0696018471a561ull, 192128, 55228, 29440, 0},
-    {"vrmpy 300x600x90 u2/1/4", 0x5b973e8499c91d5eull, 194688, 55996, 29440, 0},
-    {"vrmpy 300x600x90 u2/1/8", 0x9796a544af2bd443ull, 194688, 55996, 29440, 0},
-    {"vrmpy 300x600x90 u2/2/1", 0xea21a7a44f4b11a6ull, 192128, 57628, 30720, 0},
-    {"vrmpy 300x600x90 u2/2/2", 0x7c683236a86e4405ull, 192128, 57660, 30720, 0},
-    {"vrmpy 300x600x90 u2/2/4", 0x655023687f121c2full, 194688, 58428, 30720, 0},
-    {"vrmpy 300x600x90 u2/2/8", 0x2ab9fc147ae71d92ull, 194688, 58428, 30720, 0},
-    {"vrmpy 300x600x90 u2/4/1", 0xc881ece733bdeb18ull, 192128, 57660, 30720, 0},
-    {"vrmpy 300x600x90 u2/4/2", 0xa69814e92624dd8bull, 192128, 57660, 30720, 0},
-    {"vrmpy 300x600x90 u2/4/4", 0x3876f4316f7004c3ull, 194688, 58428, 30720, 0},
-    {"vrmpy 300x600x90 u2/4/8", 0x2c8d6ce1df71783dull, 194688, 58428, 30720, 0},
-    {"vrmpy 300x600x90 u2/8/1", 0x94b2f30306d74d18ull, 192128, 57660, 30720, 2048},
-    {"vrmpy 300x600x90 u2/8/2", 0x94b27bc9e3d53ca7ull, 192128, 57660, 30720, 2048},
-    {"vrmpy 300x600x90 u2/8/4", 0xf5a734bcfe0c243aull, 194688, 58428, 30720, 2048},
-    {"vrmpy 300x600x90 u2/8/8", 0xcbd7a0ea13b0a1a8ull, 194688, 58428, 30720, 2048},
-    {"vmpy 200x77x40 u3/12/3", 0x591abaf5d63a7136ull, 30080, 15020, 18432, 1024},
+    {"vrmpy 300x600x90 u2/1/1", 0xa7c2b61bfc208d4eull, 192128, 55212, 29440, 0},
+    {"vrmpy 300x600x90 u2/1/2", 0x92e80a16f5864e86ull, 192128, 55228, 29440, 0},
+    {"vrmpy 300x600x90 u2/1/4", 0x8f3001ad9d903840ull, 194688, 55996, 29440, 0},
+    {"vrmpy 300x600x90 u2/1/8", 0x1c9adf3e7fd713c3ull, 194688, 55996, 29440, 0},
+    {"vrmpy 300x600x90 u2/2/1", 0xa38d3a9b973168ffull, 192128, 57628, 30720, 0},
+    {"vrmpy 300x600x90 u2/2/2", 0x9e455c7a2136a5b4ull, 192128, 57660, 30720, 0},
+    {"vrmpy 300x600x90 u2/2/4", 0x3ddae9d4bca6f1eaull, 194688, 58428, 30720, 0},
+    {"vrmpy 300x600x90 u2/2/8", 0x235d05108ccd8e13ull, 194688, 58428, 30720, 0},
+    {"vrmpy 300x600x90 u2/4/1", 0xc2e9948c1f916060ull, 192128, 57660, 30720, 2048},
+    {"vrmpy 300x600x90 u2/4/2", 0x1ace821af8a3ac18ull, 192128, 57660, 30720, 2048},
+    {"vrmpy 300x600x90 u2/4/4", 0x616c7285ef7ca22eull, 194688, 58428, 30720, 2048},
+    {"vrmpy 300x600x90 u2/4/8", 0x911743516d5c4817ull, 194688, 58428, 30720, 2048},
+    {"vrmpy 300x600x90 u2/8/1", 0xcf6e287c22b556e3ull, 192128, 57660, 30720, 6144},
+    {"vrmpy 300x600x90 u2/8/2", 0xa69a4a70b35b3f6dull, 192128, 57660, 30720, 6144},
+    {"vrmpy 300x600x90 u2/8/4", 0x203ed76eaea5735bull, 194688, 58428, 30720, 6144},
+    {"vrmpy 300x600x90 u2/8/8", 0x7cb347c893403488ull, 194688, 58428, 30720, 6144},
+    {"vmpy 200x77x40 u3/12/3", 0x1a4e686da46eaf1bull, 30080, 15020, 18432, 7168},
     {"vmpy 130x9x17 u1/9/5", 0x380ae8c896d0acd4ull, 2688, 776, 4608, 256},
-    {"vmpa 150x50x30 u2/6/3", 0xc980e91c543bff63ull, 15616, 2204, 9216, 1024},
-    {"vrmpy 100x100x100 u3/6/5", 0xc4476b8ceedf8bbull, 19328, 12056, 23040, 1024},
+    {"vmpa 150x50x30 u2/6/3", 0x5f094bcdf36bf08full, 15616, 2204, 9216, 4096},
+    {"vrmpy 100x100x100 u3/6/5", 0xc66aba4dfaf56ff7ull, 19328, 12056, 23040, 7168},
     {"vrmpy 33x13x5 u1/5/7", 0xc3678635fa59d912ull, 1920, 612, 1280, 512},
     {"add unroll 1", 0xe9da69a12dcfadadull, 1024, 1024, 1024, 0},
     {"add unroll 3", 0x7d0a5696564d0e06ull, 1152, 1152, 1152, 0},

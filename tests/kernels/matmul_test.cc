@@ -15,6 +15,7 @@
 #include "kernels/runner.h"
 #include "kernels/unroll.h"
 #include "select/analytic.h"
+#include "vliw/cfg.h"
 #include "vliw/pack_cache.h"
 
 namespace gcd2::kernels {
@@ -190,7 +191,8 @@ TEST_P(MatMulUnroll, UnrolledKernelsLintClean)
 }
 
 /** Every scheme x unrollCandidates(), plus off-grid column tiles that
- *  spill past the accumulator budget. */
+ *  spill past the accumulator budget and tiles blocked over as many row
+ *  panels as the input rings allow. */
 std::vector<std::tuple<MatMulScheme, int, int, int>>
 unrollGrid()
 {
@@ -202,11 +204,33 @@ unrollGrid()
     grid.emplace_back(MatMulScheme::Vmpy, 1, 12, 1); // 12 pairs, 8 fit
     grid.emplace_back(MatMulScheme::Vmpa, 1, 6, 1);  // 12 columns
     grid.emplace_back(MatMulScheme::Vrmpy, 1, 5, 1); // 20 columns
+    grid.emplace_back(MatMulScheme::Vmpy, 6, 1, 2);  // rings of 2 vectors
+    grid.emplace_back(MatMulScheme::Vmpa, 3, 1, 2);  // rings of 2 pairs
+    grid.emplace_back(MatMulScheme::Vrmpy, 4, 1, 1); // the Outer strategy
+    grid.emplace_back(MatMulScheme::Vrmpy, 11, 1, 1); // 10 more rings
     return grid;
 }
 
 INSTANTIATE_TEST_SUITE_P(Factors, MatMulUnroll,
                          ::testing::ValuesIn(unrollGrid()));
+
+TEST(MatMulKernelTest, RejectsMorePanelsThanInputRings)
+{
+    // Row panels past the first take their input rings from v20..v29:
+    // eleven one-vector panels fit, twelve do not, nor four panels of
+    // two vmpa pairs each.
+    const MatMulShape shape{64, 32, 8};
+    EXPECT_NO_THROW(MatMulKernel(
+        shape, withUnroll({.scheme = MatMulScheme::Vrmpy}, {11, 1, 1})));
+    EXPECT_THROW(MatMulKernel(shape, withUnroll(
+                                         {.scheme = MatMulScheme::Vrmpy},
+                                         {12, 1, 1})),
+                 FatalError);
+    EXPECT_THROW(MatMulKernel(shape, withUnroll(
+                                         {.scheme = MatMulScheme::Vmpa},
+                                         {4, 1, 2})),
+                 FatalError);
+}
 
 TEST(MatMulLatency, AdaptiveVrmpyTileHidesItsLoads)
 {
@@ -272,6 +296,54 @@ TEST(MatMulLatency, EveryAdaptiveTileMeetsItsII)
             << " cycles per k-iteration, ResMII " << resMII
             << ", RecMII " << recMII;
     }
+}
+
+TEST(MatMulLatency, RegisterBlockedTileSharesWeightLoads)
+{
+    // A tile blocked over unrollOut row panels loads each of its W weight
+    // words per k-iteration once and feeds it to one multiply per panel:
+    // its k-loop body holds W LOADWs, not unrollOut x W. So the two
+    // multiply pipes, not the two memory slots, bound its steady state.
+    int blocked = 0;
+    for (const bench::ZooTile &tile : bench::zooTiles()) {
+        if (tile.choice.outer == 1)
+            continue;
+        ++blocked;
+        const MatMulKernel lo = tile.kernel(8);
+        const MatMulKernel hi = tile.kernel(24);
+        // The k-loop body is the block that holds the multiplies.
+        int weightLoads = 0;
+        int multUnits = 0;
+        const dsp::Program &prog = lo.program();
+        for (const vliw::BasicBlock &block : vliw::buildCfg(prog).blocks) {
+            int loads = 0;
+            int mults = 0;
+            for (size_t i = block.begin; i < block.end; ++i) {
+                loads += prog.code[i].op == dsp::Opcode::LOADW;
+                mults += prog.code[i].info().multUnits;
+            }
+            if (mults > 0) {
+                weightLoads += loads;
+                multUnits += mults;
+            }
+        }
+        auto cycles = [](const MatMulKernel &k) {
+            return static_cast<double>(
+                runKernel(k.program(), k.buffers(), {}, {}).stats.cycles);
+        };
+        const double perIter = (cycles(hi) - cycles(lo)) / 16.0;
+        const double pipeBound = multUnits / 2.0;
+        SCOPED_TRACE(testing::Message()
+                     << schemeName(tile.scheme) << " " << tile.choice.outer
+                     << "-" << tile.choice.cols << "-" << tile.choice.k);
+        EXPECT_EQ(weightLoads, tile.choice.k * tile.choice.cols *
+                                   schemeInfo(tile.scheme).colsPerUnit);
+        EXPECT_LE(perIter, 1.15 * pipeBound)
+            << perIter << " cycles per k-iteration, multiply bound "
+            << pipeBound;
+    }
+    // The grid's vrmpy layers of 2, 8 and 32 row panels pair them up.
+    EXPECT_GT(blocked, 0);
 }
 
 TEST(MatMulUnrollPerf, SpillingSlowsKernelsDown)

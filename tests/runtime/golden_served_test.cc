@@ -44,46 +44,46 @@ struct GoldenRow
 
 // clang-format off
 const std::vector<GoldenRow> kGolden = {
-    {"MobileNet-V3", "default", 0xcc5605df5dbf8f77ull, 4926344ull, 1518ull},
-    {"MobileNet-V3", "deep", 0xcc5605df5dbf8f77ull, 4926344ull, 1518ull},
-    {"MobileNet-V3", "fusion", 0xa762df1a1258ea37ull, 4911734ull, 1490ull},
-    {"MobileNet-V3", "no-lut", 0x5261a3c957e8f300ull, 5192376ull, 1514ull},
-    {"MobileNet-V3", "uniform", 0x3aee0a47b2e07569ull, 5674508ull, 1496ull},
-    {"EfficientNet-b0", "default", 0xf562f4dd2b1579e7ull, 7980716ull, 1652ull},
-    {"EfficientNet-b0", "deep", 0xf562f4dd2b1579e7ull, 7980716ull, 1652ull},
-    {"EfficientNet-b0", "fusion", 0x6c66847484ab21c4ull, 7971923ull, 1603ull},
-    {"EfficientNet-b0", "no-lut", 0xb68e5922969489eaull, 8527373ull, 1639ull},
-    {"EfficientNet-b0", "uniform", 0x56ba8b726cb3f70full, 8416739ull, 1604ull},
-    {"ResNet-50", "default", 0x302d380728d1bae5ull, 25093261ull, 850ull},
-    {"ResNet-50", "deep", 0x302d380728d1bae5ull, 25093261ull, 850ull},
-    {"ResNet-50", "fusion", 0x20433efa33a36732ull, 24908601ull, 850ull},
-    {"ResNet-50", "no-lut", 0xaa4256579aa1e30eull, 25191565ull, 850ull},
-    {"ResNet-50", "uniform", 0x3be75cc3edc77136ull, 32950121ull, 850ull},
-    {"FST", "default", 0xc73dde0abbd4ca7cull, 1279339248ull, 189ull},
-    {"FST", "deep", 0xc73dde0abbd4ca7cull, 1279339248ull, 189ull},
-    {"FST", "fusion", 0xc73dde0abbd4ca7cull, 1279339248ull, 189ull},
-    {"FST", "no-lut", 0xe47cb99a286067full, 1299786480ull, 189ull},
-    {"FST", "uniform", 0x543173b5fcfada3full, 1279339248ull, 189ull},
-    {"CycleGAN", "default", 0xe822130a57ee69daull, 1127720075ull, 196ull},
-    {"CycleGAN", "deep", 0xe822130a57ee69daull, 1127720075ull, 196ull},
-    {"CycleGAN", "fusion", 0xb7950f0f4f2217d2ull, 1127699497ull, 189ull},
-    {"CycleGAN", "no-lut", 0x16fc8f69bbd94d72ull, 1158334633ull, 195ull},
-    {"CycleGAN", "uniform", 0x661f044422dfae16ull, 1127720075ull, 196ull},
-    {"WDSR-b", "default", 0x347c47874b86f733ull, 96025928ull, 161ull},
-    {"WDSR-b", "deep", 0x347c47874b86f733ull, 96025928ull, 161ull},
-    {"WDSR-b", "fusion", 0x8a919657c13a7e2ull, 95377360ull, 156ull},
-    {"WDSR-b", "no-lut", 0x347c47874b86f733ull, 96025928ull, 161ull},
-    {"WDSR-b", "uniform", 0xd919d029915b7a3eull, 119965352ull, 161ull},
-    {"EfficientDet-d0", "default", 0xf81eb3b6abf18ee3ull, 45395990ull, 1666ull},
-    {"EfficientDet-d0", "deep", 0xf81eb3b6abf18ee3ull, 45395990ull, 1666ull},
-    {"EfficientDet-d0", "fusion", 0x5e066067e9c9c4b1ull, 45503856ull, 1617ull},
-    {"EfficientDet-d0", "no-lut", 0x2c2e6225d1bee676ull, 45886953ull, 1653ull},
-    {"EfficientDet-d0", "uniform", 0x393197b5b2238e44ull, 47767692ull, 1618ull},
-    {"PixOr", "default", 0xa61f1c305eae7447ull, 60748583ull, 786ull},
-    {"PixOr", "deep", 0xa61f1c305eae7447ull, 60748583ull, 786ull},
-    {"PixOr", "fusion", 0xb087c98bf42b9b16ull, 60148515ull, 786ull},
-    {"PixOr", "no-lut", 0xa61f1c305eae7447ull, 60748583ull, 786ull},
-    {"PixOr", "uniform", 0xff5d988aa1965573ull, 88786087ull, 786ull},
+    {"MobileNet-V3", "default", 0xbaef4839947d3a02ull, 4803845ull, 1541ull},
+    {"MobileNet-V3", "deep", 0xbaef4839947d3a02ull, 4803845ull, 1541ull},
+    {"MobileNet-V3", "fusion", 0x512e1f8cf4738118ull, 4789235ull, 1513ull},
+    {"MobileNet-V3", "no-lut", 0x6d7769a7178a06acull, 5069877ull, 1537ull},
+    {"MobileNet-V3", "uniform", 0x759f137cdfbeaca6ull, 5490857ull, 1582ull},
+    {"EfficientNet-b0", "default", 0x9fa9971a704bb045ull, 7765522ull, 1764ull},
+    {"EfficientNet-b0", "deep", 0x9fa9971a704bb045ull, 7765522ull, 1764ull},
+    {"EfficientNet-b0", "fusion", 0xa2e4b9f861336a70ull, 7756729ull, 1715ull},
+    {"EfficientNet-b0", "no-lut", 0xe6287f7f35543d6full, 8312179ull, 1751ull},
+    {"EfficientNet-b0", "uniform", 0xbb00297a77da78f2ull, 8107521ull, 1728ull},
+    {"ResNet-50", "default", 0x3e8b7aeb73e2431eull, 23126173ull, 815ull},
+    {"ResNet-50", "deep", 0x3e8b7aeb73e2431eull, 23126173ull, 815ull},
+    {"ResNet-50", "fusion", 0xf63c358afe05b05full, 22941513ull, 815ull},
+    {"ResNet-50", "no-lut", 0xc128b9ef7c613fabull, 23224477ull, 815ull},
+    {"ResNet-50", "uniform", 0xeb0ff39e3b8e18f2ull, 30983033ull, 815ull},
+    {"FST", "default", 0xb21d5e11f1140191ull, 1110420208ull, 238ull},
+    {"FST", "deep", 0xb21d5e11f1140191ull, 1110420208ull, 238ull},
+    {"FST", "fusion", 0xb21d5e11f1140191ull, 1110420208ull, 238ull},
+    {"FST", "no-lut", 0x99fe09ce46daf76ull, 1130867440ull, 238ull},
+    {"FST", "uniform", 0x37a3b3e34b90b182ull, 1110420208ull, 238ull},
+    {"CycleGAN", "default", 0xfaf0eca041c1f65ull, 977372775ull, 245ull},
+    {"CycleGAN", "deep", 0xfaf0eca041c1f65ull, 977372775ull, 245ull},
+    {"CycleGAN", "fusion", 0xc1e6771720cf1efbull, 977352197ull, 238ull},
+    {"CycleGAN", "no-lut", 0x81c2dce618454416ull, 1007987333ull, 244ull},
+    {"CycleGAN", "uniform", 0xace99309907b9339ull, 977372775ull, 245ull},
+    {"WDSR-b", "default", 0xbcd4431f6c26b723ull, 80076072ull, 209ull},
+    {"WDSR-b", "deep", 0xbcd4431f6c26b723ull, 80076072ull, 209ull},
+    {"WDSR-b", "fusion", 0xcbe316e92439db4dull, 79427504ull, 204ull},
+    {"WDSR-b", "no-lut", 0xbcd4431f6c26b723ull, 80076072ull, 209ull},
+    {"WDSR-b", "uniform", 0x53d6346a49f83df5ull, 104015496ull, 209ull},
+    {"EfficientDet-d0", "default", 0x3389a0ecce42c0d4ull, 43384555ull, 1611ull},
+    {"EfficientDet-d0", "deep", 0x3389a0ecce42c0d4ull, 43384555ull, 1611ull},
+    {"EfficientDet-d0", "fusion", 0xc706a7b63df2a3afull, 43492421ull, 1562ull},
+    {"EfficientDet-d0", "no-lut", 0x6a3ff51a927e70dfull, 43875518ull, 1598ull},
+    {"EfficientDet-d0", "uniform", 0xbf0b505f7ecc84faull, 45258593ull, 1626ull},
+    {"PixOr", "default", 0xc8b43bbf98e143b6ull, 51979579ull, 799ull},
+    {"PixOr", "deep", 0xc8b43bbf98e143b6ull, 51979579ull, 799ull},
+    {"PixOr", "fusion", 0x32bbbf087ae21b04ull, 51379511ull, 799ull},
+    {"PixOr", "no-lut", 0xc8b43bbf98e143b6ull, 51979579ull, 799ull},
+    {"PixOr", "uniform", 0x2eca24cf88662b96ull, 80017083ull, 799ull},
     {"TinyBERT", "default", 0xdcc7e72a9c93b912ull, 15954492ull, 328ull},
     {"TinyBERT", "deep", 0xdcc7e72a9c93b912ull, 15954492ull, 328ull},
     {"TinyBERT", "fusion", 0xc431fc7ec9871744ull, 15912938ull, 328ull},

@@ -24,28 +24,48 @@ using kernels::MatMulShape;
 TEST(CostModelTest, TileScalingIsExactForVrmpy)
 {
     // vrmpy has no drain adjustment, so the scaled tile estimate must
-    // equal a full kernel simulation bit for bit.
-    const MatMulShape shape{96, 40, 24}; // 3 panels x 3 tiles (cols=2)
-    CostModelOptions options;
-    options.unroll = kernels::UnrollStrategy::Mid2;
-    CostModel model(options);
-    const NodeExecStats estimate =
-        model.matmulStats(shape, MatMulScheme::Vrmpy, 0);
+    // match a full kernel simulation: one tile of a column unit per
+    // unroll step, and the register-blocked adaptive tile of two row
+    // panels.
+    struct Case
+    {
+        MatMulShape shape;
+        kernels::UnrollStrategy strategy;
+        kernels::UnrollChoice choice;
+    };
+    const Case cases[] = {
+        // 3 panels x 3 column tiles of 2 units.
+        {{96, 40, 24}, kernels::UnrollStrategy::Mid2, {1, 2, 1}},
+        // 4 panels (2 blocked pairs) x 3 column tiles of 2 units.
+        {{128, 40, 24}, kernels::UnrollStrategy::Adaptive, {2, 2, 2}},
+    };
+    const kernels::UnrollChoice adaptive =
+        kernels::adaptiveUnroll(cases[1].shape, MatMulScheme::Vrmpy);
+    EXPECT_EQ(adaptive.outer, 2);
+    EXPECT_EQ(adaptive.cols, 2);
+    EXPECT_EQ(adaptive.k, 2);
+    for (const Case &c : cases) {
+        CostModelOptions options;
+        options.unroll = c.strategy;
+        CostModel model(options);
+        const NodeExecStats estimate =
+            model.matmulStats(c.shape, MatMulScheme::Vrmpy, 0);
 
-    kernels::MatMulConfig config;
-    config.scheme = MatMulScheme::Vrmpy;
-    config.unrollCols = 2;
-    const kernels::MatMulKernel kernel(shape, config);
-    const auto run = kernels::runKernel(kernel.program(), kernel.buffers(),
-                                        {}, {}, options.packOptions);
+        const kernels::MatMulKernel kernel(
+            c.shape, kernels::withUnroll({.scheme = MatMulScheme::Vrmpy},
+                                         c.choice));
+        const auto run = kernels::runKernel(
+            kernel.program(), kernel.buffers(), {}, {}, options.packOptions);
 
-    // Panels = 96/32 = 3 and column tiles = 24/8 = 3 divide evenly; the
-    // only inexactness is the one-time loop prologue, which scaling
-    // multiplies by the tile count. Allow 5%.
-    EXPECT_NEAR(static_cast<double>(estimate.cycles),
-                static_cast<double>(run.stats.cycles),
-                0.05 * static_cast<double>(run.stats.cycles));
-    EXPECT_GE(estimate.cycles, run.stats.cycles); // over-estimate only
+        // The panel pairs and column tiles divide evenly; the only
+        // inexactness is the one-time loop prologue, which scaling
+        // multiplies by the tile count. Allow 5%.
+        SCOPED_TRACE(kernels::unrollStrategyName(c.strategy));
+        EXPECT_NEAR(static_cast<double>(estimate.cycles),
+                    static_cast<double>(run.stats.cycles),
+                    0.05 * static_cast<double>(run.stats.cycles));
+        EXPECT_GE(estimate.cycles, run.stats.cycles); // over-estimate only
+    }
 }
 
 TEST(CostModelTest, MemoizationReturnsIdenticalStats)
@@ -75,6 +95,29 @@ TEST(CostModelTest, DrainChargesGrowWithReductionDepth)
               1.1 * perMac(MatMulScheme::Vmpa, 32));
     EXPECT_LT(perMac(MatMulScheme::Vrmpy, 1024),
               1.1 * perMac(MatMulScheme::Vrmpy, 32));
+}
+
+TEST(CostModelTest, DrainChargeCountsEveryRowPanel)
+{
+    // The Outer strategy's vmpa tile spans four row panels and holds an
+    // accumulator pair per column of each. Every pair drains once per 32
+    // reduction steps after the first, so the one-tile estimate is the
+    // tile's simulation plus 14 cycles per drain of all eight pairs.
+    const MatMulShape shape{
+        4 * kernels::schemeInfo(MatMulScheme::Vmpa).panelRows(), 1024, 2};
+    CostModelOptions options;
+    options.unroll = kernels::UnrollStrategy::Outer;
+    CostModel model(options);
+    const NodeExecStats estimate =
+        model.matmulStats(shape, MatMulScheme::Vmpa, 0);
+
+    const kernels::MatMulKernel kernel(
+        shape, kernels::withUnroll({.scheme = MatMulScheme::Vmpa},
+                                   kernels::UnrollChoice{4, 1, 1}));
+    const auto run = kernels::runKernel(kernel.program(), kernel.buffers(),
+                                        {}, {}, options.packOptions);
+    const uint64_t drains = (1024 / 32 - 1) * 4 * 2;
+    EXPECT_EQ(estimate.cycles, run.stats.cycles + 14 * drains);
 }
 
 TEST(CostModelTest, LutToggleOnlyAffectsDivisionFamilies)

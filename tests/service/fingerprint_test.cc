@@ -89,8 +89,8 @@ TEST(FingerprintTest, ZooModelAndServedProgramKeysMatchRecording)
     EXPECT_EQ(request.h1, 0xadb567560b972543ull) << actual;
     EXPECT_EQ(request.nodes, 48u) << actual;
     EXPECT_EQ(programs, 5u) << actual;
-    EXPECT_EQ(packDigest, 0x7cc1e7291a90bd2eull) << actual;
-    EXPECT_EQ(decodeDigest, 0x6446d963ac085aa4ull) << actual;
+    EXPECT_EQ(packDigest, 0x32699192e18edacbull) << actual;
+    EXPECT_EQ(decodeDigest, 0xa7b3dcef0fb1c453ull) << actual;
 }
 
 } // namespace

@@ -156,18 +156,19 @@ TEST(PackDifferentialTest, DeepAuditTileKernelsBitIdentical)
     // tile kernel of every scheme and every unroll candidate, with the
     // cost model's tile geometry (one layout panel of rows and one output
     // unit of columns per unroll step), at the tiered coster's low anchor
-    // depth (8 inner-loop iterations) and at one deep reduction. Column
-    // factors past the no-spill accumulator limit (vmpa/vrmpy cols 8,
-    // only reachable by exhaustive unroll search) have their own test
-    // below: their blocks of up to 780 instructions take the reference
-    // packer ~12 s per depth over the whole grid.
+    // depth (8 inner-loop iterations) and at one deep reduction. Tiles
+    // past the no-spill accumulator limit (only reachable by exhaustive
+    // unroll search) have their own test below: their blocks of up to
+    // 780 instructions take the reference packer ~12 s per depth over
+    // the whole grid.
     using kernels::MatMulScheme;
     size_t programs = 0;
     for (const MatMulScheme scheme :
          {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
         for (const kernels::UnrollChoice &choice :
              kernels::unrollCandidates()) {
-            if (choice.cols > kernels::schemeInfo(scheme).noSpillUnits())
+            if (choice.cols >
+                kernels::schemeInfo(scheme).noSpillUnits(choice.outer))
                 continue;
             for (const int64_t k :
                  {kernels::kQuantum(scheme, choice.k) * 8, int64_t{1024}}) {
@@ -191,26 +192,33 @@ TEST(PackDifferentialTest, DeepAuditTileKernelsBitIdentical)
                 return;
         }
     }
-    // 32 vmpy candidates + 24 each for vmpa and vrmpy, at two depths.
-    EXPECT_EQ(programs, (32u + 24u + 24u) * 2u);
+    // One outer panel: 16 vmpy candidates + 12 each for vmpa and vrmpy;
+    // two register-blocked panels halve the column budget: 12 + 8 + 8.
+    EXPECT_EQ(programs, (16u + 12u + 12u + 12u + 8u + 8u) * 2u);
 }
 
 TEST(PackDifferentialTest, DeepAuditSpillingTileKernelsBitIdentical)
 {
-    // The vmpa/vrmpy column factor 8 the test above leaves out, which the
-    // exhaustive unroll search still packs: one outer panel, every K
-    // factor, at the anchor depth. Their loop bodies run from 70 to 780
-    // instructions; the depth does not change a body, and a second outer
-    // panel repeats the same body sizes at twice the reference packer's
-    // cost.
+    // The tiles the test above leaves out whose accumulators fill the
+    // bank twice over, which the exhaustive unroll search still packs:
+    // vmpa/vrmpy at one outer panel and column factor 8, and every scheme
+    // blocked over two panels at twice its two-panel column budget, every
+    // K factor, at the anchor depth. Their loop bodies run from 70 to 780
+    // instructions; the depth does not change a body. The wider tiles of
+    // two panels (vmpa/vrmpy cols 8) spill three quarters of their bank
+    // and would double the reference packer's cost.
     using kernels::MatMulScheme;
     size_t largestBlock = 0;
+    size_t programs = 0;
     for (const MatMulScheme scheme :
-         {MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
-        for (const int k : {1, 2, 4, 8}) {
-            const kernels::UnrollChoice choice{.outer = 1, .cols = 8, .k = k};
+         {MatMulScheme::Vmpy, MatMulScheme::Vmpa, MatMulScheme::Vrmpy}) {
+        for (const kernels::UnrollChoice &choice :
+             kernels::unrollCandidates()) {
+            if (choice.cols !=
+                2 * kernels::schemeInfo(scheme).noSpillUnits(choice.outer))
+                continue;
             const kernels::MatMulShape tile = kernels::unrollTile(
-                scheme, choice, kernels::kQuantum(scheme, k) * 8);
+                scheme, choice, kernels::kQuantum(scheme, choice.k) * 8);
             const Program prog =
                 kernels::MatMulKernel(
                     tile, kernels::withUnroll({.scheme = scheme}, choice))
@@ -219,11 +227,16 @@ TEST(PackDifferentialTest, DeepAuditSpillingTileKernelsBitIdentical)
                 std::max(largestBlock, buildCfg(prog).largestBlock().size());
             expectSamePacking(packReference(prog, {}), pack(prog, {}),
                               std::string(kernels::schemeName(scheme)) +
-                                  " unroll 1/8/" + std::to_string(k));
+                                  " unroll " + std::to_string(choice.outer) +
+                                  "/" + std::to_string(choice.cols) + "/" +
+                                  std::to_string(choice.k));
+            ++programs;
             if (HasFailure())
                 return;
         }
     }
+    // vmpy 2/8; vmpa and vrmpy 1/8 and 2/4; four K factors each.
+    EXPECT_EQ(programs, (1u + 2u + 2u) * 4u);
     EXPECT_GE(largestBlock, 700u);
 }
 
